@@ -112,7 +112,7 @@ void BM_IidMiRate(benchmark::State& state) {
     dp.p_d = 0.1;
     for (auto _ : state) {
         util::Rng rng(10);
-        benchmark::DoNotOptimize(info::iid_mutual_information_rate(dp, 96, 4, rng).rate);
+        benchmark::DoNotOptimize(info::iid_mutual_information_rate(dp, {96, 4}, rng).rate);
     }
 }
 BENCHMARK(BM_IidMiRate);

@@ -87,7 +87,7 @@ int main() {
         const core::DiChannelParams p{r, r, 0.0, 1};
         util::Rng mc_rng(0xE5F0);
         info::DriftParams dp{r, r, 0.0, 2, 48, 10};
-        const double mc = info::iid_mutual_information_rate(dp, 96, 10, mc_rng).rate;
+        const double mc = info::iid_mutual_information_rate(dp, {96, 10}, mc_rng).rate;
         std::printf("%-8.3f %8.4f %8.4f %10.4f %10.4f %10.4f %8.4f\n", r, vt_goodput(r, rng),
                     marker_goodput(r, rng), watermark_goodput(r, rng), mc,
                     core::counter_protocol_exact_rate(p), core::theorem1_upper_bound(p));

@@ -22,7 +22,7 @@ int main() {
         util::Rng rng(0xE9);
         info::DriftParams dp;
         dp.p_d = pd;
-        const auto mc = info::iid_mutual_information_rate(dp, 128, 16, rng);
+        const auto mc = info::iid_mutual_information_rate(dp, {128, 16}, rng);
         const double erasure = info::erasure_upper_bound(pd);
         std::printf("%-6.2f %10.4f %12.4f %12.4f %12.4f %12.4f %10.4f\n", pd, erasure,
                     mc.rate, info::gallager_deletion_lower_bound(pd),
@@ -37,7 +37,7 @@ int main() {
         info::DriftParams dp;
         dp.p_d = r;
         dp.p_i = r;
-        const auto mc = info::iid_mutual_information_rate(dp, 128, 16, rng);
+        const auto mc = info::iid_mutual_information_rate(dp, {128, 16}, rng);
         std::printf("%-6.2f %10.4f %12.4f\n", r, info::erasure_upper_bound(r), mc.rate);
     }
     std::printf("\nShape check: the blind (deletion-insertion) rate always sits strictly\n"

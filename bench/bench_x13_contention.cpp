@@ -33,7 +33,6 @@
 namespace {
 
 using ccap::info::CapacityCache;
-using ccap::info::McTiling;
 using ccap::sched::ContentionConfig;
 using ccap::sched::ContentionEngine;
 using ccap::sched::ContentionReport;
@@ -48,8 +47,8 @@ CapacityCache::Config cache_config(bool fast, std::size_t block_len,
     cc.mc.num_blocks = num_blocks;
     cc.mc.threads = 1;
     if (!fast) {
-        cc.enabled = false;               // no memoization
-        cc.mc.tiling = McTiling::scalar;  // one-block-at-a-time lattice sweeps
+        cc.enabled = false;  // no memoization
+        cc.mc.batch = 1;     // one-block-at-a-time lattice sweeps
     }
     return cc;
 }

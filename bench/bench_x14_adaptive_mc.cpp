@@ -127,14 +127,13 @@ int main(int argc, char** argv) {
     bool fixed_mode_identical = true;
     {
         // target_sem = 0 must leave the historical fixed path untouched,
-        // whatever the new knobs say.
+        // whatever max_blocks says.
         McOptions plain;
         plain.block_len = adaptive.block_len;
         plain.num_blocks = adaptive.num_blocks;
         McOptions decorated = plain;
         decorated.target_sem = 0.0;
         decorated.max_blocks = 5;
-        decorated.point_budget = 3;
         const std::vector<MiEstimate> a =
             ccap::info::iid_mutual_information_rate_points(pts, plain);
         const std::vector<MiEstimate> b =

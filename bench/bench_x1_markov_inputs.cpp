@@ -28,12 +28,12 @@ int main() {
         info::DriftParams p;
         p.p_d = pd;
         util::Rng rng(0xA1);
-        const auto iid = info::iid_mutual_information_rate(p, kBlock, kBlocks, rng);
+        const auto iid = info::iid_mutual_information_rate(p, {kBlock, kBlocks}, rng);
         std::printf("%-6.2f %10.4f", pd, iid.rate);
         for (const double stay : {0.6, 0.75, 0.85, 0.95}) {
             util::Rng rng2(0xA1);
             const auto mkv = info::markov_mutual_information_rate(
-                p, info::MarkovSource::binary_repeat(stay), kBlock, kBlocks, rng2);
+                p, info::MarkovSource::binary_repeat(stay), {kBlock, kBlocks}, rng2);
             std::printf("   %9.4f", mkv.rate);
         }
         std::printf("   %10.4f\n", info::erasure_upper_bound(pd));

@@ -22,15 +22,17 @@ cmake -B build -S . >/dev/null
 cmake --build build -j"$(nproc)"
 (cd build && ctest --output-on-failure -j"$(nproc)")
 
-# SIMD cross-check: rerun the batch-lattice lane-identity suite with the
-# kernel dispatch pinned to the scalar reference path. The default ctest
-# pass above runs on the widest available ISA; this stage proves the same
-# binary still matches the scalar LatticeEngine bit for bit when the
-# vector kernels are disabled — i.e. any bit-identity green above came
-# from correct vector code, not from both paths sharing a bug.
-echo "== tier1: batch-lattice suite under CCAP_SIMD=scalar =="
+# SIMD cross-check: rerun the batch-lattice lane-identity suite and the
+# parallel Monte-Carlo scheduler suite with the kernel dispatch pinned to
+# the scalar reference path. The default ctest pass above runs on the
+# widest available ISA; this stage proves the same binary still matches
+# the scalar LatticeEngine bit for bit when the vector kernels are
+# disabled — i.e. any bit-identity green above came from correct vector
+# code, not from both paths sharing a bug — and that the point schedulers
+# keep their thread/batch/tile identities on the scalar kernels too.
+echo "== tier1: batch-lattice + parallel-MC suites under CCAP_SIMD=scalar =="
 (cd build && CCAP_SIMD=scalar ./tests/ccap_info_tests \
-    --gtest_filter='BatchLattice*:SimdDispatch*' --gtest_brief=1)
+    --gtest_filter='BatchLattice*:SimdDispatch*:*ParallelMc*' --gtest_brief=1)
 
 # Bench-regression gate: when a checked-in BENCH_* baseline exists and the
 # build produced a fresh record of the same name (smoke runs write

@@ -59,18 +59,6 @@ struct MiEstimate {
     bool converged = true;
 };
 
-/// How the Monte-Carlo estimators shape their work across the batched
-/// lattice and the thread pool.
-enum class McTiling {
-    /// Tile blocks as lanes x threads: each worker advances a tile of
-    /// resolved_mc_batch() blocks through the lockstep SIMD engine
-    /// (batch_lattice.hpp), and tiles are distributed over the pool.
-    lanes_by_threads,
-    /// One block per lattice sweep (scalar LatticeEngine); threads still
-    /// split blocks. Equivalent to batch = 1. Reference/debugging path.
-    scalar,
-};
-
 /// Knobs shared by the Monte-Carlo mutual-information estimators.
 ///
 /// Parallelism contract: the estimators consume exactly one draw from the
@@ -97,9 +85,6 @@ struct McOptions {
     /// band_eps > 0 the shared union band may prune slightly less than
     /// scalar banding — never more, so the lower bound stands).
     std::size_t batch = 0;
-    /// Work-shaping policy; McTiling::scalar forces batch = 1 regardless
-    /// of `batch` (handy for A/B timing without touching the lane knob).
-    McTiling tiling = McTiling::lanes_by_threads;
     /// Adaptive precision. 0 (default) = fixed mode: exactly num_blocks
     /// blocks run, bit-identical to the historical behavior. > 0: blocks
     /// run in rounds of num_blocks (mc_round_blocks), and after each round
@@ -117,17 +102,6 @@ struct McOptions {
     /// Adaptive-mode total block cap; 0 picks 64 rounds' worth
     /// (64 * mc_round_blocks). Ignored in fixed mode.
     std::size_t max_blocks = 0;
-    /// Shared block budget for iid_mutual_information_rate_points in
-    /// adaptive mode: 0 (default) = mc_block_cap() per point — never
-    /// binding, so every point's spend is decided by its own variance
-    /// alone. A smaller budget makes the cross-point scheduler allocate
-    /// top-up rounds Neyman-style: proportionally to each point's
-    /// predicted block deficit (sd / target_sem)^2, i.e. where the
-    /// variance actually is. In CRN mode (point_tile > 0) the budget is
-    /// spent in tile order, whole rounds at a time, so a binding budget
-    /// couples spends to the tile partition — leave it 0 for the
-    /// tile-invariance guarantee. Ignored by the single-point estimators.
-    std::size_t point_budget = 0;
     /// Common-random-numbers (CRN) point tiling for
     /// iid_mutual_information_rate_points. 0 (default) = independent
     /// streams: every point draws its own blocks from its own seed — the
@@ -144,11 +118,10 @@ struct McOptions {
     /// (PointSweepReport; docs/THEORY.md section 15). The shared tape is
     /// rooted at the FIRST point's seed (see crn_root); every point keeps
     /// its exact marginal block law, and estimates are bit-identical at
-    /// every thread count, batch and point_tile width (band_eps = 0 and
-    /// non-binding point_budget; with banding the shared union band
-    /// carries the same tile caveat as `batch`). Requires all points to
-    /// share alphabet, max_drift and max_insert_run. Ignored by the
-    /// single-point estimators.
+    /// every thread count, batch and point_tile width (band_eps = 0; with
+    /// banding the shared union band carries the same tile caveat as
+    /// `batch`). Requires all points to share alphabet, max_drift and
+    /// max_insert_run. Ignored by the single-point estimators.
     std::size_t point_tile = 0;
     /// Explicit root for the CRN variate tapes. 0 (default) derives the
     /// root from the first point's seed, which ties every sample to the
@@ -188,8 +161,7 @@ inline constexpr std::size_t kMcPointTileAuto = static_cast<std::size_t>(-1);
 /// auto-resolved (0) ISA-aware — a multiple of the active SIMD vector
 /// width (util::active_simd_path()) sized so the hot rows of a lockstep
 /// step stay L1-resident — then clamped to opts.num_blocks. Never a
-/// function of opts.threads (the thread-invariance contract above). 1
-/// whenever opts.tiling is McTiling::scalar.
+/// function of opts.threads (the thread-invariance contract above).
 [[nodiscard]] std::size_t resolved_mc_batch(const McOptions& opts, const DriftParams& params);
 
 /// Monte-Carlo achievable rate of the deletion-insertion(-substitution)
@@ -199,12 +171,6 @@ inline constexpr std::size_t kMcPointTileAuto = static_cast<std::size_t>(-1);
 /// down). Deterministic given `rng` state and invariant in opts.threads.
 [[nodiscard]] MiEstimate iid_mutual_information_rate(const DriftParams& params,
                                                      const McOptions& opts, util::Rng& rng);
-
-/// Back-compatible convenience overload; equivalent to McOptions{block_len,
-/// num_blocks, 0} (parallel over all hardware threads).
-[[nodiscard]] MiEstimate iid_mutual_information_rate(const DriftParams& params,
-                                                     std::size_t block_len,
-                                                     std::size_t num_blocks, util::Rng& rng);
 
 /// One (parameters, seed) point of a batched capacity evaluation. The seed
 /// is part of the point — not drawn from a shared generator — so a point's
@@ -217,35 +183,7 @@ struct CapacityPoint {
     std::uint64_t seed = 0;
 };
 
-/// Evaluate iid_mutual_information_rate at many parameter points: the point
-/// axis is parallelized over opts.threads, each point runs serially inside
-/// (its blocks still advance through the SIMD lockstep engine in tiles of
-/// resolved_mc_batch lanes). In fixed mode (target_sem == 0) out[i] is
-/// bit-identical to
-///   Rng r(points[i].seed);
-///   iid_mutual_information_rate(points[i].params, {opts, threads = 1}, r);
-///
-/// Adaptive mode (target_sem > 0) runs a two-stage variance-aware
-/// scheduler: a pilot round (mc_round_blocks blocks) at every point, then
-/// repeated Neyman-style allocation passes that grant top-up rounds where
-/// the per-point variance says they are needed — each needy point's
-/// predicted deficit is ceil((sd_i / target_sem)^2) - spent_i blocks,
-/// granted outright while the shared budget (McOptions::point_budget)
-/// lasts and scaled proportionally when it does not. All decisions are
-/// functions of the deterministic per-point folds, so the spent counts and
-/// estimates are bit-identical at every thread count; and because block
-/// samples depend only on (point, global block index), out[i] is
-/// bit-identical to a standalone fixed-mode evaluation of the same point
-/// over the same number of blocks:
-///   Rng r(points[i].seed);
-///   iid_mutual_information_rate(points[i].params,
-///                               {opts, num_blocks = out[i].blocks,
-///                                target_sem = 0, threads = 1}, r);
-/// (at band_eps = 0; see the McOptions::target_sem caveat).
-[[nodiscard]] std::vector<MiEstimate> iid_mutual_information_rate_points(
-    std::span<const CapacityPoint> points, const McOptions& opts);
-
-/// Optional diagnostics of a point sweep (the 3-argument overload below).
+/// Optional diagnostics of a point sweep.
 struct PointSweepReport {
     /// Resolved CRN tile width (resolved_point_tile; 0 = independent).
     std::size_t point_tile = 0;
@@ -259,12 +197,34 @@ struct PointSweepReport {
     std::vector<double> adjacent_diff_sem;
 };
 
-/// iid_mutual_information_rate_points with sweep diagnostics. `report` may
-/// be null (then identical to the 2-argument overload, which forwards
-/// here). McOptions::point_tile selects independent streams (0) or
-/// common-random-numbers point tiles (see McOptions).
+/// Evaluate iid_mutual_information_rate at many parameter points.
+/// McOptions::point_tile selects independent streams (0, below) or
+/// common-random-numbers point tiles (see McOptions); `report`, when
+/// non-null, receives the sweep diagnostics.
+///
+/// Independent streams: the point axis is parallelized over opts.threads,
+/// each point runs serially inside (its blocks still advance through the
+/// SIMD lockstep engine in tiles of resolved_mc_batch lanes). Every point
+/// first runs a pilot round — mc_round_blocks blocks, or all num_blocks in
+/// fixed mode (target_sem == 0), which stops there. Adaptive mode
+/// (target_sem > 0) then runs Neyman-style allocation passes that grant
+/// top-up rounds where the per-point variance says they are needed: each
+/// point whose SEM is still above target gets its predicted deficit
+/// ceil((sd_i / target_sem)^2) - spent_i blocks, rounded up to whole rounds
+/// and clamped to mc_block_cap, until no such point is left. All decisions
+/// are functions of the deterministic per-point folds, so the spent counts
+/// and estimates are bit-identical at every thread count; and because block
+/// samples depend only on (point, global block index), out[i] is
+/// bit-identical to a standalone fixed-mode evaluation of the same point
+/// over the same number of blocks:
+///   Rng r(points[i].seed);
+///   iid_mutual_information_rate(points[i].params,
+///                               {opts, num_blocks = out[i].blocks,
+///                                target_sem = 0, threads = 1}, r);
+/// (at band_eps = 0; see the McOptions::target_sem caveat).
 [[nodiscard]] std::vector<MiEstimate> iid_mutual_information_rate_points(
-    std::span<const CapacityPoint> points, const McOptions& opts, PointSweepReport* report);
+    std::span<const CapacityPoint> points, const McOptions& opts,
+    PointSweepReport* report = nullptr);
 
 /// Sample a sequence from a first-order Markov source.
 [[nodiscard]] std::vector<std::uint8_t> simulate_markov_source(const MarkovSource& source,
@@ -281,13 +241,5 @@ struct PointSweepReport {
 [[nodiscard]] MiEstimate markov_mutual_information_rate(const DriftParams& params,
                                                         const MarkovSource& source,
                                                         const McOptions& opts, util::Rng& rng);
-
-/// Back-compatible convenience overload; equivalent to McOptions{block_len,
-/// num_blocks, 0} (parallel over all hardware threads).
-[[nodiscard]] MiEstimate markov_mutual_information_rate(const DriftParams& params,
-                                                        const MarkovSource& source,
-                                                        std::size_t block_len,
-                                                        std::size_t num_blocks,
-                                                        util::Rng& rng);
 
 }  // namespace ccap::info

@@ -192,7 +192,6 @@ std::size_t resolved_point_tile(const McOptions& opts, std::size_t num_points) {
 }
 
 std::size_t resolved_mc_batch(const McOptions& opts, const DriftParams& params) {
-    if (opts.tiling == McTiling::scalar) return 1;
     std::size_t b = opts.batch;
     if (b == 0) {
         // Auto: size the tile so the hot set of a lockstep row step —
@@ -356,13 +355,6 @@ MiEstimate markov_mutual_information_rate(const DriftParams& params, const Marko
     return adaptive_mc_estimate(opts, batch, rng, sampler);
 }
 
-MiEstimate markov_mutual_information_rate(const DriftParams& params, const MarkovSource& source,
-                                          std::size_t block_len, std::size_t num_blocks,
-                                          util::Rng& rng) {
-    return markov_mutual_information_rate(params, source, McOptions{block_len, num_blocks, 0},
-                                          rng);
-}
-
 MiEstimate iid_mutual_information_rate(const DriftParams& params, const McOptions& opts,
                                        util::Rng& rng) {
     params.validate();
@@ -375,11 +367,6 @@ MiEstimate iid_mutual_information_rate(const DriftParams& params, const McOption
     const std::size_t batch = resolved_mc_batch(opts, params);
     const IidBlockSampler sampler{hmm, params, uniform_priors, opts.block_len, batch};
     return adaptive_mc_estimate(opts, batch, rng, sampler);
-}
-
-MiEstimate iid_mutual_information_rate(const DriftParams& params, std::size_t block_len,
-                                       std::size_t num_blocks, util::Rng& rng) {
-    return iid_mutual_information_rate(params, McOptions{block_len, num_blocks, 0}, rng);
 }
 
 namespace {
@@ -538,11 +525,10 @@ void crn_run_round(CrnTileState& st, std::span<const std::size_t> active,
         }
 }
 
-/// Per-point state of the adaptive cross-point scheduler. The root seed,
+/// Per-point state of the independent-streams scheduler. The root seed,
 /// the model and the fold are all derived from the point alone, so every
 /// decision the scheduler takes about this point — and the estimate it
-/// emits — is independent of the other points' values (only the *budget*
-/// couples points, and only when McOptions::point_budget binds).
+/// emits — is independent of the other points.
 struct PointCtx {
     DriftParams params;        ///< the channel the blocks sample
     DriftHmm hmm;              ///< built from effective_params (band override)
@@ -557,11 +543,6 @@ struct PointCtx {
 }  // namespace
 
 std::vector<MiEstimate> iid_mutual_information_rate_points(
-    std::span<const CapacityPoint> points, const McOptions& opts) {
-    return iid_mutual_information_rate_points(points, opts, nullptr);
-}
-
-std::vector<MiEstimate> iid_mutual_information_rate_points(
     std::span<const CapacityPoint> points, const McOptions& opts, PointSweepReport* report) {
     std::vector<MiEstimate> out(points.size());
     const std::size_t tile = resolved_point_tile(opts, points.size());
@@ -570,13 +551,24 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
         report->adjacent_diff_sem.assign(points.size() >= 2 ? points.size() - 1 : 0, 0.0);
     }
     if (points.empty()) return out;
+    if (opts.block_len == 0 || opts.num_blocks == 0)
+        throw std::invalid_argument("iid_mutual_information_rate_points: empty experiment");
+    // Fixed mode (target_sem = 0) is the first round alone: the cap is then
+    // num_blocks <= round. Every SEM test is guarded by `adaptive`: at a
+    // zero target, `sem <= target_sem` fails for any noisy point and would
+    // send fixed-mode points into top-up rounds.
+    const bool adaptive = opts.target_sem > 0.0;
+    const std::size_t cap = mc_block_cap(opts);
+    const std::size_t round = mc_round_blocks(opts);
+    // Independent combination of adjacent SEMs: what every pair reports
+    // unless CRN coupling pairs its samples.
+    const auto independent_diff_sem = [&](std::size_t i) {
+        return std::sqrt(out[i].sem * out[i].sem + out[i + 1].sem * out[i + 1].sem);
+    };
 
     if (tile > 0) {
         // Common-random-numbers mode: tiles of `tile` points share every
         // block's variate tape and ride one per-lane-parameter sweep.
-        if (opts.block_len == 0 || opts.num_blocks == 0)
-            throw std::invalid_argument(
-                "iid_mutual_information_rate_points: empty experiment");
         const DriftParams& s0 = points[0].params;
         for (const CapacityPoint& pt : points) {
             pt.params.validate();
@@ -587,9 +579,6 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
                     "alphabet/max_drift/max_insert_run across points (set point_tile = 0 "
                     "for structurally heterogeneous spans)");
         }
-        const bool adaptive = opts.target_sem > 0.0;
-        const std::size_t cap = mc_block_cap(opts);
-        const std::size_t round = adaptive ? mc_round_blocks(opts) : cap;
         // The shared tape is rooted at the first point's seed, split off
         // exactly as a standalone estimator would draw it — unless the
         // caller pins an explicit root (memoizing callers must: a
@@ -620,7 +609,6 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
         const double band_eps = st.eff[0].band_eps;
         const util::Matrix priors(opts.block_len, s0.alphabet,
                                   1.0 / static_cast<double>(s0.alphabet));
-        std::size_t budget = opts.point_budget ? opts.point_budget : cap * points.size();
 
         for (std::size_t g0 = 0; g0 < points.size(); g0 += tile) {
             const std::size_t gn = std::min(tile, points.size() - g0);
@@ -632,27 +620,14 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
             std::size_t b = 0;
             while (!active.empty() && b < cap) {
                 const std::size_t b1 = std::min(cap, b + round);
-                const std::size_t per_point = b1 - b;
-                std::size_t n_adv = active.size();
-                // The pilot round (b = 0) always runs in full, as in the
-                // independent scheduler; past it the budget binds.
-                if (adaptive && b > 0 && budget < n_adv * per_point)
-                    n_adv = budget / per_point;
-                if (n_adv == 0) break;
-                crn_run_round(st, std::span<const std::size_t>(active).first(n_adv),
-                              priors, root, opts.block_len, band_eps, kb, b, b1,
+                crn_run_round(st, active, priors, root, opts.block_len, band_eps, kb, b, b1,
                               opts.threads);
-                if (adaptive) {
-                    const std::size_t cost = n_adv * per_point;
-                    budget = budget > cost ? budget - cost : 0;
-                }
-                if (n_adv < active.size()) break;  // budget exhausted mid-tile
                 b = b1;
                 if (!adaptive) break;
                 // Round-synchronous stopping: converged points drop out of
                 // later sweeps; the check reads only the point's own
                 // deterministic fold, so stopping is thread-, batch- and
-                // tile-invariant (band_eps = 0, non-binding budget).
+                // tile-invariant (band_eps = 0).
                 std::vector<std::size_t> still;
                 for (std::size_t g : active) {
                     if (st.stats[g].sem() <= opts.target_sem)
@@ -683,42 +658,17 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
                         d.add(st.history[i][bb] - st.history[i + 1][bb]);
                     report->adjacent_diff_sem[i] = d.sem();
                 } else {
-                    report->adjacent_diff_sem[i] = std::sqrt(
-                        out[i].sem * out[i].sem + out[i + 1].sem * out[i + 1].sem);
+                    report->adjacent_diff_sem[i] = independent_diff_sem(i);
                 }
             }
         }
         return out;
     }
 
-    if (!(opts.target_sem > 0.0)) {
-        // Fixed mode: per-point standalone evaluation, parallel over the
-        // point axis (the historical behavior, bit for bit).
-        McOptions inner = opts;
-        inner.threads = 1;  // the point axis owns the parallelism
-        util::parallel_for(
-            util::ThreadPool::shared(), points.size(),
-            [&](std::size_t i) {
-                util::Rng rng(points[i].seed);
-                out[i] = iid_mutual_information_rate(points[i].params, inner, rng);
-            },
-            opts.threads);
-        if (report)
-            for (std::size_t i = 0; i + 1 < out.size(); ++i)
-                report->adjacent_diff_sem[i] = std::sqrt(
-                    out[i].sem * out[i].sem + out[i + 1].sem * out[i + 1].sem);
-        return out;
-    }
-
-    // Adaptive mode: pilot round everywhere, then Neyman-style top-up
-    // passes. All scheduling decisions read only the deterministic
-    // per-point folds, serially, so spent counts and estimates do not
-    // depend on the thread count.
-    if (opts.block_len == 0 || opts.num_blocks == 0)
-        throw std::invalid_argument("iid_mutual_information_rate_points: empty experiment");
-    const std::size_t cap = mc_block_cap(opts);
-    const std::size_t round = mc_round_blocks(opts);
-
+    // Independent streams: a pilot round at every point, then (adaptive
+    // mode only) Neyman-style top-up passes. All scheduling decisions read
+    // only the deterministic per-point folds, serially, so spent counts and
+    // estimates do not depend on the thread count.
     std::vector<PointCtx> ctx;
     ctx.reserve(points.size());
     for (const CapacityPoint& pt : points) {
@@ -742,24 +692,18 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
         c.spent += n;
     };
 
-    // Stage 1: pilot round at every point (always runs; the budget governs
-    // the top-ups).
+    // Stage 1: pilot round at every point (the whole run in fixed mode).
     util::parallel_for(
         util::ThreadPool::shared(), ctx.size(),
         [&](std::size_t i) { run_blocks(ctx[i], std::min(round, cap)); }, opts.threads);
-    const std::size_t pilot_cost = std::min(round, cap) * ctx.size();
-    std::size_t budget = opts.point_budget ? opts.point_budget : cap * ctx.size();
-    budget = budget > pilot_cost ? budget - pilot_cost : 0;
 
-    // Stage 2: repeated allocation passes. Each pass computes every needy
-    // point's predicted block need n* = (sd / target_sem)^2, grants the
-    // deficit (rounded up to whole rounds, clamped to the cap) outright
-    // when the budget covers the pass, and scales grants proportionally
-    // when it does not.
-    while (budget > 0) {
+    // Stage 2 (adaptive only): repeated allocation passes. Each pass grants
+    // every point still above the target its predicted block deficit
+    // n* = (sd / target_sem)^2 - spent, rounded up to whole rounds and
+    // clamped to the cap, until no such point is left.
+    while (adaptive) {
         std::vector<std::size_t> needy;
         std::vector<std::size_t> want;
-        std::size_t total_want = 0;
         for (std::size_t i = 0; i < ctx.size(); ++i) {
             PointCtx& c = ctx[i];
             if (c.converged || c.spent >= cap) continue;
@@ -774,49 +718,25 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
                     ? static_cast<std::size_t>(std::ceil(predicted)) - c.spent
                     : 1;  // SEM still above target: must make progress
             deficit = (deficit + round - 1) / round * round;  // whole rounds
-            deficit = std::min(deficit, cap - c.spent);
             needy.push_back(i);
-            want.push_back(deficit);
-            total_want += deficit;
+            want.push_back(std::min(deficit, cap - c.spent));
         }
         if (needy.empty()) break;
-        if (total_want > budget) {
-            // Scarcity: scale every grant by budget / total_want, keeping
-            // whole rounds where possible; guarantee progress by giving the
-            // first needy point whatever is left when rounding zeroes all.
-            std::size_t granted_total = 0;
-            for (std::size_t k = 0; k < needy.size(); ++k) {
-                const auto scaled = static_cast<std::size_t>(
-                    static_cast<double>(want[k]) * static_cast<double>(budget) /
-                    static_cast<double>(total_want));
-                want[k] = std::min(scaled / round * round, cap - ctx[needy[k]].spent);
-                granted_total += want[k];
-            }
-            if (granted_total == 0)
-                want[0] = std::min({budget, round, cap - ctx[needy[0]].spent});
-        }
-        std::size_t granted = 0;
-        for (std::size_t w : want) granted += w;
-        if (granted == 0) break;  // every needy point is at the cap
         util::parallel_for(
             util::ThreadPool::shared(), needy.size(),
-            [&](std::size_t k) {
-                if (want[k] > 0) run_blocks(ctx[needy[k]], want[k]);
-            },
-            opts.threads);
-        budget = budget > granted ? budget - granted : 0;
+            [&](std::size_t k) { run_blocks(ctx[needy[k]], want[k]); }, opts.threads);
     }
 
     for (std::size_t i = 0; i < ctx.size(); ++i) {
-        PointCtx& c = ctx[i];
-        if (c.stats.sem() <= opts.target_sem) c.converged = true;
+        const PointCtx& c = ctx[i];
+        const bool converged =
+            !adaptive || c.converged || c.stats.sem() <= opts.target_sem;
         out[i] = {std::max(0.0, c.stats.mean()), c.stats.sem(), c.spent, opts.block_len,
-                  c.converged};
+                  converged};
     }
     if (report)
         for (std::size_t i = 0; i + 1 < out.size(); ++i)
-            report->adjacent_diff_sem[i] =
-                std::sqrt(out[i].sem * out[i].sem + out[i + 1].sem * out[i + 1].sem);
+            report->adjacent_diff_sem[i] = independent_diff_sem(i);
     return out;
 }
 

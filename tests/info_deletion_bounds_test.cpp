@@ -115,14 +115,14 @@ TEST(SimulateDriftChannel, RejectsBadSymbols) {
 TEST(IidMiRate, CleanChannelIsOneBit) {
     Rng rng(7);
     DriftParams p{0.0, 0.0, 0.0, 2, 24, 8};
-    const MiEstimate est = iid_mutual_information_rate(p, 64, 8, rng);
+    const MiEstimate est = iid_mutual_information_rate(p, {64, 8}, rng);
     EXPECT_NEAR(est.rate, 1.0, 1e-9);
 }
 
 TEST(IidMiRate, BoundedByErasureBound) {
     Rng rng(8);
     DriftParams p{0.15, 0.0, 0.0, 2, 32, 8};
-    const MiEstimate est = iid_mutual_information_rate(p, 96, 24, rng);
+    const MiEstimate est = iid_mutual_information_rate(p, {96, 24}, rng);
     EXPECT_LT(est.rate, erasure_upper_bound(p.p_d) + 0.03);
     EXPECT_GT(est.rate, 0.3);
 }
@@ -132,7 +132,7 @@ TEST(IidMiRate, AboveGallagerApproximately) {
     // analytic lower bound at moderate deletion rates.
     Rng rng(9);
     DriftParams p{0.1, 0.0, 0.0, 2, 32, 8};
-    const MiEstimate est = iid_mutual_information_rate(p, 96, 24, rng);
+    const MiEstimate est = iid_mutual_information_rate(p, {96, 24}, rng);
     EXPECT_GT(est.rate + 3 * est.sem + 0.05, gallager_deletion_lower_bound(0.1));
 }
 
@@ -140,16 +140,16 @@ TEST(IidMiRate, DegradesWithDeletionRate) {
     Rng rng(10);
     DriftParams lo{0.05, 0.0, 0.0, 2, 32, 8};
     DriftParams hi{0.30, 0.0, 0.0, 2, 32, 8};
-    const double r_lo = iid_mutual_information_rate(lo, 64, 16, rng).rate;
-    const double r_hi = iid_mutual_information_rate(hi, 64, 16, rng).rate;
+    const double r_lo = iid_mutual_information_rate(lo, {64, 16}, rng).rate;
+    const double r_hi = iid_mutual_information_rate(hi, {64, 16}, rng).rate;
     EXPECT_GT(r_lo, r_hi);
 }
 
 TEST(IidMiRate, ValidatesArguments) {
     Rng rng(11);
     DriftParams p{0.1, 0.0, 0.0, 2, 16, 8};
-    EXPECT_THROW((void)iid_mutual_information_rate(p, 0, 4, rng), std::invalid_argument);
-    EXPECT_THROW((void)iid_mutual_information_rate(p, 16, 0, rng), std::invalid_argument);
+    EXPECT_THROW((void)iid_mutual_information_rate(p, {0, 4}, rng), std::invalid_argument);
+    EXPECT_THROW((void)iid_mutual_information_rate(p, {16, 0}, rng), std::invalid_argument);
 }
 
 }  // namespace

@@ -131,9 +131,9 @@ TEST(MarkovMarginal, ZeroLengthTx) {
 TEST(MarkovMiRate, UniformMatchesIid) {
     const DriftParams p{0.1, 0.0, 0.0, 2, 24, 8};
     Rng r1(3), r2(3);
-    const auto iid = iid_mutual_information_rate(p, 64, 12, r1);
+    const auto iid = iid_mutual_information_rate(p, {64, 12}, r1);
     const auto mkv =
-        markov_mutual_information_rate(p, MarkovSource::uniform(2), 64, 12, r2);
+        markov_mutual_information_rate(p, MarkovSource::uniform(2), {64, 12}, r2);
     // Estimators of the same quantity (different sampling paths): agree
     // within combined Monte-Carlo noise.
     EXPECT_NEAR(iid.rate, mkv.rate, 3.0 * (iid.sem + mkv.sem) + 0.01);
@@ -144,9 +144,9 @@ TEST(MarkovMiRate, RunBiasedInputsBeatIidOnDeletionChannel) {
     // inputs raise the achievable rate when deletions are frequent.
     const DriftParams p{0.4, 0.0, 0.0, 2, 32, 8};
     Rng r1(4), r2(4);
-    const auto iid = iid_mutual_information_rate(p, 64, 16, r1);
+    const auto iid = iid_mutual_information_rate(p, {64, 16}, r1);
     const auto mkv = markov_mutual_information_rate(
-        p, MarkovSource::binary_repeat(0.85), 64, 16, r2);
+        p, MarkovSource::binary_repeat(0.85), {64, 16}, r2);
     EXPECT_GT(mkv.rate, iid.rate + 0.01)
         << "markov " << mkv.rate << " vs iid " << iid.rate;
 }
@@ -155,10 +155,10 @@ TEST(MarkovMiRate, Validation) {
     const DriftParams p{0.1, 0.0, 0.0, 2, 16, 8};
     Rng rng(5);
     EXPECT_THROW(
-        (void)markov_mutual_information_rate(p, MarkovSource::uniform(2), 0, 4, rng),
+        (void)markov_mutual_information_rate(p, MarkovSource::uniform(2), {0, 4}, rng),
         std::invalid_argument);
     EXPECT_THROW(
-        (void)markov_mutual_information_rate(p, MarkovSource::uniform(4), 16, 4, rng),
+        (void)markov_mutual_information_rate(p, MarkovSource::uniform(4), {16, 4}, rng),
         std::invalid_argument);
 }
 

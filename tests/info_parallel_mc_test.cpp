@@ -63,16 +63,6 @@ TEST(ParallelMcDeterminism, MarkovRateInvariantInThreadCount) {
     }
 }
 
-TEST(ParallelMcDeterminism, ConvenienceOverloadMatchesOptionsForm) {
-    // The legacy (block_len, num_blocks) signature is defined as
-    // McOptions{block_len, num_blocks, 0} — same bits, any hardware.
-    const DriftParams p{0.1, 0.0, 0.0, 2, 24, 8};
-    Rng a(42), b(42);
-    const MiEstimate via_legacy = iid_mutual_information_rate(p, 32, 8, a);
-    const MiEstimate via_opts = iid_mutual_information_rate(p, {32, 8, 1}, b);
-    expect_bit_identical(via_legacy, via_opts);
-}
-
 TEST(ParallelMcDeterminism, ConsumesExactlyOneDrawFromCallerRng) {
     // The root-seed split is part of the API contract: downstream draws
     // from the caller's generator must not depend on num_blocks/threads.
@@ -213,26 +203,6 @@ TEST_P(ParallelMcTileInvariance, IidBitIdenticalToSerialScalar) {
     expect_bit_identical(serial, iid_mutual_information_rate(p, opts, rng));
 }
 
-TEST_P(ParallelMcTileInvariance, ScalarTilingPolicyOverridesBatchAxis) {
-    // McTiling::scalar must pin the tile to one lane for ANY (threads,
-    // batch) request — resolved_mc_batch is a pure policy function — and the
-    // estimate must stay bit-identical to the serial scalar baseline.
-    const DriftParams p{0.12, 0.04, 0.02, 2, 24, 6};
-    McOptions opts = base_options();
-
-    opts.threads = 1;
-    opts.batch = 1;
-    Rng serial_rng(0x5CA1AB1E);
-    const MiEstimate serial = iid_mutual_information_rate(p, opts, serial_rng);
-
-    opts.threads = GetParam().threads;
-    opts.batch = GetParam().batch;
-    opts.tiling = McTiling::scalar;
-    EXPECT_EQ(resolved_mc_batch(opts, p), 1u);
-    Rng rng(0x5CA1AB1E);
-    expect_bit_identical(serial, iid_mutual_information_rate(p, opts, rng));
-}
-
 TEST_P(ParallelMcTileInvariance, MarkovBitIdenticalToSerialScalar) {
     const DriftParams p{0.15, 0.02, 0.01, 2, 24, 6};
     const MarkovSource src = MarkovSource::binary_repeat(0.75);
@@ -267,7 +237,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ParallelMcAdaptive, TargetZeroIsFixedModeExactly) {
     // target_sem = 0 must reproduce the historical fixed-block behavior bit
-    // for bit; max_blocks and point_budget are documented as ignored there.
+    // for bit; max_blocks is documented as ignored there.
     const DriftParams p{0.15, 0.05, 0.02, 2, 32, 8};
     McOptions fixed;
     fixed.block_len = 48;
@@ -280,8 +250,7 @@ TEST(ParallelMcAdaptive, TargetZeroIsFixedModeExactly) {
 
     McOptions opts = fixed;
     opts.target_sem = 0.0;
-    opts.max_blocks = 7;      // ignored in fixed mode
-    opts.point_budget = 3;    // ignored by the single-point estimators
+    opts.max_blocks = 7;  // ignored in fixed mode
     Rng b(0xC0FFEE);
     expect_bit_identical(baseline, iid_mutual_information_rate(p, opts, b));
 }
@@ -467,7 +436,6 @@ TEST(ParallelMcAdaptivePoints, ThreadCountDoesNotChangeSpentCountsOrBits) {
     opts.num_blocks = 6;
     opts.target_sem = 0.02;
     opts.max_blocks = 120;
-    opts.point_budget = 160;  // binding: the scheduler must scale grants
 
     opts.threads = 1;
     const std::vector<MiEstimate> serial = iid_mutual_information_rate_points(pts, opts);
@@ -480,38 +448,32 @@ TEST(ParallelMcAdaptivePoints, ThreadCountDoesNotChangeSpentCountsOrBits) {
     }
 }
 
-TEST(ParallelMcAdaptivePoints, SharedBudgetCapsTotalSpend) {
-    const std::vector<CapacityPoint> pts = heterogeneous_points();
-    McOptions opts;
-    opts.block_len = 32;
-    opts.num_blocks = 6;
-    opts.target_sem = 1e-9;  // unreachable: only the budget stops the run
-    opts.max_blocks = 4096;
-    opts.point_budget = 100;
-    const std::vector<MiEstimate> out = iid_mutual_information_rate_points(pts, opts);
-    std::size_t total = 0;
-    for (const MiEstimate& e : out) total += e.blocks;
-    // The pilot always runs; past it, grants must never exceed the budget.
-    const std::size_t pilot = mc_round_blocks(opts) * pts.size();
-    EXPECT_LE(total, std::max<std::size_t>(opts.point_budget, pilot));
-    for (const MiEstimate& e : out) EXPECT_FALSE(e.converged);
-}
-
 TEST(ParallelMcAdaptivePoints, FixedModeUnchangedByNewFields) {
     // target_sem = 0 keeps the per-point standalone semantics bit for bit,
-    // whatever the adaptive knobs say.
+    // whatever the adaptive knobs say, and reports the independent
+    // combination of adjacent SEMs.
     const std::vector<CapacityPoint> pts = heterogeneous_points();
     McOptions opts;
     opts.block_len = 32;
     opts.num_blocks = 6;
-    const std::vector<MiEstimate> plain = iid_mutual_information_rate_points(pts, opts);
+    PointSweepReport report;
+    const std::vector<MiEstimate> plain =
+        iid_mutual_information_rate_points(pts, opts, &report);
     McOptions decorated = opts;
     decorated.max_blocks = 17;
-    decorated.point_budget = 5;
     const std::vector<MiEstimate> with = iid_mutual_information_rate_points(pts, decorated);
     ASSERT_EQ(plain.size(), with.size());
-    for (std::size_t i = 0; i < plain.size(); ++i)
+    for (std::size_t i = 0; i < plain.size(); ++i) {
         expect_bit_identical(plain[i], with[i]);
+        EXPECT_TRUE(plain[i].converged);
+        EXPECT_EQ(plain[i].blocks, opts.num_blocks);
+    }
+    EXPECT_EQ(report.point_tile, 0u);
+    ASSERT_EQ(report.adjacent_diff_sem.size(), pts.size() - 1);
+    for (std::size_t i = 0; i + 1 < plain.size(); ++i)
+        EXPECT_EQ(report.adjacent_diff_sem[i],
+                  std::sqrt(plain[i].sem * plain[i].sem + plain[i + 1].sem * plain[i + 1].sem))
+            << "pair " << i;
     for (std::size_t i = 0; i < plain.size(); ++i) {
         Rng rng(pts[i].seed);
         McOptions inner = opts;
@@ -706,26 +668,6 @@ TEST(ParallelMcCrnPoints, RejectsStructurallyHeterogeneousGrids) {
     opts.point_tile = 2;
     EXPECT_THROW((void)iid_mutual_information_rate_points(pts, opts),
                  std::invalid_argument);
-}
-
-TEST(ParallelMcCrnPoints, SharedBudgetCapsSpendBeyondPilots) {
-    const std::vector<CapacityPoint> pts = crn_strip(4);
-    McOptions opts;
-    opts.block_len = 32;
-    opts.num_blocks = 6;
-    opts.target_sem = 1e-9;  // unreachable: only the budget stops the run
-    opts.max_blocks = 4096;
-    opts.point_budget = 40;
-    opts.point_tile = 2;
-    const std::vector<MiEstimate> out = iid_mutual_information_rate_points(pts, opts);
-    std::size_t total = 0;
-    for (const MiEstimate& e : out) {
-        EXPECT_GE(e.blocks, mc_round_blocks(opts));  // every tile pilots
-        EXPECT_FALSE(e.converged);
-        total += e.blocks;
-    }
-    // Pilot rounds always run; past them, grants never exceed the budget.
-    EXPECT_LE(total, opts.point_budget + mc_round_blocks(opts) * pts.size());
 }
 
 }  // namespace

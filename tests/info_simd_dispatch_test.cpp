@@ -388,18 +388,13 @@ TEST(SimdDispatch, TinyBatchesRunUnpaddedAndBitIdentical) {
     }
 }
 
-TEST(SimdDispatch, ResolvedMcBatchRespectsTilingPolicyAndVectorWidth) {
+TEST(SimdDispatch, ResolvedMcBatchRespectsVectorWidth) {
     PathGuard guard;
     const DriftParams params{0.05, 0.03, 0.01, 2, 16, 8};
     McOptions opts;
     opts.num_blocks = 64;
 
-    opts.tiling = McTiling::scalar;
-    EXPECT_EQ(resolved_mc_batch(opts, params), 1u);
     opts.batch = 12;
-    EXPECT_EQ(resolved_mc_batch(opts, params), 1u);  // policy wins over batch
-
-    opts.tiling = McTiling::lanes_by_threads;
     EXPECT_EQ(resolved_mc_batch(opts, params), 12u);  // explicit batch honoured
     opts.batch = 0;
     for (SimdPath p : available_paths()) {

@@ -184,7 +184,7 @@ TEST(UnsyncCoding, NoFeedbackMiRateBracketsCodeRates) {
     // below the Theorem-1 bound.
     util::Rng rng(44);
     info::DriftParams dp{0.02, 0.02, 0.0, 2, 48, 10};
-    const auto est = info::iid_mutual_information_rate(dp, 128, 12, rng);
+    const auto est = info::iid_mutual_information_rate(dp, {128, 12}, rng);
     coding::WatermarkParams wp;
     wp.bits_per_symbol = 4;
     wp.chunk_bits = 6;

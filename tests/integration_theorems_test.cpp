@@ -52,7 +52,7 @@ TEST(Theorem1, NoFeedbackMiRateStaysBelowBound) {
     for (double pd : {0.1, 0.2}) {
         info::DriftParams dp;
         dp.p_d = pd;
-        const auto est = info::iid_mutual_information_rate(dp, 96, 16, rng);
+        const auto est = info::iid_mutual_information_rate(dp, {96, 16}, rng);
         EXPECT_LT(est.rate, info::erasure_upper_bound(pd) + 0.02) << "pd=" << pd;
     }
 }

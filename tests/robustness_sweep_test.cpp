@@ -108,7 +108,7 @@ TEST_P(SeedSweep, MiRateWithinBounds) {
     info::DriftParams dp;
     dp.p_d = 0.2;
     util::Rng rng(seed ^ 5);
-    const auto est = info::iid_mutual_information_rate(dp, 64, 6, rng);
+    const auto est = info::iid_mutual_information_rate(dp, {64, 6}, rng);
     EXPECT_GT(est.rate, 0.15) << "seed " << seed;
     EXPECT_LT(est.rate, info::erasure_upper_bound(0.2) + 0.05) << "seed " << seed;
 }

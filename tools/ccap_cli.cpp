@@ -29,16 +29,19 @@
 //   ccap protocol --proto saw --pd 0.2 --p-ack-loss 0.2 --ack-delay 2
 //        --timeout 6 --len 20000
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "ccap/core/deletion_insertion_channel.hpp"
 #include "ccap/core/fault_injection.hpp"
@@ -88,13 +91,21 @@ struct Args {
                              "'");
         return v;
     }
-    /// Non-negative integer option (counts, seeds, delays).
-    [[nodiscard]] std::uint64_t count(const std::string& key, std::uint64_t fallback) const {
+    /// Non-negative integer option (counts, seeds, delays) that must fit
+    /// the destination type T: a value past T's range is a usage error, not
+    /// an undefined or truncating conversion.
+    template <typename T = std::uint64_t>
+    [[nodiscard]] T count(const std::string& key, std::type_identity_t<T> fallback) const {
         const double v = number(key, static_cast<double>(fallback));
         if (v < 0.0 || v != std::floor(v))
             throw UsageError("option --" + key + " expects a non-negative integer, got '" +
                              values.at(key) + "'");
-        return static_cast<std::uint64_t>(v);
+        // 2^digits is exact in a double and is the first value T cannot hold.
+        if (v >= std::ldexp(1.0, std::numeric_limits<T>::digits))
+            throw UsageError("option --" + key + " expects an integer at most " +
+                             std::to_string(std::numeric_limits<T>::max()) + ", got '" +
+                             values.at(key) + "'");
+        return static_cast<T>(v);
     }
     [[nodiscard]] std::string text(const std::string& key, const std::string& fallback) const {
         const auto it = values.find(key);
@@ -132,12 +143,23 @@ Args parse_args(int argc, char** argv, int first) {
     return args;
 }
 
+/// `--bits N`: bits per channel symbol, in the [1,16] range
+/// core::DiChannelParams accepts. Checked before any caller forms the
+/// alphabet 1 << N.
+unsigned bits_from(const Args& args) {
+    const auto bits = args.count<unsigned>("bits", 1);
+    if (bits < 1 || bits > 16)
+        throw UsageError("option --bits expects an integer in [1,16], got '" +
+                         args.values.at("bits") + "'");
+    return bits;
+}
+
 core::DiChannelParams params_from(const Args& args) {
     core::DiChannelParams p;
     p.p_d = args.number("pd", 0.0);
     p.p_i = args.number("pi", 0.0);
     p.p_s = args.number("ps", 0.0);
-    p.bits_per_symbol = static_cast<unsigned>(args.count("bits", 1));
+    p.bits_per_symbol = bits_from(args);
     p.validate();
     return p;
 }
@@ -145,7 +167,13 @@ core::DiChannelParams params_from(const Args& args) {
 /// Worker-thread cap shared by the parallel subcommands: 0 (the default)
 /// means one lane per hardware thread, 1 forces serial execution.
 unsigned threads_from(const Args& args) {
-    return static_cast<unsigned>(args.count("threads", 0));
+    return args.count<unsigned>("threads", 0);
+}
+
+/// The worker count a `threads` cap resolves to: the cap itself, or one per
+/// hardware thread for 0.
+unsigned workers_for(unsigned threads) {
+    return threads != 0 ? threads : std::max(1U, std::thread::hardware_concurrency());
 }
 
 /// `--simd scalar|neon|avx2|avx512`: pin the lattice kernel dispatch for
@@ -171,7 +199,7 @@ void apply_adaptive_flags(const Args& args, info::McOptions& opts) {
     const double target = args.number("mc-target-sem", 0.0);
     if (target < 0.0) throw UsageError("option --mc-target-sem expects a value >= 0");
     opts.target_sem = target;
-    opts.max_blocks = static_cast<std::size_t>(args.count("mc-max-blocks", 0));
+    opts.max_blocks = args.count<std::size_t>("mc-max-blocks", 0);
 }
 
 /// `--mc-point-tile G|auto`: common-random-numbers point tiling for grid
@@ -187,7 +215,7 @@ void apply_point_tile_flag(const Args& args, info::McOptions& opts) {
         return;
     }
     try {
-        opts.point_tile = static_cast<std::size_t>(args.count("mc-point-tile", 0));
+        opts.point_tile = args.count<std::size_t>("mc-point-tile", 0);
     } catch (const UsageError&) {
         throw UsageError("option --mc-point-tile expects a non-negative integer or "
                          "'auto', got '" +
@@ -202,16 +230,14 @@ void print_lattice_verbose(std::FILE* out, const info::McOptions& opts,
                            const info::DriftParams& params,
                            std::size_t sweep_points = 0) {
     const info::LaneKernels& k = info::active_lane_kernels();
-    const unsigned workers =
-        opts.threads != 0 ? opts.threads : std::thread::hardware_concurrency();
     const std::string batch_str =
         opts.batch == 0 ? "auto" : std::to_string(opts.batch);
     std::fprintf(out,
                  "# simd: %s (%zu doubles/vector, cpu: %s)\n"
-                 "# mc tile: %zu lanes x %u threads (batch %s, tiling %s)\n",
+                 "# mc tile: %zu lanes x %u threads (batch %s)\n",
                  k.name, k.vector_doubles, util::cpu_feature_string().c_str(),
-                 info::resolved_mc_batch(opts, params), workers, batch_str.c_str(),
-                 opts.tiling == info::McTiling::scalar ? "scalar" : "lanes-by-threads");
+                 info::resolved_mc_batch(opts, params), workers_for(opts.threads),
+                 batch_str.c_str());
     if (opts.point_tile != 0) {
         // CRN point tiling: report the resolved tile width (clamped to the
         // grid when its size is known).
@@ -239,7 +265,7 @@ int cmd_analyze(const Args& args) {
     const auto sent = estimate::read_trace_file(args.require("sent"));
     const auto received = estimate::read_trace_file(args.require("received"));
     estimate::AnalyzerConfig cfg;
-    cfg.bits_per_symbol = static_cast<unsigned>(args.count("bits", 1));
+    cfg.bits_per_symbol = bits_from(args);
     cfg.uses_per_second = args.number("uses-per-sec", 100.0);
     const std::string kind = args.text("estimator", "mle");
     if (kind == "mle")
@@ -261,7 +287,7 @@ int cmd_analyze(const Args& args) {
 int cmd_simulate(const Args& args) {
     args.reject_unknown({"sent", "received", "pd", "pi", "ps", "bits", "len", "seed"});
     const auto p = params_from(args);
-    const auto len = static_cast<std::size_t>(args.count("len", 1000));
+    const auto len = args.count<std::size_t>("len", 1000);
     const auto seed = args.count("seed", 1);
     util::Rng rng(seed);
     std::vector<std::uint32_t> sent(len);
@@ -281,7 +307,7 @@ int cmd_windows(const Args& args) {
     args.reject_unknown({"sent", "received", "window"});
     const auto sent = estimate::read_trace_file(args.require("sent"));
     const auto received = estimate::read_trace_file(args.require("received"));
-    const auto window = static_cast<std::size_t>(args.count("window", 1000));
+    const auto window = args.count<std::size_t>("window", 1000);
     const auto rates = estimate::windowed_rates(sent, received, window);
     std::printf("window,p_d,p_i,p_s\n");
     for (std::size_t i = 0; i < rates.p_d.size(); ++i)
@@ -300,14 +326,14 @@ int cmd_sweep(const Args& args) {
                          "mc-batch", "mc-point-tile", "mc-target-sem", "mc-max-blocks",
                          "seed", "simd", "verbose"});
     apply_simd_flag(args);
-    const auto bits = static_cast<unsigned>(args.count("bits", 1));
+    const unsigned bits = bits_from(args);
     const unsigned threads = threads_from(args);
     // Optional Monte-Carlo MI column: --mi-blocks K (> 0 enables), with
     // --band-eps forwarding to the adaptive-band lattice.
-    const auto mi_blocks = static_cast<std::size_t>(args.count("mi-blocks", 0));
-    const auto mi_block_len = static_cast<std::size_t>(args.count("mi-block-len", 64));
+    const auto mi_blocks = args.count<std::size_t>("mi-blocks", 0);
+    const auto mi_block_len = args.count<std::size_t>("mi-block-len", 64);
     const double band_eps = args.number("band-eps", 0.0);
-    const auto mc_batch = static_cast<std::size_t>(args.count("mc-batch", 0));
+    const auto mc_batch = args.count<std::size_t>("mc-batch", 0);
     const auto seed = args.count("seed", 1);
     // Materialize the grid up front: the MI column evaluates it as one
     // point sweep, and the verbose tile report needs its size.
@@ -382,16 +408,16 @@ int cmd_mi(const Args& args) {
     p.p_d = args.number("pd", 0.0);
     p.p_i = args.number("pi", 0.0);
     p.p_s = args.number("ps", 0.0);
-    p.alphabet = 1U << static_cast<unsigned>(args.count("bits", 1));
+    p.alphabet = 1U << bits_from(args);
     info::McOptions opts;
-    opts.block_len = static_cast<std::size_t>(args.count("block", 128));
-    opts.num_blocks = static_cast<std::size_t>(args.count("blocks", 32));
+    opts.block_len = args.count<std::size_t>("block", 128);
+    opts.num_blocks = args.count<std::size_t>("blocks", 32);
     opts.threads = threads_from(args);
     // Adaptive-band lattice pruning; 0 (default) keeps the exact sweep.
     opts.band_eps = args.number("band-eps", 0.0);
     // Lockstep lattice lanes per Monte-Carlo tile; 0 (default) auto-tiles,
     // 1 forces the scalar path. Does not change the estimate.
-    opts.batch = static_cast<std::size_t>(args.count("mc-batch", 0));
+    opts.batch = args.count<std::size_t>("mc-batch", 0);
     apply_adaptive_flags(args, opts);
     if (args.values.count("verbose")) print_lattice_verbose(stdout, opts, p);
     util::Rng rng(args.count("seed", 1));
@@ -407,7 +433,7 @@ int cmd_mi(const Args& args) {
     std::printf("achievable rate: %.4f bits/use (sem %.4f, 95%% CI +-%.4f)\n", est.rate,
                 est.sem, 1.96 * est.sem);
     std::printf("blocks: %zu x %zu symbols, threads: %u\n", est.blocks, est.block_len,
-                opts.threads);
+                workers_for(opts.threads));
     if (opts.target_sem > 0.0)
         std::printf("adaptive: target sem %.4g, spent %zu of %zu blocks, %s\n",
                     opts.target_sem, est.blocks, info::mc_block_cap(opts),
@@ -436,7 +462,7 @@ core::FaultProfile fault_profile_from(const Args& args) {
     profile.stuck_period = args.count("stuck-period", profile.stuck_period);
     profile.stuck_len = args.count("stuck-len", profile.stuck_len);
     profile.stuck_symbol =
-        static_cast<std::uint32_t>(args.count("stuck-symbol", profile.stuck_symbol));
+        args.count<std::uint32_t>("stuck-symbol", profile.stuck_symbol);
     if (explicit_knobs) profile.name = profile.is_null() ? "none" : "cli";
     profile.validate();
     return profile;
@@ -450,7 +476,7 @@ int cmd_protocol(const Args& args) {
                          "stuck-period", "stuck-len", "stuck-symbol"});
     const auto p = params_from(args);
     const std::string proto = args.text("proto", "saw");
-    const auto len = static_cast<std::size_t>(args.count("len", 2000));
+    const auto len = args.count<std::size_t>("len", 2000);
     const auto seed = args.count("seed", 1);
 
     core::FeedbackLinkParams lp;
@@ -530,8 +556,8 @@ int cmd_contend(const Args& args) {
     if (!(grid_step > 0.0)) throw UsageError("option --grid-step expects a value > 0");
     cc.grid.pd_step = grid_step;
     cc.grid.pi_step = grid_step;
-    cc.mc.block_len = static_cast<std::size_t>(args.count("mi-block", 48));
-    cc.mc.num_blocks = static_cast<std::size_t>(args.count("mi-blocks", 8));
+    cc.mc.block_len = args.count<std::size_t>("mi-block", 48);
+    cc.mc.num_blocks = args.count<std::size_t>("mi-blocks", 8);
     apply_adaptive_flags(args, cc.mc);
     // CRN point tiling flows through the cache config into every batched
     // ensure() sweep the contention engine triggers.
@@ -546,12 +572,12 @@ int cmd_contend(const Args& args) {
     info::CapacityCache cache(cc);
 
     sched::ContentionConfig cfg;
-    cfg.flows = static_cast<std::size_t>(args.count("flows", 4096));
+    cfg.flows = args.count<std::size_t>("flows", 4096);
     cfg.offered_load = args.number("load", 0.8);
     cfg.ticks = args.count("ticks", 1024);
-    cfg.slices = static_cast<std::size_t>(args.count("slices", 64));
-    cfg.domain_flows = static_cast<std::size_t>(args.count("domain", 16));
-    cfg.queue_cap = static_cast<std::size_t>(args.count("queue-cap", 16));
+    cfg.slices = args.count<std::size_t>("slices", 64);
+    cfg.domain_flows = args.count<std::size_t>("domain", 16);
+    cfg.queue_cap = args.count<std::size_t>("queue-cap", 16);
     cfg.deadline = args.count("deadline", 0);
     cfg.collision_rate = args.number("collision-rate", 0.10);
     if (args.values.count("interp")) {
@@ -632,28 +658,28 @@ int cmd_track(const Args& args) {
     apply_simd_flag(args);
 
     estimate::TrackerConfig tc;
-    tc.window_len = static_cast<std::size_t>(args.count("window", 2000));
+    tc.window_len = args.count<std::size_t>("window", 2000);
     tc.smoothing = args.number("smoothing", 0.3);
-    tc.trend_window = static_cast<std::size_t>(args.count("trend-window", 8));
+    tc.trend_window = args.count<std::size_t>("trend-window", 8);
     tc.drift_slope = args.number("drift-slope", 0.004);
-    tc.drift_sustain = static_cast<std::size_t>(args.count("drift-sustain", 3));
+    tc.drift_sustain = args.count<std::size_t>("drift-sustain", 3);
     tc.resync_jump = args.number("resync-jump", 0.05);
     tc.ps_tolerance = args.number("ps-tolerance", 0.1);
-    tc.warmup_windows = static_cast<std::size_t>(args.count("warmup", 2));
+    tc.warmup_windows = args.count<std::size_t>("warmup", 2);
     tc.aimd_increase = args.number("aimd-increase", 0.02);
     tc.aimd_beta = args.number("aimd-beta", 0.85);
     tc.headroom = args.number("headroom", 0.95);
-    tc.prefetch = static_cast<std::size_t>(args.count("prefetch", 0));
+    tc.prefetch = args.count<std::size_t>("prefetch", 0);
     tc.threads = threads_from(args);
-    const auto bits = static_cast<unsigned>(args.count("bits", 1));
+    const unsigned bits = bits_from(args);
     tc.cache.base.p_s = args.number("ps", 0.0);
     tc.cache.base.alphabet = 1U << bits;
     const double grid_step = args.number("grid-step", 0.02);
     if (!(grid_step > 0.0)) throw UsageError("option --grid-step expects a value > 0");
     tc.cache.grid.pd_step = grid_step;
     tc.cache.grid.pi_step = grid_step;
-    tc.cache.mc.block_len = static_cast<std::size_t>(args.count("mi-block", 48));
-    tc.cache.mc.num_blocks = static_cast<std::size_t>(args.count("mi-blocks", 8));
+    tc.cache.mc.block_len = args.count<std::size_t>("mi-block", 48);
+    tc.cache.mc.num_blocks = args.count<std::size_t>("mi-blocks", 8);
     apply_adaptive_flags(args, tc.cache.mc);
     apply_point_tile_flag(args, tc.cache.mc);
     if (args.values.count("verbose")) print_lattice_verbose(stderr, tc.cache.mc, tc.cache.base);

@@ -62,6 +62,24 @@ ccap_expect_failure(2 "non-negative integer"
   mi --threads -2)
 ccap_expect_failure(1 "exceeds 1"
   bounds --pd 0.8 --pi 0.6)
+# --bits is range-checked ([1,16]) before any command forms the alphabet
+# 1 << bits: out-of-range widths are usage errors, never a silently
+# wrapped alphabet.
+ccap_expect_failure(2 "--bits expects an integer in \\[1,16\\]"
+  mi --bits 40)
+ccap_expect_failure(2 "--bits expects an integer in \\[1,16\\]"
+  mi --bits 32)
+ccap_expect_failure(2 "--bits expects an integer in \\[1,16\\]"
+  sweep --bits 40)
+ccap_expect_failure(2 "--bits expects an integer in \\[1,16\\]"
+  track --sent ${WORK_DIR}/cli_sent.txt --received ${WORK_DIR}/cli_recv.txt
+        --bits 40)
+# Counts must fit their destination type: no undefined double->integer
+# cast past 2^64, no truncation of a 64-bit value into a 32-bit field.
+ccap_expect_failure(2 "--threads expects an integer at most 4294967295"
+  mi --threads 1e20)
+ccap_expect_failure(2 "--threads expects an integer at most 4294967295"
+  mi --threads 4294967297)
 # CRN point tiling: malformed width is a usage error, and the flag only
 # exists on the grid commands (sweep, contend).
 ccap_expect_failure(2 "mc-point-tile expects a non-negative integer or 'auto'"
@@ -78,6 +96,23 @@ ccap_expect_failure(1 "trace truncated"
 ccap_expect_failure(1 "trace unreadable"
   analyze --sent ${WORK_DIR}/does_not_exist.txt
           --received ${WORK_DIR}/cli_recv.txt --bits 2)
+
+# `mi` reports the worker count the run used: the --threads cap, or one
+# per hardware thread for the default 0 (never a literal 0).
+execute_process(
+  COMMAND ${CCAP_BIN} mi --pd 0.1 --block 16 --blocks 2
+  OUTPUT_VARIABLE out
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "threads: [1-9][0-9]*\n")
+  message(FATAL_ERROR "mi did not report a resolved worker count: ${rc} ${out}")
+endif()
+execute_process(
+  COMMAND ${CCAP_BIN} mi --pd 0.1 --block 16 --blocks 2 --threads 3
+  OUTPUT_VARIABLE out
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "threads: 3\n")
+  message(FATAL_ERROR "mi --threads 3 did not report 3 workers: ${rc} ${out}")
+endif()
 
 # CRN sweep smoke: the verbose tile report lands on stderr, the CSV stays
 # on stdout and carries the MI column.
