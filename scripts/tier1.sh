@@ -13,7 +13,8 @@
 #                                         # (opt-in: cheap; catches the
 #                                         # overflow/shift bugs the backoff
 #                                         # and fault-schedule arithmetic
-#                                         # could hide)
+#                                         # could hide, and out-of-range
+#                                         # double -> integer casts)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,6 +22,13 @@ echo "== tier1: standard build + full test suite =="
 cmake -B build -S . >/dev/null
 cmake --build build -j"$(nproc)"
 (cd build && ctest --output-on-failure -j"$(nproc)")
+
+# Benchmark compile check: configure and build the perfbench harness
+# against the current library API without running it, so an API change
+# that breaks the benchmark fails here rather than in the benchmark run.
+echo "== tier1: perfbench harness build (compile only) =="
+cmake -S perfbench -B build/perfbench >/dev/null
+cmake --build build/perfbench -j"$(nproc)"
 
 # SIMD cross-check: rerun the batch-lattice lane-identity suite and the
 # parallel Monte-Carlo scheduler suite with the kernel dispatch pinned to

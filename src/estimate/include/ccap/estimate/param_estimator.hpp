@@ -85,8 +85,13 @@ struct WindowEstimate {
 /// exact posterior expected event counts (DriftHmm::expected_events) with
 /// closed-form M-steps P_d = E[D]/E[uses], P_i = E[I]/E[uses],
 /// P_s = E[S]/E[T]. Monotone in likelihood and typically converges in
-/// ~10-20 iterations — the preferred estimator when throughput matters;
-/// agrees with estimate_params_mle at the optimum.
+/// ~10-20 iterations; agrees with estimate_params_mle at the optimum. Each
+/// iteration is a scalar forward-backward pass per block, so it is the
+/// slower fit: on 16 seeded binary trace pairs of 4096 symbols through
+/// (P_d, P_i, P_s) = (0.10, 0.05, 0.02), analyze_traces took about 3.4x
+/// longer per fit than with the MLE (1544 ms vs 460 ms, 4-core AVX-512
+/// Xeon), while landing closer to the injected parameters (mean max-abs
+/// error 0.0065 vs 0.0087).
 [[nodiscard]] ParamEstimate estimate_params_em(std::span<const std::uint32_t> sent,
                                                std::span<const std::uint32_t> received,
                                                unsigned bits_per_symbol,

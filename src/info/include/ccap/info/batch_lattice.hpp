@@ -1,15 +1,19 @@
 // Batched structure-of-arrays lattice kernel for the drift HMM.
 //
 // Every Monte-Carlo capacity bound reduces to thousands of *independent*
-// forward/backward sweeps over the drift lattice. The scalar LatticeEngine
+// forward sweeps over the drift lattice: the rate estimators need only
+// log-evidences, never posteriors. The scalar LatticeEngine
 // (lattice_engine.hpp) walks one sequence at a time, so each inner-loop
 // trip pays row bookkeeping, band-edge branches and an emission-table
 // gather per cell. BatchLatticeEngine advances B sequences of the same
-// transmitted length in lockstep instead:
+// transmitted length in lockstep instead, forward only — the backward
+// pass, posteriors and expected event counts stay on the scalar engine
+// (marker/watermark decoding and EM use them one sequence at a time):
 //
 //   * Rows are laid out structure-of-arrays, [drift_state][lane]: the cell
-//     for (row j, drift d, lane l) lives at (j * width + idx(d)) * Bp + l,
-//     where Bp is the lane count padded up to the SIMD vector width. The
+//     for (row j, drift d, lane l) lives at (j * W + idx(d)) * Bp + l,
+//     where W = 2 * max_drift + 1 is the drift-column count and Bp is the
+//     lane count padded up to the SIMD vector width. The
 //     hot lane loops are the runtime-dispatched kernels of
 //     lattice_simd.hpp — explicit AVX-512 / AVX2 / NEON translation units
 //     selected once at startup (util::active_simd_path(), overridable with
@@ -49,10 +53,11 @@
 //     keep, so batched banded evidence is never below the scalar banded
 //     evidence, and the bound is never looser per lane.
 //
-// DriftHmm's *_batch entry points (drift_hmm.hpp, implemented in
-// batch_lattice.cpp) wrap this engine; deletion_bounds.cpp feeds each
-// Monte-Carlo thread's blocks through them in McOptions::batch-sized
-// tiles.
+// DriftHmm's two *_batch entry points (log2_likelihood_batch and
+// log2_prior_marginal_batch in drift_hmm.hpp, implemented in
+// batch_lattice.cpp) and the per-lane-parameter functions below wrap this
+// engine; deletion_bounds.cpp feeds each Monte-Carlo thread's blocks
+// through them in McOptions::batch-sized tiles.
 #pragma once
 
 #include <algorithm>
@@ -81,8 +86,7 @@ public:
           k_(received.size() > 1 ? &active_lane_kernels() : lane_kernels_scalar()),
           n_(tx_len),
           lanes_(received.size()),
-          d_max_(params.max_drift),
-          width_(static_cast<std::size_t>(2 * params.max_drift + 1)) {
+          d_max_(params.max_drift) {
         bind(received, ws);
         trail_ = ws.trail(m_max_ + 1);
         trail_[0] = 1.0;
@@ -95,9 +99,9 @@ public:
     /// across lanes — they fix the lattice shape — while p_d / p_i / p_s
     /// may differ per lane. Weight tables, trailing factors and emission
     /// tables become [.. ][lane] SoA planes replicating the DriftTables
-    /// formulas per lane, and the hot sweeps run the *_pl per-lane-weight
-    /// kernels: lane l's result is bit-identical (at band_eps = 0) to a
-    /// scalar engine run under lane_params[l] alone. This is the
+    /// formulas per lane, and the forward sweep runs the per-lane-weight
+    /// fma_dest_run_pl kernel: lane l's result is bit-identical (at
+    /// band_eps = 0) to a scalar engine run under lane_params[l] alone. This is the
     /// common-random-numbers sweep mode of deletion_bounds.cpp: one lattice
     /// pass evaluates a whole parameter-grid tile.
     BatchLatticeEngine(std::span<const DriftParams> lane_params,
@@ -109,7 +113,6 @@ public:
           n_(tx_len),
           lanes_(received.size()),
           d_max_(p_->max_drift),
-          width_(static_cast<std::size_t>(2 * p_->max_drift + 1)),
           per_lane_(true),
           lane_p_(lane_params) {
         if (lane_params.size() != received.size())
@@ -127,31 +130,12 @@ public:
         build_lane_planes(ws);
     }
 
-    [[nodiscard]] std::size_t n() const noexcept { return n_; }
-    [[nodiscard]] std::size_t lanes() const noexcept { return lanes_; }
     /// Lane count padded to the active SIMD vector width: the stride
     /// between drift columns of one SoA row.
     [[nodiscard]] std::size_t lane_stride() const noexcept { return lanes_pad_; }
     /// The dispatched lane kernels this engine runs (emission-plane callers
     /// use the same table so the whole pass stays on one path).
     [[nodiscard]] const LaneKernels& kernels() const noexcept { return *k_; }
-    [[nodiscard]] std::size_t m(std::size_t lane) const noexcept {
-        return static_cast<std::size_t>(m_[lane]);
-    }
-    [[nodiscard]] std::size_t width() const noexcept { return width_; }
-    [[nodiscard]] int d_max() const noexcept { return d_max_; }
-    [[nodiscard]] std::size_t idx(int d) const noexcept {
-        return static_cast<std::size_t>(d + d_max_);
-    }
-
-    /// P(received symbol r | transmitted symbol s): emission-table lookup.
-    /// Shared-parameter mode only (per-lane engines use emit_lane()).
-    [[nodiscard]] double emit(std::uint8_t r, std::uint8_t s) const noexcept {
-        return t_->emit_tab[static_cast<std::size_t>(r) * p_->alphabet + s];
-    }
-
-    /// Whether this engine runs the per-lane-parameter mode.
-    [[nodiscard]] bool per_lane() const noexcept { return per_lane_; }
 
     /// Per-lane emission lookup (per-lane mode; valid for lane < lane_stride(),
     /// padding columns replicate lane 0).
@@ -168,66 +152,6 @@ public:
                (static_cast<std::size_t>(r) * p_->alphabet + s) * lanes_pad_;
     }
 
-    /// SoA-packed received symbol of `lane` at position k (k < m(lane)).
-    [[nodiscard]] std::uint8_t rx(std::size_t lane, std::size_t k) const noexcept {
-        return rx_[k * lanes_pad_ + lane];
-    }
-
-    /// Trailing-insertion factor of `lane` at final drift d.
-    [[nodiscard]] double trailing(std::size_t lane, int d) const noexcept {
-        const long long k = m_[lane] - (static_cast<long long>(n_) + d);
-        if (k < 0) return 0.0;
-        if (per_lane_)
-            return trail_pl_[static_cast<std::size_t>(k) * lanes_pad_ + lane] *
-                   one_minus_pi_pl_[lane];
-        return trail_[static_cast<std::size_t>(k)] * (1.0 - p_->p_i);
-    }
-
-    /// Union drift window of row j over all lanes: the low edge is
-    /// lane-independent, the high edge uses the longest received sequence.
-    bool union_window(std::size_t j, int& lo, int& hi) const noexcept {
-        const long long vlo = std::max<long long>(-d_max_, -static_cast<long long>(j));
-        const long long vhi = std::min<long long>(
-            d_max_, static_cast<long long>(m_max_) - static_cast<long long>(j));
-        if (vlo > vhi) return false;
-        lo = static_cast<int>(vlo);
-        hi = static_cast<int>(vhi);
-        return true;
-    }
-
-    // Flat SoA row accessors (valid after the corresponding pass); the cell
-    // for (drift d, lane l) is row[idx(d) * lane_stride() + l].
-    [[nodiscard]] const double* alpha_row(std::size_t j) const noexcept {
-        return alpha_.data() + j * row_stride_;
-    }
-    [[nodiscard]] const double* beta_row(std::size_t j) const noexcept {
-        return beta_.data() + j * row_stride_;
-    }
-    [[nodiscard]] double alpha_scale(std::size_t j, std::size_t lane) const noexcept {
-        return scale_a_[j * lanes_ + lane];
-    }
-    [[nodiscard]] double beta_scale(std::size_t j, std::size_t lane) const noexcept {
-        return scale_b_[j * lanes_ + lane];
-    }
-    [[nodiscard]] int band_lo(std::size_t j) const noexcept { return band_[2 * j]; }
-    [[nodiscard]] int band_hi(std::size_t j) const noexcept { return band_[2 * j + 1]; }
-    [[nodiscard]] bool all_dead() const noexcept { return all_dead_; }
-    [[nodiscard]] bool lane_alive(std::size_t lane) const noexcept {
-        return alive_[lane] != 0;
-    }
-
-    /// Shared window the backward pass sweeps for row j (see
-    /// LatticeEngine::beta_window): forward band while banded and alive,
-    /// union valid window otherwise.
-    bool beta_window(std::size_t j, int& lo, int& hi) const noexcept {
-        if (banded_ && !all_dead_) {
-            lo = band_lo(j);
-            hi = band_hi(j);
-            return lo <= hi;
-        }
-        return union_window(j, lo, hi);
-    }
-
     /// Lockstep forward pass. emit_plane(ed, j, rxr) must fill
     /// ed[0..lane_stride()) with each lane's emission factor for its
     /// received symbol rxr[l] at transmitted position j — a whole-lane-row
@@ -242,8 +166,6 @@ public:
         const std::size_t L = lanes_;
         const std::size_t Lp = lanes_pad_;
         const LaneKernels& k = *k_;
-        banded_ = band_eps > 0.0;
-        all_dead_ = false;
         for (std::size_t l = 0; l < L; ++l) {
             slack_[l] = 0.0;
             alive_[l] = 1;
@@ -376,123 +298,6 @@ public:
         }
     }
 
-    /// Lockstep backward pass, symmetric to forward (same emit_plane
-    /// contract), swept over beta_window(). Lanes whose cells are zero
-    /// propagate zeros, so ragged lanes need no masking here.
-    template <typename PlaneFn>
-    void backward(PlaneFn&& emit_plane) {
-        constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-        const std::size_t L = lanes_;
-        const std::size_t Lp = lanes_pad_;
-        const LaneKernels& k = *k_;
-        const int run = p_->max_insert_run;
-        {
-            double* last = beta_.data() + n_ * row_stride_;
-            int lo = 0, hi = -1;
-            const bool live = beta_window(n_, lo, hi);
-            for (std::size_t l = 0; l < Lp; ++l) norm_[l] = 0.0;
-            if (live) {
-                // Zero the window first so padding lanes read exactly 0.0.
-                std::fill(last + idx(lo) * Lp, last + (idx(hi) + 1) * Lp, 0.0);
-                for (int d = lo; d <= hi; ++d) {
-                    double* c = last + idx(d) * Lp;
-                    for (std::size_t l = 0; l < L; ++l) c[l] = trailing(l, d);
-                    k.accumulate(norm_.data(), c, Lp);
-                }
-            }
-            for (std::size_t l = 0; l < L; ++l) {
-                if (norm_[l] > 0.0) {
-                    scale_b_[n_ * L + l] = std::log2(norm_[l]);
-                } else {
-                    scale_b_[n_ * L + l] = kNegInf;
-                    norm_[l] = 1.0;
-                }
-            }
-            for (std::size_t l = L; l < Lp; ++l) norm_[l] = 1.0;
-            if (live) {
-                for (int d = lo; d <= hi; ++d) k.divide(last + idx(d) * Lp, norm_.data(), Lp);
-            }
-        }
-        for (std::size_t j = n_; j-- > 0;) {
-            double* cur = beta_.data() + j * row_stride_;
-            const double* next = beta_.data() + (j + 1) * row_stride_;
-            int lo = 0, hi = -1;
-            if (!beta_window(j, lo, hi)) {
-                for (std::size_t l = 0; l < L; ++l) scale_b_[j * L + l] = kNegInf;
-                continue;
-            }
-            int nlo = 0, nhi = -1;
-            const bool next_live = beta_window(j + 1, nlo, nhi);
-            if (next_live) {
-                // Emission plane: a transmission into next-row drift d
-                // consumed received index j + d.
-                for (int d = std::max(nlo, lo); d <= nhi; ++d) {
-                    const std::uint8_t* rxr =
-                        rx_.data() +
-                        static_cast<std::size_t>(static_cast<long long>(j) + d) * Lp;
-                    emit_plane(emit_.data() + idx(d) * Lp, j, rxr);
-                }
-            }
-            for (std::size_t l = 0; l < Lp; ++l) norm_[l] = 0.0;
-            for (int dp = lo; dp <= hi; ++dp) {
-                for (std::size_t l = 0; l < Lp; ++l) acc_[l] = 0.0;
-                if (next_live) {
-                    const int glo = std::max(0, nlo - dp + 1);
-                    const int ghi = std::min(run, nhi - dp + 1);
-                    int g = glo;
-                    if (g == 0 && g <= ghi) {
-                        if (per_lane_)
-                            k.axpy_lanes(acc_.data(), next + (idx(dp) - 1) * Lp,
-                                         del_w_pl_.data(), Lp);
-                        else
-                            k.axpy(acc_.data(), next + (idx(dp) - 1) * Lp, t_->del_w[0], Lp);
-                        g = 1;
-                    }
-                    if (g <= ghi) {
-                        // Fused gather over the insert run (g-ascending adds,
-                        // the same per-lane order as the unfused loop).
-                        const std::size_t cell =
-                            (idx(dp) + static_cast<std::size_t>(g) - 1) * Lp;
-                        if (per_lane_)
-                            k.fma_acc_run_pl(acc_.data(), next + cell,
-                                             del_w_pl_.data() +
-                                                 static_cast<std::size_t>(g) * Lp,
-                                             tx_w_pl_.data() +
-                                                 static_cast<std::size_t>(g - 1) * Lp,
-                                             emit_.data() + cell,
-                                             static_cast<std::size_t>(ghi - g + 1), Lp);
-                        else
-                            k.fma_acc_run(acc_.data(), next + cell, t_->del_w.data() + g,
-                                          t_->tx_w.data() + (g - 1), emit_.data() + cell,
-                                          static_cast<std::size_t>(ghi - g + 1), Lp);
-                    }
-                }
-                double* c = cur + idx(dp) * Lp;
-                std::copy(acc_.begin(), acc_.end(), c);
-                k.accumulate(norm_.data(), c, Lp);
-            }
-            for (std::size_t l = 0; l < L; ++l) {
-                if (norm_[l] > 0.0) {
-                    scale_b_[j * L + l] = scale_b_[(j + 1) * L + l] + std::log2(norm_[l]);
-                } else {
-                    scale_b_[j * L + l] = kNegInf;
-                    norm_[l] = 1.0;
-                }
-            }
-            for (std::size_t l = L; l < Lp; ++l) norm_[l] = 1.0;
-            for (int dp = lo; dp <= hi; ++dp) k.divide(cur + idx(dp) * Lp, norm_.data(), Lp);
-        }
-    }
-
-    /// Unnormalized closing mass of `lane` (see LatticeEngine::tail).
-    [[nodiscard]] double tail(std::size_t lane) const noexcept {
-        double t = 0.0;
-        const double* last = alpha_.data() + n_ * row_stride_;
-        for (int d = band_lo(n_); d <= band_hi(n_); ++d)
-            t += last[idx(d) * lanes_pad_ + lane] * trailing(lane, d);
-        return t;
-    }
-
     /// log2 evidence and certified band slack of `lane` after forward().
     [[nodiscard]] BandedEvidence evidence(std::size_t lane) const noexcept {
         constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -510,6 +315,43 @@ public:
     }
 
 private:
+    [[nodiscard]] std::size_t idx(int d) const noexcept {
+        return static_cast<std::size_t>(d + d_max_);
+    }
+    [[nodiscard]] int band_lo(std::size_t j) const noexcept { return band_[2 * j]; }
+    [[nodiscard]] int band_hi(std::size_t j) const noexcept { return band_[2 * j + 1]; }
+
+    /// Trailing-insertion factor of `lane` at final drift d.
+    [[nodiscard]] double trailing(std::size_t lane, int d) const noexcept {
+        const long long k = m_[lane] - (static_cast<long long>(n_) + d);
+        if (k < 0) return 0.0;
+        if (per_lane_)
+            return trail_pl_[static_cast<std::size_t>(k) * lanes_pad_ + lane] *
+                   one_minus_pi_pl_[lane];
+        return trail_[static_cast<std::size_t>(k)] * (1.0 - p_->p_i);
+    }
+
+    /// Unnormalized closing mass of `lane` (see LatticeEngine::tail).
+    [[nodiscard]] double tail(std::size_t lane) const noexcept {
+        double t = 0.0;
+        const double* last = alpha_.data() + n_ * row_stride_;
+        for (int d = band_lo(n_); d <= band_hi(n_); ++d)
+            t += last[idx(d) * lanes_pad_ + lane] * trailing(lane, d);
+        return t;
+    }
+
+    /// Union drift window of row j over all lanes: the low edge is
+    /// lane-independent, the high edge uses the longest received sequence.
+    bool union_window(std::size_t j, int& lo, int& hi) const noexcept {
+        const long long vlo = std::max<long long>(-d_max_, -static_cast<long long>(j));
+        const long long vhi = std::min<long long>(
+            d_max_, static_cast<long long>(m_max_) - static_cast<long long>(j));
+        if (vlo > vhi) return false;
+        lo = static_cast<int>(vlo);
+        hi = static_cast<int>(vhi);
+        return true;
+    }
+
     static const DriftParams& checked_front(std::span<const DriftParams> lane_params) {
         if (lane_params.empty())
             throw std::invalid_argument("BatchLatticeEngine: empty lane parameter span");
@@ -549,19 +391,16 @@ private:
             const auto& r = received[l];
             for (std::size_t k = 0; k < r.size(); ++k) rx_[k * Lp + l] = r[k];
         }
-        row_stride_ = width_ * Lp;
+        row_stride_ = static_cast<std::size_t>(2 * d_max_ + 1) * Lp;  // drift columns
         alpha_ = ws.alpha((n_ + 1) * row_stride_);
-        beta_ = ws.beta((n_ + 1) * row_stride_);
         scale_a_ = ws.scales_a((n_ + 1) * L);
-        scale_b_ = ws.scales_b((n_ + 1) * L);
         band_ = ws.bands(2 * (n_ + 1));
         emit_ = ws.scratch(row_stride_);
-        const auto ld = ws.lane_doubles(5 * Lp);
+        const auto ld = ws.lane_doubles(4 * Lp);
         norm_ = ld.subspan(0, Lp);
         pruned_ = ld.subspan(Lp, Lp);
         slack_ = ld.subspan(2 * Lp, Lp);
         rmax_ = ld.subspan(3 * Lp, Lp);
-        acc_ = ld.subspan(4 * Lp, Lp);
     }
 
     /// Per-lane SoA weight/trail/emission planes, replicating the
@@ -608,8 +447,6 @@ private:
 
     void kill_all_from(std::size_t j) noexcept {
         constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-        all_dead_ = true;
-        for (std::size_t l = 0; l < lanes_; ++l) alive_[l] = 0;
         for (std::size_t k = j; k <= n_; ++k) {
             for (std::size_t l = 0; l < lanes_; ++l) scale_a_[k * lanes_ + l] = kNegInf;
             band_[2 * k] = 1;
@@ -625,17 +462,14 @@ private:
     std::size_t lanes_pad_ = 0;
     std::size_t m_max_ = 0;
     int d_max_;
-    std::size_t width_;
     std::size_t row_stride_ = 0;
     std::span<long long> m_, alive_;
     std::span<std::uint8_t> rx_;
     std::span<double> trail_;
-    std::span<double> alpha_, beta_, scale_a_, scale_b_;
+    std::span<double> alpha_, scale_a_;
     std::span<double> emit_;
-    std::span<double> norm_, pruned_, slack_, rmax_, acc_;
+    std::span<double> norm_, pruned_, slack_, rmax_;
     std::span<int> band_;
-    bool all_dead_ = false;
-    bool banded_ = false;
     bool per_lane_ = false;
     std::span<const DriftParams> lane_p_;
     std::span<double> del_w_pl_, tx_w_pl_, trail_pl_, one_minus_pi_pl_, etab_pl_;

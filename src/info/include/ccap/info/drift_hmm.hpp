@@ -200,12 +200,14 @@ public:
         const MarkovSource& source, std::size_t tx_len,
         std::span<const std::uint8_t> received, LatticeWorkspace& ws) const;
 
-    // Batched lockstep counterparts (BatchLatticeEngine, batch_lattice.hpp;
+    // Batched lockstep evidence (BatchLatticeEngine, batch_lattice.hpp;
     // implemented in batch_lattice.cpp). Each takes one lane per sequence;
     // transmitted lengths must agree across lanes (that is the lockstep
     // shape), received lengths may be ragged. At params().band_eps == 0
     // every lane's result is bit-identical to the scalar call on that lane
-    // alone; in banded mode each lane keeps its own certified slack.
+    // alone; in banded mode each lane keeps its own certified slack. The
+    // batch engine is forward-only: posteriors() and expected_events()
+    // have no batched form and run one sequence at a time.
     using SymbolSpan = std::span<const std::uint8_t>;
 
     /// Batched log2_likelihood_banded: lane i pairs transmitted[i] with
@@ -218,19 +220,6 @@ public:
     /// received sequence per lane.
     [[nodiscard]] std::vector<BandedEvidence> log2_prior_marginal_batch(
         const util::Matrix& priors, std::span<const SymbolSpan> received,
-        LatticeWorkspace& ws) const;
-
-    /// Batched posteriors: one shared priors matrix, one received sequence
-    /// per lane; returns one posterior matrix per lane. If `log2_evidence`
-    /// is non-null it receives one evidence per lane.
-    [[nodiscard]] std::vector<util::Matrix> posteriors_batch(
-        const util::Matrix& priors, std::span<const SymbolSpan> received,
-        LatticeWorkspace& ws, std::vector<double>* log2_evidence = nullptr) const;
-
-    /// Batched expected_events: lane i pairs transmitted[i] with
-    /// received[i].
-    [[nodiscard]] std::vector<EventExpectations> expected_events_batch(
-        std::span<const SymbolSpan> transmitted, std::span<const SymbolSpan> received,
         LatticeWorkspace& ws) const;
 
 private:

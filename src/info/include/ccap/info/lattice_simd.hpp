@@ -40,6 +40,10 @@ namespace ccap::info {
 
 /// Elementwise lane kernels. All pointers are non-null; `L` is the lane
 /// count (any value — implementations handle non-multiple tails).
+///
+/// fma_weighted, fma_acc_run, axpy_lanes and fma_acc_run_pl have no engine
+/// caller. They stay, still bit-identity-tested per path, because the
+/// benchmark's kernel harness (perfbench/kernels.cpp) binds every field.
 struct LaneKernels {
     /// dst[l] += src[l] * w
     void (*axpy)(double* dst, const double* src, double w, std::size_t L);
@@ -67,7 +71,7 @@ struct LaneKernels {
     void (*fma_run)(double* dst, const double* src, const double* dw, const double* tw,
                     const double* e, std::size_t runs, std::size_t L);
     /// For g ascending in [0, runs): acc[l] += src[g*L + l] * (dw[g] + tw[g] * e[g*L + l]).
-    /// The backward insert-run sweep fused: `runs` source planes gathered
+    /// The gather-form insert-run sweep fused: `runs` source planes gathered
     /// into one accumulator row (acc stays in registers). The per-lane add
     /// order is g-ascending, exactly the unfused call sequence.
     void (*fma_acc_run)(double* acc, const double* src, const double* dw,
@@ -88,9 +92,8 @@ struct LaneKernels {
     void (*fma_dest_run)(double* dst, const double* src, const double* dw,
                          const double* tw, const double* e, const double* src_del,
                          double w_del, std::size_t cnt, std::size_t L);
-    /// dst[l] += src[l] * w[l] — axpy with a per-lane weight row. The
-    /// per-lane-parameter engine's run-0 pure-deletion term, where each
-    /// lane carries its own channel's del_w[0].
+    /// dst[l] += src[l] * w[l] — axpy with a per-lane weight row (each lane
+    /// carries its own channel's weight).
     void (*axpy_lanes)(double* dst, const double* src, const double* w, std::size_t L);
     /// Per-lane-weight fma_acc_run: the weight arrays are [run][lane]
     /// planes with the same stride L as the data rows. For g ascending in

@@ -1,22 +1,18 @@
-// DriftHmm batched entry points over BatchLatticeEngine (batch_lattice.hpp).
+// Batched evidence entry points over BatchLatticeEngine (batch_lattice.hpp).
 //
 // Each operation packs its lanes into the workspace's SoA arenas, runs the
-// lockstep passes, and unpacks per-lane results. The combine stages of
-// posteriors/expected_events mirror the scalar loops with strided lane
-// reads — same term sequence, so bit-identity at band_eps = 0 follows from
-// the engine's row identity.
+// lockstep forward pass with one of the emission-plane fillers below, and
+// reads back each lane's evidence — bit-identical at band_eps = 0 to the
+// scalar call on that lane, by the engine's row identity.
 #include "ccap/info/batch_lattice.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
 namespace ccap::info {
 
 namespace {
-
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
 void check_symbols(std::span<const std::uint8_t> seq, unsigned alphabet, const char* what) {
     for (std::uint8_t s : seq)
@@ -189,6 +185,18 @@ void check_priors(const util::Matrix& priors, unsigned alphabet, const char* who
         throw std::invalid_argument(std::string(who) + ": priors not row-stochastic");
 }
 
+/// SoA pack of the transmitted lanes into the workspace: the symbol of
+/// lane l at row j lands at [j * lane_stride + l].
+const std::uint8_t* pack_tx(std::span<const DriftHmm::SymbolSpan> transmitted,
+                            std::size_t n, std::size_t lane_stride, LatticeWorkspace& ws) {
+    const std::span<std::uint8_t> tx =
+        ws.tx_bytes(std::max<std::size_t>(1, n * lane_stride));
+    std::fill(tx.begin(), tx.end(), 0);  // pad lanes carry valid symbol 0
+    for (std::size_t l = 0; l < transmitted.size(); ++l)
+        for (std::size_t j = 0; j < n; ++j) tx[j * lane_stride + l] = transmitted[l][j];
+    return tx.data();
+}
+
 }  // namespace
 
 std::vector<BandedEvidence> DriftHmm::log2_likelihood_batch(
@@ -207,12 +215,12 @@ std::vector<BandedEvidence> DriftHmm::log2_likelihood_batch(
 
     BatchLatticeEngine eng(params_, *tables_, received, n, ws);
     const std::size_t Lp = eng.lane_stride();
-    const std::span<std::uint8_t> tx = ws.tx_bytes(std::max<std::size_t>(1, n * Lp));
-    std::fill(tx.begin(), tx.end(), 0);  // pad lanes carry valid symbol 0
-    for (std::size_t l = 0; l < L; ++l)
-        for (std::size_t j = 0; j < n; ++j) tx[j * Lp + l] = transmitted[l][j];
-    TxEmitPlane emit_pt{tables_.get(), params_.alphabet, tx.data(),
-                        Lp,            ws.scratch2(2 * Lp), &eng.kernels()};
+    TxEmitPlane emit_pt{tables_.get(),
+                        params_.alphabet,
+                        pack_tx(transmitted, n, Lp, ws),
+                        Lp,
+                        ws.scratch2(2 * Lp),
+                        &eng.kernels()};
     eng.forward(emit_pt, params_.band_eps);
     for (std::size_t l = 0; l < L; ++l) out[l] = eng.evidence(l);
     return out;
@@ -240,174 +248,6 @@ std::vector<BandedEvidence> DriftHmm::log2_prior_marginal_batch(
     return out;
 }
 
-std::vector<util::Matrix> DriftHmm::posteriors_batch(
-    const util::Matrix& priors, std::span<const SymbolSpan> received, LatticeWorkspace& ws,
-    std::vector<double>* log2_evidence) const {
-    check_priors(priors, params_.alphabet, "DriftHmm::posteriors_batch");
-    const std::size_t L = received.size();
-    const std::size_t n = priors.rows();
-    const unsigned m_alpha = params_.alphabet;
-    for (std::size_t l = 0; l < L; ++l)
-        check_symbols(received[l], m_alpha, "received");
-
-    std::vector<util::Matrix> out;
-    out.reserve(L);
-    for (std::size_t l = 0; l < L; ++l) out.emplace_back(n, m_alpha);
-    if (log2_evidence != nullptr) log2_evidence->assign(L, kNegInf);
-    if (L == 0) return out;
-
-    BatchLatticeEngine eng(params_, *tables_, received, n, ws);
-    PriorEmitPlane emit_p{&priors,        tables_.get(),       m_alpha,
-                          eng.lane_stride(), ws.scratch3(m_alpha), &eng.kernels()};
-    eng.forward(emit_p, params_.band_eps);
-    eng.backward(emit_p);
-
-    if (log2_evidence != nullptr)
-        for (std::size_t l = 0; l < L; ++l)
-            (*log2_evidence)[l] = eng.evidence(l).log2_evidence;
-
-    // Per-lane combine mirroring the scalar posteriors loop with strided
-    // lane reads. The union band adds only cells whose alpha or beta is
-    // exactly zero, which the same skips the scalar code has drop.
-    const auto& ins_pow = tables_->ins_pow;
-    const std::span<double> w = ws.scratch2(m_alpha);
-    const std::size_t Lp = eng.lane_stride();
-    for (std::size_t l = 0; l < L; ++l) {
-        util::Matrix& post = out[l];
-        const SymbolSpan rx = received[l];
-        for (std::size_t j = 1; j <= n; ++j) {
-            std::fill(w.begin(), w.end(), 0.0);
-            double w_del = 0.0;
-            int blo = 0, bhi = -1;
-            const bool beta_live = eng.beta_window(j, blo, bhi);
-            const double* arow = eng.alpha_row(j - 1);
-            const double* brow = eng.beta_row(j);
-            for (int dp = eng.band_lo(j - 1); dp <= eng.band_hi(j - 1); ++dp) {
-                const double ap = arow[eng.idx(dp) * Lp + l];
-                if (ap == 0.0) continue;
-                const std::size_t r0 =
-                    static_cast<std::size_t>(static_cast<long long>(j - 1) + dp);
-                for (int g = 0; g <= params_.max_insert_run; ++g) {
-                    const int d = dp + g - 1;
-                    if (!beta_live || d < blo || d > bhi) continue;
-                    const std::size_t r1 = r0 + static_cast<std::size_t>(g);
-                    const double beta = brow[eng.idx(d) * Lp + l];
-                    if (beta == 0.0) continue;
-                    w_del += ap * ins_pow[static_cast<std::size_t>(g)] * params_.p_d * beta;
-                    if (g >= 1) {
-                        const double base = ap * ins_pow[static_cast<std::size_t>(g - 1)] *
-                                            params_.p_t() * beta;
-                        const std::uint8_t r = rx[r1 - 1];
-                        for (unsigned s = 0; s < m_alpha; ++s)
-                            w[s] += base * eng.emit(r, static_cast<std::uint8_t>(s));
-                    }
-                }
-            }
-            double norm = 0.0;
-            for (unsigned s = 0; s < m_alpha; ++s) {
-                const double v = priors(j - 1, s) * (w[s] + w_del);
-                post(j - 1, s) = v;
-                norm += v;
-            }
-            if (norm > 0.0) {
-                for (unsigned s = 0; s < m_alpha; ++s) post(j - 1, s) /= norm;
-            } else {
-                for (unsigned s = 0; s < m_alpha; ++s) post(j - 1, s) = priors(j - 1, s);
-            }
-        }
-    }
-    return out;
-}
-
-std::vector<DriftHmm::EventExpectations> DriftHmm::expected_events_batch(
-    std::span<const SymbolSpan> transmitted, std::span<const SymbolSpan> received,
-    LatticeWorkspace& ws) const {
-    if (transmitted.size() != received.size())
-        throw std::invalid_argument("DriftHmm::expected_events_batch: lane count mismatch");
-    const std::size_t L = transmitted.size();
-    std::vector<EventExpectations> out(L);
-    if (L == 0) return out;
-    const std::size_t n = lockstep_tx_len(transmitted, "DriftHmm::expected_events_batch");
-    for (std::size_t l = 0; l < L; ++l) {
-        check_symbols(transmitted[l], params_.alphabet, "transmitted");
-        check_symbols(received[l], params_.alphabet, "received");
-    }
-
-    BatchLatticeEngine eng(params_, *tables_, received, n, ws);
-    const std::size_t Lp = eng.lane_stride();
-    const std::span<std::uint8_t> tx = ws.tx_bytes(std::max<std::size_t>(1, n * Lp));
-    std::fill(tx.begin(), tx.end(), 0);  // pad lanes carry valid symbol 0
-    for (std::size_t l = 0; l < L; ++l)
-        for (std::size_t j = 0; j < n; ++j) tx[j * Lp + l] = transmitted[l][j];
-    TxEmitPlane emit_pt{tables_.get(), params_.alphabet, tx.data(),
-                        Lp,            ws.scratch2(2 * Lp), &eng.kernels()};
-    eng.forward(emit_pt, params_.band_eps);
-    eng.backward(emit_pt);
-
-    const auto& ins_pow = tables_->ins_pow;
-    for (std::size_t l = 0; l < L; ++l) {
-        EventExpectations& o = out[l];
-        const SymbolSpan rx = received[l];
-        const double tail = eng.tail(l);
-        if (tail <= 0.0 || eng.alpha_scale(n, l) == kNegInf) {
-            o.log2_likelihood = kNegInf;
-            continue;
-        }
-        const double log2_evidence = eng.alpha_scale(n, l) + std::log2(tail);
-        o.log2_likelihood = log2_evidence;
-
-        for (std::size_t j = 1; j <= n; ++j) {
-            const double log2_factor =
-                eng.alpha_scale(j - 1, l) + eng.beta_scale(j, l) - log2_evidence;
-            if (log2_factor < -300.0) continue;
-            const double factor = std::exp2(log2_factor);
-            const std::uint8_t sym = transmitted[l][j - 1];
-            int blo = 0, bhi = -1;
-            const bool beta_live = eng.beta_window(j, blo, bhi);
-            const double* arow = eng.alpha_row(j - 1);
-            const double* brow = eng.beta_row(j);
-            for (int dp = eng.band_lo(j - 1); dp <= eng.band_hi(j - 1); ++dp) {
-                const double alpha = arow[eng.idx(dp) * Lp + l];
-                if (alpha == 0.0) continue;
-                const std::size_t r0 =
-                    static_cast<std::size_t>(static_cast<long long>(j - 1) + dp);
-                for (int g = 0; g <= params_.max_insert_run; ++g) {
-                    const int d = dp + g - 1;
-                    if (!beta_live || d < blo || d > bhi) continue;
-                    const std::size_t r1 = r0 + static_cast<std::size_t>(g);
-                    const double beta = brow[eng.idx(d) * Lp + l];
-                    if (beta == 0.0) continue;
-                    const double w_del = alpha * ins_pow[static_cast<std::size_t>(g)] *
-                                         params_.p_d * beta * factor;
-                    if (w_del > 0.0) {
-                        o.deletions += w_del;
-                        o.insertions += w_del * static_cast<double>(g);
-                    }
-                    if (g >= 1) {
-                        const std::uint8_t r = rx[r1 - 1];
-                        const double w_tx = alpha *
-                                            ins_pow[static_cast<std::size_t>(g - 1)] *
-                                            params_.p_t() * eng.emit(r, sym) * beta * factor;
-                        if (w_tx > 0.0) {
-                            o.transmissions += w_tx;
-                            o.insertions += w_tx * static_cast<double>(g - 1);
-                            if (r != sym) o.substitutions += w_tx;
-                        }
-                    }
-                }
-            }
-        }
-        const double* last = eng.alpha_row(n);
-        for (int d = eng.band_lo(n); d <= eng.band_hi(n); ++d) {
-            const double w_tr = last[eng.idx(d) * Lp + l] * eng.trailing(l, d) / tail;
-            const long long rest =
-                static_cast<long long>(eng.m(l)) - (static_cast<long long>(n) + d);
-            if (w_tr > 0.0 && rest > 0) o.insertions += w_tr * static_cast<double>(rest);
-        }
-    }
-    return out;
-}
-
 std::vector<BandedEvidence> log2_likelihood_batch_per_lane(
     std::span<const DriftParams> lane_params,
     std::span<const std::span<const std::uint8_t>> transmitted,
@@ -427,12 +267,12 @@ std::vector<BandedEvidence> log2_likelihood_batch_per_lane(
 
     BatchLatticeEngine eng(lane_params, received, n, ws);
     const std::size_t Lp = eng.lane_stride();
-    const std::span<std::uint8_t> tx = ws.tx_bytes(std::max<std::size_t>(1, n * Lp));
-    std::fill(tx.begin(), tx.end(), 0);  // pad lanes carry valid symbol 0
-    for (std::size_t l = 0; l < L; ++l)
-        for (std::size_t j = 0; j < n; ++j) tx[j * Lp + l] = transmitted[l][j];
-    TxEmitPlanePerLane emit_pt{&eng, alphabet,           tx.data(),
-                               Lp,   ws.scratch2(2 * Lp), &eng.kernels()};
+    TxEmitPlanePerLane emit_pt{&eng,
+                               alphabet,
+                               pack_tx(transmitted, n, Lp, ws),
+                               Lp,
+                               ws.scratch2(2 * Lp),
+                               &eng.kernels()};
     eng.forward(emit_pt, band_eps);
     for (std::size_t l = 0; l < L; ++l) out[l] = eng.evidence(l);
     return out;

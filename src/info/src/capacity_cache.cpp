@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -9,10 +11,28 @@ namespace ccap::info {
 
 namespace {
 
+/// Nearest grid index of `value`, clamped to [0, max_index] in double
+/// before the conversion so an out-of-range quotient never reaches the cast.
 std::int32_t clamp_index(double value, double step, std::int32_t max_index) {
     if (!(value > 0.0)) return 0;
-    const auto i = static_cast<std::int32_t>(std::lround(value / step));
-    return std::clamp<std::int32_t>(i, 0, max_index);
+    return static_cast<std::int32_t>(
+        std::clamp(std::round(value / step), 0.0, static_cast<double>(max_index)));
+}
+
+/// Top grid index floor(max / step) of one axis; rejects steps so fine that
+/// the index range (plus the interpolation neighbour i + 1) does not fit
+/// the int32 CapacityKey.
+std::int32_t top_index(double max, double step, const char* step_name) {
+    const double top = std::floor(max / step + 1e-9);
+    if (!(top < static_cast<double>(std::numeric_limits<std::int32_t>::max()))) {
+        char msg[160];
+        std::snprintf(msg, sizeof msg,
+                      "CapacityCache: grid step %s = %g is too fine: the grid index "
+                      "range exceeds int32",
+                      step_name, step);
+        throw std::invalid_argument(msg);
+    }
+    return static_cast<std::int32_t>(top);
 }
 
 }  // namespace
@@ -27,8 +47,8 @@ CapacityCache::CapacityCache(Config cfg)
         throw std::invalid_argument("CapacityCache: grid steps must be > 0");
     if (!(g.pd_max >= 0.0) || !(g.pi_max >= 0.0) || g.pd_max + g.pi_max >= 1.0)
         throw std::invalid_argument("CapacityCache: grid maxima must satisfy pd+pi < 1");
-    ipd_max_ = static_cast<std::int32_t>(std::floor(g.pd_max / g.pd_step + 1e-9));
-    ipi_max_ = static_cast<std::int32_t>(std::floor(g.pi_max / g.pi_step + 1e-9));
+    ipd_max_ = top_index(g.pd_max, g.pd_step, "pd_step");
+    ipi_max_ = top_index(g.pi_max, g.pi_step, "pi_step");
     if (cfg_.target_interp_err < 0.0)
         throw std::invalid_argument("CapacityCache: target_interp_err must be >= 0");
     if (cfg_.target_interp_err > 0.0) {

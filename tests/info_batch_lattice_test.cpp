@@ -79,6 +79,20 @@ Matrix random_priors(std::size_t n, unsigned alphabet, Rng& rng) {
 const DriftParams kParams{0.12, 0.06, 0.03, 2, 10, 6};
 constexpr std::size_t kBatchSizes[] = {1, 3, 8, 13};  // incl. non-power-of-two
 
+std::vector<DriftParams> heterogeneous_lane_params(std::size_t batch) {
+    // Varying (p_d, p_i, p_s) over a shared lattice shape — the grid-tile
+    // workload of the CRN sweep engine.
+    std::vector<DriftParams> ps;
+    for (std::size_t b = 0; b < batch; ++b) {
+        DriftParams p = kParams;
+        p.p_d = 0.02 + 0.05 * static_cast<double>(b % 5);
+        p.p_i = 0.01 + 0.02 * static_cast<double>(b % 3);
+        p.p_s = (b % 2) ? 0.03 : 0.0;
+        ps.push_back(p);
+    }
+    return ps;
+}
+
 TEST(BatchLattice, LikelihoodBitIdenticalToScalarPerLane) {
     const DriftHmm hmm(kParams);
     const std::size_t n = 40;
@@ -146,54 +160,6 @@ TEST(BatchLattice, PriorMarginalBitIdenticalToScalarPerLane) {
             double via_posteriors = 0.0;
             (void)hmm.posteriors(priors, lanes.rx[b], scalar_ws, &via_posteriors);
             EXPECT_EQ(got[b].log2_evidence, via_posteriors) << "lane " << b;
-        }
-    }
-}
-
-TEST(BatchLattice, PosteriorsBitIdenticalToScalarPerLane) {
-    const DriftHmm hmm(kParams);
-    const std::size_t n = 32;
-    Rng prior_rng(31);
-    const Matrix priors = random_priors(n, kParams.alphabet, prior_rng);
-    for (std::size_t batch : kBatchSizes) {
-        const Lanes lanes = make_lanes(kParams, n, batch, 0x4444 + batch);
-        LatticeWorkspace batch_ws, scalar_ws;
-        std::vector<double> got_ev;
-        const std::vector<Matrix> got =
-            hmm.posteriors_batch(priors, lanes.rx_spans(), batch_ws, &got_ev);
-        ASSERT_EQ(got.size(), batch);
-        ASSERT_EQ(got_ev.size(), batch);
-        for (std::size_t b = 0; b < batch; ++b) {
-            double want_ev = 0.0;
-            const Matrix want = hmm.posteriors(priors, lanes.rx[b], scalar_ws, &want_ev);
-            EXPECT_EQ(got_ev[b], want_ev) << "lane " << b << " B=" << batch;
-            ASSERT_EQ(got[b].rows(), want.rows());
-            ASSERT_EQ(got[b].cols(), want.cols());
-            for (std::size_t j = 0; j < want.rows(); ++j)
-                for (std::size_t s = 0; s < want.cols(); ++s)
-                    EXPECT_EQ(got[b](j, s), want(j, s))
-                        << "lane " << b << " pos " << j << " sym " << s;
-        }
-    }
-}
-
-TEST(BatchLattice, ExpectedEventsBitIdenticalToScalarPerLane) {
-    const DriftHmm hmm(kParams);
-    const std::size_t n = 28;
-    for (std::size_t batch : kBatchSizes) {
-        const Lanes lanes = make_lanes(kParams, n, batch, 0x7777 + batch);
-        LatticeWorkspace batch_ws, scalar_ws;
-        const std::vector<DriftHmm::EventExpectations> got =
-            hmm.expected_events_batch(lanes.tx_spans(), lanes.rx_spans(), batch_ws);
-        ASSERT_EQ(got.size(), batch);
-        for (std::size_t b = 0; b < batch; ++b) {
-            const DriftHmm::EventExpectations want =
-                hmm.expected_events(lanes.tx[b], lanes.rx[b], scalar_ws);
-            EXPECT_EQ(got[b].deletions, want.deletions) << "lane " << b << " B=" << batch;
-            EXPECT_EQ(got[b].insertions, want.insertions) << "lane " << b;
-            EXPECT_EQ(got[b].transmissions, want.transmissions) << "lane " << b;
-            EXPECT_EQ(got[b].substitutions, want.substitutions) << "lane " << b;
-            EXPECT_EQ(got[b].log2_likelihood, want.log2_likelihood) << "lane " << b;
         }
     }
 }
@@ -337,11 +303,15 @@ TEST(BatchLattice, WorkspaceReuseIsBitIdentical) {
     const std::vector<BandedEvidence> want =
         hmm.log2_likelihood_batch(small.tx_spans(), small.rx_spans(), fresh);
 
+    // Dirty every arena in both engine modes: the shared-table passes and
+    // the per-lane-parameter pass (which also grabs the weight planes).
     LatticeWorkspace reused;
     Rng prior_rng(5);
     (void)hmm.log2_likelihood_batch(large.tx_spans(), large.rx_spans(), reused);
-    (void)hmm.posteriors_batch(random_priors(48, kParams.alphabet, prior_rng),
-                               large.rx_spans(), reused);
+    (void)hmm.log2_prior_marginal_batch(random_priors(48, kParams.alphabet, prior_rng),
+                                        large.rx_spans(), reused);
+    (void)log2_likelihood_batch_per_lane(heterogeneous_lane_params(large.tx.size()),
+                                         large.tx_spans(), large.rx_spans(), reused);
     const std::vector<BandedEvidence> got =
         hmm.log2_likelihood_batch(small.tx_spans(), small.rx_spans(), reused);
     ASSERT_EQ(got.size(), want.size());
@@ -389,20 +359,6 @@ TEST(BatchLattice, BandedBatchKeepsPerLaneCertifiedSlack) {
 // transition-weight and emission planes; everything else — the union band,
 // the dead-lane bookkeeping, the bit-identity contract — is unchanged.
 // ---------------------------------------------------------------------------
-
-std::vector<DriftParams> heterogeneous_lane_params(std::size_t batch) {
-    // Varying (p_d, p_i, p_s) over a shared lattice shape — the grid-tile
-    // workload of the CRN sweep engine.
-    std::vector<DriftParams> ps;
-    for (std::size_t b = 0; b < batch; ++b) {
-        DriftParams p = kParams;
-        p.p_d = 0.02 + 0.05 * static_cast<double>(b % 5);
-        p.p_i = 0.01 + 0.02 * static_cast<double>(b % 3);
-        p.p_s = (b % 2) ? 0.03 : 0.0;
-        ps.push_back(p);
-    }
-    return ps;
-}
 
 Lanes make_hetero_lanes(std::span<const DriftParams> ps, std::size_t n,
                         std::uint64_t seed) {

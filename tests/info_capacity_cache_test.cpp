@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ccap/util/rng.hpp"
@@ -34,6 +37,35 @@ TEST(CapacityCacheTest, RejectsDegenerateGrids) {
     cfg.grid.pd_max = 0.7;
     cfg.grid.pi_max = 0.3;  // pd + pi reaches 1 at the extreme node
     EXPECT_THROW(CapacityCache{cfg}, std::invalid_argument);
+}
+
+TEST(CapacityCacheTest, RejectsGridStepsWhoseIndexRangeOverflowsInt32) {
+    // floor(max / step) must fit the int32 CapacityKey; a step this fine
+    // used to overflow the conversion and surface as a bogus parameter error.
+    for (const bool pd_axis : {true, false}) {
+        CapacityCache::Config cfg = small_config();
+        (pd_axis ? cfg.grid.pd_step : cfg.grid.pi_step) = 1e-300;
+        try {
+            CapacityCache cache(cfg);
+            ADD_FAILURE() << "expected std::invalid_argument";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(pd_axis ? "grid step pd_step"
+                                                         : "grid step pi_step"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // A fine step whose index range still fits is accepted.
+    CapacityCache::Config cfg = small_config();
+    cfg.grid.pd_step = 1e-9;
+    EXPECT_NO_THROW(CapacityCache{cfg});
+}
+
+TEST(CapacityCacheTest, QuantizeClampsHugeValuesBeforeConverting) {
+    CapacityCache cache(small_config());
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(cache.quantize(1e300, kInf), (CapacityKey{6, 3}));
+    EXPECT_EQ(cache.quantize(std::numeric_limits<double>::max(), 1e20), (CapacityKey{6, 3}));
 }
 
 TEST(CapacityCacheTest, QuantizeSnapsToNearestNodeAndClamps) {

@@ -190,6 +190,14 @@ void apply_simd_flag(const Args& args) {
     util::force_simd_path(path);
 }
 
+/// `--band-eps E`: adaptive-band lattice pruning threshold for the lattice
+/// subcommands; 0 (the default) keeps the exact sweep.
+double band_eps_from(const Args& args) {
+    const double eps = args.number("band-eps", 0.0);
+    if (!(eps >= 0.0)) throw UsageError("option --band-eps expects a value >= 0");
+    return eps;
+}
+
 /// `--mc-target-sem S --mc-max-blocks M`: adaptive Monte-Carlo precision
 /// for the lattice subcommands. S > 0 turns the estimators adaptive (run
 /// in rounds, stop once the standard error of the mean reaches S); M caps
@@ -332,7 +340,7 @@ int cmd_sweep(const Args& args) {
     // --band-eps forwarding to the adaptive-band lattice.
     const auto mi_blocks = args.count<std::size_t>("mi-blocks", 0);
     const auto mi_block_len = args.count<std::size_t>("mi-block-len", 64);
-    const double band_eps = args.number("band-eps", 0.0);
+    const double band_eps = band_eps_from(args);
     const auto mc_batch = args.count<std::size_t>("mc-batch", 0);
     const auto seed = args.count("seed", 1);
     // Materialize the grid up front: the MI column evaluates it as one
@@ -413,8 +421,7 @@ int cmd_mi(const Args& args) {
     opts.block_len = args.count<std::size_t>("block", 128);
     opts.num_blocks = args.count<std::size_t>("blocks", 32);
     opts.threads = threads_from(args);
-    // Adaptive-band lattice pruning; 0 (default) keeps the exact sweep.
-    opts.band_eps = args.number("band-eps", 0.0);
+    opts.band_eps = band_eps_from(args);
     // Lockstep lattice lanes per Monte-Carlo tile; 0 (default) auto-tiles,
     // 1 forces the scalar path. Does not change the estimate.
     opts.batch = args.count<std::size_t>("mc-batch", 0);

@@ -86,6 +86,18 @@ ccap_expect_failure(2 "mc-point-tile expects a non-negative integer or 'auto'"
   sweep --mi-blocks 2 --mc-point-tile fast)
 ccap_expect_failure(2 "unknown option --mc-point-tile"
   mi --mc-point-tile 4)
+# --band-eps is a pruning threshold: a negative value is a usage error,
+# never silently run as the exact sweep.
+ccap_expect_failure(2 "--band-eps expects a value >= 0"
+  mi --band-eps -1)
+ccap_expect_failure(2 "--band-eps expects a value >= 0"
+  sweep --mi-blocks 2 --band-eps -1)
+# A grid step so fine that the capacity grid's index range overflows int32
+# fails with an error that names the grid step.
+ccap_expect_failure(1 "grid step pd_step = 1e-300 is too fine"
+  contend --grid-step 1e-300 --flows 64)
+ccap_expect_failure(1 "grid step pd_step = 1e-300 is too fine"
+  track --pd 0.2 --windows 2 --grid-step 1e-300)
 # Truncated trace fixture: the framed header promises more symbols than
 # the file holds -> typed trace error, exit 1.
 file(WRITE ${WORK_DIR}/cli_truncated.txt
