@@ -3,18 +3,24 @@
 #
 #   ./scripts/tier1.sh            # standard + TSan stages
 #   CCAP_SKIP_TSAN=1 ./scripts/tier1.sh   # standard stage only
-#   CCAP_RUN_ASAN=1 ./scripts/tier1.sh    # additionally run the info/util
-#                                         # tests under -fsanitize=address
-#                                         # (opt-in: ~3x slower, catches the
-#                                         # arena over/under-reads the SoA
-#                                         # lattice layouts are prone to)
-#   CCAP_RUN_UBSAN=1 ./scripts/tier1.sh   # additionally run the core/info
-#                                         # tests under -fsanitize=undefined
-#                                         # (opt-in: cheap; catches the
-#                                         # overflow/shift bugs the backoff
-#                                         # and fault-schedule arithmetic
-#                                         # could hide, and out-of-range
-#                                         # double -> integer casts)
+#   CCAP_RUN_ASAN=1 ./scripts/tier1.sh    # additionally run the info/util/
+#                                         # estimate tests under
+#                                         # -fsanitize=address (opt-in: ~3x
+#                                         # slower, catches the arena
+#                                         # over/under-reads the SoA lattice
+#                                         # layouts and the bit-parallel
+#                                         # alignment's word-boundary
+#                                         # indexing are prone to)
+#   CCAP_RUN_UBSAN=1 ./scripts/tier1.sh   # additionally run the core/info/
+#                                         # estimate tests under
+#                                         # -fsanitize=undefined (opt-in:
+#                                         # cheap; catches the overflow/shift
+#                                         # bugs the backoff and
+#                                         # fault-schedule arithmetic could
+#                                         # hide, shift-by-64 in the
+#                                         # alignment kernel, and
+#                                         # out-of-range double -> integer
+#                                         # casts)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,25 +65,27 @@ for baseline in BENCH_*.json; do
 done
 
 if [[ "${CCAP_RUN_ASAN:-0}" == "1" ]]; then
-    echo "== tier1: info/util tests under -fsanitize=address (opt-in) =="
+    echo "== tier1: info/util/estimate tests under -fsanitize=address (opt-in) =="
     cmake -B build-asan -S . \
         -DCCAP_SANITIZE=address \
         -DCCAP_BUILD_BENCH=OFF \
         -DCCAP_BUILD_EXAMPLES=OFF >/dev/null
-    cmake --build build-asan -j"$(nproc)" --target ccap_util_tests ccap_info_tests
+    cmake --build build-asan -j"$(nproc)" --target ccap_util_tests ccap_info_tests ccap_estimate_tests
     (cd build-asan && ctest --output-on-failure -R 'ccap_util|ccap_info|Lattice|BatchLattice|ParallelMc|Drift')
+    (cd build-asan && ./tests/ccap_estimate_tests --gtest_brief=1)
 fi
 
 if [[ "${CCAP_RUN_UBSAN:-0}" == "1" ]]; then
-    echo "== tier1: core/info tests under -fsanitize=undefined (opt-in) =="
+    echo "== tier1: core/info/estimate tests under -fsanitize=undefined (opt-in) =="
     cmake -B build-ubsan -S . \
         -DCCAP_SANITIZE=undefined \
         -DCCAP_BUILD_BENCH=OFF \
         -DCCAP_BUILD_EXAMPLES=OFF >/dev/null
-    cmake --build build-ubsan -j"$(nproc)" --target ccap_core_tests ccap_info_tests
+    cmake --build build-ubsan -j"$(nproc)" --target ccap_core_tests ccap_info_tests ccap_estimate_tests
     # Run the binaries directly: every test they hold runs under UBSan
     # (a ctest -R filter would only match a subset of the discovered names).
-    (cd build-ubsan && ./tests/ccap_core_tests && ./tests/ccap_info_tests)
+    (cd build-ubsan && ./tests/ccap_core_tests && ./tests/ccap_info_tests &&
+        ./tests/ccap_estimate_tests)
 fi
 
 if [[ "${CCAP_SKIP_TSAN:-0}" == "1" ]]; then

@@ -35,13 +35,29 @@ struct Alignment {
     [[nodiscard]] std::string to_string() const;
 };
 
-/// Align two symbol traces. O(|sent| * |received|) time and memory; traces
-/// beyond ~20k symbols should be aligned blockwise (see
-/// param_estimator.hpp).
+/// Every entry point runs one bit-parallel Levenshtein kernel (Myers'
+/// block recurrence): O(|sent|·|received|/64) time. align and
+/// align_end_free keep a traceback store of 0.5 B per trellis cell;
+/// edit_distance keeps one column. Each throws std::invalid_argument,
+/// before allocating, when |sent|·|received| exceeds 4e8 cells: align
+/// longer traces blockwise (see param_estimator.hpp).
+
+/// Align two symbol traces end to end.
 [[nodiscard]] Alignment align(std::span<const std::uint32_t> sent,
                               std::span<const std::uint32_t> received);
 
-/// Levenshtein distance only (linear memory), for large traces.
+/// End-free alignment: all of `sent` against the *prefix* of `received`
+/// with the smallest distance (ties go to the prefix length closest to
+/// |sent|, then to the shorter one), and how many received symbols that
+/// prefix holds.
+struct PrefixAlignment {
+    Alignment alignment;
+    std::size_t received_consumed = 0;
+};
+[[nodiscard]] PrefixAlignment align_end_free(std::span<const std::uint32_t> sent,
+                                             std::span<const std::uint32_t> received);
+
+/// Levenshtein distance only (no traceback store).
 [[nodiscard]] std::size_t edit_distance(std::span<const std::uint32_t> sent,
                                         std::span<const std::uint32_t> received);
 

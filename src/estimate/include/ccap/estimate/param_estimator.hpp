@@ -11,6 +11,7 @@
 // A blocked bootstrap over alignment blocks gives confidence intervals.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 
@@ -53,6 +54,15 @@ struct EstimatorOptions {
 
 /// Classify an alignment directly into per-use event rates (single block).
 [[nodiscard]] ParamEstimate rates_from_alignment(const Alignment& alignment);
+
+/// The received span an end-free alignment of `n` sent symbols searches
+/// when `avail` received symbols remain: n plus a drift slack of
+/// n / 2 + 32, clipped to `avail`. Generous but bounded; shared by every
+/// blockwise walk over a trace pair (estimate_params, windowed_rates,
+/// TraceChunkSource) so they all cut the same windows.
+[[nodiscard]] constexpr std::size_t drift_window(std::size_t n, std::size_t avail) noexcept {
+    return std::min(n + n / 2 + 32, avail);
+}
 
 /// Single-window end-free estimate: align all of `sent` against the best
 /// *prefix* of `received` (so a window inside a longer trace does not count

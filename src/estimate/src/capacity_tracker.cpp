@@ -361,9 +361,8 @@ std::optional<core::StreamChunk> TraceChunkSource::next() {
         // Interior window: end-free alignment against a slack-padded
         // received span decides how much of the stream this window
         // consumed — the windowed_rates cursor idiom (changepoint.hpp).
-        const std::size_t slack = n / 2 + 32;
         const std::size_t avail = received_.size() - recv_pos_;
-        const std::size_t w = std::min(n + slack, avail);
+        const std::size_t w = drift_window(n, avail);
         const WindowEstimate win = estimate_window(
             std::span<const std::uint32_t>(chunk.sent),
             std::span<const std::uint32_t>(received_.data() + recv_pos_, w));

@@ -16,9 +16,7 @@ WindowedRates windowed_rates(std::span<const std::uint32_t> sent,
         const std::size_t n = std::min(window_len, sent.size() - sent_pos);
         // End-free alignment against a slack-padded received span; the
         // window's own consumption advances the cursor.
-        const std::size_t slack = n / 2 + 32;
-        const std::size_t avail = received.size() - recv_pos;
-        const std::size_t w = std::min(n + slack, avail);
+        const std::size_t w = drift_window(n, received.size() - recv_pos);
         const WindowEstimate win =
             estimate_window(sent.subspan(sent_pos, n), received.subspan(recv_pos, w));
         out.p_d.push_back(win.estimate.p_d.value);

@@ -31,59 +31,6 @@ BlockCounts counts_of(const Alignment& a) {
     return c;
 }
 
-/// End-free alignment: align all of `block` against a *prefix* of `window`,
-/// choosing the prefix length that minimizes the distance (ties towards the
-/// drift-neutral length |block|). Returns the alignment and how many window
-/// symbols were consumed.
-std::pair<Alignment, std::size_t> align_end_free(std::span<const std::uint32_t> block,
-                                                 std::span<const std::uint32_t> window) {
-    const std::size_t n = block.size();
-    const std::size_t m = window.size();
-    std::vector<std::vector<std::uint32_t>> dp(n + 1, std::vector<std::uint32_t>(m + 1, 0));
-    for (std::size_t i = 0; i <= n; ++i) dp[i][0] = static_cast<std::uint32_t>(i);
-    for (std::size_t j = 0; j <= m; ++j) dp[0][j] = static_cast<std::uint32_t>(j);
-    for (std::size_t i = 1; i <= n; ++i)
-        for (std::size_t j = 1; j <= m; ++j) {
-            const std::uint32_t sub =
-                dp[i - 1][j - 1] + (block[i - 1] == window[j - 1] ? 0U : 1U);
-            dp[i][j] = std::min({sub, dp[i - 1][j] + 1U, dp[i][j - 1] + 1U});
-        }
-    std::size_t best_j = 0;
-    for (std::size_t j = 0; j <= m; ++j) {
-        const bool better =
-            dp[n][j] < dp[n][best_j] ||
-            (dp[n][j] == dp[n][best_j] &&
-             std::llabs(static_cast<long long>(j) - static_cast<long long>(n)) <
-                 std::llabs(static_cast<long long>(best_j) - static_cast<long long>(n)));
-        if (better) best_j = j;
-    }
-
-    Alignment out;
-    out.distance = dp[n][best_j];
-    std::size_t i = n, j = best_j;
-    std::vector<EditStep> rev;
-    while (i > 0 || j > 0) {
-        if (i > 0 && j > 0) {
-            const bool is_match = block[i - 1] == window[j - 1];
-            if (dp[i - 1][j - 1] + (is_match ? 0U : 1U) == dp[i][j]) {
-                rev.push_back({is_match ? EditOp::match : EditOp::substitution, i - 1, j - 1});
-                --i;
-                --j;
-                continue;
-            }
-        }
-        if (i > 0 && dp[i - 1][j] + 1U == dp[i][j]) {
-            rev.push_back({EditOp::deletion, i - 1, 0});
-            --i;
-            continue;
-        }
-        rev.push_back({EditOp::insertion, 0, j - 1});
-        --j;
-    }
-    out.steps.assign(rev.rbegin(), rev.rend());
-    return {std::move(out), best_j};
-}
-
 ParamEstimate rates_from_blocks(std::span<const BlockCounts> blocks) {
     ParamEstimate est;
     std::size_t uses = 0, d = 0, ins = 0, s = 0, m = 0;
@@ -123,11 +70,10 @@ BlockSplit split_blocks(std::span<const std::uint32_t> sent,
     std::size_t sent_pos = 0, recv_pos = 0, used = 0;
     while (sent_pos < sent.size() && used < max_symbols) {
         const std::size_t n = std::min(eff_block, sent.size() - sent_pos);
-        const std::size_t slack = n / 2 + 32;
-        const std::size_t w = std::min(n + slack, received.size() - recv_pos);
-        auto [alignment, consumed] =
-            align_end_free(sent.subspan(sent_pos, n), received.subspan(recv_pos, w));
-        (void)alignment;
+        const std::size_t w = drift_window(n, received.size() - recv_pos);
+        const std::size_t consumed =
+            align_end_free(sent.subspan(sent_pos, n), received.subspan(recv_pos, w))
+                .received_consumed;
         SymbolBlock b;
         b.first.assign(sent.begin() + static_cast<std::ptrdiff_t>(sent_pos),
                        sent.begin() + static_cast<std::ptrdiff_t>(sent_pos + n));
@@ -194,9 +140,7 @@ ParamEstimate estimate_params(std::span<const std::uint32_t> sent,
     std::size_t sent_pos = 0, recv_pos = 0;
     while (sent_pos < sent.size()) {
         const std::size_t n = std::min(options.block_len, sent.size() - sent_pos);
-        // Window with slack for drift; generous but bounded.
-        const std::size_t slack = n / 2 + 32;
-        const std::size_t w = std::min(n + slack, received.size() - recv_pos);
+        const std::size_t w = drift_window(n, received.size() - recv_pos);
         auto [alignment, consumed] =
             align_end_free(sent.subspan(sent_pos, n), received.subspan(recv_pos, w));
         blocks.push_back(counts_of(alignment));

@@ -100,10 +100,6 @@ public:
     [[nodiscard]] std::span<double> scratch(std::size_t cells) { return grab(scr1_, cells); }
     [[nodiscard]] std::span<double> scratch2(std::size_t cells) { return grab(scr2_, cells); }
     [[nodiscard]] std::span<double> scratch3(std::size_t cells) { return grab(scr3_, cells); }
-    /// Integer DP cells (edit-distance trellises).
-    [[nodiscard]] std::span<std::uint32_t> cells_u32(std::size_t cells) {
-        return grab(u32_, cells);
-    }
 
     // Arenas for the batched structure-of-arrays engine (batch_lattice.hpp).
     /// Small per-lane double buffers (norms, pruned mass, slack, ...).
@@ -140,7 +136,6 @@ private:
         wplanes_;
     ArenaVector<int> band_;
     ArenaVector<long long> lane_ll_;
-    ArenaVector<std::uint32_t> u32_;
     ArenaVector<std::uint8_t> rx_u8_, tx_u8_;
 };
 

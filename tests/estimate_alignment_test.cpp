@@ -2,12 +2,145 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
+
+#include "ccap/estimate/changepoint.hpp"
+#include "ccap/estimate/param_estimator.hpp"
 #include "ccap/util/rng.hpp"
 
 namespace {
 
 using namespace ccap::estimate;
 using Trace = std::vector<std::uint32_t>;
+
+// Scalar Levenshtein DP with full traceback: the reference the
+// bit-parallel kernel must reproduce step for step. `end_free` ends the
+// traceback at the best last-row prefix (smallest distance, then closest
+// to |sent|, first wins) instead of at (n, m).
+struct Reference {
+    Alignment alignment;
+    std::size_t consumed = 0;
+};
+
+Reference reference_align(const Trace& sent, const Trace& received, bool end_free) {
+    const std::size_t n = sent.size();
+    const std::size_t m = received.size();
+    std::vector<std::vector<std::uint32_t>> dp(n + 1, std::vector<std::uint32_t>(m + 1, 0));
+    for (std::size_t i = 0; i <= n; ++i) dp[i][0] = static_cast<std::uint32_t>(i);
+    for (std::size_t j = 0; j <= m; ++j) dp[0][j] = static_cast<std::uint32_t>(j);
+    for (std::size_t i = 1; i <= n; ++i)
+        for (std::size_t j = 1; j <= m; ++j) {
+            const std::uint32_t sub =
+                dp[i - 1][j - 1] + (sent[i - 1] == received[j - 1] ? 0U : 1U);
+            dp[i][j] = std::min({sub, dp[i - 1][j] + 1U, dp[i][j - 1] + 1U});
+        }
+    std::size_t end_j = m;
+    if (end_free) {
+        const auto off_n = [n](std::size_t j) {
+            return std::llabs(static_cast<long long>(j) - static_cast<long long>(n));
+        };
+        end_j = 0;
+        for (std::size_t j = 0; j <= m; ++j)
+            if (dp[n][j] < dp[n][end_j] ||
+                (dp[n][j] == dp[n][end_j] && off_n(j) < off_n(end_j)))
+                end_j = j;
+    }
+    Reference out;
+    out.consumed = end_j;
+    out.alignment.distance = dp[n][end_j];
+    std::size_t i = n, j = end_j;
+    std::vector<EditStep> rev;
+    while (i > 0 || j > 0) {
+        if (i > 0 && j > 0) {
+            const bool is_match = sent[i - 1] == received[j - 1];
+            if (dp[i - 1][j - 1] + (is_match ? 0U : 1U) == dp[i][j]) {
+                rev.push_back({is_match ? EditOp::match : EditOp::substitution, i - 1, j - 1});
+                --i;
+                --j;
+                continue;
+            }
+        }
+        if (i > 0 && dp[i - 1][j] + 1U == dp[i][j]) {
+            rev.push_back({EditOp::deletion, i - 1, 0});
+            --i;
+            continue;
+        }
+        rev.push_back({EditOp::insertion, 0, j - 1});
+        --j;
+    }
+    out.alignment.steps.assign(rev.rbegin(), rev.rend());
+    return out;
+}
+
+std::size_t reference_distance(const Trace& a, const Trace& b) {
+    std::vector<std::size_t> prev(b.size() + 1), cur(b.size() + 1);
+    for (std::size_t j = 0; j <= b.size(); ++j) prev[j] = j;
+    for (std::size_t i = 1; i <= a.size(); ++i) {
+        cur[0] = i;
+        for (std::size_t j = 1; j <= b.size(); ++j)
+            cur[j] = std::min({prev[j - 1] + (a[i - 1] == b[j - 1] ? 0U : 1U), prev[j] + 1,
+                               cur[j - 1] + 1});
+        std::swap(prev, cur);
+    }
+    return prev[b.size()];
+}
+
+void expect_same_steps(const Alignment& got, const Alignment& want, const std::string& what) {
+    EXPECT_EQ(got.distance, want.distance) << what;
+    ASSERT_EQ(got.steps.size(), want.steps.size()) << what;
+    for (std::size_t k = 0; k < got.steps.size(); ++k) {
+        const EditStep& g = got.steps[k];
+        const EditStep& w = want.steps[k];
+        ASSERT_TRUE(g.op == w.op && g.sent_index == w.sent_index &&
+                    g.received_index == w.received_index)
+            << what << ": first difference at step " << k << " of " << got.to_string()
+            << " vs " << want.to_string();
+    }
+}
+
+/// Every entry point against the reference on one trace pair.
+void expect_matches_reference(const Trace& sent, const Trace& received, const std::string& what) {
+    const Reference full = reference_align(sent, received, false);
+    expect_same_steps(align(sent, received), full.alignment, what + " align");
+    EXPECT_EQ(edit_distance(sent, received), full.alignment.distance) << what;
+
+    const Reference free = reference_align(sent, received, true);
+    const PrefixAlignment got = align_end_free(sent, received);
+    expect_same_steps(got.alignment, free.alignment, what + " align_end_free");
+    EXPECT_EQ(got.received_consumed, free.consumed) << what;
+    if (!sent.empty()) {
+        const WindowEstimate we = estimate_window(sent, received);
+        const ParamEstimate want = rates_from_alignment(free.alignment);
+        EXPECT_EQ(we.received_consumed, free.consumed) << what;
+        EXPECT_EQ(we.estimate.p_d.value, want.p_d.value) << what;
+        EXPECT_EQ(we.estimate.p_i.value, want.p_i.value) << what;
+        EXPECT_EQ(we.estimate.p_s.value, want.p_s.value) << what;
+        EXPECT_EQ(we.estimate.channel_uses, want.channel_uses) << what;
+    }
+}
+
+Trace random_trace(ccap::util::Rng& rng, std::size_t len, std::uint64_t alphabet) {
+    Trace t(len);
+    for (auto& s : t) s = static_cast<std::uint32_t>(rng.uniform_below(alphabet));
+    return t;
+}
+
+/// `sent` through ~10% deletions, ~10% insertions and ~5% substitutions.
+Trace corrupt(ccap::util::Rng& rng, const Trace& sent, std::uint64_t alphabet) {
+    Trace received;
+    for (std::uint32_t s : sent) {
+        if (rng.bernoulli(0.1)) continue;
+        if (rng.bernoulli(0.1))
+            received.push_back(static_cast<std::uint32_t>(rng.uniform_below(alphabet)));
+        received.push_back(rng.bernoulli(0.05)
+                               ? static_cast<std::uint32_t>(rng.uniform_below(alphabet))
+                               : s);
+    }
+    return received;
+}
 
 TEST(Alignment, IdenticalTracesAllMatch) {
     const Trace t = {1, 0, 1, 1, 0};
@@ -127,6 +260,97 @@ TEST(Alignment, CountsSumToSteps) {
     EXPECT_EQ(a.count(EditOp::match) + a.count(EditOp::substitution) +
                   a.count(EditOp::deletion) + a.count(EditOp::insertion),
               a.steps.size());
+}
+
+// Block-edge lengths (one word, word +- 1, two words +- 1) and a tracker
+// sized window, over binary, quaternary, 2^16-symbol (the widest directly
+// ranked alphabet) and full 32-bit (sort-ranked) alphabets:
+// channel-corrupted windows, truncated windows shorter than the block,
+// unrelated traces and the empty window.
+TEST(AlignmentKernel, MatchesScalarReference) {
+    ccap::util::Rng rng(15);
+    for (const std::uint64_t alphabet : {2ULL, 4ULL, 1ULL << 16, 1ULL << 32}) {
+        for (const std::size_t n : {0, 1, 63, 64, 65, 127, 128, 129, 2000}) {
+            const std::string tag =
+                "alphabet " + std::to_string(alphabet) + " n " + std::to_string(n);
+            const Trace sent = random_trace(rng, n, alphabet);
+            const Trace noisy = corrupt(rng, sent, alphabet);
+            Trace window = noisy;
+            window.resize(drift_window(n, noisy.size()));
+            expect_matches_reference(sent, noisy, tag + " corrupted");
+            expect_matches_reference(sent, window, tag + " drift window");
+            const Trace truncated(noisy.begin(), noisy.begin() + static_cast<std::ptrdiff_t>(
+                                                                     noisy.size() / 2));
+            expect_matches_reference(sent, truncated, tag + " truncated");
+            expect_matches_reference(sent, random_trace(rng, n + n / 3 + 5, alphabet),
+                                     tag + " unrelated");
+            expect_matches_reference(sent, {}, tag + " empty window");
+            expect_matches_reference({}, noisy, tag + " empty block");
+        }
+    }
+}
+
+// Inputs where many alignments tie on distance, so only the preference
+// order picks the path: swaps, periodic shifts, runs of one symbol.
+TEST(AlignmentKernel, TieHeavyInputsMatchScalarReference) {
+    expect_matches_reference({1, 2}, {2, 1}, "swap");
+    expect_matches_reference({1, 2, 1}, {2, 1, 2}, "alternating");
+    expect_matches_reference({7}, {7, 7, 7}, "run");
+    expect_matches_reference({65535, 65536, 7}, {65536, 65535, 7}, "rank paths' edge");
+    expect_matches_reference({65535, 3, 65535}, {3, 65535, 4}, "direct rank edge");
+    for (const std::size_t n : {63, 64, 65, 129}) {
+        Trace periodic(n), shifted(n + 1), run(n, 3);
+        for (std::size_t i = 0; i < n; ++i) periodic[i] = static_cast<std::uint32_t>(i % 2);
+        for (std::size_t i = 0; i <= n; ++i) shifted[i] = static_cast<std::uint32_t>((i + 1) % 2);
+        const std::string tag = "n " + std::to_string(n);
+        expect_matches_reference(periodic, shifted, tag + " shifted period");
+        expect_matches_reference(run, Trace(n / 2, 3), tag + " short run");
+        expect_matches_reference(run, Trace(n + 40, 3), tag + " long run");
+        expect_matches_reference(periodic, Trace(n, 1), tag + " half matches");
+    }
+}
+
+// A trellis too large for the thread's reused scratch runs on its own
+// buffers; calls before and after it are unaffected.
+TEST(AlignmentKernel, LargeTrellisOutsideTheReusedScratch) {
+    ccap::util::Rng rng(16);
+    const Trace small_a = random_trace(rng, 300, 4);
+    const Trace small_b = corrupt(rng, small_a, 4);
+    expect_matches_reference(small_a, small_b, "before");
+    const Trace sent = random_trace(rng, 130, 4);
+    const Trace received = random_trace(rng, 1 << 17, 4);
+    const Alignment a = align(sent, received);
+    EXPECT_EQ(a.distance, reference_distance(sent, received));
+    EXPECT_EQ(edit_distance(sent, received), a.distance);
+    EXPECT_EQ(a.count(EditOp::match) + a.count(EditOp::substitution) + a.count(EditOp::deletion),
+              sent.size());
+    EXPECT_EQ(a.count(EditOp::match) + a.count(EditOp::substitution) +
+                  a.count(EditOp::insertion),
+              received.size());
+    expect_matches_reference(small_a, small_b, "after");
+}
+
+// Every entry point refuses a trellis beyond 4e8 cells, before allocating,
+// with an error naming the window's size.
+TEST(AlignmentKernel, OversizedWindowIsRejected) {
+    const Trace sent(20'001, 1), received(20'000, 1);
+    const auto expect_rejected = [](const auto& call, const std::string& who) {
+        try {
+            call();
+            ADD_FAILURE() << who << " accepted a 20001 x 20000 window";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(who + ": alignment window of 20001 x 20000"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expect_rejected([&] { (void)align(sent, received); }, "align");
+    expect_rejected([&] { (void)align_end_free(sent, received); }, "align_end_free");
+    expect_rejected([&] { (void)estimate_window(sent, received); }, "align_end_free");
+    expect_rejected([&] { (void)edit_distance(sent, received); }, "edit_distance");
+    const Trace trace(30'000, 1);
+    EXPECT_THROW((void)windowed_rates(trace, trace, 30'000), std::invalid_argument);
+    EXPECT_EQ(edit_distance(Trace(20'000, 1), received), 0U);  // exactly at the cap
 }
 
 }  // namespace

@@ -246,3 +246,19 @@ endif()
 if(NOT out MATCHES "track finished after 5 windows")
   message(FATAL_ERROR "track trace mode did not ingest 5 windows: ${out}")
 endif()
+
+# An alignment window beyond the 4e8-cell trellis cap is refused before
+# anything is allocated, with an error naming the window's size — never a
+# multi-GB allocation attempt.
+ccap_expect_failure(1 "alignment window of 100000 x [0-9]+ symbols exceeds the 400000000-cell limit"
+  track --pd 0.1 --window 100000 --windows 1)
+execute_process(
+  COMMAND ${CCAP_BIN} simulate --pd 0.1 --len 30000 --seed 3
+          --sent ${WORK_DIR}/cli_long_sent.txt --received ${WORK_DIR}/cli_long_recv.txt
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "simulate (long trace) failed: ${rc}")
+endif()
+ccap_expect_failure(1 "alignment window of 30000 x [0-9]+ symbols exceeds the 400000000-cell limit"
+  windows --sent ${WORK_DIR}/cli_long_sent.txt --received ${WORK_DIR}/cli_long_recv.txt
+          --window 30000)
