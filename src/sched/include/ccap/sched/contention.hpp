@@ -6,9 +6,16 @@
 // This engine closes that loop in three deterministic stages:
 //
 //   1. SIMULATE.  Flows are partitioned into contiguous *slices* of one
-//      shared resource, each simulated independently on its own EventQueue:
-//      a PacingController deposits the slice's service budget per tick and a
+//      shared resource, each simulated independently: a PacingController
+//      deposits the slice's service budget per tick and a
 //      RoundRobinFlowQueue drains one symbol per backlogged flow per visit.
+//      A slice's events run on a timing wheel: a ring of 4096 per-tick FIFO
+//      lists over the flows plus one service-tick node, with a small
+//      (when, seq) heap for events 4096 or more ticks ahead that joins its
+//      list at the start of tick when - 4095, before any direct append to
+//      that tick is possible. Each tick drains its list in order, which is
+//      exactly a binary event heap's (when, seq) order (THEORY §13), in
+//      O(flows + 4096) memory per slice whatever the horizon.
 //      Per-flow arrivals are Bernoulli-per-tick processes sampled as
 //      geometric inter-arrival gaps from a per-flow SplitMix64 substream of
 //      the root seed (the PR 1 seeding discipline), so the slice traffic —

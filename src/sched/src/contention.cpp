@@ -1,7 +1,7 @@
 #include "ccap/sched/contention.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <cstdint>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -11,6 +11,87 @@
 #include "ccap/util/thread_pool.hpp"
 
 namespace ccap::sched {
+
+namespace {
+
+// One slice's event calendar: a ring of kWheel per-tick FIFO lists over
+// nodes that each have at most one pending event. An event fewer than
+// kWheel ticks ahead is appended to its tick's bucket; a farther one waits
+// in a small (when, seq) min-heap and moves into its bucket at the start of
+// tick when - kWheel + 1. Memory is O(nodes + kWheel), whatever the horizon.
+//
+// Draining a bucket in list order replays the (when, seq) order of a
+// binary event heap exactly: appends to one bucket happen in scheduling
+// order, and a far event for tick u was scheduled at or before u - kWheel,
+// so it migrates (at the start of tick u - kWheel + 1) before any direct
+// append for u can happen. The caller must visit every tick in order and
+// schedule only strictly future events.
+class TimingWheel {
+public:
+    explicit TimingWheel(std::size_t nodes)
+        : head_(kWheel, kNil), tail_(kWheel, kNil), next_(nodes, kNil) {}
+
+    void schedule(SimTime now, SimTime when, std::uint32_t node) {
+        if (when - now < kWheel) {
+            append(when, node);
+        } else {
+            far_.push_back({when, far_seq_++, node});
+            std::push_heap(far_.begin(), far_.end(), Later{});
+        }
+    }
+
+    /// Run `fire(node)` for every event at tick `t`, in scheduling order.
+    /// `fire` may schedule events for later ticks.
+    template <typename Fire>
+    void drain(SimTime t, Fire&& fire) {
+        while (!far_.empty() && far_.front().when - t < kWheel) {
+            std::pop_heap(far_.begin(), far_.end(), Later{});
+            append(far_.back().when, far_.back().node);
+            far_.pop_back();
+        }
+        // Nothing fired at t can land in t's bucket (that takes a delay of
+        // kWheel, which goes to the heap), so the list can be unlinked first.
+        const std::size_t b = t & (kWheel - 1);
+        std::uint32_t node = head_[b];
+        head_[b] = tail_[b] = kNil;
+        while (node != kNil) {
+            const std::uint32_t after = next_[node];  // before fire relinks node
+            fire(node);
+            node = after;
+        }
+    }
+
+private:
+    static constexpr SimTime kWheel = 4096;  // power of two
+    static constexpr std::uint32_t kNil = 0xffffffffu;
+
+    struct FarEvent {
+        SimTime when;
+        std::uint64_t seq;
+        std::uint32_t node;
+    };
+    struct Later {
+        bool operator()(const FarEvent& a, const FarEvent& b) const noexcept {
+            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+        }
+    };
+
+    void append(SimTime when, std::uint32_t node) {
+        const std::size_t b = when & (kWheel - 1);
+        next_[node] = kNil;
+        if (tail_[b] == kNil)
+            head_[b] = node;
+        else
+            next_[tail_[b]] = node;
+        tail_[b] = node;
+    }
+
+    std::vector<std::uint32_t> head_, tail_, next_;
+    std::vector<FarEvent> far_;
+    std::uint64_t far_seq_ = 0;
+};
+
+}  // namespace
 
 ContentionEngine::ContentionEngine(const ContentionConfig& cfg, info::CapacityCache& cache)
     : cfg_(cfg), cache_(&cache) {
@@ -43,7 +124,6 @@ void ContentionEngine::simulate_slice(std::size_t slice, std::vector<FlowLoad>& 
     const double lambda = cfg_.offered_load * service_ / static_cast<double>(cfg_.flows);
     const double p = std::clamp(lambda, 1e-12, 1.0);
 
-    EventQueue events;
     RoundRobinFlowQueue queue(n, cfg_.queue_cap, cfg_.deadline);
     // The slice serves its population share of the aggregate budget. The
     // burst cap must reach one symbol's cost: a slice whose share is
@@ -59,37 +139,39 @@ void ContentionEngine::simulate_slice(std::size_t slice, std::vector<FlowLoad>& 
     for (std::size_t f = 0; f < n; ++f)
         rngs.emplace_back(util::substream_seed(cfg_.seed, static_cast<std::uint64_t>(lo + f)));
 
-    // Self-rescheduling per-flow arrival: enqueue one symbol, then sample the
-    // next inter-arrival gap from the flow's own substream. Gaps are sampled
+    // Nodes 0..n-1 are the flows, node n is the service tick. Each has at
+    // most one pending event, so the wheel holds at most n + 1.
+    TimingWheel wheel(n + 1);
+    const auto tick_node = static_cast<std::uint32_t>(n);
+
+    // Sample flow f's next inter-arrival gap from its own substream and
+    // schedule the arrival unless it falls past the horizon. Gaps are drawn
     // only by the flow that owns the Rng, so the draw order — and hence the
-    // whole trajectory — is independent of event interleaving. The callbacks
-    // reference locals by address; the event loop drains before scope exit.
-    std::function<void(std::size_t, SimTime)> arrive;
-    arrive = [&](std::size_t f, SimTime t) {
-        (void)queue.push(f, t);
+    // whole trajectory — is independent of event interleaving.
+    const auto schedule_arrival = [&](std::uint32_t f, SimTime now) {
         const std::uint64_t gap = rngs[f].geometric(p);
-        if (gap >= cfg_.ticks) return;  // next arrival past the horizon
-        const SimTime next = t + 1 + gap;
-        if (next <= cfg_.ticks)
-            events.schedule_at(next, [&arrive, f](SimTime when) { arrive(f, when); });
+        if (gap < cfg_.ticks - now) wheel.schedule(now, now + 1 + gap, f);
     };
-    for (std::size_t f = 0; f < n; ++f) {
-        const std::uint64_t gap = rngs[f].geometric(p);
-        if (gap >= cfg_.ticks) continue;
-        events.schedule_at(1 + gap, [&arrive, f](SimTime when) { arrive(f, when); });
+    for (std::size_t f = 0; f < n; ++f) schedule_arrival(static_cast<std::uint32_t>(f), 0);
+    wheel.schedule(0, 1, tick_node);
+
+    // The service tick fires every tick, so the loop visits 1..ticks.
+    for (SimTime t = 1;; ++t) {
+        wheel.drain(t, [&](std::uint32_t node) {
+            if (node != tick_node) {
+                // Arrival: enqueue one symbol, then schedule the next.
+                (void)queue.push(node, t);
+                schedule_arrival(node, t);
+                return;
+            }
+            // Service tick: deposit the slice budget, then drain round-robin
+            // until the budget or the backlog runs out.
+            pacer.on_tick();
+            while (queue.backlog() > 0 && pacer.try_consume()) (void)queue.pop(t);
+            if (t < cfg_.ticks) wheel.schedule(t, t + 1, tick_node);
+        });
+        if (t == cfg_.ticks) break;
     }
-
-    // Self-rescheduling service tick: deposit the slice budget, then drain
-    // round-robin until the budget or the backlog runs out.
-    std::function<void(SimTime)> tick;
-    tick = [&](SimTime t) {
-        pacer.on_tick();
-        while (queue.backlog() > 0 && pacer.try_consume()) (void)queue.pop(t);
-        if (t < cfg_.ticks) events.schedule_at(t + 1, [&tick](SimTime when) { tick(when); });
-    };
-    events.schedule_at(1, [&tick](SimTime when) { tick(when); });
-
-    events.run_until(cfg_.ticks);
 
     for (std::size_t f = 0; f < n; ++f) {
         const FlowCounters& c = queue.flow(f);

@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
+
+#include "ccap/sched/event_queue.hpp"
+#include "ccap/sched/flow_queue.hpp"
+#include "ccap/sched/pacing.hpp"
+#include "ccap/util/rng.hpp"
 
 namespace {
 
@@ -11,8 +20,13 @@ using ccap::info::CapacityCache;
 using ccap::sched::ContentionConfig;
 using ccap::sched::ContentionEngine;
 using ccap::sched::ContentionReport;
+using ccap::sched::EventQueue;
+using ccap::sched::FlowCounters;
 using ccap::sched::FlowLoad;
 using ccap::sched::FlowOutcome;
+using ccap::sched::PacingController;
+using ccap::sched::RoundRobinFlowQueue;
+using ccap::sched::SimTime;
 
 CapacityCache::Config cache_config(bool enabled = true) {
     CapacityCache::Config cfg;
@@ -37,6 +51,58 @@ ContentionConfig engine_config() {
     cfg.deadline = 32;
     cfg.seed = 77;
     return cfg;
+}
+
+// Reference traffic stage: the slice loop driven by a binary event heap of
+// self-rescheduling callbacks (the engine's original formulation). Same
+// slice bounds, slice budget, per-flow substreams and horizon rules.
+std::vector<FlowLoad> heap_reference(const ContentionEngine& engine) {
+    const ContentionConfig& cfg = engine.config();
+    const double service = engine.service_per_tick();
+    const std::size_t slices = std::clamp<std::size_t>(cfg.slices, 1, cfg.flows);
+    const double p = std::clamp(
+        cfg.offered_load * service / static_cast<double>(cfg.flows), 1e-12, 1.0);
+    std::vector<FlowLoad> out(cfg.flows);
+    for (std::size_t slice = 0; slice < slices; ++slice) {
+        const std::size_t lo = slice * cfg.flows / slices;
+        const std::size_t n = (slice + 1) * cfg.flows / slices - lo;
+        if (n == 0) continue;
+        EventQueue events;
+        RoundRobinFlowQueue queue(n, cfg.queue_cap, cfg.deadline);
+        const double budget = service * static_cast<double>(n) / static_cast<double>(cfg.flows);
+        PacingController pacer({budget, std::max(budget, 1.0)});
+        std::vector<ccap::util::Rng> rngs;
+        for (std::size_t f = 0; f < n; ++f)
+            rngs.emplace_back(ccap::util::substream_seed(cfg.seed, lo + f));
+
+        std::function<void(std::size_t, SimTime)> arrive = [&](std::size_t f, SimTime t) {
+            (void)queue.push(f, t);
+            const std::uint64_t gap = rngs[f].geometric(p);
+            if (gap >= cfg.ticks) return;
+            const SimTime next = t + 1 + gap;
+            if (next <= cfg.ticks)
+                events.schedule_at(next, [&arrive, f](SimTime when) { arrive(f, when); });
+        };
+        for (std::size_t f = 0; f < n; ++f) {
+            const std::uint64_t gap = rngs[f].geometric(p);
+            if (gap >= cfg.ticks) continue;
+            events.schedule_at(1 + gap, [&arrive, f](SimTime when) { arrive(f, when); });
+        }
+        std::function<void(SimTime)> tick = [&](SimTime t) {
+            pacer.on_tick();
+            while (queue.backlog() > 0 && pacer.try_consume()) (void)queue.pop(t);
+            if (t < cfg.ticks) events.schedule_at(t + 1, [&tick](SimTime when) { tick(when); });
+        };
+        events.schedule_at(1, [&tick](SimTime when) { tick(when); });
+        events.run_until(cfg.ticks);
+
+        for (std::size_t f = 0; f < n; ++f) {
+            const FlowCounters& c = queue.flow(f);
+            out[lo + f] = {c.enqueued + c.dropped_overflow, c.served, c.dropped_overflow,
+                           c.dropped_expired};
+        }
+    }
+    return out;
 }
 
 void expect_reports_identical(const ContentionReport& a, const ContentionReport& b) {
@@ -87,6 +153,102 @@ TEST(ContentionEngineTest, SimulationConservesSymbols) {
     }
     EXPECT_GT(offered, 0u);
     EXPECT_LE(accounted, offered);
+}
+
+TEST(ContentionEngineTest, SimulationMatchesHeapReference) {
+    struct Case {
+        std::string name;
+        ContentionConfig cfg;
+    };
+    std::vector<Case> cases;
+    cases.push_back({"engine_config", engine_config()});
+    {
+        ContentionConfig cfg = engine_config();
+        cfg.offered_load = 1.3;
+        cfg.queue_cap = 4;
+        cfg.deadline = 8;
+        cases.push_back({"overload_deadline", cfg});
+    }
+    {
+        ContentionConfig cfg = engine_config();
+        cfg.flows = 5;  // fewer flows than slices: one flow per slice
+        cases.push_back({"flows_below_slices", cfg});
+    }
+    {
+        ContentionConfig cfg = engine_config();
+        cfg.flows = 1;
+        cases.push_back({"single_flow", cfg});
+    }
+    {
+        ContentionConfig cfg = engine_config();
+        cfg.ticks = 100;  // the whole horizon fits inside the wheel
+        cases.push_back({"short_horizon", cfg});
+    }
+    {
+        // Mean gap 16000 ticks: most arrivals go through the overflow heap.
+        ContentionConfig cfg = engine_config();
+        cfg.flows = 16;
+        cfg.slices = 2;
+        cfg.offered_load = 0.001;
+        cfg.ticks = 5 * 4096;
+        cases.push_back({"sparse_long_horizon", cfg});
+    }
+    {
+        // Mean gap ~4096 ticks at ~16 arrivals per tick, so heap-migrated
+        // and directly appended events often share a tick, including appends
+        // made exactly 4095 ticks ahead (the tick a far event migrates). A
+        // starved server with tiny queues makes the within-tick order
+        // visible in the counters.
+        ContentionConfig cfg = engine_config();
+        cfg.flows = 65536;
+        cfg.slices = 1;
+        cfg.service_per_tick = 8.0;
+        cfg.offered_load = 2.0;
+        cfg.queue_cap = 2;
+        cfg.deadline = 64;
+        cfg.ticks = 3 * 4096;
+        cases.push_back({"mixed_near_far_contended", cfg});
+    }
+
+    CapacityCache cache(cache_config());
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        const ContentionEngine engine(c.cfg, cache);
+        const std::vector<FlowLoad> got = engine.simulate();
+        const std::vector<FlowLoad> want = heap_reference(engine);
+        ASSERT_EQ(got.size(), want.size());
+        std::uint64_t offered = 0;
+        for (std::size_t f = 0; f < want.size(); ++f) {
+            EXPECT_EQ(got[f].offered, want[f].offered) << "flow " << f;
+            EXPECT_EQ(got[f].served, want[f].served) << "flow " << f;
+            EXPECT_EQ(got[f].dropped_overflow, want[f].dropped_overflow) << "flow " << f;
+            EXPECT_EQ(got[f].dropped_expired, want[f].dropped_expired) << "flow " << f;
+            offered += want[f].offered;
+        }
+        EXPECT_GT(offered, 0u);
+    }
+}
+
+TEST(ContentionEngineTest, LongHorizonCompletesAndConservesSymbols) {
+    // 2^22 ticks, ~1000x the wheel: calendar memory must not scale with
+    // the horizon, and arrivals must keep flowing after every wrap.
+    CapacityCache cache(cache_config());
+    ContentionConfig cfg = engine_config();
+    cfg.flows = 2;
+    cfg.slices = 1;
+    cfg.ticks = SimTime{1} << 22;
+    const ContentionEngine engine(cfg, cache);
+    const std::vector<FlowLoad> loads = engine.simulate();
+    ASSERT_EQ(loads.size(), 2u);
+    const double p = cfg.offered_load * engine.service_per_tick() / 2.0;
+    for (const FlowLoad& l : loads) {
+        const std::uint64_t settled = l.served + l.dropped_overflow + l.dropped_expired;
+        ASSERT_LE(settled, l.offered);
+        // offered == served + dropped + backlog, and backlog fits the queue.
+        EXPECT_LE(l.offered - settled, cfg.queue_cap);
+        EXPECT_NEAR(static_cast<double>(l.offered), p * static_cast<double>(cfg.ticks),
+                    0.01 * p * static_cast<double>(cfg.ticks));
+    }
 }
 
 TEST(ContentionEngineTest, FractionalSliceBudgetsStillServe) {

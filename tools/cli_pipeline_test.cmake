@@ -144,6 +144,28 @@ if(NOT out MATCHES "p_d,p_i,thm5_lower,exact,thm1_upper,degraded,mc_mi")
   message(FATAL_ERROR "sweep CSV header missing mc_mi column: ${out}")
 endif()
 
+# contend thread invariance: the traffic slices run on the pool and the
+# capacity nodes are evaluated in parallel, yet stdout must be
+# byte-identical at one worker and at four.
+set(contend_flags --flows 20000 --load 1.3 --deadline 8 --queue-cap 4)
+foreach(workers 1 4)
+  execute_process(
+    COMMAND ${CCAP_BIN} contend ${contend_flags} --threads ${workers}
+    OUTPUT_VARIABLE contend_out_${workers}
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "contend --threads ${workers} failed: ${rc} (${err})")
+  endif()
+endforeach()
+if(NOT contend_out_1 MATCHES "traffic: offered [1-9]")
+  message(FATAL_ERROR "contend printed no traffic report: ${contend_out_1}")
+endif()
+if(NOT contend_out_1 STREQUAL contend_out_4)
+  message(FATAL_ERROR
+    "contend stdout differs between --threads 1 and 4:\n${contend_out_1}\nvs\n${contend_out_4}")
+endif()
+
 # Hardened-protocol smoke: lossy-link stop-and-wait must stay reliable and
 # report a predicted rate from the closed form.
 execute_process(
