@@ -47,6 +47,11 @@ cmake --build build/perfbench -j"$(nproc)"
 echo "== tier1: batch-lattice + parallel-MC suites under CCAP_SIMD=scalar =="
 (cd build && CCAP_SIMD=scalar ./tests/ccap_info_tests \
     --gtest_filter='BatchLattice*:SimdDispatch*:*ParallelMc*' --gtest_brief=1)
+# The MLE parameter search scores its candidates on batch-engine lanes,
+# so its bits rest on the same per-ISA identity: rerun its scalar-search
+# reference and the recovery grid on the scalar kernels.
+(cd build && CCAP_SIMD=scalar ./tests/ccap_estimate_tests \
+    --gtest_filter='*MleBatched*:*EstimatorRecovery*' --gtest_brief=1)
 
 # Bench-regression gate: when a checked-in BENCH_* baseline exists and the
 # build produced a fresh record of the same name (smoke runs write

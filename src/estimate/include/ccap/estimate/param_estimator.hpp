@@ -85,7 +85,10 @@ struct WindowEstimate {
 /// maximizes sum over blocks of log2 P(received | sent; P_d, P_i, P_s)
 /// computed exactly by the drift lattice, via bounded coordinate descent
 /// (golden-section per parameter) seeded from the alignment estimate.
-/// Slower, but consistent; the analyzer uses it by default.
+/// Each candidate scores its blocks as the lanes of batched forward
+/// passes (DriftHmm::log2_likelihood_batch), bit-identical to one scalar
+/// pass per block. Slower, but consistent; the analyzer uses it by
+/// default.
 [[nodiscard]] ParamEstimate estimate_params_mle(std::span<const std::uint32_t> sent,
                                                 std::span<const std::uint32_t> received,
                                                 unsigned bits_per_symbol,
@@ -98,10 +101,10 @@ struct WindowEstimate {
 /// ~10-20 iterations; agrees with estimate_params_mle at the optimum. Each
 /// iteration is a scalar forward-backward pass per block, so it is the
 /// slower fit: on 16 seeded binary trace pairs of 4096 symbols through
-/// (P_d, P_i, P_s) = (0.10, 0.05, 0.02), analyze_traces took about 3.4x
-/// longer per fit than with the MLE (1544 ms vs 460 ms, 4-core AVX-512
-/// Xeon), while landing closer to the injected parameters (mean max-abs
-/// error 0.0065 vs 0.0087).
+/// (P_d, P_i, P_s) = (0.10, 0.05, 0.02), analyze_traces took about 12x
+/// longer per fit than with the MLE (mean 1403-1422 ms vs 110-115 ms CPU,
+/// two runs, 4-core AVX-512 Xeon), while landing closer to the injected
+/// parameters (mean max-abs error 0.0065 vs 0.0087).
 [[nodiscard]] ParamEstimate estimate_params_em(std::span<const std::uint32_t> sent,
                                                std::span<const std::uint32_t> received,
                                                unsigned bits_per_symbol,

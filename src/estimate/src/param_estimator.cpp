@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "ccap/info/drift_hmm.hpp"
+#include "ccap/info/lattice_engine.hpp"
 #include "ccap/util/rng.hpp"
 #include "ccap/util/solvers.hpp"
 
@@ -216,6 +217,27 @@ ParamEstimate estimate_params_mle(std::span<const std::uint32_t> sent,
     // The lattice clamp must cover every block's end-to-end drift (plus
     // in-block excursions).
     const int max_drift = split.max_diff + 32;
+
+    // Each candidate scores every block on batch-engine lanes: a maximal
+    // run of consecutive blocks sharing one sent length is one lockstep
+    // call (split_blocks yields at most two: the full blocks and a ragged
+    // tail). At band_eps = 0 each lane is bit-identical to the scalar
+    // log2_likelihood on that block, and the fold below runs in block
+    // order, so the search sees the same surface bit for bit. One
+    // workspace serves the whole fit, so its arenas stop growing after
+    // the first candidate.
+    std::vector<info::DriftHmm::SymbolSpan> tx, rx;
+    tx.reserve(split.blocks.size());
+    rx.reserve(split.blocks.size());
+    for (const SymbolBlock& b : split.blocks) {
+        tx.emplace_back(b.first);
+        rx.emplace_back(b.second);
+    }
+    std::vector<std::size_t> run_ends;  // exclusive end of each equal-length run
+    for (std::size_t i = 1; i <= tx.size(); ++i)
+        if (i == tx.size() || tx[i].size() != tx[i - 1].size()) run_ends.push_back(i);
+    info::LatticeWorkspace ws;
+
     const auto log_likelihood = [&](double pd, double pi, double ps) {
         if (pd < 0.0 || pi < 0.0 || ps < 0.0 || ps > 1.0 || pd + pi > 0.9) return -1e18;
         info::DriftParams dp;
@@ -227,11 +249,18 @@ ParamEstimate estimate_params_mle(std::span<const std::uint32_t> sent,
         dp.max_insert_run = 10;
         const info::DriftHmm hmm(dp);
         double total = 0.0;
-        for (const SymbolBlock& b : split.blocks) {
-            const double ll = hmm.log2_likelihood(b.first, b.second);
-            // A block outside the truncation gets a heavy — but finite —
-            // penalty so the search surface stays informative.
-            total += std::isfinite(ll) ? ll : -1e6;
+        std::size_t begin = 0;
+        for (const std::size_t end : run_ends) {
+            const auto lanes = hmm.log2_likelihood_batch(
+                std::span(tx).subspan(begin, end - begin),
+                std::span(rx).subspan(begin, end - begin), ws);
+            for (const info::BandedEvidence& e : lanes) {
+                const double ll = e.log2_evidence;
+                // A block outside the truncation gets a heavy — but finite —
+                // penalty so the search surface stays informative.
+                total += std::isfinite(ll) ? ll : -1e6;
+            }
+            begin = end;
         }
         return total;
     };

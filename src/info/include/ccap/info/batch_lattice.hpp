@@ -10,11 +10,15 @@
 // pass, posteriors and expected event counts stay on the scalar engine
 // (marker/watermark decoding and EM use them one sequence at a time):
 //
-//   * Rows are laid out structure-of-arrays, [drift_state][lane]: the cell
-//     for (row j, drift d, lane l) lives at (j * W + idx(d)) * Bp + l,
-//     where W = 2 * max_drift + 1 is the drift-column count and Bp is the
-//     lane count padded up to the SIMD vector width. The
-//     hot lane loops are the runtime-dispatched kernels of
+//   * Rows are laid out structure-of-arrays, [drift_state][lane], and only
+//     two are kept: row j is written while row j - 1 is read, and the
+//     closing tail reads row n alone, so the cell for (row j, drift d,
+//     lane l) lives at ((j & 1) * W + idx(d)) * Bp + l, where
+//     W = 2 * max_drift + 1 is the drift-column count and Bp is the lane
+//     count padded up to the SIMD vector width. Cells of a reused row
+//     outside its band window are stale and never read: propagation
+//     sources stay inside the previous row's band, and the tail inside
+//     row n's. The hot lane loops are the runtime-dispatched kernels of
 //     lattice_simd.hpp — explicit AVX-512 / AVX2 / NEON translation units
 //     selected once at startup (util::active_simd_path(), overridable with
 //     CCAP_SIMD) — so the engine runs full vectors regardless of how the
@@ -56,8 +60,11 @@
 // DriftHmm's two *_batch entry points (log2_likelihood_batch and
 // log2_prior_marginal_batch in drift_hmm.hpp, implemented in
 // batch_lattice.cpp) and the per-lane-parameter functions below wrap this
-// engine; deletion_bounds.cpp feeds each Monte-Carlo thread's blocks
-// through them in McOptions::batch-sized tiles.
+// engine. deletion_bounds.cpp feeds each Monte-Carlo thread's blocks
+// through them in McOptions::batch-sized tiles, and the MLE parameter
+// search (estimate_params_mle, param_estimator.cpp) scores each
+// candidate's trace blocks as the lanes of one log2_likelihood_batch call
+// per run of equal sent length.
 #pragma once
 
 #include <algorithm>
@@ -186,8 +193,8 @@ public:
             chi = std::min(chi, phi + run - 1);
             if (clo > chi) return kill_all_from(j);
 
-            double* __restrict cur = alpha_.data() + j * row_stride_;
-            const double* __restrict prev = alpha_.data() + (j - 1) * row_stride_;
+            double* __restrict cur = alpha_.data() + (j & 1) * row_stride_;
+            const double* __restrict prev = alpha_.data() + ((j - 1) & 1) * row_stride_;
 
             // One emission plane per row: a transmission landing at drift d
             // consumed received index (j-1) + d regardless of where it came
@@ -334,7 +341,7 @@ private:
     /// Unnormalized closing mass of `lane` (see LatticeEngine::tail).
     [[nodiscard]] double tail(std::size_t lane) const noexcept {
         double t = 0.0;
-        const double* last = alpha_.data() + n_ * row_stride_;
+        const double* last = alpha_.data() + (n_ & 1) * row_stride_;
         for (int d = band_lo(n_); d <= band_hi(n_); ++d)
             t += last[idx(d) * lanes_pad_ + lane] * trailing(lane, d);
         return t;
@@ -392,7 +399,7 @@ private:
             for (std::size_t k = 0; k < r.size(); ++k) rx_[k * Lp + l] = r[k];
         }
         row_stride_ = static_cast<std::size_t>(2 * d_max_ + 1) * Lp;  // drift columns
-        alpha_ = ws.alpha((n_ + 1) * row_stride_);
+        alpha_ = ws.alpha(2 * row_stride_);  // rows j & 1: current and previous
         scale_a_ = ws.scales_a((n_ + 1) * L);
         band_ = ws.bands(2 * (n_ + 1));
         emit_ = ws.scratch(row_stride_);

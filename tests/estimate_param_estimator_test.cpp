@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+
 #include "ccap/core/deletion_insertion_channel.hpp"
+#include "ccap/info/drift_hmm.hpp"
+#include "ccap/util/solvers.hpp"
 
 namespace {
 
@@ -151,6 +157,124 @@ TEST(ParamEstimator, DeterministicBootstrap) {
     const ParamEstimate b = estimate_params(sent, t.output);
     EXPECT_DOUBLE_EQ(a.p_d.ci_low, b.p_d.ci_low);
     EXPECT_DOUBLE_EQ(a.p_i.ci_high, b.p_i.ci_high);
+}
+
+/// Scalar reference for estimate_params_mle, built from public API only:
+/// the alignment seed, the blockwise end-free split capped at 256 sent
+/// symbols per block and 2048 per fit, one DriftHmm::log2_likelihood call
+/// per block per candidate, two golden-section coordinate-descent sweeps,
+/// then the bootstrap widths re-centred on the optimum (floor +-5%).
+ParamEstimate scalar_mle_reference(const Trace& sent, const Trace& received, unsigned bits,
+                                   const EstimatorOptions& options) {
+    ParamEstimate est = estimate_params(sent, received, options);
+    if (sent.empty() && received.empty()) return est;
+
+    using Bytes = std::vector<std::uint8_t>;
+    std::vector<std::pair<Bytes, Bytes>> blocks;
+    int max_diff = 1;
+    const std::size_t eff_block = std::min<std::size_t>(options.block_len, 256);
+    for (std::size_t sp = 0, rp = 0, used = 0; sp < sent.size() && used < 2048;) {
+        const std::size_t n = std::min(eff_block, sent.size() - sp);
+        const std::size_t w = drift_window(n, received.size() - rp);
+        const std::size_t consumed =
+            align_end_free(std::span(sent).subspan(sp, n), std::span(received).subspan(rp, w))
+                .received_consumed;
+        blocks.emplace_back(Bytes(sent.begin() + static_cast<std::ptrdiff_t>(sp),
+                                  sent.begin() + static_cast<std::ptrdiff_t>(sp + n)),
+                            Bytes(received.begin() + static_cast<std::ptrdiff_t>(rp),
+                                  received.begin() + static_cast<std::ptrdiff_t>(rp + consumed)));
+        max_diff = std::max(max_diff, static_cast<int>(std::llabs(
+                                          static_cast<long long>(consumed) -
+                                          static_cast<long long>(n))));
+        sp += n;
+        rp += consumed;
+        used += n;
+    }
+    if (blocks.empty()) return est;
+
+    const auto log_likelihood = [&](double pd, double pi, double ps) {
+        if (pd < 0.0 || pi < 0.0 || ps < 0.0 || ps > 1.0 || pd + pi > 0.9) return -1e18;
+        ccap::info::DriftParams dp;
+        dp.p_d = pd;
+        dp.p_i = pi;
+        dp.p_s = ps;
+        dp.alphabet = 1U << bits;
+        dp.max_drift = max_diff + 32;
+        dp.max_insert_run = 10;
+        const ccap::info::DriftHmm hmm(dp);
+        double total = 0.0;
+        for (const auto& [tx, rx] : blocks) {
+            const double ll = hmm.log2_likelihood(tx, rx);
+            total += std::isfinite(ll) ? ll : -1e6;
+        }
+        return total;
+    };
+    double pd = std::clamp(est.p_d.value, 0.001, 0.6);
+    double pi = std::clamp(est.p_i.value, 0.001, 0.6);
+    double ps = std::clamp(est.p_s.value, 0.0, 0.5);
+    for (int sweep = 0; sweep < 2; ++sweep) {
+        pd = ccap::util::golden_max([&](double x) { return log_likelihood(x, pi, ps); }, 0.0,
+                                    std::min(0.85, 0.9 - pi), 2e-3)
+                 .x;
+        pi = ccap::util::golden_max([&](double x) { return log_likelihood(pd, x, ps); }, 0.0,
+                                    std::min(0.85, 0.9 - pd), 2e-3)
+                 .x;
+        ps = ccap::util::golden_max([&](double x) { return log_likelihood(pd, pi, x); }, 0.0,
+                                    0.6, 2e-3)
+                 .x;
+    }
+    const auto recenter = [](RateEstimate& rate, double v) {
+        const double half = std::max(v * 0.05, (rate.ci_high - rate.ci_low) / 2.0);
+        rate.value = v;
+        rate.ci_low = std::max(0.0, v - half);
+        rate.ci_high = v + half;
+    };
+    recenter(est.p_d, pd);
+    recenter(est.p_i, pi);
+    recenter(est.p_s, ps);
+    return est;
+}
+
+TEST(ParamEstimator, MleBatchedSearchBitIdenticalToScalarReference) {
+    struct Case {
+        unsigned bits;
+        std::size_t len;
+        std::size_t block_len;
+        DiChannelParams channel;
+    };
+    // Alphabets 2, 4 and 8; sent lengths that leave a ragged tail block
+    // (1000 = 3 x 256 + 232, 730 = 7 x 100 + 30, 900 = 14 x 64 + 4, and
+    // 2100 = 56 x 37 + 28, which the 2048-symbol cap cuts to 56 full
+    // blocks); block lengths below 256; and a clean channel.
+    const std::vector<Case> cases = {
+        {1, 1000, 512, {0.10, 0.05, 0.02, 1}}, {2, 730, 100, {0.08, 0.04, 0.03, 2}},
+        {3, 900, 64, {0.05, 0.10, 0.05, 3}},   {1, 2100, 37, {0.12, 0.02, 0.0, 1}},
+        {2, 600, 512, {0.0, 0.0, 0.0, 2}},
+    };
+    const auto expect_same = [](const ParamEstimate& got, const ParamEstimate& want) {
+        for (const auto& [g, w] : {std::pair{&got.p_d, &want.p_d}, std::pair{&got.p_i, &want.p_i},
+                                  std::pair{&got.p_s, &want.p_s}}) {
+            EXPECT_EQ(g->value, w->value);
+            EXPECT_EQ(g->ci_low, w->ci_low);
+            EXPECT_EQ(g->ci_high, w->ci_high);
+        }
+        EXPECT_EQ(got.channel_uses, want.channel_uses);
+        EXPECT_EQ(got.blocks, want.blocks);
+    };
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const Case& c = cases[i];
+        SCOPED_TRACE("case " + std::to_string(i));
+        const Trace sent = random_trace(c.len, c.bits, 70 + i);
+        DeletionInsertionChannel ch(c.channel, 80 + i);
+        const Trace received = ch.transduce(sent).output;
+        EstimatorOptions opt;
+        opt.block_len = c.block_len;
+        expect_same(estimate_params_mle(sent, received, c.bits, opt),
+                    scalar_mle_reference(sent, received, c.bits, opt));
+    }
+    // Nothing sent, something received: the alignment estimate stands.
+    const Trace received = random_trace(50, 1, 90);
+    expect_same(estimate_params_mle({}, received, 1), scalar_mle_reference({}, received, 1, {}));
 }
 
 }  // namespace

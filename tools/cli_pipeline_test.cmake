@@ -166,6 +166,31 @@ if(NOT contend_out_1 STREQUAL contend_out_4)
     "contend stdout differs between --threads 1 and 4:\n${contend_out_1}\nvs\n${contend_out_4}")
 endif()
 
+# analyze SIMD identity: the MLE search scores its blocks on the
+# dispatched lane kernels, yet stdout must be byte-identical on the
+# default path and with the dispatch pinned to the scalar kernels.
+execute_process(
+  COMMAND ${CCAP_BIN} analyze --sent ${WORK_DIR}/cli_sent.txt
+          --received ${WORK_DIR}/cli_recv.txt --bits 2
+  OUTPUT_VARIABLE analyze_out_default
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "analyze (default SIMD path) failed: ${rc}")
+endif()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E env CCAP_SIMD=scalar
+          ${CCAP_BIN} analyze --sent ${WORK_DIR}/cli_sent.txt
+          --received ${WORK_DIR}/cli_recv.txt --bits 2
+  OUTPUT_VARIABLE analyze_out_scalar
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "analyze under CCAP_SIMD=scalar failed: ${rc}")
+endif()
+if(NOT analyze_out_default STREQUAL analyze_out_scalar)
+  message(FATAL_ERROR
+    "analyze stdout differs under CCAP_SIMD=scalar:\n${analyze_out_default}\nvs\n${analyze_out_scalar}")
+endif()
+
 # Hardened-protocol smoke: lossy-link stop-and-wait must stay reliable and
 # report a predicted rate from the closed form.
 execute_process(
