@@ -170,6 +170,17 @@ struct DriftTables {
     std::vector<double> tx_w;      ///< ins_pow[g] * p_t
 
     explicit DriftTables(const DriftParams& p);
+
+    /// Emission of received symbol r averaged over a prior q(s) (q.size()
+    /// = alphabet): sum_s q[s] * emit_tab[r][s], accumulated in ascending
+    /// s. The one definition every prior-weighted lattice pass uses, so
+    /// scalar and batched passes agree bit for bit.
+    [[nodiscard]] double emit_prior(std::uint8_t r, std::span<const double> q) const noexcept {
+        const double* row = emit_tab.data() + static_cast<std::size_t>(r) * q.size();
+        double e = 0.0;
+        for (std::size_t s = 0; s < q.size(); ++s) e += q[s] * row[s];
+        return e;
+    }
 };
 
 class LatticeEngine {
@@ -211,10 +222,7 @@ public:
 
     /// Emission averaged over a prior q(s) for received symbol r.
     [[nodiscard]] double emit_prior(std::uint8_t r, std::span<const double> q) const noexcept {
-        const double* row = t_->emit_tab.data() + static_cast<std::size_t>(r) * p_->alphabet;
-        double e = 0.0;
-        for (std::size_t s = 0; s < q.size(); ++s) e += q[s] * row[s];
-        return e;
+        return t_->emit_prior(r, q);
     }
 
     /// Trailing-insertion factor at final drift d (exact, no truncation).

@@ -73,7 +73,7 @@ struct TxEmitPlane {
 
 /// Emission-plane fill for prior-weighted operations: the factor depends
 /// only on (row, received symbol), so each row costs alphabet dot
-/// products (bit-matching LatticeEngine::emit_prior) and the per-drift
+/// products (DriftTables::emit_prior, as the scalar engine) and the per-drift
 /// fill is a tiny-table lookup — a two-scalar select when binary.
 struct PriorEmitPlane {
     const util::Matrix* priors;
@@ -87,13 +87,8 @@ struct PriorEmitPlane {
     void operator()(double* __restrict ed, std::size_t j, const std::uint8_t* __restrict rxr) {
         if (j != cached_row) {
             const auto q = priors->row(j);
-            for (unsigned rr = 0; rr < alphabet; ++rr) {
-                const double* row =
-                    tables->emit_tab.data() + static_cast<std::size_t>(rr) * alphabet;
-                double e = 0.0;
-                for (std::size_t s = 0; s < q.size(); ++s) e += q[s] * row[s];
-                vals[rr] = e;
-            }
+            for (unsigned rr = 0; rr < alphabet; ++rr)
+                vals[rr] = tables->emit_prior(static_cast<std::uint8_t>(rr), q);
             cached_row = j;
         }
         const std::size_t L = lanes;

@@ -1,7 +1,11 @@
 #include "ccap/info/deletion_bounds.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "ccap/info/batch_lattice.hpp"
@@ -217,13 +221,78 @@ std::size_t resolved_mc_batch(const McOptions& opts, const DriftParams& params) 
 
 namespace {
 
+/// Per-estimate memo of the uniform-prior marginal log2-evidence, keyed by
+/// received length (docs/THEORY.md section 17). When the prior rows are
+/// identical and every received symbol r gets the same prior emission
+/// factor — the same double — nothing in the exact forward pass reads the
+/// symbols, so log2 P(y) is a function of |y| alone, bit for bit. Enabled
+/// only then, and only at band_eps == 0; otherwise it stays empty and
+/// every lookup misses. Slots cover lengths 0 .. 2n + max_drift, NaN marking an
+/// unfilled one: trailing insertions make any length reachable, and with
+/// P_i up to about 0.3 the received lengths routinely pass n + max_drift.
+/// Longer ones are computed but not kept. The slots are atomics because
+/// the tiles of one estimate may run concurrently, and a racing fill
+/// stores identical bits.
+class MarginalLengthMemo {
+public:
+    MarginalLengthMemo(const DriftHmm& hmm, const util::Matrix& priors) {
+        if (!length_only(hmm, priors)) return;
+        slots_ = std::vector<std::atomic<double>>(
+            2 * priors.rows() + static_cast<std::size_t>(hmm.params().max_drift) + 1);
+        for (auto& slot : slots_) slot.store(kUnfilled);
+    }
+
+    [[nodiscard]] bool enabled() const noexcept { return !slots_.empty(); }
+    [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
+
+    /// The cached evidence for received length m, if any.
+    [[nodiscard]] bool lookup(std::size_t m, double& out) const noexcept {
+        if (m >= slots_.size()) return false;
+        out = slots_[m].load();
+        return !std::isnan(out);
+    }
+
+    void store(std::size_t m, double value) noexcept {
+        if (m < slots_.size()) slots_[m].store(value);
+    }
+
+private:
+    static constexpr double kUnfilled = std::numeric_limits<double>::quiet_NaN();
+
+    /// band_eps == 0, identical prior rows, and one prior emission factor
+    /// for every received symbol — compared as bits.
+    static bool length_only(const DriftHmm& hmm, const util::Matrix& priors) {
+        if (hmm.params().band_eps > 0.0 || priors.rows() == 0) return false;
+        const auto same_bits = [](double a, double b) {
+            return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+        };
+        const auto q = priors.row(0);
+        for (std::size_t j = 1; j < priors.rows(); ++j)
+            if (!std::ranges::equal(priors.row(j), q, same_bits)) return false;
+        const DriftTables& tables = hmm.tables();
+        const double e0 = tables.emit_prior(0, q);
+        for (std::size_t r = 1; r < q.size(); ++r)
+            if (!same_bits(tables.emit_prior(static_cast<std::uint8_t>(r), q), e0))
+                return false;
+        return true;
+    }
+
+    std::vector<std::atomic<double>> slots_;
+};
+
 /// Serial sampler of iid-input MI blocks [b0, b0 + out.size()): each block
-/// generates tx/rx on its own substream of `root`, then both the
-/// point-prior conditional and the uniform-prior marginal sweep the
-/// lattice — in lockstep tiles aligned to global multiples of `batch`
-/// counted from block 0 (batch <= 1 routes to the scalar engine). The
-/// alignment makes the tile partition a function of the block indices
-/// alone, so any carve-up of [0, N) into ranges produces the same sweeps.
+/// generates tx/rx on its own substream of `root`, then the point-prior
+/// conditional sweeps the lattice — in lockstep tiles aligned to global
+/// multiples of `batch` counted from block 0 (batch <= 1 routes to the
+/// scalar engine). The alignment makes the tile partition a function of
+/// the block indices alone, so any carve-up of [0, N) into ranges produces
+/// the same sweeps. The uniform-prior marginal is read from the length
+/// memo; a tile with misses runs one marginal pass whose lanes are the
+/// distinct missing lengths plus the uncached lengths nearest them (zero
+/// symbols: the evidence reads only the length). Batched lanes are
+/// bit-identical to scalar passes, so every value — cached or not — has
+/// the bits of a full pass on the block itself. With the memo disabled
+/// the tile sweeps its own received sequences, one lane per block.
 /// One leased workspace per call: the lattice passes reuse the same
 /// arenas, allocation-free at steady state.
 struct IidBlockSampler {
@@ -232,6 +301,7 @@ struct IidBlockSampler {
     const util::Matrix& priors;
     std::size_t block_len;
     std::size_t batch;
+    MarginalLengthMemo& memo;
 
     void operator()(std::uint64_t root, std::size_t b0, std::span<double> out) const {
         const unsigned m = params.alphabet;
@@ -244,14 +314,12 @@ struct IidBlockSampler {
                 const std::vector<std::uint8_t> rx =
                     simulate_drift_channel(tx, params, block_rng);
                 const double log_cond = hmm.log2_likelihood(tx, rx, ws);
-                const double log_marg =
-                    hmm.log2_prior_marginal_banded(priors, rx, ws).log2_evidence;
-                // Non-finite = the block fell outside the lattice
-                // truncation; score it zero information, preserving the
-                // lower-bound semantics.
-                out[i] = (std::isfinite(log_cond) && std::isfinite(log_marg))
-                             ? (log_cond - log_marg) / static_cast<double>(block_len)
-                             : 0.0;
+                double log_marg = 0.0;
+                if (!memo.lookup(rx.size(), log_marg)) {
+                    log_marg = hmm.log2_prior_marginal_banded(priors, rx, ws).log2_evidence;
+                    memo.store(rx.size(), log_marg);
+                }
+                out[i] = sample(log_cond, log_marg);
             }
             return;
         }
@@ -272,17 +340,72 @@ struct IidBlockSampler {
                 rxv[i] = rx[i];
             }
             const std::vector<BandedEvidence> cond = hmm.log2_likelihood_batch(txv, rxv, ws);
-            const std::vector<BandedEvidence> marg =
-                hmm.log2_prior_marginal_batch(priors, rxv, ws);
-            for (std::size_t i = 0; i < lanes; ++i) {
-                const double log_cond = cond[i].log2_evidence;
-                const double log_marg = marg[i].log2_evidence;
-                out[pos + i] = (std::isfinite(log_cond) && std::isfinite(log_marg))
-                                   ? (log_cond - log_marg) / static_cast<double>(block_len)
-                                   : 0.0;
-            }
+            const std::vector<double> marg = tile_marginals(rxv, ws);
+            for (std::size_t i = 0; i < lanes; ++i)
+                out[pos + i] = sample(cond[i].log2_evidence, marg[i]);
             pos += lanes;
         }
+    }
+
+private:
+    /// Information per input symbol of one block. A non-finite evidence
+    /// means the block fell outside the lattice truncation: score it zero
+    /// information, preserving the lower-bound semantics.
+    [[nodiscard]] double sample(double log_cond, double log_marg) const {
+        return (std::isfinite(log_cond) && std::isfinite(log_marg))
+                   ? (log_cond - log_marg) / static_cast<double>(block_len)
+                   : 0.0;
+    }
+
+    /// Marginal log2-evidence of each lane of a tile, at most one lattice
+    /// pass.
+    std::vector<double> tile_marginals(std::span<const DriftHmm::SymbolSpan> rxv,
+                                       LatticeWorkspace& ws) const {
+        const std::size_t lanes = rxv.size();
+        std::vector<double> marg(lanes);
+        if (!memo.enabled()) {
+            const std::vector<BandedEvidence> full =
+                hmm.log2_prior_marginal_batch(priors, rxv, ws);
+            for (std::size_t i = 0; i < lanes; ++i) marg[i] = full[i].log2_evidence;
+            return marg;
+        }
+        std::vector<std::size_t> lengths;  // distinct missing lengths, then spares
+        for (std::size_t i = 0; i < lanes; ++i)
+            if (!memo.lookup(rxv[i].size(), marg[i]) &&
+                std::find(lengths.begin(), lengths.end(), rxv[i].size()) == lengths.end())
+                lengths.push_back(rxv[i].size());
+        if (lengths.empty()) return marg;
+        // Spare lanes ride the same pass: fill them with the uncached
+        // lengths nearest the misses, the likeliest next requests.
+        const std::size_t misses = lengths.size();
+        const auto add_spare = [&](std::size_t len) {
+            double cached = 0.0;
+            if (lengths.size() < lanes && len < memo.size() && !memo.lookup(len, cached) &&
+                std::find(lengths.begin(), lengths.end(), len) == lengths.end())
+                lengths.push_back(len);
+        };
+        for (std::size_t d = 1; d < memo.size() && lengths.size() < lanes; ++d)
+            for (std::size_t k = 0; k < misses; ++k) {
+                const std::size_t miss = lengths[k];
+                if (miss >= d) add_spare(miss - d);
+                add_spare(miss + d);
+            }
+        const std::vector<std::uint8_t> zeros(*std::max_element(lengths.begin(), lengths.end()),
+                                              0);
+        std::vector<DriftHmm::SymbolSpan> spans;
+        spans.reserve(lengths.size());
+        for (const std::size_t len : lengths) spans.emplace_back(zeros.data(), len);
+        const std::vector<BandedEvidence> pass =
+            hmm.log2_prior_marginal_batch(priors, spans, ws);
+        for (std::size_t k = 0; k < lengths.size(); ++k)
+            memo.store(lengths[k], pass[k].log2_evidence);
+        for (std::size_t i = 0; i < lanes; ++i) {
+            const std::size_t k = static_cast<std::size_t>(
+                std::find(lengths.begin(), lengths.begin() + misses, rxv[i].size()) -
+                lengths.begin());
+            if (k < misses) marg[i] = pass[k].log2_evidence;
+        }
+        return marg;
     }
 };
 
@@ -365,7 +488,8 @@ MiEstimate iid_mutual_information_rate(const DriftParams& params, const McOption
     const util::Matrix uniform_priors(opts.block_len, params.alphabet,
                                       1.0 / static_cast<double>(params.alphabet));
     const std::size_t batch = resolved_mc_batch(opts, params);
-    const IidBlockSampler sampler{hmm, params, uniform_priors, opts.block_len, batch};
+    MarginalLengthMemo memo(hmm, uniform_priors);
+    const IidBlockSampler sampler{hmm, params, uniform_priors, opts.block_len, batch, memo};
     return adaptive_mc_estimate(opts, batch, rng, sampler);
 }
 
@@ -533,6 +657,7 @@ struct PointCtx {
     DriftParams params;        ///< the channel the blocks sample
     DriftHmm hmm;              ///< built from effective_params (band override)
     util::Matrix priors;       ///< uniform input priors for the marginal pass
+    MarginalLengthMemo memo;   ///< marginal evidence by received length, all rounds
     std::size_t batch;         ///< resolved lockstep tile width for this point
     std::uint64_t root;        ///< Rng(point.seed).next(), as standalone would draw
     util::CompensatedStats stats;
@@ -675,8 +800,10 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
         pt.params.validate();
         const unsigned m = pt.params.alphabet;
         util::Rng rng(pt.seed);
-        ctx.push_back(PointCtx{pt.params, DriftHmm(effective_params(pt.params, opts)),
-                               util::Matrix(opts.block_len, m, 1.0 / static_cast<double>(m)),
+        DriftHmm hmm(effective_params(pt.params, opts));
+        util::Matrix priors(opts.block_len, m, 1.0 / static_cast<double>(m));
+        MarginalLengthMemo memo(hmm, priors);
+        ctx.push_back(PointCtx{pt.params, std::move(hmm), std::move(priors), std::move(memo),
                                resolved_mc_batch(opts, pt.params), rng.next(),
                                util::CompensatedStats{}, 0, false});
     }
@@ -686,7 +813,8 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
     // a standalone run would, so (point, spent) determines the estimate.
     const auto run_blocks = [&](PointCtx& c, std::size_t n) {
         std::vector<double> samples(n);
-        const IidBlockSampler sampler{c.hmm, c.params, c.priors, opts.block_len, c.batch};
+        const IidBlockSampler sampler{c.hmm,          c.params, c.priors,
+                                      opts.block_len, c.batch,  c.memo};
         sampler(c.root, c.spent, samples);
         for (double v : samples) c.stats.add(v);
         c.spent += n;
@@ -712,7 +840,10 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
                 continue;
             }
             const double sd = c.stats.stddev();
-            const double predicted = (sd / opts.target_sem) * (sd / opts.target_sem);
+            // Clamped to the cap before the integer cast: a tiny target
+            // makes (sd / target)^2 overflow size_t, or reach infinity.
+            const double predicted = std::min((sd / opts.target_sem) * (sd / opts.target_sem),
+                                              static_cast<double>(cap));
             std::size_t deficit =
                 predicted > static_cast<double>(c.spent)
                     ? static_cast<std::size_t>(std::ceil(predicted)) - c.spent

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -160,6 +161,86 @@ TEST(BatchLattice, PriorMarginalBitIdenticalToScalarPerLane) {
             double via_posteriors = 0.0;
             (void)hmm.posteriors(priors, lanes.rx[b], scalar_ws, &via_posteriors);
             EXPECT_EQ(got[b].log2_evidence, via_posteriors) << "lane " << b;
+        }
+    }
+}
+
+// The length memo of the iid Monte-Carlo sampler (deletion_bounds.cpp,
+// docs/THEORY.md section 17) rests on this: under uniform binary priors
+// both received symbols get the same prior emission factor, so the exact
+// marginal evidence of a received sequence depends on its length alone —
+// bit for bit, on the scalar engine and on every batched lane.
+TEST(BatchLattice, UniformPriorMarginalDependsOnlyOnLength) {
+    const std::size_t n = 40;
+    const Matrix uniform(n, 2, 0.5);
+    const DriftParams configs[] = {
+        {0.12, 0.06, 0.03, 2, 10, 6},
+        {0.3, 0.0, 0.0, 2, 12, 6},
+        {0.0, 0.2, 0.1, 2, 12, 6},
+        {0.25, 0.25, 0.0, 2, 16, 8},
+    };
+    constexpr std::size_t kPerLength = 6;
+    Rng rng(0x1E46);
+    for (const DriftParams& params : configs) {
+        const DriftHmm hmm(params);
+        for (std::size_t m : {std::size_t{0}, n - 9, n - 1, n, n + 3, n + 10, 2 * n + 5}) {
+            std::vector<std::vector<std::uint8_t>> rx(kPerLength, std::vector<std::uint8_t>(m));
+            for (auto& seq : rx)
+                for (auto& s : seq) s = static_cast<std::uint8_t>(rng.uniform_below(2));
+            std::vector<SymbolSpan> spans(rx.begin(), rx.end());
+            LatticeWorkspace batch_ws, scalar_ws;
+            const std::vector<BandedEvidence> batched =
+                hmm.log2_prior_marginal_batch(uniform, spans, batch_ws);
+            const double want = hmm.log2_prior_marginal_banded(uniform, rx[0], scalar_ws)
+                                    .log2_evidence;
+            for (std::size_t k = 0; k < kPerLength; ++k) {
+                const BandedEvidence scalar =
+                    hmm.log2_prior_marginal_banded(uniform, rx[k], scalar_ws);
+                EXPECT_EQ(scalar.log2_evidence, want)
+                    << "m=" << m << " sequence " << k << " p_d=" << params.p_d;
+                EXPECT_EQ(batched[k].log2_evidence, want)
+                    << "m=" << m << " lane " << k << " p_d=" << params.p_d;
+            }
+        }
+    }
+}
+
+// Deletion-only channel, iid uniform binary inputs: |Y| ~ Binomial(n,
+// 1 - p_d) and all 2^m sequences of one length are equally likely, so
+//   log2 P(y) = log2 C(n, m) + m log2(1 - p_d) + (n - m) log2 p_d - m.
+// At m >= n - max_drift the drift clamp truncates nothing, and the
+// lattice must reproduce the closed form.
+TEST(BatchLattice, DeletionOnlyMarginalMatchesBinomialOracle) {
+    const std::size_t n = 128;
+    const Matrix uniform(n, 2, 0.5);
+    for (double p_d : {0.05, 0.2, 0.45}) {
+        const DriftParams params{p_d, 0.0, 0.0, 2, 48, 10};
+        const DriftHmm hmm(params);
+        const auto max_drift = static_cast<std::size_t>(params.max_drift);
+        std::vector<std::vector<std::uint8_t>> rx;
+        Rng rng(0xB10 + static_cast<std::uint64_t>(p_d * 100));
+        for (std::size_t m = n - max_drift; m <= n; m += 8) {
+            std::vector<std::uint8_t> seq(m);
+            for (auto& s : seq) s = static_cast<std::uint8_t>(rng.uniform_below(2));
+            rx.push_back(std::move(seq));
+        }
+        std::vector<SymbolSpan> spans(rx.begin(), rx.end());
+        LatticeWorkspace batch_ws, scalar_ws;
+        const std::vector<BandedEvidence> batched =
+            hmm.log2_prior_marginal_batch(uniform, spans, batch_ws);
+        for (std::size_t k = 0; k < rx.size(); ++k) {
+            const auto m = static_cast<double>(rx[k].size());
+            const double nn = static_cast<double>(n);
+            const double log2_binom =
+                (std::lgamma(nn + 1.0) - std::lgamma(m + 1.0) - std::lgamma(nn - m + 1.0)) /
+                std::log(2.0);
+            const double oracle =
+                log2_binom + m * std::log2(1.0 - p_d) + (nn - m) * std::log2(p_d) - m;
+            const double scalar =
+                hmm.log2_prior_marginal_banded(uniform, rx[k], scalar_ws).log2_evidence;
+            EXPECT_NEAR(scalar, oracle, 1e-9 * std::abs(oracle)) << "m=" << m << " p_d=" << p_d;
+            EXPECT_NEAR(batched[k].log2_evidence, oracle, 1e-9 * std::abs(oracle))
+                << "m=" << m << " p_d=" << p_d;
         }
     }
 }

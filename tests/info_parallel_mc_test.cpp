@@ -6,12 +6,16 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ccap/info/deletion_bounds.hpp"
+#include "ccap/info/lattice_engine.hpp"
 #include "ccap/util/cpu_features.hpp"
 #include "ccap/util/rng.hpp"
+#include "ccap/util/stats.hpp"
 
 namespace {
 
@@ -147,6 +151,165 @@ TEST(ParallelMcDeterminism, BatchedBandedRateInvariantInThreadCount) {
         opts.threads = threads;
         Rng rng(0xABCD);
         expect_bit_identical(serial, iid_mutual_information_rate(p, opts, rng));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Length memo of the uniform-prior marginal (docs/THEORY.md section 17).
+// The reference below is the iid sampler and scheduler as they were before
+// the memo: one full marginal lattice pass per block, tiles aligned to
+// global multiples of the batch. The production estimators must reproduce
+// it bit for bit on both entry points; banded runs bypass the memo and
+// must match it too, tile union bands included.
+// ---------------------------------------------------------------------------
+
+/// Samples of blocks [b0, b0 + out.size()), one full marginal pass each.
+void reference_iid_samples(const DriftHmm& hmm, const DriftParams& params,
+                           const ccap::util::Matrix& priors, std::size_t block_len,
+                           std::size_t batch, std::uint64_t root, std::size_t b0,
+                           std::span<double> out) {
+    const unsigned m = params.alphabet;
+    LatticeWorkspace ws;
+    const auto sample = [&](double log_cond, double log_marg) {
+        return (std::isfinite(log_cond) && std::isfinite(log_marg))
+                   ? (log_cond - log_marg) / static_cast<double>(block_len)
+                   : 0.0;
+    };
+    const auto draw = [&](std::size_t b, std::vector<std::uint8_t>& tx) {
+        Rng block_rng(ccap::util::substream_seed(root, b));
+        tx.resize(block_len);
+        for (auto& s : tx) s = static_cast<std::uint8_t>(block_rng.uniform_below(m));
+        return simulate_drift_channel(tx, params, block_rng);
+    };
+    if (batch <= 1) {
+        std::vector<std::uint8_t> tx;
+        for (std::size_t i = 0; i < out.size(); ++i) {
+            const std::vector<std::uint8_t> rx = draw(b0 + i, tx);
+            out[i] = sample(hmm.log2_likelihood(tx, rx, ws),
+                            hmm.log2_prior_marginal_banded(priors, rx, ws).log2_evidence);
+        }
+        return;
+    }
+    std::size_t pos = 0;
+    while (pos < out.size()) {
+        const std::size_t b = b0 + pos;
+        const std::size_t lanes = std::min(out.size() - pos, (b / batch + 1) * batch - b);
+        std::vector<std::vector<std::uint8_t>> tx(lanes), rx(lanes);
+        for (std::size_t i = 0; i < lanes; ++i) rx[i] = draw(b + i, tx[i]);
+        const std::vector<DriftHmm::SymbolSpan> txv(tx.begin(), tx.end());
+        const std::vector<DriftHmm::SymbolSpan> rxv(rx.begin(), rx.end());
+        const std::vector<BandedEvidence> cond = hmm.log2_likelihood_batch(txv, rxv, ws);
+        const std::vector<BandedEvidence> marg = hmm.log2_prior_marginal_batch(priors, rxv, ws);
+        for (std::size_t i = 0; i < lanes; ++i)
+            out[pos + i] = sample(cond[i].log2_evidence, marg[i].log2_evidence);
+        pos += lanes;
+    }
+}
+
+/// Reference for one point: iid_mutual_information_rate's round loop
+/// (points == false) or the independent-streams pilot + Neyman top-up
+/// schedule of iid_mutual_information_rate_points (points == true).
+MiEstimate reference_iid_estimate(const DriftParams& params, const McOptions& opts,
+                                  std::uint64_t seed, bool points) {
+    DriftParams eff = params;
+    if (opts.band_eps > 0.0) eff.band_eps = opts.band_eps;
+    const DriftHmm hmm(eff);
+    const ccap::util::Matrix priors(opts.block_len, params.alphabet,
+                                    1.0 / static_cast<double>(params.alphabet));
+    const std::size_t batch = resolved_mc_batch(opts, params);
+    const std::uint64_t root = Rng(seed).next();
+    const bool adaptive = opts.target_sem > 0.0;
+    const std::size_t cap = mc_block_cap(opts);
+    const std::size_t round = mc_round_blocks(opts);
+    ccap::util::CompensatedStats stats;
+    std::size_t spent = 0;
+    const auto run = [&](std::size_t n) {
+        std::vector<double> samples(n);
+        reference_iid_samples(hmm, params, priors, opts.block_len, batch, root, spent, samples);
+        for (double v : samples) stats.add(v);
+        spent += n;
+    };
+    bool converged = false;
+    if (!points) {
+        while (spent < cap) {
+            run(std::min(cap, spent + (adaptive ? round : cap)) - spent);
+            if (adaptive && stats.sem() <= opts.target_sem) {
+                converged = true;
+                break;
+            }
+        }
+    } else {
+        run(std::min(round, cap));
+        while (adaptive && spent < cap) {
+            if (stats.sem() <= opts.target_sem) {
+                converged = true;
+                break;
+            }
+            const double sd = stats.stddev();
+            const double predicted = std::min((sd / opts.target_sem) * (sd / opts.target_sem),
+                                              static_cast<double>(cap));
+            std::size_t deficit = predicted > static_cast<double>(spent)
+                                      ? static_cast<std::size_t>(std::ceil(predicted)) - spent
+                                      : 1;
+            deficit = (deficit + round - 1) / round * round;
+            run(std::min(deficit, cap - spent));
+        }
+    }
+    converged = !adaptive || converged || stats.sem() <= opts.target_sem;
+    return {std::max(0.0, stats.mean()), stats.sem(), spent, opts.block_len, converged};
+}
+
+TEST(ParallelMcDeterminism, LengthMemoBitIdenticalToFullMarginalPasses) {
+    // Binary channels take the memo; the P_i = 0.6 point pushes received
+    // lengths past the memo's range, so uncached lanes ride the tile pass.
+    // The quaternary points' prior emission sums round alike for every
+    // symbol (memo); the ternary point's do not (full passes). Banded runs
+    // must bypass the memo entirely; the band is wide enough that a tile's
+    // union band really prunes, so a banded memo would change bits.
+    const DriftParams params[] = {
+        {0.12, 0.04, 0.02, 2, 24, 6},
+        {0.3, 0.1, 0.0, 2, 16, 6},
+        {0.05, 0.6, 0.01, 2, 24, 6},
+        {0.1, 0.05, 0.0, 4, 24, 6},
+        {0.1, 0.05, 0.03, 4, 24, 6},
+        {0.1, 0.05, 0.02, 3, 24, 6},
+    };
+    const unsigned nproc = std::max(1U, std::thread::hardware_concurrency());
+    for (double band_eps : {0.0, 0.1}) {
+        for (double target_sem : {0.0, 0.02}) {
+            McOptions opts;
+            opts.block_len = 32;
+            opts.num_blocks = 10;
+            opts.target_sem = target_sem;
+            opts.max_blocks = 90;
+            opts.band_eps = band_eps;
+            std::vector<CapacityPoint> pts;
+            for (std::size_t k = 0; k < std::size(params); ++k)
+                pts.push_back({params[k], 0x3E30 + k});
+            for (unsigned threads : {1U, nproc}) {
+                for (std::size_t batch : {std::size_t{1}, std::size_t{0}}) {
+                    opts.threads = threads;
+                    opts.batch = batch;
+                    const std::vector<MiEstimate> got =
+                        iid_mutual_information_rate_points(pts, opts);
+                    ASSERT_EQ(got.size(), pts.size());
+                    for (std::size_t k = 0; k < pts.size(); ++k) {
+                        SCOPED_TRACE(::testing::Message()
+                                     << "point " << k << " band_eps " << band_eps
+                                     << " target " << target_sem << " threads " << threads
+                                     << " batch " << batch);
+                        expect_bit_identical(
+                            got[k], reference_iid_estimate(pts[k].params, opts, pts[k].seed,
+                                                           /*points=*/true));
+                        Rng rng(pts[k].seed);
+                        expect_bit_identical(
+                            iid_mutual_information_rate(pts[k].params, opts, rng),
+                            reference_iid_estimate(pts[k].params, opts, pts[k].seed,
+                                                   /*points=*/false));
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -445,6 +608,26 @@ TEST(ParallelMcAdaptivePoints, ThreadCountDoesNotChangeSpentCountsOrBits) {
         ASSERT_EQ(par.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i)
             expect_bit_identical(serial[i], par[i]);
+    }
+}
+
+TEST(ParallelMcAdaptivePoints, TinyTargetSemClampsDeficitToCap) {
+    // (sd / target)^2 is past 2^64 at 1e-11 and infinite at 1e-200: the
+    // Neyman deficit must clamp to the cap before its integer cast (UBSan
+    // float-cast-overflow otherwise), spend exactly the cap and report the
+    // point unconverged.
+    const std::vector<CapacityPoint> pts{{DriftParams{0.2, 0.05, 0.02, 2, 16, 6}, 77}};
+    for (double target : {1e-11, 1e-200}) {
+        McOptions opts;
+        opts.block_len = 16;
+        opts.num_blocks = 4;
+        opts.target_sem = target;
+        opts.max_blocks = 40;
+        const std::vector<MiEstimate> out = iid_mutual_information_rate_points(pts, opts);
+        ASSERT_EQ(out.size(), 1u);
+        EXPECT_EQ(out[0].blocks, mc_block_cap(opts)) << "target " << target;
+        EXPECT_EQ(out[0].blocks, 40u);
+        EXPECT_FALSE(out[0].converged) << "target " << target;
     }
 }
 

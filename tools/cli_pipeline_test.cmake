@@ -166,6 +166,57 @@ if(NOT contend_out_1 STREQUAL contend_out_4)
     "contend stdout differs between --threads 1 and 4:\n${contend_out_1}\nvs\n${contend_out_4}")
 endif()
 
+# sweep identity: the adaptive Monte-Carlo column reads the uniform-prior
+# marginal from a per-point memo keyed by received length, yet stdout must
+# be byte-identical at one worker and at four, on the scalar one-lane
+# path (--mc-batch 1), and with the dispatch pinned to the scalar kernels.
+set(sweep_cmd ${CCAP_BIN} sweep --mi-blocks 4 --mi-block-len 32 --mc-target-sem 0.05)
+set(sweep_variant_t1 ${sweep_cmd} --threads 1)
+set(sweep_variant_t4 ${sweep_cmd} --threads 4)
+set(sweep_variant_batch1 ${sweep_cmd} --threads 4 --mc-batch 1)
+set(sweep_variant_scalar ${CMAKE_COMMAND} -E env CCAP_SIMD=scalar ${sweep_cmd} --threads 4)
+foreach(variant t1 t4 batch1 scalar)
+  execute_process(
+    COMMAND ${sweep_variant_${variant}}
+    OUTPUT_VARIABLE sweep_out_${variant}
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "sweep (${variant}) failed: ${rc} (${err})")
+  endif()
+endforeach()
+if(NOT sweep_out_t1 MATCHES "p_d,p_i,thm5_lower,exact,thm1_upper,degraded,mc_mi")
+  message(FATAL_ERROR "sweep printed no CSV: ${sweep_out_t1}")
+endif()
+foreach(variant t4 batch1 scalar)
+  if(NOT sweep_out_t1 STREQUAL sweep_out_${variant})
+    message(FATAL_ERROR
+      "sweep stdout differs between t1 and ${variant}:\n${sweep_out_t1}\nvs\n${sweep_out_${variant}}")
+  endif()
+endforeach()
+
+# mi thread identity: the single-point estimator runs its tiles
+# concurrently against one shared length memo. stdout must agree at one
+# worker and at four once the reported worker count is masked.
+foreach(workers 1 4)
+  execute_process(
+    COMMAND ${CCAP_BIN} mi --pd 0.2 --pi 0.1 --ps 0.02 --block 32 --blocks 4
+            --mc-target-sem 0.02 --threads ${workers}
+    OUTPUT_VARIABLE mi_out_${workers}
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "mi --threads ${workers} failed: ${rc} (${err})")
+  endif()
+  string(REGEX REPLACE "threads: [0-9]+" "threads: N" mi_out_${workers} "${mi_out_${workers}}")
+endforeach()
+if(NOT mi_out_1 MATCHES "achievable rate: ")
+  message(FATAL_ERROR "mi printed no rate: ${mi_out_1}")
+endif()
+if(NOT mi_out_1 STREQUAL mi_out_4)
+  message(FATAL_ERROR "mi stdout differs between --threads 1 and 4:\n${mi_out_1}\nvs\n${mi_out_4}")
+endif()
+
 # analyze SIMD identity: the MLE search scores its blocks on the
 # dispatched lane kernels, yet stdout must be byte-identical on the
 # default path and with the dispatch pinned to the scalar kernels.
