@@ -15,8 +15,8 @@
 // band_eps = 0 (memcmp on the doubles), and in banded mode the realized
 // per-lane error is asserted within the certified slack — both are exit-1
 // violations, so the timing numbers can never come from a wrong kernel.
-// An end-to-end iid Monte-Carlo timing (McOptions::batch 1 vs auto) closes
-// the loop on the estimator the batch engine was built for.
+// An end-to-end iid Monte-Carlo timing at the auto tile closes the loop on
+// the estimator the batch engine was built for.
 //
 // Emits BENCH_JSON and persists BENCH_batch_lattice.json (gated by
 // scripts/bench_compare.py); `--smoke` writes BENCH_batch_lattice_smoke.json
@@ -257,26 +257,16 @@ int main(int argc, char** argv) {
         opts.num_blocks = num_blocks;
         opts.threads = 1;
 
-        const auto run_mc = [&](std::size_t batch) {
-            opts.batch = batch;
-            ccap::util::Rng rng(0xE14);
-            ccap::bench::WallTimer timer;
-            const MiEstimate est = iid_mutual_information_rate(params, opts, rng);
-            const double sec = timer.seconds();
-            if (est.rate == -1.0) std::printf("# impossible\n");
-            return sec * 1e9 / static_cast<double>(block_len * num_blocks);
-        };
-        const double mc_scalar_ns = run_mc(1);
-        const double mc_auto_ns = run_mc(0);
+        ccap::util::Rng rng(0xE14);
+        ccap::bench::WallTimer timer;
+        const MiEstimate est = iid_mutual_information_rate(params, opts, rng);
+        const double mc_ns = timer.seconds() * 1e9 / static_cast<double>(block_len * num_blocks);
+        if (est.rate == -1.0) std::printf("# impossible\n");
         const std::size_t auto_batch = resolved_mc_batch(opts, params);
-        std::printf("  iid MC (n=%zu, blocks=%zu, 1 thread): scalar %.1f ns/sym, "
-                    "batch=%zu %.1f ns/sym (%.2fx)\n",
-                    block_len, num_blocks, mc_scalar_ns, auto_batch, mc_auto_ns,
-                    mc_scalar_ns / mc_auto_ns);
-        json.field("mc_scalar_ns_sym", mc_scalar_ns);
-        json.field("mc_batch_ns_sym", mc_auto_ns);
+        std::printf("  iid MC (n=%zu, blocks=%zu, 1 thread): batch=%zu %.1f ns/sym\n",
+                    block_len, num_blocks, auto_batch, mc_ns);
+        json.field("mc_batch_ns_sym", mc_ns);
         json.field("mc_auto_batch", static_cast<std::uint64_t>(auto_batch));
-        json.field("mc_speedup", mc_scalar_ns / mc_auto_ns);
     }
 
     json.field("bit_identical", all_identical ? 1 : 0);

@@ -2,8 +2,8 @@
 //
 // The contention engine (sched/contention.hpp) maps offered load onto
 // per-flow effective channel parameters and then onto capacity. The naive
-// realization evaluates one Monte-Carlo lattice estimate per flow on the
-// scalar path; the engine instead collapses flows onto quantized grid
+// realization evaluates one Monte-Carlo lattice estimate per flow, with no
+// memoization; the engine instead collapses flows onto quantized grid
 // nodes (a few dozen for any realistic load mix), evaluates each node once
 // through the SIMD batch engine, and memoizes nodes in the sharded
 // capacity cache. This harness measures what that buys in flows/sec at
@@ -14,7 +14,7 @@
 //   * full run bit-identical at 1 vs 8 worker threads,
 //   * bit-identical with the capacity cache on vs off,
 //   * the fast path (dedup + cache + SIMD tiles) bit-identical to the
-//     naive per-flow scalar path (node seeds derive from node keys, so
+//     naive per-flow uncached path (node seeds derive from node keys, so
 //     both compute the same estimates).
 //
 // Emits BENCH_JSON and persists BENCH_contention.json (gated by
@@ -46,10 +46,7 @@ CapacityCache::Config cache_config(bool fast, std::size_t block_len,
     cc.mc.block_len = block_len;
     cc.mc.num_blocks = num_blocks;
     cc.mc.threads = 1;
-    if (!fast) {
-        cc.enabled = false;  // no memoization
-        cc.mc.batch = 1;     // one-block-at-a-time lattice sweeps
-    }
+    if (!fast) cc.enabled = false;  // no memoization
     return cc;
 }
 
@@ -132,7 +129,7 @@ int main(int argc, char** argv) {
     json.field("cache_identical", cache_identical ? 1 : 0);
     json.field("naive_identical", naive_identical ? 1 : 0);
 
-    // ---- Throughput: naive per-flow scalar vs memoized SIMD path ----------
+    // ---- Throughput: naive per-flow uncached vs memoized path -------------
     ContentionConfig cfg = base;
     cfg.flows = bench_flows;
     cfg.ticks = bench_ticks;
@@ -169,11 +166,11 @@ int main(int argc, char** argv) {
     const double speedup = naive_sec / fast_cold_sec;
     std::printf("  %zu flows, %llu ticks (simulate alone: %.2fs)\n", bench_flows,
                 static_cast<unsigned long long>(bench_ticks), sim_sec);
-    std::printf("  naive per-flow scalar: %8.2fs  %12.0f flows/sec\n", naive_sec,
+    std::printf("  naive per-flow uncached: %8.2fs  %12.0f flows/sec\n", naive_sec,
                 flows_d / naive_sec);
-    std::printf("  memoized cold cache:   %8.2fs  %12.0f flows/sec  (%.2fx)\n",
+    std::printf("  memoized cold cache:     %8.2fs  %12.0f flows/sec  (%.2fx)\n",
                 fast_cold_sec, flows_d / fast_cold_sec, speedup);
-    std::printf("  memoized warm cache:   %8.2fs  %12.0f flows/sec  (%.2fx)\n",
+    std::printf("  memoized warm cache:     %8.2fs  %12.0f flows/sec  (%.2fx)\n",
                 fast_warm_sec, flows_d / fast_warm_sec, naive_sec / fast_warm_sec);
     std::printf("  distinct capacity nodes: %zu of %zu flows, identical: %s\n",
                 fast_cold.distinct_nodes, bench_flows, bench_identical ? "yes" : "NO");

@@ -124,26 +124,23 @@ int main(int argc, char** argv) {
         indep_identical = indep_identical && bit_identical(out_indep[i], standalone);
     }
 
-    // Gate 2: the CRN sweep is invariant in threads x batch x point_tile.
+    // Gate 2: the CRN sweep is invariant in threads x point_tile.
     const std::vector<MiEstimate> out_crn =
         ccap::info::iid_mutual_information_rate_points(pts, crn);
     bool crn_invariant = true;
     for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-        for (std::size_t batch : {std::size_t{0}, std::size_t{3}, std::size_t{64}}) {
-            for (std::size_t width :
-                 {std::size_t{1}, std::size_t{4}, pts.size(), ccap::info::kMcPointTileAuto}) {
-                McOptions variant = crn;
-                variant.threads = threads;
-                variant.batch = batch;
-                variant.point_tile = width;
-                crn_invariant = crn_invariant &&
-                                sweeps_identical(out_crn,
-                                                 ccap::info::iid_mutual_information_rate_points(
-                                                     pts, variant));
-            }
+        for (std::size_t width :
+             {std::size_t{1}, std::size_t{4}, pts.size(), ccap::info::kMcPointTileAuto}) {
+            McOptions variant = crn;
+            variant.threads = threads;
+            variant.point_tile = width;
+            crn_invariant =
+                crn_invariant &&
+                sweeps_identical(out_crn,
+                                 ccap::info::iid_mutual_information_rate_points(pts, variant));
         }
     }
-    std::printf("  identity: independent-vs-per-point %s, crn threads x batch x tile %s\n",
+    std::printf("  identity: independent-vs-per-point %s, crn threads x tile %s\n",
                 indep_identical ? "yes" : "NO", crn_invariant ? "yes" : "NO");
     json.field("indep_identical", indep_identical ? 1 : 0);
     json.field("crn_invariant", crn_invariant ? 1 : 0);

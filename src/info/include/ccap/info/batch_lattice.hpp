@@ -61,7 +61,7 @@
 // log2_prior_marginal_batch in drift_hmm.hpp, implemented in
 // batch_lattice.cpp) and the per-lane-parameter functions below wrap this
 // engine. deletion_bounds.cpp feeds each Monte-Carlo thread's blocks
-// through them in McOptions::batch-sized tiles, and the MLE parameter
+// through them in tiles of resolved_mc_batch lanes, and the MLE parameter
 // search (estimate_params_mle, param_estimator.cpp) scores each
 // candidate's trace blocks as the lanes of one log2_likelihood_batch call
 // per run of equal sent length.

@@ -73,18 +73,12 @@ struct McOptions {
     /// When > 0, overrides DriftParams::band_eps for the lattice passes:
     /// adaptive-band pruning with a certified slack (lattice_engine.hpp).
     /// Banding only lowers per-block evidences, so the estimate keeps its
-    /// lower-bound semantics. 0 keeps the params' own setting.
+    /// lower-bound semantics. 0 keeps the params' own setting. The blocks
+    /// of one lockstep tile (resolved_mc_batch lanes) share a union band,
+    /// which may prune slightly less than banding each block alone — never
+    /// more — so banded bits can follow the tile width; exact bits
+    /// (band_eps = 0) never do.
     double band_eps = 0.0;
-    /// Lattice lanes advanced in lockstep per Monte-Carlo tile
-    /// (batch_lattice.hpp): each thread's blocks are fed through the
-    /// batched structure-of-arrays engine in tiles of this many blocks.
-    /// 0 picks a cache-friendly tile automatically; 1 forces the scalar
-    /// one-block-at-a-time path. Block seeding is per block, not per
-    /// tile, and batched lanes are bit-identical to scalar sweeps at
-    /// band_eps = 0, so the estimate does not depend on this knob (with
-    /// band_eps > 0 the shared union band may prune slightly less than
-    /// scalar banding — never more, so the lower bound stands).
-    std::size_t batch = 0;
     /// Adaptive precision. 0 (default) = fixed mode: exactly num_blocks
     /// blocks run, bit-identical to the historical behavior. > 0: blocks
     /// run in rounds of num_blocks (mc_round_blocks), and after each round
@@ -93,11 +87,10 @@ struct McOptions {
     /// is only inspected at round boundaries of the deterministic
     /// compensated fold (util::CompensatedStats), so the stopping time —
     /// and hence the whole MiEstimate — is a pure function of (root seed,
-    /// options, params): bit-identical at every thread count and batch
-    /// size, exactly like the fixed mode. (Caveat shared with `batch`:
-    /// with band_eps > 0, round and grant boundaries can split a lockstep
-    /// union-band tile, which may prune slightly less than one fused tile
-    /// — never more, so the lower bound stands.)
+    /// options, params): bit-identical at every thread count, exactly like
+    /// the fixed mode. (With band_eps > 0, round and grant boundaries can
+    /// split a lockstep union-band tile, which may prune slightly less than
+    /// one fused tile — never more, so the lower bound stands.)
     double target_sem = 0.0;
     /// Adaptive-mode total block cap; 0 picks 64 rounds' worth
     /// (64 * mc_round_blocks). Ignored in fixed mode.
@@ -118,10 +111,10 @@ struct McOptions {
     /// (PointSweepReport; docs/THEORY.md section 15). The shared tape is
     /// rooted at the FIRST point's seed (see crn_root); every point keeps
     /// its exact marginal block law, and estimates are bit-identical at
-    /// every thread count, batch and point_tile width (band_eps = 0; with
-    /// banding the shared union band carries the same tile caveat as
-    /// `batch`). Requires all points to share alphabet, max_drift and
-    /// max_insert_run. Ignored by the single-point estimators.
+    /// every thread count and point_tile width (band_eps = 0; with banding
+    /// the shared union band carries the target_sem tile caveat). Requires
+    /// all points to share alphabet, max_drift, max_insert_run and
+    /// effective band_eps. Ignored by the single-point estimators.
     std::size_t point_tile = 0;
     /// Explicit root for the CRN variate tapes. 0 (default) derives the
     /// root from the first point's seed, which ties every sample to the
@@ -157,10 +150,10 @@ inline constexpr std::size_t kMcPointTileAuto = static_cast<std::size_t>(-1);
 /// below 2.
 [[nodiscard]] std::size_t mc_block_cap(const McOptions& opts);
 
-/// The lane count the estimators actually use for `opts`: opts.batch, or
-/// auto-resolved (0) ISA-aware — a multiple of the active SIMD vector
-/// width (util::active_simd_path()) sized so the hot rows of a lockstep
-/// step stay L1-resident — then clamped to opts.num_blocks. Never a
+/// The lattice lanes of one Monte-Carlo tile: ISA-aware — a multiple of the
+/// active SIMD vector width (util::active_simd_path()) sized so the hot
+/// rows of a lockstep step stay L1-resident — then clamped to
+/// mc_round_blocks(opts) (no clamp when opts.num_blocks is 0). Never a
 /// function of opts.threads (the thread-invariance contract above).
 [[nodiscard]] std::size_t resolved_mc_batch(const McOptions& opts, const DriftParams& params);
 

@@ -98,13 +98,22 @@ std::vector<std::uint8_t> simulate_markov_source(const MarkovSource& source, uns
 
 namespace {
 
+/// Information per input symbol of one block. A non-finite evidence means
+/// the block fell outside the lattice truncation: score it zero
+/// information, preserving the lower-bound semantics.
+double info_per_symbol(double log_cond, double log_marg, std::size_t block_len) {
+    return (std::isfinite(log_cond) && std::isfinite(log_marg))
+               ? (log_cond - log_marg) / static_cast<double>(block_len)
+               : 0.0;
+}
+
 /// Adaptive-precision Monte-Carlo driver shared by every estimator.
 ///
 /// One root seed is split off the caller's Rng; block b always runs on
 /// substream b of that root and the per-block samples fold in block order
 /// through the compensated accumulator — so the samples, the fold, and
 /// therefore the SEM trajectory are pure functions of (root, options,
-/// params), independent of threads, batch and scheduling.
+/// params), independent of threads and scheduling.
 ///
 /// Fixed mode (target_sem == 0) runs one round of exactly num_blocks
 /// blocks: the historical behavior, bit for bit. Adaptive mode runs rounds
@@ -196,27 +205,26 @@ std::size_t resolved_point_tile(const McOptions& opts, std::size_t num_points) {
 }
 
 std::size_t resolved_mc_batch(const McOptions& opts, const DriftParams& params) {
-    std::size_t b = opts.batch;
-    if (b == 0) {
-        // Auto: size the tile so the hot set of a lockstep row step —
-        // previous and current alpha rows plus the emission plane, each
-        // width * batch doubles — stays around 32 KiB (L1-resident on
-        // common cores), clamped to a sensible lane range.
-        const std::size_t width = static_cast<std::size_t>(2 * params.max_drift + 1);
-        constexpr std::size_t kTileBytes = 32 * 1024;
-        b = kTileBytes / (3 * width * sizeof(double));
-        b = std::clamp<std::size_t>(b, 4, 32);
-        // Shape the tile for the active SIMD path: a multiple of the
-        // vector width (the batched engine pads lanes to it, so anything
-        // else wastes kernel lanes). Deliberately NOT a function of
-        // opts.threads — with band_eps > 0 the tile size shifts the shared
-        // union band, and the McOptions contract promises estimates
-        // invariant in the thread count.
-        const std::size_t W = util::simd_vector_doubles(util::active_simd_path());
-        b = std::max(W, b / W * W);
-    }
-    if (opts.num_blocks > 0) b = std::min(b, opts.num_blocks);
-    return std::max<std::size_t>(1, b);
+    // Size the tile so the hot set of a lockstep row step — previous and
+    // current alpha rows plus the emission plane, each width * batch
+    // doubles — stays around 32 KiB (L1-resident on common cores), clamped
+    // to a sensible lane range.
+    const std::size_t width = static_cast<std::size_t>(2 * params.max_drift + 1);
+    constexpr std::size_t kTileBytes = 32 * 1024;
+    std::size_t b = kTileBytes / (3 * width * sizeof(double));
+    b = std::clamp<std::size_t>(b, 4, 32);
+    // Shape the tile for the active SIMD path: a multiple of the vector
+    // width (the batched engine pads lanes to it, so anything else wastes
+    // kernel lanes). Deliberately NOT a function of opts.threads — with
+    // band_eps > 0 the tile size shifts the shared union band, and the
+    // McOptions contract promises estimates invariant in the thread count.
+    const std::size_t W = util::simd_vector_doubles(util::active_simd_path());
+    b = std::max(W, b / W * W);
+    // A round never fills more lanes than it has blocks. Clamping to the
+    // round (at least 2) rather than num_blocks keeps adaptive one-block
+    // rounds on two-lane tiles.
+    if (opts.num_blocks > 0) b = std::min(b, mc_round_blocks(opts));
+    return b;
 }
 
 namespace {
@@ -280,49 +288,27 @@ private:
     std::vector<std::atomic<double>> slots_;
 };
 
-/// Serial sampler of iid-input MI blocks [b0, b0 + out.size()): each block
-/// generates tx/rx on its own substream of `root`, then the point-prior
-/// conditional sweeps the lattice — in lockstep tiles aligned to global
-/// multiples of `batch` counted from block 0 (batch <= 1 routes to the
-/// scalar engine). The alignment makes the tile partition a function of
-/// the block indices alone, so any carve-up of [0, N) into ranges produces
-/// the same sweeps. The uniform-prior marginal is read from the length
-/// memo; a tile with misses runs one marginal pass whose lanes are the
-/// distinct missing lengths plus the uncached lengths nearest them (zero
-/// symbols: the evidence reads only the length). Batched lanes are
-/// bit-identical to scalar passes, so every value — cached or not — has
-/// the bits of a full pass on the block itself. With the memo disabled
-/// the tile sweeps its own received sequences, one lane per block.
-/// One leased workspace per call: the lattice passes reuse the same
-/// arenas, allocation-free at steady state.
-struct IidBlockSampler {
+/// Serial sampler of MI blocks [b0, b0 + out.size()), the one tile loop of
+/// both single-point estimators: each block draws its transmitted symbols
+/// (Inputs::draw) and then its received symbols on its own substream of
+/// `root`, and the point-prior conditionals of a tile sweep the lattice in
+/// lockstep. Tiles align to global multiples of `batch` counted from block
+/// 0, so the tile partition is a function of the block indices alone and
+/// any carve-up of [0, N) into ranges produces the same sweeps.
+/// Inputs::marginals gives each lane's log2 P(y); batched lanes are
+/// bit-identical to scalar passes at band_eps = 0. One leased workspace
+/// per call: the lattice passes reuse the same arenas, allocation-free at
+/// steady state.
+template <typename Inputs>
+struct TileSampler {
     const DriftHmm& hmm;
     const DriftParams& params;
-    const util::Matrix& priors;
     std::size_t block_len;
     std::size_t batch;
-    MarginalLengthMemo& memo;
+    Inputs inputs;
 
     void operator()(std::uint64_t root, std::size_t b0, std::span<double> out) const {
-        const unsigned m = params.alphabet;
         ScopedWorkspace ws;
-        if (batch <= 1) {
-            std::vector<std::uint8_t> tx(block_len);
-            for (std::size_t i = 0; i < out.size(); ++i) {
-                util::Rng block_rng(util::substream_seed(root, b0 + i));
-                for (auto& s : tx) s = static_cast<std::uint8_t>(block_rng.uniform_below(m));
-                const std::vector<std::uint8_t> rx =
-                    simulate_drift_channel(tx, params, block_rng);
-                const double log_cond = hmm.log2_likelihood(tx, rx, ws);
-                double log_marg = 0.0;
-                if (!memo.lookup(rx.size(), log_marg)) {
-                    log_marg = hmm.log2_prior_marginal_banded(priors, rx, ws).log2_evidence;
-                    memo.store(rx.size(), log_marg);
-                }
-                out[i] = sample(log_cond, log_marg);
-            }
-            return;
-        }
         std::size_t pos = 0;
         while (pos < out.size()) {
             const std::size_t b = b0 + pos;
@@ -332,35 +318,40 @@ struct IidBlockSampler {
             std::vector<DriftHmm::SymbolSpan> txv(lanes), rxv(lanes);
             for (std::size_t i = 0; i < lanes; ++i) {
                 util::Rng block_rng(util::substream_seed(root, b + i));
-                tx[i].resize(block_len);
-                for (auto& s : tx[i])
-                    s = static_cast<std::uint8_t>(block_rng.uniform_below(m));
+                tx[i] = inputs.draw(params.alphabet, block_len, block_rng);
                 rx[i] = simulate_drift_channel(tx[i], params, block_rng);
                 txv[i] = tx[i];
                 rxv[i] = rx[i];
             }
             const std::vector<BandedEvidence> cond = hmm.log2_likelihood_batch(txv, rxv, ws);
-            const std::vector<double> marg = tile_marginals(rxv, ws);
+            const std::vector<double> marg = inputs.marginals(hmm, rxv, ws);
             for (std::size_t i = 0; i < lanes; ++i)
-                out[pos + i] = sample(cond[i].log2_evidence, marg[i]);
+                out[pos + i] = info_per_symbol(cond[i].log2_evidence, marg[i], block_len);
             pos += lanes;
         }
     }
+};
 
-private:
-    /// Information per input symbol of one block. A non-finite evidence
-    /// means the block fell outside the lattice truncation: score it zero
-    /// information, preserving the lower-bound semantics.
-    [[nodiscard]] double sample(double log_cond, double log_marg) const {
-        return (std::isfinite(log_cond) && std::isfinite(log_marg))
-                   ? (log_cond - log_marg) / static_cast<double>(block_len)
-                   : 0.0;
+/// iid uniform inputs. The uniform-prior marginal is read from the length
+/// memo; a tile with misses runs one marginal pass whose lanes are the
+/// distinct missing lengths plus the uncached lengths nearest them (zero
+/// symbols: the evidence reads only the length), so every value — cached
+/// or not — has the bits of a full pass on the block itself. With the memo
+/// disabled the tile sweeps its own received sequences, one lane per block.
+struct IidInputs {
+    const util::Matrix& priors;
+    MarginalLengthMemo& memo;
+
+    static std::vector<std::uint8_t> draw(unsigned m, std::size_t n, util::Rng& rng) {
+        std::vector<std::uint8_t> tx(n);
+        for (auto& s : tx) s = static_cast<std::uint8_t>(rng.uniform_below(m));
+        return tx;
     }
 
     /// Marginal log2-evidence of each lane of a tile, at most one lattice
     /// pass.
-    std::vector<double> tile_marginals(std::span<const DriftHmm::SymbolSpan> rxv,
-                                       LatticeWorkspace& ws) const {
+    std::vector<double> marginals(const DriftHmm& hmm, std::span<const DriftHmm::SymbolSpan> rxv,
+                                  LatticeWorkspace& ws) const {
         const std::size_t lanes = rxv.size();
         std::vector<double> marg(lanes);
         if (!memo.enabled()) {
@@ -409,57 +400,22 @@ private:
     }
 };
 
-/// Markov-source counterpart. The conditional likelihoods of a tile run in
-/// lockstep; the joint (drift, symbol) Markov marginal has no batched
-/// counterpart yet and stays scalar per lane.
-struct MarkovBlockSampler {
-    const DriftHmm& hmm;
-    const DriftParams& params;
+/// First-order Markov inputs. The joint (drift, symbol) Markov marginal has
+/// no batched form and runs once per lane.
+struct MarkovInputs {
     const MarkovSource& source;
     std::size_t block_len;
-    std::size_t batch;
 
-    void operator()(std::uint64_t root, std::size_t b0, std::span<double> out) const {
-        ScopedWorkspace ws;
-        if (batch <= 1) {
-            for (std::size_t i = 0; i < out.size(); ++i) {
-                util::Rng block_rng(util::substream_seed(root, b0 + i));
-                const std::vector<std::uint8_t> tx =
-                    simulate_markov_source(source, params.alphabet, block_len, block_rng);
-                const std::vector<std::uint8_t> rx =
-                    simulate_drift_channel(tx, params, block_rng);
-                const double log_cond = hmm.log2_likelihood(tx, rx, ws);
-                const double log_marg = hmm.log2_markov_marginal(source, block_len, rx, ws);
-                out[i] = (std::isfinite(log_cond) && std::isfinite(log_marg))
-                             ? (log_cond - log_marg) / static_cast<double>(block_len)
-                             : 0.0;
-            }
-            return;
-        }
-        std::size_t pos = 0;
-        while (pos < out.size()) {
-            const std::size_t b = b0 + pos;
-            const std::size_t tile_end = (b / batch + 1) * batch;
-            const std::size_t lanes = std::min(out.size() - pos, tile_end - b);
-            std::vector<std::vector<std::uint8_t>> tx(lanes), rx(lanes);
-            std::vector<DriftHmm::SymbolSpan> txv(lanes), rxv(lanes);
-            for (std::size_t i = 0; i < lanes; ++i) {
-                util::Rng block_rng(util::substream_seed(root, b + i));
-                tx[i] = simulate_markov_source(source, params.alphabet, block_len, block_rng);
-                rx[i] = simulate_drift_channel(tx[i], params, block_rng);
-                txv[i] = tx[i];
-                rxv[i] = rx[i];
-            }
-            const std::vector<BandedEvidence> cond = hmm.log2_likelihood_batch(txv, rxv, ws);
-            for (std::size_t i = 0; i < lanes; ++i) {
-                const double log_cond = cond[i].log2_evidence;
-                const double log_marg = hmm.log2_markov_marginal(source, block_len, rx[i], ws);
-                out[pos + i] = (std::isfinite(log_cond) && std::isfinite(log_marg))
-                                   ? (log_cond - log_marg) / static_cast<double>(block_len)
-                                   : 0.0;
-            }
-            pos += lanes;
-        }
+    std::vector<std::uint8_t> draw(unsigned m, std::size_t n, util::Rng& rng) const {
+        return simulate_markov_source(source, m, n, rng);
+    }
+
+    std::vector<double> marginals(const DriftHmm& hmm, std::span<const DriftHmm::SymbolSpan> rxv,
+                                  LatticeWorkspace& ws) const {
+        std::vector<double> marg(rxv.size());
+        for (std::size_t i = 0; i < rxv.size(); ++i)
+            marg[i] = hmm.log2_markov_marginal(source, block_len, rxv[i], ws);
+        return marg;
     }
 };
 
@@ -474,7 +430,8 @@ MiEstimate markov_mutual_information_rate(const DriftParams& params, const Marko
 
     const DriftHmm hmm(effective_params(params, opts));
     const std::size_t batch = resolved_mc_batch(opts, params);
-    const MarkovBlockSampler sampler{hmm, params, source, opts.block_len, batch};
+    const TileSampler<MarkovInputs> sampler{hmm, params, opts.block_len, batch,
+                                            {source, opts.block_len}};
     return adaptive_mc_estimate(opts, batch, rng, sampler);
 }
 
@@ -489,7 +446,8 @@ MiEstimate iid_mutual_information_rate(const DriftParams& params, const McOption
                                       1.0 / static_cast<double>(params.alphabet));
     const std::size_t batch = resolved_mc_batch(opts, params);
     MarginalLengthMemo memo(hmm, uniform_priors);
-    const IidBlockSampler sampler{hmm, params, uniform_priors, opts.block_len, batch, memo};
+    const TileSampler<IidInputs> sampler{hmm, params, opts.block_len, batch,
+                                         {uniform_priors, memo}};
     return adaptive_mc_estimate(opts, batch, rng, sampler);
 }
 
@@ -629,14 +587,9 @@ void crn_run_round(CrnTileState& st, std::span<const std::size_t> active,
                 log2_likelihood_batch_per_lane(lane_params, txv, rxv, ws, band_eps);
             const std::vector<BandedEvidence> marg =
                 log2_prior_marginal_batch_per_lane(lane_params, priors, rxv, ws, band_eps);
-            for (std::size_t lane = 0; lane < lanes; ++lane) {
-                const double lc = cond[lane].log2_evidence;
-                const double lm = marg[lane].log2_evidence;
-                samples[(lo - b0) * ga + lane] =
-                    (std::isfinite(lc) && std::isfinite(lm))
-                        ? (lc - lm) / static_cast<double>(block_len)
-                        : 0.0;
-            }
+            for (std::size_t lane = 0; lane < lanes; ++lane)
+                samples[(lo - b0) * ga + lane] = info_per_symbol(
+                    cond[lane].log2_evidence, marg[lane].log2_evidence, block_len);
         },
         threads);
     for (std::size_t b = b0; b < b1; ++b)
@@ -693,16 +646,19 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
 
     if (tile > 0) {
         // Common-random-numbers mode: tiles of `tile` points share every
-        // block's variate tape and ride one per-lane-parameter sweep.
+        // block's variate tape and ride one per-lane-parameter sweep, so
+        // every point needs one lattice shape and one effective band_eps.
         const DriftParams& s0 = points[0].params;
+        const double band_eps = effective_params(s0, opts).band_eps;
         for (const CapacityPoint& pt : points) {
             pt.params.validate();
             if (pt.params.alphabet != s0.alphabet || pt.params.max_drift != s0.max_drift ||
-                pt.params.max_insert_run != s0.max_insert_run)
+                pt.params.max_insert_run != s0.max_insert_run ||
+                effective_params(pt.params, opts).band_eps != band_eps)
                 throw std::invalid_argument(
                     "iid_mutual_information_rate_points: CRN point tiling needs one "
-                    "alphabet/max_drift/max_insert_run across points (set point_tile = 0 "
-                    "for structurally heterogeneous spans)");
+                    "alphabet/max_drift/max_insert_run/effective band_eps across points "
+                    "(set point_tile = 0 for heterogeneous spans)");
         }
         // The shared tape is rooted at the first point's seed, split off
         // exactly as a standalone estimator would draw it — unless the
@@ -715,7 +671,7 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
         }
         // The chunk width is a LANE-count target: a tile of G points packs
         // G lanes per block, so the blocks-per-chunk divisor below already
-        // scales it down. Resolve it without the num_blocks clamp — in
+        // scales it down. Resolve it without the round clamp — in
         // adaptive mode num_blocks is the (small) round size, and clamping
         // would shrink chunks to one block each, rebuilding the engine and
         // the per-lane tables per block instead of per ~batch lanes.
@@ -731,7 +687,6 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
         st.history.assign(points.size(), {});
         st.spent.assign(points.size(), 0);
         st.converged.assign(points.size(), 0);
-        const double band_eps = st.eff[0].band_eps;
         const util::Matrix priors(opts.block_len, s0.alphabet,
                                   1.0 / static_cast<double>(s0.alphabet));
 
@@ -751,7 +706,7 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
                 if (!adaptive) break;
                 // Round-synchronous stopping: converged points drop out of
                 // later sweeps; the check reads only the point's own
-                // deterministic fold, so stopping is thread-, batch- and
+                // deterministic fold, so stopping is thread- and
                 // tile-invariant (band_eps = 0).
                 std::vector<std::size_t> still;
                 for (std::size_t g : active) {
@@ -813,8 +768,8 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
     // a standalone run would, so (point, spent) determines the estimate.
     const auto run_blocks = [&](PointCtx& c, std::size_t n) {
         std::vector<double> samples(n);
-        const IidBlockSampler sampler{c.hmm,          c.params, c.priors,
-                                      opts.block_len, c.batch,  c.memo};
+        const TileSampler<IidInputs> sampler{c.hmm, c.params, opts.block_len, c.batch,
+                                             {c.priors, c.memo}};
         sampler(c.root, c.spent, samples);
         for (double v : samples) c.stats.add(v);
         c.spent += n;

@@ -87,51 +87,6 @@ TEST(ParallelMcDeterminism, RepeatedCallsWithSameRngDiffer) {
     EXPECT_NE(first.rate, second.rate);
 }
 
-TEST(ParallelMcDeterminism, IidRateInvariantInBatch) {
-    // Batched tiles (McOptions::batch) are a layout transform, not a
-    // numerics change: per-block seeding is untouched and lockstep lanes
-    // are bit-identical to scalar sweeps at band_eps = 0, so the estimate
-    // must not depend on the tile size — including batch = 1 (the scalar
-    // path), ragged final tiles, and the auto-picked default.
-    const DriftParams p{0.15, 0.05, 0.02, 2, 32, 8};
-    McOptions opts;
-    opts.block_len = 48;
-    opts.num_blocks = 11;
-    opts.threads = 2;
-
-    opts.batch = 1;
-    Rng scalar_rng(0xC0FFEE);
-    const MiEstimate scalar = iid_mutual_information_rate(p, opts, scalar_rng);
-    EXPECT_GT(scalar.rate, 0.0);
-
-    for (std::size_t batch : {std::size_t{0}, std::size_t{3}, std::size_t{8},
-                              std::size_t{64}}) {
-        opts.batch = batch;
-        Rng rng(0xC0FFEE);
-        expect_bit_identical(scalar, iid_mutual_information_rate(p, opts, rng));
-    }
-}
-
-TEST(ParallelMcDeterminism, MarkovRateInvariantInBatch) {
-    const DriftParams p{0.2, 0.0, 0.0, 2, 32, 8};
-    const MarkovSource src = MarkovSource::binary_repeat(0.8);
-    McOptions opts;
-    opts.block_len = 40;
-    opts.num_blocks = 10;
-    opts.threads = 2;
-
-    opts.batch = 1;
-    Rng scalar_rng(0xBEEF);
-    const MiEstimate scalar = markov_mutual_information_rate(p, src, opts, scalar_rng);
-    EXPECT_GT(scalar.rate, 0.0);
-
-    for (std::size_t batch : {std::size_t{0}, std::size_t{3}, std::size_t{7}}) {
-        opts.batch = batch;
-        Rng rng(0xBEEF);
-        expect_bit_identical(scalar, markov_mutual_information_rate(p, src, opts, rng));
-    }
-}
-
 TEST(ParallelMcDeterminism, BatchedBandedRateInvariantInThreadCount) {
     // The batched banded path (shared union band) must still be
     // deterministic and thread-invariant, and must stay a certified lower
@@ -141,7 +96,6 @@ TEST(ParallelMcDeterminism, BatchedBandedRateInvariantInThreadCount) {
     opts.block_len = 64;
     opts.num_blocks = 8;
     opts.band_eps = 1e-8;
-    opts.batch = 8;
 
     opts.threads = 1;
     Rng serial_rng(0xABCD);
@@ -155,19 +109,22 @@ TEST(ParallelMcDeterminism, BatchedBandedRateInvariantInThreadCount) {
 }
 
 // ---------------------------------------------------------------------------
-// Length memo of the uniform-prior marginal (docs/THEORY.md section 17).
-// The reference below is the iid sampler and scheduler as they were before
-// the memo: one full marginal lattice pass per block, tiles aligned to
-// global multiples of the batch. The production estimators must reproduce
-// it bit for bit on both entry points; banded runs bypass the memo and
-// must match it too, tile union bands included.
+// Scalar per-block reference, from public API only: block b runs on
+// substream b of the root, every evidence is one scalar lattice pass (no
+// length memo, no lockstep tile), and the samples fold in block order.
+// At band_eps = 0 the estimators must reproduce it bit for bit at every
+// thread count, tile width and SIMD path. Banded tiles share a union band,
+// so for band_eps > 0 the reference sweeps the same globally aligned tiles
+// through the batch entry points instead, still one full marginal pass per
+// block (docs/THEORY.md section 17).
 // ---------------------------------------------------------------------------
 
-/// Samples of blocks [b0, b0 + out.size()), one full marginal pass each.
-void reference_iid_samples(const DriftHmm& hmm, const DriftParams& params,
-                           const ccap::util::Matrix& priors, std::size_t block_len,
-                           std::size_t batch, std::uint64_t root, std::size_t b0,
-                           std::span<double> out) {
+/// Samples of blocks [b0, b0 + out.size()) with iid uniform inputs
+/// (source == nullptr) or Markov inputs; batch <= 1 is the scalar route.
+void reference_samples(const DriftHmm& hmm, const DriftParams& params,
+                       const ccap::util::Matrix& priors, const MarkovSource* source,
+                       std::size_t block_len, std::size_t batch, std::uint64_t root,
+                       std::size_t b0, std::span<double> out) {
     const unsigned m = params.alphabet;
     LatticeWorkspace ws;
     const auto sample = [&](double log_cond, double log_marg) {
@@ -177,16 +134,23 @@ void reference_iid_samples(const DriftHmm& hmm, const DriftParams& params,
     };
     const auto draw = [&](std::size_t b, std::vector<std::uint8_t>& tx) {
         Rng block_rng(ccap::util::substream_seed(root, b));
-        tx.resize(block_len);
-        for (auto& s : tx) s = static_cast<std::uint8_t>(block_rng.uniform_below(m));
+        if (source) {
+            tx = simulate_markov_source(*source, m, block_len, block_rng);
+        } else {
+            tx.resize(block_len);
+            for (auto& s : tx) s = static_cast<std::uint8_t>(block_rng.uniform_below(m));
+        }
         return simulate_drift_channel(tx, params, block_rng);
+    };
+    const auto marginal = [&](std::span<const std::uint8_t> rx) {
+        return source ? hmm.log2_markov_marginal(*source, block_len, rx, ws)
+                      : hmm.log2_prior_marginal_banded(priors, rx, ws).log2_evidence;
     };
     if (batch <= 1) {
         std::vector<std::uint8_t> tx;
         for (std::size_t i = 0; i < out.size(); ++i) {
             const std::vector<std::uint8_t> rx = draw(b0 + i, tx);
-            out[i] = sample(hmm.log2_likelihood(tx, rx, ws),
-                            hmm.log2_prior_marginal_banded(priors, rx, ws).log2_evidence);
+            out[i] = sample(hmm.log2_likelihood(tx, rx, ws), marginal(rx));
         }
         return;
     }
@@ -199,24 +163,32 @@ void reference_iid_samples(const DriftHmm& hmm, const DriftParams& params,
         const std::vector<DriftHmm::SymbolSpan> txv(tx.begin(), tx.end());
         const std::vector<DriftHmm::SymbolSpan> rxv(rx.begin(), rx.end());
         const std::vector<BandedEvidence> cond = hmm.log2_likelihood_batch(txv, rxv, ws);
-        const std::vector<BandedEvidence> marg = hmm.log2_prior_marginal_batch(priors, rxv, ws);
+        std::vector<double> marg(lanes);
+        if (source) {
+            for (std::size_t i = 0; i < lanes; ++i) marg[i] = marginal(rx[i]);
+        } else {
+            const std::vector<BandedEvidence> pass =
+                hmm.log2_prior_marginal_batch(priors, rxv, ws);
+            for (std::size_t i = 0; i < lanes; ++i) marg[i] = pass[i].log2_evidence;
+        }
         for (std::size_t i = 0; i < lanes; ++i)
-            out[pos + i] = sample(cond[i].log2_evidence, marg[i].log2_evidence);
+            out[pos + i] = sample(cond[i].log2_evidence, marg[i]);
         pos += lanes;
     }
 }
 
-/// Reference for one point: iid_mutual_information_rate's round loop
+/// Reference for one point: the single-point estimators' round loop
 /// (points == false) or the independent-streams pilot + Neyman top-up
-/// schedule of iid_mutual_information_rate_points (points == true).
-MiEstimate reference_iid_estimate(const DriftParams& params, const McOptions& opts,
-                                  std::uint64_t seed, bool points) {
+/// schedule of iid_mutual_information_rate_points (points == true, iid
+/// only).
+MiEstimate reference_estimate(const DriftParams& params, const MarkovSource* source,
+                              const McOptions& opts, std::uint64_t seed, bool points) {
     DriftParams eff = params;
     if (opts.band_eps > 0.0) eff.band_eps = opts.band_eps;
     const DriftHmm hmm(eff);
     const ccap::util::Matrix priors(opts.block_len, params.alphabet,
                                     1.0 / static_cast<double>(params.alphabet));
-    const std::size_t batch = resolved_mc_batch(opts, params);
+    const std::size_t batch = eff.band_eps > 0.0 ? resolved_mc_batch(opts, params) : 1;
     const std::uint64_t root = Rng(seed).next();
     const bool adaptive = opts.target_sem > 0.0;
     const std::size_t cap = mc_block_cap(opts);
@@ -225,7 +197,8 @@ MiEstimate reference_iid_estimate(const DriftParams& params, const McOptions& op
     std::size_t spent = 0;
     const auto run = [&](std::size_t n) {
         std::vector<double> samples(n);
-        reference_iid_samples(hmm, params, priors, opts.block_len, batch, root, spent, samples);
+        reference_samples(hmm, params, priors, source, opts.block_len, batch, root, spent,
+                          samples);
         for (double v : samples) stats.add(v);
         spent += n;
     };
@@ -259,6 +232,85 @@ MiEstimate reference_iid_estimate(const DriftParams& params, const McOptions& op
     return {std::max(0.0, stats.mean()), stats.sem(), spent, opts.block_len, converged};
 }
 
+/// The library estimate of one point, iid or Markov.
+MiEstimate library_estimate(const DriftParams& params, const MarkovSource* source,
+                            const McOptions& opts, std::uint64_t seed) {
+    Rng rng(seed);
+    return source ? markov_mutual_information_rate(params, *source, opts, rng)
+                  : iid_mutual_information_rate(params, opts, rng);
+}
+
+struct PathGuard {
+    ccap::util::SimdPath saved = ccap::util::active_simd_path();
+    ~PathGuard() { ccap::util::force_simd_path(saved); }
+};
+
+std::vector<ccap::util::SimdPath> available_paths() {
+    using ccap::util::SimdPath;
+    std::vector<SimdPath> out;
+    for (SimdPath p : {SimdPath::scalar, SimdPath::neon, SimdPath::avx2, SimdPath::avx512})
+        if (ccap::util::simd_path_available(p)) out.push_back(p);
+    return out;
+}
+
+/// Every SIMD path (so the auto tile width varies) x threads 1 and nproc x
+/// fixed and adaptive mode: the library estimate must equal the scalar
+/// reference bit for bit. `fixed` has a ragged final tile at every path's
+/// tile width; `adaptive` gets its rounds from the same options.
+void expect_reference_on_every_path(const DriftParams& params, const MarkovSource* source,
+                                    const McOptions& fixed, const McOptions& adaptive,
+                                    std::uint64_t seed) {
+    PathGuard guard;
+    const unsigned nproc = std::max(1U, std::thread::hardware_concurrency());
+    for (ccap::util::SimdPath path : available_paths()) {
+        ASSERT_EQ(ccap::util::force_simd_path(path), path);
+        for (McOptions opts : {fixed, adaptive}) {
+            const MiEstimate want = reference_estimate(params, source, opts, seed, false);
+            EXPECT_GT(want.rate, 0.0);
+            for (unsigned threads : {1U, nproc}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "path " << ccap::util::simd_path_name(path) << " lanes "
+                             << resolved_mc_batch(opts, params) << " target "
+                             << opts.target_sem << " threads " << threads);
+                opts.threads = threads;
+                expect_bit_identical(library_estimate(params, source, opts, seed), want);
+            }
+        }
+    }
+}
+
+TEST(ParallelMcDeterminism, IidRateInvariantInBatch) {
+    // The tile width (resolved_mc_batch) follows the SIMD path: at
+    // max_drift 32 it is 16 lanes on AVX-512, 20 on AVX2 and NEON, 21 on
+    // scalar. Lockstep tiles are a layout transform, not a numerics change,
+    // so every path must reproduce the scalar per-block reference; 45
+    // blocks leave a ragged final tile at each width.
+    const DriftParams p{0.15, 0.05, 0.02, 2, 32, 8};
+    McOptions fixed;
+    fixed.block_len = 48;
+    fixed.num_blocks = 45;
+    McOptions adaptive = fixed;
+    adaptive.num_blocks = 11;
+    adaptive.target_sem = 0.02;
+    adaptive.max_blocks = 45;
+    expect_reference_on_every_path(p, nullptr, fixed, adaptive, 0xC0FFEE);
+}
+
+TEST(ParallelMcDeterminism, MarkovRateInvariantInBatch) {
+    // Markov inputs ride the same tile loop; their joint (drift, symbol)
+    // marginal stays one scalar pass per lane.
+    const DriftParams p{0.2, 0.0, 0.01, 2, 32, 8};
+    const MarkovSource src = MarkovSource::binary_repeat(0.8);
+    McOptions fixed;
+    fixed.block_len = 40;
+    fixed.num_blocks = 45;
+    McOptions adaptive = fixed;
+    adaptive.num_blocks = 7;
+    adaptive.target_sem = 0.02;
+    adaptive.max_blocks = 45;
+    expect_reference_on_every_path(p, &src, fixed, adaptive, 0xBEEF);
+}
+
 TEST(ParallelMcDeterminism, LengthMemoBitIdenticalToFullMarginalPasses) {
     // Binary channels take the memo; the P_i = 0.6 point pushes received
     // lengths past the memo's range, so uncached lanes ride the tile pass.
@@ -275,37 +327,38 @@ TEST(ParallelMcDeterminism, LengthMemoBitIdenticalToFullMarginalPasses) {
         {0.1, 0.05, 0.02, 3, 24, 6},
     };
     const unsigned nproc = std::max(1U, std::thread::hardware_concurrency());
-    for (double band_eps : {0.0, 0.1}) {
-        for (double target_sem : {0.0, 0.02}) {
-            McOptions opts;
-            opts.block_len = 32;
-            opts.num_blocks = 10;
-            opts.target_sem = target_sem;
-            opts.max_blocks = 90;
-            opts.band_eps = band_eps;
-            std::vector<CapacityPoint> pts;
-            for (std::size_t k = 0; k < std::size(params); ++k)
-                pts.push_back({params[k], 0x3E30 + k});
-            for (unsigned threads : {1U, nproc}) {
-                for (std::size_t batch : {std::size_t{1}, std::size_t{0}}) {
+    PathGuard guard;
+    for (ccap::util::SimdPath path : available_paths()) {
+        ASSERT_EQ(ccap::util::force_simd_path(path), path);
+        for (double band_eps : {0.0, 0.1}) {
+            for (double target_sem : {0.0, 0.02}) {
+                McOptions opts;
+                opts.block_len = 32;
+                opts.num_blocks = 10;
+                opts.target_sem = target_sem;
+                opts.max_blocks = 90;
+                opts.band_eps = band_eps;
+                std::vector<CapacityPoint> pts;
+                for (std::size_t k = 0; k < std::size(params); ++k)
+                    pts.push_back({params[k], 0x3E30 + k});
+                for (unsigned threads : {1U, nproc}) {
                     opts.threads = threads;
-                    opts.batch = batch;
                     const std::vector<MiEstimate> got =
                         iid_mutual_information_rate_points(pts, opts);
                     ASSERT_EQ(got.size(), pts.size());
                     for (std::size_t k = 0; k < pts.size(); ++k) {
                         SCOPED_TRACE(::testing::Message()
-                                     << "point " << k << " band_eps " << band_eps
-                                     << " target " << target_sem << " threads " << threads
-                                     << " batch " << batch);
+                                     << "point " << k << " path "
+                                     << ccap::util::simd_path_name(path) << " band_eps "
+                                     << band_eps << " target " << target_sem << " threads "
+                                     << threads);
+                        expect_bit_identical(got[k],
+                                             reference_estimate(pts[k].params, nullptr, opts,
+                                                                pts[k].seed, /*points=*/true));
                         expect_bit_identical(
-                            got[k], reference_iid_estimate(pts[k].params, opts, pts[k].seed,
-                                                           /*points=*/true));
-                        Rng rng(pts[k].seed);
-                        expect_bit_identical(
-                            iid_mutual_information_rate(pts[k].params, opts, rng),
-                            reference_iid_estimate(pts[k].params, opts, pts[k].seed,
-                                                   /*points=*/false));
+                            library_estimate(pts[k].params, nullptr, opts, pts[k].seed),
+                            reference_estimate(pts[k].params, nullptr, opts, pts[k].seed,
+                                               /*points=*/false));
                     }
                 }
             }
@@ -314,87 +367,78 @@ TEST(ParallelMcDeterminism, LengthMemoBitIdenticalToFullMarginalPasses) {
 }
 
 // ---------------------------------------------------------------------------
-// Parameterized threads x batch tile matrix (ROADMAP item 1 follow-up: the
-// thread axis of the MC tile, crossed with every interesting batch size).
-// Runs under the tier-1 TSan stage via the ParallelMc name filter.
+// Parameterized threads x tile-width matrix. A tile never holds more lanes
+// than a round has blocks (resolved_mc_batch clamps to mc_round_blocks), so
+// rounds of b blocks (at least 2) run tiles of min(auto, max(2, b)) lanes:
+// b = 1, W - 1, W and 4W. The target is out of reach, so the rounds run to
+// the cap of 4W + 3 blocks, leaving a ragged final round and tile. Every
+// case must equal the serial scalar reference. Runs under the tier-1 TSan
+// stage via the ParallelMc name filter.
 // ---------------------------------------------------------------------------
 
 struct TileCase {
     unsigned threads;
-    std::size_t batch;
+    std::size_t round;  ///< McOptions::num_blocks: blocks per adaptive round
 };
 
 std::vector<TileCase> tile_cases() {
     const std::size_t W =
         ccap::util::simd_vector_doubles(ccap::util::active_simd_path());
-    std::vector<std::size_t> batches{1};
+    std::vector<std::size_t> rounds{1};
     for (std::size_t b : {W - 1, W, 4 * W})
-        if (b >= 1 && std::find(batches.begin(), batches.end(), b) == batches.end())
-            batches.push_back(b);
+        if (b >= 1 && std::find(rounds.begin(), rounds.end(), b) == rounds.end())
+            rounds.push_back(b);
     std::vector<TileCase> cases;
     for (unsigned t : {1U, 2U, 4U, 8U})
-        for (std::size_t b : batches) cases.push_back({t, b});
+        for (std::size_t b : rounds) cases.push_back({t, b});
     return cases;
 }
 
 class ParallelMcTileInvariance : public ::testing::TestWithParam<TileCase> {
 protected:
-    // Baseline: serial scalar sweep (threads = 1, one lane per tile).
-    // num_blocks = 4W + 3 leaves a ragged final tile at every batch > 1.
-    static McOptions base_options() {
+    static McOptions options() {
         McOptions opts;
         opts.block_len = 32;
-        opts.num_blocks =
+        opts.num_blocks = GetParam().round;
+        opts.target_sem = 1e-12;
+        opts.max_blocks =
             4 * ccap::util::simd_vector_doubles(ccap::util::active_simd_path()) + 3;
+        opts.threads = GetParam().threads;
         return opts;
     }
 };
 
 TEST_P(ParallelMcTileInvariance, IidBitIdenticalToSerialScalar) {
     const DriftParams p{0.12, 0.04, 0.02, 2, 24, 6};
-    McOptions opts = base_options();
-
-    opts.threads = 1;
-    opts.batch = 1;
-    Rng serial_rng(0xFEED5EED);
-    const MiEstimate serial = iid_mutual_information_rate(p, opts, serial_rng);
-    EXPECT_GT(serial.rate, 0.0);
-
-    opts.threads = GetParam().threads;
-    opts.batch = GetParam().batch;
-    Rng rng(0xFEED5EED);
-    expect_bit_identical(serial, iid_mutual_information_rate(p, opts, rng));
+    const McOptions opts = options();
+    const MiEstimate want = reference_estimate(p, nullptr, opts, 0xFEED5EED, false);
+    EXPECT_GT(want.rate, 0.0);
+    EXPECT_EQ(want.blocks, opts.max_blocks);
+    expect_bit_identical(library_estimate(p, nullptr, opts, 0xFEED5EED), want);
 }
 
 TEST_P(ParallelMcTileInvariance, MarkovBitIdenticalToSerialScalar) {
     const DriftParams p{0.15, 0.02, 0.01, 2, 24, 6};
     const MarkovSource src = MarkovSource::binary_repeat(0.75);
-    McOptions opts = base_options();
-
-    opts.threads = 1;
-    opts.batch = 1;
-    Rng serial_rng(0xD15EA5E);
-    const MiEstimate serial = markov_mutual_information_rate(p, src, opts, serial_rng);
-    EXPECT_GT(serial.rate, 0.0);
-
-    opts.threads = GetParam().threads;
-    opts.batch = GetParam().batch;
-    Rng rng(0xD15EA5E);
-    expect_bit_identical(serial, markov_mutual_information_rate(p, src, opts, rng));
+    const McOptions opts = options();
+    const MiEstimate want = reference_estimate(p, &src, opts, 0xD15EA5E, false);
+    EXPECT_GT(want.rate, 0.0);
+    EXPECT_EQ(want.blocks, opts.max_blocks);
+    expect_bit_identical(library_estimate(p, &src, opts, 0xD15EA5E), want);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Tile, ParallelMcTileInvariance, ::testing::ValuesIn(tile_cases()),
     [](const ::testing::TestParamInfo<TileCase>& info) {
         return "t" + std::to_string(info.param.threads) + "_b" +
-               std::to_string(info.param.batch);
+               std::to_string(info.param.round);
     });
 
 // ---------------------------------------------------------------------------
 // Adaptive early stopping (McOptions::target_sem). The data-dependent
 // stopping time must itself be a pure function of the root seed — the same
-// blocks spent, and the same bits out, at every thread count and batch
-// size. Suite names start with ParallelMc so the tier-1 TSan stage covers
+// blocks spent, and the same bits out, at every thread count and tile
+// width. Suite names start with ParallelMc so the tier-1 TSan stage covers
 // the concurrent round loop.
 // ---------------------------------------------------------------------------
 
@@ -468,31 +512,33 @@ TEST(ParallelMcAdaptive, BlockCapBoundsSpendAndClearsConverged) {
 
 struct AdaptiveCase {
     unsigned threads;
-    std::size_t batch;
+    /// Blocks per round; 0 keeps the test's own round size, 1 runs rounds
+    /// of two blocks on two-lane tiles (the mc_round_blocks floor).
+    std::size_t round;
 };
 
-class ParallelMcAdaptiveInvariance : public ::testing::TestWithParam<AdaptiveCase> {};
+class ParallelMcAdaptiveInvariance : public ::testing::TestWithParam<AdaptiveCase> {
+protected:
+    static void set_round(McOptions& opts) {
+        if (GetParam().round != 0) opts.num_blocks = GetParam().round;
+        opts.threads = GetParam().threads;
+    }
+};
 
 TEST_P(ParallelMcAdaptiveInvariance, IidStoppingTimeBitIdenticalToSerialScalar) {
     // Heterogeneous enough that the stop happens after several rounds; the
-    // spent count (not just the value) must match the serial scalar run.
+    // spent count (not just the value) must match the serial scalar
+    // reference.
     const DriftParams p{0.18, 0.04, 0.02, 2, 24, 6};
     McOptions opts;
     opts.block_len = 32;
     opts.num_blocks = 6;
     opts.target_sem = 0.015;
     opts.max_blocks = 96;
-
-    opts.threads = 1;
-    opts.batch = 1;
-    Rng serial_rng(0xADA97);
-    const MiEstimate serial = iid_mutual_information_rate(p, opts, serial_rng);
-    EXPECT_GT(serial.blocks, mc_round_blocks(opts));  // took > 1 round
-
-    opts.threads = GetParam().threads;
-    opts.batch = GetParam().batch;
-    Rng rng(0xADA97);
-    expect_bit_identical(serial, iid_mutual_information_rate(p, opts, rng));
+    set_round(opts);
+    const MiEstimate want = reference_estimate(p, nullptr, opts, 0xADA97, false);
+    EXPECT_GT(want.blocks, mc_round_blocks(opts));  // took > 1 round
+    expect_bit_identical(library_estimate(p, nullptr, opts, 0xADA97), want);
 }
 
 TEST_P(ParallelMcAdaptiveInvariance, MarkovStoppingTimeBitIdenticalToSerialScalar) {
@@ -503,16 +549,10 @@ TEST_P(ParallelMcAdaptiveInvariance, MarkovStoppingTimeBitIdenticalToSerialScala
     opts.num_blocks = 5;
     opts.target_sem = 0.02;
     opts.max_blocks = 80;
-
-    opts.threads = 1;
-    opts.batch = 1;
-    Rng serial_rng(0xADA98);
-    const MiEstimate serial = markov_mutual_information_rate(p, src, opts, serial_rng);
-
-    opts.threads = GetParam().threads;
-    opts.batch = GetParam().batch;
-    Rng rng(0xADA98);
-    expect_bit_identical(serial, markov_mutual_information_rate(p, src, opts, rng));
+    set_round(opts);
+    const MiEstimate want = reference_estimate(p, &src, opts, 0xADA98, false);
+    EXPECT_GT(want.blocks, mc_round_blocks(opts));
+    expect_bit_identical(library_estimate(p, &src, opts, 0xADA98), want);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -521,7 +561,7 @@ INSTANTIATE_TEST_SUITE_P(
                       AdaptiveCase{8, 0}),
     [](const ::testing::TestParamInfo<AdaptiveCase>& info) {
         return "t" + std::to_string(info.param.threads) + "_b" +
-               std::to_string(info.param.batch);
+               std::to_string(info.param.round);
     });
 
 // ---------------------------------------------------------------------------
@@ -704,14 +744,14 @@ TEST(ParallelMcCrnPoints, ResolvedPointTilePolicy) {
 TEST(ParallelMcCrnPoints, FixedModeBitIdenticalAcrossThreadsBatchAndTile) {
     // The per-(block, point) sample is a pure function of the tape root and
     // the point's parameters, so the estimates must not depend on how the
-    // grid is grouped into tiles, how blocks are chunked, or who runs them.
+    // grid is grouped into tiles, how blocks are chunked (the lane budget
+    // follows the SIMD path), or who runs them.
     const std::vector<CapacityPoint> pts = crn_strip(7);
     McOptions opts;
     opts.block_len = 32;
     opts.num_blocks = 9;
     opts.point_tile = 4;
     opts.threads = 1;
-    opts.batch = 1;
     const std::vector<MiEstimate> base = iid_mutual_information_rate_points(pts, opts);
     ASSERT_EQ(base.size(), pts.size());
     for (const MiEstimate& e : base) {
@@ -719,13 +759,14 @@ TEST(ParallelMcCrnPoints, FixedModeBitIdenticalAcrossThreadsBatchAndTile) {
         EXPECT_TRUE(e.converged);
         EXPECT_EQ(e.blocks, opts.num_blocks);
     }
-    for (unsigned threads : {2U, 8U})
-        for (std::size_t batch : {std::size_t{0}, std::size_t{3}, std::size_t{64}})
+    PathGuard guard;
+    for (ccap::util::SimdPath path : available_paths()) {
+        ASSERT_EQ(ccap::util::force_simd_path(path), path);
+        for (unsigned threads : {2U, 8U})
             for (std::size_t tile :
                  {std::size_t{1}, std::size_t{3}, std::size_t{7}, kMcPointTileAuto}) {
                 McOptions alt = opts;
                 alt.threads = threads;
-                alt.batch = batch;
                 alt.point_tile = tile;
                 const std::vector<MiEstimate> out =
                     iid_mutual_information_rate_points(pts, alt);
@@ -733,6 +774,7 @@ TEST(ParallelMcCrnPoints, FixedModeBitIdenticalAcrossThreadsBatchAndTile) {
                 for (std::size_t i = 0; i < base.size(); ++i)
                     expect_bit_identical(base[i], out[i]);
             }
+    }
 }
 
 TEST(ParallelMcCrnPoints, AdaptiveStoppingBitIdenticalAcrossThreadsAndTile) {
@@ -746,7 +788,6 @@ TEST(ParallelMcCrnPoints, AdaptiveStoppingBitIdenticalAcrossThreadsAndTile) {
     opts.max_blocks = 96;
     opts.point_tile = 5;
     opts.threads = 1;
-    opts.batch = 1;
     const std::vector<MiEstimate> base = iid_mutual_information_rate_points(pts, opts);
     bool multi_round = false;
     for (const MiEstimate& e : base) {
@@ -851,6 +892,30 @@ TEST(ParallelMcCrnPoints, RejectsStructurallyHeterogeneousGrids) {
     opts.point_tile = 2;
     EXPECT_THROW((void)iid_mutual_information_rate_points(pts, opts),
                  std::invalid_argument);
+}
+
+TEST(ParallelMcCrnPoints, RejectsMismatchedEffectiveBandEps) {
+    // Every lane of a CRN sweep runs at one band threshold, so points whose
+    // effective band_eps differ cannot share a span: running them at the
+    // first point's band would make a point's value depend on its span.
+    std::vector<CapacityPoint> pts = crn_strip(2);
+    pts[1].params = DriftParams{0.12, 0.05, 0.02, 2, 24, 6, 0.3};
+    McOptions opts;
+    opts.block_len = 32;
+    opts.num_blocks = 4;
+    opts.point_tile = 2;
+    EXPECT_THROW((void)iid_mutual_information_rate_points(pts, opts),
+                 std::invalid_argument);
+    // McOptions::band_eps overrides every point's band: one threshold again.
+    opts.band_eps = 0.05;
+    EXPECT_NO_THROW((void)iid_mutual_information_rate_points(pts, opts));
+    // Independent streams evaluate each point at its own band.
+    opts.band_eps = 0.0;
+    opts.point_tile = 0;
+    const std::vector<MiEstimate> indep = iid_mutual_information_rate_points(pts, opts);
+    ASSERT_EQ(indep.size(), pts.size());
+    Rng rng(pts[1].seed);
+    expect_bit_identical(indep[1], iid_mutual_information_rate(pts[1].params, opts, rng));
 }
 
 }  // namespace

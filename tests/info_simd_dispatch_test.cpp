@@ -393,10 +393,6 @@ TEST(SimdDispatch, ResolvedMcBatchRespectsVectorWidth) {
     const DriftParams params{0.05, 0.03, 0.01, 2, 16, 8};
     McOptions opts;
     opts.num_blocks = 64;
-
-    opts.batch = 12;
-    EXPECT_EQ(resolved_mc_batch(opts, params), 12u);  // explicit batch honoured
-    opts.batch = 0;
     for (SimdPath p : available_paths()) {
         ASSERT_EQ(ccap::util::force_simd_path(p), p);
         const std::size_t b = resolved_mc_batch(opts, params);
@@ -405,6 +401,13 @@ TEST(SimdDispatch, ResolvedMcBatchRespectsVectorWidth) {
         EXPECT_EQ(b % W, 0u) << "auto tile not a multiple of the vector width, path="
                              << ccap::util::simd_path_name(p);
         EXPECT_LE(b, opts.num_blocks);
+        // Clamped to the round, which is never below two blocks; a zero
+        // num_blocks (a lane-count target) is not clamped.
+        McOptions small = opts;
+        small.num_blocks = 1;
+        EXPECT_EQ(resolved_mc_batch(small, params), std::min<std::size_t>(b, 2));
+        small.num_blocks = 0;
+        EXPECT_EQ(resolved_mc_batch(small, params), b);
     }
 }
 

@@ -238,14 +238,11 @@ void print_lattice_verbose(std::FILE* out, const info::McOptions& opts,
                            const info::DriftParams& params,
                            std::size_t sweep_points = 0) {
     const info::LaneKernels& k = info::active_lane_kernels();
-    const std::string batch_str =
-        opts.batch == 0 ? "auto" : std::to_string(opts.batch);
     std::fprintf(out,
                  "# simd: %s (%zu doubles/vector, cpu: %s)\n"
-                 "# mc tile: %zu lanes x %u threads (batch %s)\n",
+                 "# mc tile: %zu lanes x %u threads\n",
                  k.name, k.vector_doubles, util::cpu_feature_string().c_str(),
-                 info::resolved_mc_batch(opts, params), workers_for(opts.threads),
-                 batch_str.c_str());
+                 info::resolved_mc_batch(opts, params), workers_for(opts.threads));
     if (opts.point_tile != 0) {
         // CRN point tiling: report the resolved tile width (clamped to the
         // grid when its size is known).
@@ -331,8 +328,8 @@ int cmd_windows(const Args& args) {
 
 int cmd_sweep(const Args& args) {
     args.reject_unknown({"bits", "threads", "mi-blocks", "mi-block-len", "band-eps",
-                         "mc-batch", "mc-point-tile", "mc-target-sem", "mc-max-blocks",
-                         "seed", "simd", "verbose"});
+                         "mc-point-tile", "mc-target-sem", "mc-max-blocks", "seed", "simd",
+                         "verbose"});
     apply_simd_flag(args);
     const unsigned bits = bits_from(args);
     const unsigned threads = threads_from(args);
@@ -341,7 +338,6 @@ int cmd_sweep(const Args& args) {
     const auto mi_blocks = args.count<std::size_t>("mi-blocks", 0);
     const auto mi_block_len = args.count<std::size_t>("mi-block-len", 64);
     const double band_eps = band_eps_from(args);
-    const auto mc_batch = args.count<std::size_t>("mc-batch", 0);
     const auto seed = args.count("seed", 1);
     // Materialize the grid up front: the MI column evaluates it as one
     // point sweep, and the verbose tile report needs its size.
@@ -354,7 +350,6 @@ int cmd_sweep(const Args& args) {
     mi_opts.num_blocks = mi_blocks > 0 ? mi_blocks : 1;
     mi_opts.threads = threads;
     mi_opts.band_eps = band_eps;
-    mi_opts.batch = mc_batch;
     apply_adaptive_flags(args, mi_opts);
     apply_point_tile_flag(args, mi_opts);
     if (args.values.count("verbose")) {
@@ -409,8 +404,8 @@ int cmd_sweep(const Args& args) {
 
 int cmd_mi(const Args& args) {
     args.reject_unknown({"pd", "pi", "ps", "bits", "block", "blocks", "seed", "threads",
-                         "markov-stay", "band-eps", "mc-batch", "mc-target-sem",
-                         "mc-max-blocks", "simd", "verbose"});
+                         "markov-stay", "band-eps", "mc-target-sem", "mc-max-blocks",
+                         "simd", "verbose"});
     apply_simd_flag(args);
     info::DriftParams p;
     p.p_d = args.number("pd", 0.0);
@@ -422,16 +417,19 @@ int cmd_mi(const Args& args) {
     opts.num_blocks = args.count<std::size_t>("blocks", 32);
     opts.threads = threads_from(args);
     opts.band_eps = band_eps_from(args);
-    // Lockstep lattice lanes per Monte-Carlo tile; 0 (default) auto-tiles,
-    // 1 forces the scalar path. Does not change the estimate.
-    opts.batch = args.count<std::size_t>("mc-batch", 0);
     apply_adaptive_flags(args, opts);
+    // --markov-stay Q: binary repeat-Q Markov inputs instead of iid ones.
+    const bool markov = args.values.count("markov-stay") != 0;
+    const double stay = args.number("markov-stay", 0.0);
+    if (markov && !(stay >= 0.0 && stay <= 1.0))
+        throw UsageError("option --markov-stay expects a value in [0,1]");
+    if (markov && p.alphabet != 2)
+        throw UsageError("option --markov-stay needs --bits 1 (a binary source)");
     if (args.values.count("verbose")) print_lattice_verbose(stdout, opts, p);
     util::Rng rng(args.count("seed", 1));
 
-    const double stay = args.number("markov-stay", -1.0);
     info::MiEstimate est;
-    if (stay >= 0.0) {
+    if (markov) {
         est = info::markov_mutual_information_rate(
             p, info::MarkovSource::binary_repeat(stay), opts, rng);
     } else {
@@ -762,13 +760,11 @@ void usage() {
         "  simulate  --sent FILE --received FILE [--pd X --pi Y --ps Z --bits N\n"
         "            --len L --seed S]\n"
         "  sweep     [--bits N --threads T --mi-blocks K --mi-block-len L\n"
-        "            --band-eps E --mc-batch B --mc-point-tile G|auto\n"
-        "            --mc-target-sem S --mc-max-blocks M --seed S --simd P\n"
-        "            --verbose]\n"
+        "            --band-eps E --mc-point-tile G|auto --mc-target-sem S\n"
+        "            --mc-max-blocks M --seed S --simd P --verbose]\n"
         "  mi        [--pd X --pi Y --ps Z --bits N --block L --blocks K\n"
         "            --seed S --threads T --markov-stay Q --band-eps E\n"
-        "            --mc-batch B --mc-target-sem S --mc-max-blocks M --simd P\n"
-        "            --verbose]\n"
+        "            --mc-target-sem S --mc-max-blocks M --simd P --verbose]\n"
         "  windows   --sent FILE --received FILE [--window W]\n"
         "  protocol  [--proto saw|counter|gbn --pd X --ps Z --bits N --len L\n"
         "            --seed S --p-ack-loss P --p-ack-corrupt Q --ack-delay D\n"
@@ -795,8 +791,6 @@ void usage() {
         "Monte-Carlo results are bit-identical for every --threads value.\n"
         "--band-eps > 0 prunes the drift lattice adaptively (certified slack;\n"
         "results are a slightly looser lower bound); 0 is exact.\n"
-        "--mc-batch B advances B Monte-Carlo blocks in lockstep through the\n"
-        "batched lattice (0 = auto, 1 = scalar); the estimate is unchanged.\n"
         "--mc-point-tile G evaluates G grid points per lattice sweep from one\n"
         "shared variate tape (common random numbers: same per-point law,\n"
         "positively correlated neighbors; auto = a vector-width multiple).\n"
@@ -804,8 +798,8 @@ void usage() {
         "--mc-target-sem S > 0 makes the Monte-Carlo estimators adaptive:\n"
         "blocks run in rounds until the standard error reaches S or\n"
         "--mc-max-blocks M is spent (0 = 64 rounds). Stopping reads only the\n"
-        "deterministic fold, so results stay bit-identical across --threads\n"
-        "and --mc-batch; S = 0 keeps the fixed block count exactly.\n"
+        "deterministic fold, so results stay bit-identical across --threads;\n"
+        "S = 0 keeps the fixed block count exactly.\n"
         "--simd scalar|neon|avx2|avx512 pins the lattice kernel path (same as\n"
         "the CCAP_SIMD env var; requests clamp down to what the CPU has).\n"
         "All paths are bit-identical at --band-eps 0. --verbose prints the\n"

@@ -92,6 +92,19 @@ ccap_expect_failure(2 "--band-eps expects a value >= 0"
   mi --band-eps -1)
 ccap_expect_failure(2 "--band-eps expects a value >= 0"
   sweep --mi-blocks 2 --band-eps -1)
+# The Monte-Carlo tile width is not a flag: --mc-batch is an unknown
+# option like any other.
+ccap_expect_failure(2 "unknown option --mc-batch"
+  mi --mc-batch 4)
+# --markov-stay Q is a stay probability of a binary source: a value
+# outside [0,1], or the flag on a non-binary alphabet, is a usage error
+# (never a silent iid run or a library error).
+ccap_expect_failure(2 "--markov-stay expects a value in \\[0,1\\]"
+  mi --markov-stay -0.5)
+ccap_expect_failure(2 "--markov-stay expects a value in \\[0,1\\]"
+  mi --markov-stay 1.5)
+ccap_expect_failure(2 "--markov-stay needs --bits 1"
+  mi --markov-stay 0.8 --bits 2)
 # A grid step so fine that the capacity grid's index range overflows int32
 # fails with an error that names the grid step.
 ccap_expect_failure(1 "grid step pd_step = 1e-300 is too fine"
@@ -168,14 +181,13 @@ endif()
 
 # sweep identity: the adaptive Monte-Carlo column reads the uniform-prior
 # marginal from a per-point memo keyed by received length, yet stdout must
-# be byte-identical at one worker and at four, on the scalar one-lane
-# path (--mc-batch 1), and with the dispatch pinned to the scalar kernels.
+# be byte-identical at one worker and at four, and with the dispatch
+# pinned to the scalar kernels (whose tile width differs).
 set(sweep_cmd ${CCAP_BIN} sweep --mi-blocks 4 --mi-block-len 32 --mc-target-sem 0.05)
 set(sweep_variant_t1 ${sweep_cmd} --threads 1)
 set(sweep_variant_t4 ${sweep_cmd} --threads 4)
-set(sweep_variant_batch1 ${sweep_cmd} --threads 4 --mc-batch 1)
 set(sweep_variant_scalar ${CMAKE_COMMAND} -E env CCAP_SIMD=scalar ${sweep_cmd} --threads 4)
-foreach(variant t1 t4 batch1 scalar)
+foreach(variant t1 t4 scalar)
   execute_process(
     COMMAND ${sweep_variant_${variant}}
     OUTPUT_VARIABLE sweep_out_${variant}
@@ -188,7 +200,7 @@ endforeach()
 if(NOT sweep_out_t1 MATCHES "p_d,p_i,thm5_lower,exact,thm1_upper,degraded,mc_mi")
   message(FATAL_ERROR "sweep printed no CSV: ${sweep_out_t1}")
 endif()
-foreach(variant t4 batch1 scalar)
+foreach(variant t4 scalar)
   if(NOT sweep_out_t1 STREQUAL sweep_out_${variant})
     message(FATAL_ERROR
       "sweep stdout differs between t1 and ${variant}:\n${sweep_out_t1}\nvs\n${sweep_out_${variant}}")
@@ -216,6 +228,36 @@ endif()
 if(NOT mi_out_1 STREQUAL mi_out_4)
   message(FATAL_ERROR "mi stdout differs between --threads 1 and 4:\n${mi_out_1}\nvs\n${mi_out_4}")
 endif()
+
+# mi Markov identity: Markov inputs run through the same tile loop as iid
+# ones, with a per-lane joint marginal. stdout must agree at one worker,
+# at four, and with the dispatch pinned to the scalar kernels, once the
+# reported worker count is masked.
+set(markov_cmd ${CCAP_BIN} mi --markov-stay 0.8 --block 32 --blocks 6 --mc-target-sem 0.02)
+set(markov_variant_t1 ${markov_cmd} --threads 1)
+set(markov_variant_t4 ${markov_cmd} --threads 4)
+set(markov_variant_scalar ${CMAKE_COMMAND} -E env CCAP_SIMD=scalar ${markov_cmd} --threads 4)
+foreach(variant t1 t4 scalar)
+  execute_process(
+    COMMAND ${markov_variant_${variant}}
+    OUTPUT_VARIABLE markov_out_${variant}
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "mi --markov-stay (${variant}) failed: ${rc} (${err})")
+  endif()
+  string(REGEX REPLACE "threads: [0-9]+" "threads: N" markov_out_${variant}
+         "${markov_out_${variant}}")
+endforeach()
+if(NOT markov_out_t1 MATCHES "achievable rate: ")
+  message(FATAL_ERROR "mi --markov-stay printed no rate: ${markov_out_t1}")
+endif()
+foreach(variant t4 scalar)
+  if(NOT markov_out_t1 STREQUAL markov_out_${variant})
+    message(FATAL_ERROR
+      "mi --markov-stay stdout differs between t1 and ${variant}:\n${markov_out_t1}\nvs\n${markov_out_${variant}}")
+  endif()
+endforeach()
 
 # analyze SIMD identity: the MLE search scores its blocks on the
 # dispatched lane kernels, yet stdout must be byte-identical on the
