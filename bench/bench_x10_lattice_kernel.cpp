@@ -1,19 +1,17 @@
-// X10 — drift-lattice kernel microbenchmark: zero-allocation banded engine
-// vs the pre-change implementation.
+// X10 — drift-lattice kernel microbenchmark: zero-allocation engine vs the
+// pre-change implementation.
 //
-// Three implementations of log2 P(received | transmitted) are timed on the
+// Two implementations of log2 P(received | transmitted) are timed on the
 // same (tx, rx) pairs:
 //
 //   legacy — the seed DriftHmm lattice, reproduced below verbatim-in-spirit:
 //            fresh vector<vector<double>> rows per call, full +/-max_drift
 //            sweep, per-position point-prior emission through a fill+dot.
-//   exact  — LatticeEngine through a reused workspace, band_eps = 0
-//            (bit-identical results, asserted here on every pair).
-//   banded — LatticeEngine with band_eps > 0: adaptive drift window with a
-//            certified slack bound (asserted: realized error <= slack).
+//   exact  — LatticeEngine through a reused workspace (bit-identical
+//            results, asserted here on every pair).
 //
-// Emits BENCH_JSON (ns/symbol per configuration, speedups, realized banding
-// error vs certified slack) and persists BENCH_lattice_kernel.json.
+// Emits BENCH_JSON (ns/symbol per configuration, speedups) and persists
+// BENCH_lattice_kernel.json.
 // `--smoke` runs tiny sizes and writes BENCH_lattice_kernel_smoke.json so
 // the checked-in full-size baseline is not clobbered by ctest smoke runs.
 #include <cmath>
@@ -168,25 +166,17 @@ double time_ns_per_symbol(const std::vector<Pair>& pairs, std::size_t reps, Fn&&
 struct ConfigResult {
     double legacy_ns = 0.0;
     double exact_ns = 0.0;
-    double banded_ns = 0.0;
-    double max_error = 0.0;  // max over pairs of exact - banded (log2)
-    double max_slack = 0.0;  // max certified slack over pairs (log2)
     bool bit_identical = true;
-    bool error_certified = true;
 };
 
-ConfigResult run_config(const DriftParams& base, std::size_t n, int max_drift, double band_eps,
+ConfigResult run_config(const DriftParams& base, std::size_t n, int max_drift,
                         std::size_t num_pairs, std::size_t reps, std::uint64_t seed) {
     DriftParams params = base;
     params.max_drift = max_drift;
-    params.band_eps = 0.0;
     const std::vector<Pair> pairs = make_pairs(params, n, num_pairs, seed);
 
     const LegacyLattice legacy(params);
     const ccap::info::DriftHmm exact_hmm(params);
-    DriftParams banded_params = params;
-    banded_params.band_eps = band_eps;
-    const ccap::info::DriftHmm banded_hmm(banded_params);
     ccap::info::LatticeWorkspace ws;
 
     ConfigResult res;
@@ -194,16 +184,6 @@ ConfigResult run_config(const DriftParams& base, std::size_t n, int max_drift, d
         const double l_legacy = legacy.log2_likelihood(p.tx, p.rx);
         const double l_exact = exact_hmm.log2_likelihood(p.tx, p.rx, ws);
         if (std::memcmp(&l_legacy, &l_exact, sizeof(double)) != 0) res.bit_identical = false;
-        const ccap::info::BandedEvidence be =
-            banded_hmm.log2_likelihood_banded(p.tx, p.rx, ws);
-        if (std::isfinite(l_exact)) {
-            const double err = l_exact - be.log2_evidence;
-            res.max_error = std::max(res.max_error, err);
-            res.max_slack = std::max(res.max_slack, be.log2_slack);
-            // FP-rounding headroom on top of the certified (real-arithmetic)
-            // bound; the bound itself is what the JSON records.
-            if (err > be.log2_slack + 1e-6) res.error_certified = false;
-        }
     }
 
     res.legacy_ns = time_ns_per_symbol(pairs, reps, [&](const Pair& p) {
@@ -211,9 +191,6 @@ ConfigResult run_config(const DriftParams& base, std::size_t n, int max_drift, d
     });
     res.exact_ns = time_ns_per_symbol(pairs, reps, [&](const Pair& p) {
         return exact_hmm.log2_likelihood(p.tx, p.rx, ws);
-    });
-    res.banded_ns = time_ns_per_symbol(pairs, reps, [&](const Pair& p) {
-        return banded_hmm.log2_likelihood(p.tx, p.rx, ws);
     });
     return res;
 }
@@ -226,7 +203,7 @@ int main(int argc, char** argv) {
         if (std::string(argv[i]) == "--smoke") smoke = true;
 
     // Small-rate regime typical for covert channels: the drift posterior is
-    // sharply concentrated, which is exactly where banding pays off.
+    // sharply concentrated.
     DriftParams base;
     base.p_d = 0.004;
     base.p_i = 0.004;
@@ -241,71 +218,41 @@ int main(int argc, char** argv) {
     const std::vector<Config> grid = smoke
                                          ? std::vector<Config>{{64, 8}}
                                          : std::vector<Config>{{512, 8}, {2048, 16}, {4096, 16}};
-    const double headline_eps = 1e-12;
     const std::size_t num_pairs = smoke ? 2 : 4;
 
     ccap::bench::BenchJson json(smoke ? "lattice_kernel_smoke" : "lattice_kernel");
     json.field("p_d", base.p_d).field("p_i", base.p_i).field("p_s", base.p_s);
-    json.field("band_eps", headline_eps);
 
     std::printf("X10: drift-lattice kernel — legacy vs zero-allocation engine\n");
-    std::printf("%8s %8s %14s %14s %14s %10s %10s\n", "n", "drift", "legacy ns/sym",
-                "exact ns/sym", "banded ns/sym", "speedup", "err<=slack");
+    std::printf("%8s %8s %14s %14s %10s\n", "n", "drift", "legacy ns/sym", "exact ns/sym",
+                "speedup");
 
     bool all_identical = true;
-    bool all_certified = true;
     double headline_speedup = 0.0;
     for (const Config& cfg : grid) {
         // Scale sweep count so each config times ~the same total work.
         const std::size_t reps =
             smoke ? 2 : std::max<std::size_t>(2, 3'000'000 / (cfg.n * num_pairs));
         const ConfigResult r =
-            run_config(base, cfg.n, cfg.max_drift, headline_eps, num_pairs, reps, 0x9e3779b9);
+            run_config(base, cfg.n, cfg.max_drift, num_pairs, reps, 0x9e3779b9);
         all_identical = all_identical && r.bit_identical;
-        all_certified = all_certified && r.error_certified;
-        const double speedup = r.legacy_ns / r.banded_ns;
+        const double speedup = r.legacy_ns / r.exact_ns;
         if (!smoke && cfg.n == 4096 && cfg.max_drift == 16) headline_speedup = speedup;
-        std::printf("%8zu %8d %14.1f %14.1f %14.1f %9.2fx %10s\n", cfg.n, cfg.max_drift,
-                    r.legacy_ns, r.exact_ns, r.banded_ns, speedup,
-                    r.error_certified ? "yes" : "NO");
+        std::printf("%8zu %8d %14.1f %14.1f %9.2fx\n", cfg.n, cfg.max_drift, r.legacy_ns,
+                    r.exact_ns, speedup);
         const std::string tag =
             "_n" + std::to_string(cfg.n) + "_d" + std::to_string(cfg.max_drift);
         json.field("legacy_ns_sym" + tag, r.legacy_ns);
         json.field("exact_ns_sym" + tag, r.exact_ns);
-        json.field("banded_ns_sym" + tag, r.banded_ns);
         json.field("speedup" + tag, speedup);
-        json.field("max_error_log2" + tag, r.max_error);
-        json.field("max_slack_log2" + tag, r.max_slack);
-    }
-
-    // Banding-accuracy sweep at the largest configuration: how the realized
-    // error and its certificate grow with band_eps.
-    {
-        const Config& cfg = grid.back();
-        for (const double eps : {1e-12, 1e-8, 1e-4}) {
-            const ConfigResult r = run_config(base, cfg.n, cfg.max_drift, eps, num_pairs,
-                                              /*reps=*/2, 0x51ed2701);
-            all_certified = all_certified && r.error_certified;
-            char tag[64];
-            std::snprintf(tag, sizeof tag, "_eps%g", eps);
-            json.field(std::string("max_error_log2") + tag, r.max_error);
-            json.field(std::string("max_slack_log2") + tag, r.max_slack);
-            std::printf("  band_eps=%-8g max|error|=%.3e log2  certified slack=%.3e log2\n",
-                        eps, r.max_error, r.max_slack);
-        }
     }
 
     json.field("bit_identical", all_identical ? 1 : 0);
-    json.field("error_certified", all_certified ? 1 : 0);
     if (!smoke) json.field("headline_speedup_n4096_d16", headline_speedup);
     json.write();
 
     if (!all_identical) {
-        std::fprintf(stderr, "FAIL: band_eps=0 engine is not bit-identical to the legacy lattice\n");
-        return 1;
-    }
-    if (!all_certified) {
-        std::fprintf(stderr, "FAIL: realized banding error exceeded the certified slack\n");
+        std::fprintf(stderr, "FAIL: the engine is not bit-identical to the legacy lattice\n");
         return 1;
     }
     return 0;

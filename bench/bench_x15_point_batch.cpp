@@ -13,9 +13,9 @@
 //
 // Correctness gates before any timing (exit 1 on violation):
 //   * point_tile = 0 bit-identical to the historical per-point path
-//     (standalone iid_mutual_information_rate calls) at band_eps = 0,
-//   * the CRN sweep bit-identical across worker-thread count, MC batch
-//     size, and point_tile width (the per-(block, point) sample is a pure
+//     (standalone iid_mutual_information_rate calls),
+//   * the CRN sweep bit-identical across worker-thread count and
+//     point_tile width (the per-(block, point) sample is a pure
 //     function of the root seed, the block index, and the point's params),
 //   * full-size runs must then show >= 1.5x sweep throughput at matched
 //     worst-point SEM on a >= 16-point grid, with the summed

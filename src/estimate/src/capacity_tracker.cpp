@@ -85,10 +85,8 @@ std::uint64_t TrackerConfig::fingerprint() const noexcept {
     h = mix(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(cache.base.max_drift)));
     h = mix(h, static_cast<std::uint64_t>(
                    static_cast<std::uint32_t>(cache.base.max_insert_run)));
-    h = mix(h, cache.base.band_eps);
     h = mix(h, static_cast<std::uint64_t>(cache.mc.block_len));
     h = mix(h, static_cast<std::uint64_t>(cache.mc.num_blocks));
-    h = mix(h, cache.mc.band_eps);
     h = mix(h, cache.mc.target_sem);
     h = mix(h, static_cast<std::uint64_t>(cache.mc.max_blocks));
     h = mix(h, static_cast<std::uint64_t>(cache.mc.point_tile));

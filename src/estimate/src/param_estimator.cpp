@@ -221,7 +221,7 @@ ParamEstimate estimate_params_mle(std::span<const std::uint32_t> sent,
     // Each candidate scores every block on batch-engine lanes: a maximal
     // run of consecutive blocks sharing one sent length is one lockstep
     // call (split_blocks yields at most two: the full blocks and a ragged
-    // tail). At band_eps = 0 each lane is bit-identical to the scalar
+    // tail). Each lane is bit-identical to the scalar
     // log2_likelihood on that block, and the fold below runs in block
     // order, so the search sees the same surface bit for bit. One
     // workspace serves the whole fit, so its arenas stop growing after
@@ -254,7 +254,7 @@ ParamEstimate estimate_params_mle(std::span<const std::uint32_t> sent,
             const auto lanes = hmm.log2_likelihood_batch(
                 std::span(tx).subspan(begin, end - begin),
                 std::span(rx).subspan(begin, end - begin), ws);
-            for (const info::BandedEvidence& e : lanes) {
+            for (const info::LaneEvidence& e : lanes) {
                 const double ll = e.log2_evidence;
                 // A block outside the truncation gets a heavy — but finite —
                 // penalty so the search surface stays informative.

@@ -42,20 +42,11 @@
 //     of the valid window is lane-independent and interleaved +0.0
 //     contributions are exact no-ops on non-negative cells, every lane's
 //     normalized rows, scales and evidences are BIT-IDENTICAL to the
-//     scalar engine at band_eps = 0 (EXPECT_EQ-asserted in
+//     scalar engine (EXPECT_EQ-asserted in
 //     tests/info_batch_lattice_test.cpp, and per SIMD path in
 //     tests/info_simd_dispatch_test.cpp — the vector kernels use no FMA
 //     contraction and no cross-lane reductions, so lane l sees the same
 //     IEEE-754 operation sequence on every path).
-//
-//   * Adaptive-band mode (band_eps > 0) keeps one shared band: a drift
-//     column is trimmed only when every lane with mass in the current row
-//     is below its own band_eps * row_max threshold, and the pruned mass
-//     is accumulated per lane. Each lane therefore keeps its own certified
-//     slack bound (banded <= exact <= banded + slack, THEORY.md section
-//     11); the shared band is the union of what per-lane banding would
-//     keep, so batched banded evidence is never below the scalar banded
-//     evidence, and the bound is never looser per lane.
 //
 // DriftHmm's two *_batch entry points (log2_likelihood_batch and
 // log2_prior_marginal_batch in drift_hmm.hpp, implemented in
@@ -107,8 +98,8 @@ public:
     /// may differ per lane. Weight tables, trailing factors and emission
     /// tables become [.. ][lane] SoA planes replicating the DriftTables
     /// formulas per lane, and the forward sweep runs the per-lane-weight
-    /// fma_dest_run_pl kernel: lane l's result is bit-identical (at
-    /// band_eps = 0) to a scalar engine run under lane_params[l] alone. This is the
+    /// fma_dest_run_pl kernel: lane l's result is bit-identical to a
+    /// scalar engine run under lane_params[l] alone. This is the
     /// common-random-numbers sweep mode of deletion_bounds.cpp: one lattice
     /// pass evaluates a whole parameter-grid tile.
     BatchLatticeEngine(std::span<const DriftParams> lane_params,
@@ -165,16 +156,15 @@ public:
     /// contract so callers can vectorize the fill (batch_lattice.cpp maps
     /// the binary alphabet onto the dispatched select kernels). Padding
     /// entries must be finite (any valid-symbol value works; they multiply
-    /// zero cells). With band_eps = 0, every lane's rows/scales/evidence
-    /// are bit-identical to a scalar LatticeEngine run on that lane alone.
+    /// zero cells). Every lane's rows/scales/evidence are bit-identical to
+    /// a scalar LatticeEngine run on that lane alone.
     template <typename PlaneFn>
-    void forward(PlaneFn&& emit_plane, double band_eps) {
+    void forward(PlaneFn&& emit_plane) {
         constexpr double kNegInf = -std::numeric_limits<double>::infinity();
         const std::size_t L = lanes_;
         const std::size_t Lp = lanes_pad_;
         const LaneKernels& k = *k_;
         for (std::size_t l = 0; l < L; ++l) {
-            slack_[l] = 0.0;
             alive_[l] = 1;
             scale_a_[l] = 0.0;
         }
@@ -246,54 +236,16 @@ public:
                 for (int d = from; d <= chi; ++d) cur[idx(d) * Lp + l] = 0.0;
             }
 
-            for (std::size_t l = 0; l < Lp; ++l) pruned_[l] = 0.0;
-            if (band_eps > 0.0) {
-                for (std::size_t l = 0; l < Lp; ++l) rmax_[l] = 0.0;
-                for (int d = clo; d <= chi; ++d) k.maximum(rmax_.data(), cur + idx(d) * Lp, Lp);
-                // Shared band: trim a drift column only when every lane
-                // with mass this row is below its own threshold, so no
-                // lane is ever pruned harder than its scalar banded run.
-                const auto trimmable = [&](int d) {
-                    const double* c = cur + idx(d) * Lp;
-                    for (std::size_t l = 0; l < L; ++l)
-                        if (rmax_[l] > 0.0 && !(c[l] < band_eps * rmax_[l])) return false;
-                    return true;
-                };
-                while (clo <= chi && trimmable(clo)) {
-                    double* c = cur + idx(clo) * Lp;
-                    for (std::size_t l = 0; l < L; ++l) {
-                        pruned_[l] += c[l];
-                        c[l] = 0.0;
-                    }
-                    ++clo;
-                }
-                while (chi >= clo && trimmable(chi)) {
-                    double* c = cur + idx(chi) * Lp;
-                    for (std::size_t l = 0; l < L; ++l) {
-                        pruned_[l] += c[l];
-                        c[l] = 0.0;
-                    }
-                    --chi;
-                }
-            }
-
             for (std::size_t l = 0; l < Lp; ++l) norm_[l] = 0.0;
             for (int d = clo; d <= chi; ++d) k.accumulate(norm_.data(), cur + idx(d) * Lp, Lp);
             bool any_alive = false;
             for (std::size_t l = 0; l < L; ++l) {
-                if (alive_[l] == 0) {
+                if (alive_[l] == 0 || !(norm_[l] > 0.0)) {
+                    alive_[l] = 0;
                     scale_a_[j * L + l] = kNegInf;
                     norm_[l] = 1.0;  // keeps the shared division a no-op on zeros
                     continue;
                 }
-                if (!(norm_[l] > 0.0)) {
-                    slack_[l] += pruned_[l];
-                    alive_[l] = 0;
-                    scale_a_[j * L + l] = kNegInf;
-                    norm_[l] = 1.0;
-                    continue;
-                }
-                slack_[l] = (slack_[l] + pruned_[l]) / norm_[l];
                 scale_a_[j * L + l] = scale_a_[(j - 1) * L + l] + std::log2(norm_[l]);
                 any_alive = true;
             }
@@ -305,20 +257,13 @@ public:
         }
     }
 
-    /// log2 evidence and certified band slack of `lane` after forward().
-    [[nodiscard]] BandedEvidence evidence(std::size_t lane) const noexcept {
-        constexpr double kInf = std::numeric_limits<double>::infinity();
-        BandedEvidence out;
+    /// log2 evidence of `lane` after forward(); -infinity when it died.
+    [[nodiscard]] double evidence(std::size_t lane) const noexcept {
+        constexpr double kNegInf = -std::numeric_limits<double>::infinity();
         const double t = tail(lane);
         const double scale = scale_a_[n_ * lanes_ + lane];
-        if (!(t > 0.0) || scale == -kInf) {
-            out.log2_evidence = -kInf;
-            out.log2_slack = slack_[lane] > 0.0 ? kInf : 0.0;
-            return out;
-        }
-        out.log2_evidence = scale + std::log2(t);
-        out.log2_slack = slack_[lane] > 0.0 ? std::log2(1.0 + slack_[lane] / t) : 0.0;
-        return out;
+        if (!(t > 0.0) || scale == kNegInf) return kNegInf;
+        return scale + std::log2(t);
     }
 
 private:
@@ -403,11 +348,7 @@ private:
         scale_a_ = ws.scales_a((n_ + 1) * L);
         band_ = ws.bands(2 * (n_ + 1));
         emit_ = ws.scratch(row_stride_);
-        const auto ld = ws.lane_doubles(4 * Lp);
-        norm_ = ld.subspan(0, Lp);
-        pruned_ = ld.subspan(Lp, Lp);
-        slack_ = ld.subspan(2 * Lp, Lp);
-        rmax_ = ld.subspan(3 * Lp, Lp);
+        norm_ = ws.lane_doubles(Lp);
     }
 
     /// Per-lane SoA weight/trail/emission planes, replicating the
@@ -475,7 +416,7 @@ private:
     std::span<double> trail_;
     std::span<double> alpha_, scale_a_;
     std::span<double> emit_;
-    std::span<double> norm_, pruned_, slack_, rmax_;
+    std::span<double> norm_;
     std::span<int> band_;
     bool per_lane_ = false;
     std::span<const DriftParams> lane_p_;
@@ -484,26 +425,23 @@ private:
 
 // Per-lane-parameter batched entry points (batch_lattice.cpp): lane i runs
 // under lane_params[i], whose structural fields (alphabet, max_drift,
-// max_insert_run) must agree across lanes. At band_eps = 0 every lane's
-// result is bit-identical to the scalar call under lane_params[i] alone; in
-// banded mode each lane keeps its own certified slack. These power the
+// max_insert_run) must agree across lanes. Every lane's result is
+// bit-identical to the scalar call under lane_params[i] alone. These power the
 // common-random-numbers point-tile sweeps of deletion_bounds.cpp, which
 // evaluate one realized received sequence under a whole grid tile of
 // channel parameters in a single lattice pass.
 
-/// Batched log2_likelihood_banded with per-lane parameters: lane i pairs
+/// Batched log2_likelihood with per-lane parameters: lane i pairs
 /// transmitted[i] with received[i] under lane_params[i].
-[[nodiscard]] std::vector<BandedEvidence> log2_likelihood_batch_per_lane(
+[[nodiscard]] std::vector<LaneEvidence> log2_likelihood_batch_per_lane(
     std::span<const DriftParams> lane_params,
     std::span<const std::span<const std::uint8_t>> transmitted,
-    std::span<const std::span<const std::uint8_t>> received, LatticeWorkspace& ws,
-    double band_eps = 0.0);
+    std::span<const std::span<const std::uint8_t>> received, LatticeWorkspace& ws);
 
-/// Batched log2_prior_marginal_banded with per-lane parameters: one shared
-/// priors matrix (n x alphabet), one received sequence per lane.
-[[nodiscard]] std::vector<BandedEvidence> log2_prior_marginal_batch_per_lane(
+/// Batched log2_prior_marginal with per-lane parameters: one shared priors
+/// matrix (n x alphabet), one received sequence per lane.
+[[nodiscard]] std::vector<LaneEvidence> log2_prior_marginal_batch_per_lane(
     std::span<const DriftParams> lane_params, const util::Matrix& priors,
-    std::span<const std::span<const std::uint8_t>> received, LatticeWorkspace& ws,
-    double band_eps = 0.0);
+    std::span<const std::span<const std::uint8_t>> received, LatticeWorkspace& ws);
 
 }  // namespace ccap::info

@@ -19,10 +19,10 @@
 //   * exact/quantized — snap to the nearest node and use its estimate
 //     directly (bit-identity mode; quantization is part of the model);
 //   * interpolated — bilinear over the 4 surrounding nodes, carrying a
-//     certified error bound in the spirit of the banded-lattice slack
-//     (THEORY §13): capacity is monotone non-increasing in P_d and P_i, so
-//     the true value at an interior point is bracketed by the extreme
-//     corner values; the bound adds the corners' MC confidence radius.
+//     certified error bound (THEORY §13): capacity is monotone
+//     non-increasing in P_d and P_i, so the true value at an interior
+//     point is bracketed by the extreme corner values; the bound adds the
+//     corners' MC confidence radius.
 #pragma once
 
 #include <cstddef>
@@ -71,7 +71,7 @@ public:
     struct Config {
         CapacityGridSpec grid;
         /// Channel parameters shared by every node: p_s, alphabet,
-        /// max_drift, max_insert_run, band_eps. p_d / p_i are overwritten
+        /// max_drift, max_insert_run. p_d / p_i are overwritten
         /// from the node key.
         DriftParams base{0.0, 0.0, 0.0, 2, 16, 8};
         /// Per-node Monte-Carlo options. `threads` is ignored here — the

@@ -70,15 +70,6 @@ struct McOptions {
     std::size_t block_len = 64;   ///< symbols per sampled block
     std::size_t num_blocks = 16;  ///< independent blocks to average
     unsigned threads = 0;         ///< worker cap; 0 = hardware concurrency, 1 = serial
-    /// When > 0, overrides DriftParams::band_eps for the lattice passes:
-    /// adaptive-band pruning with a certified slack (lattice_engine.hpp).
-    /// Banding only lowers per-block evidences, so the estimate keeps its
-    /// lower-bound semantics. 0 keeps the params' own setting. The blocks
-    /// of one lockstep tile (resolved_mc_batch lanes) share a union band,
-    /// which may prune slightly less than banding each block alone — never
-    /// more — so banded bits can follow the tile width; exact bits
-    /// (band_eps = 0) never do.
-    double band_eps = 0.0;
     /// Adaptive precision. 0 (default) = fixed mode: exactly num_blocks
     /// blocks run, bit-identical to the historical behavior. > 0: blocks
     /// run in rounds of num_blocks (mc_round_blocks), and after each round
@@ -88,9 +79,7 @@ struct McOptions {
     /// compensated fold (util::CompensatedStats), so the stopping time —
     /// and hence the whole MiEstimate — is a pure function of (root seed,
     /// options, params): bit-identical at every thread count, exactly like
-    /// the fixed mode. (With band_eps > 0, round and grant boundaries can
-    /// split a lockstep union-band tile, which may prune slightly less than
-    /// one fused tile — never more, so the lower bound stands.)
+    /// the fixed mode.
     double target_sem = 0.0;
     /// Adaptive-mode total block cap; 0 picks 64 rounds' worth
     /// (64 * mc_round_blocks). Ignored in fixed mode.
@@ -111,10 +100,9 @@ struct McOptions {
     /// (PointSweepReport; docs/THEORY.md section 15). The shared tape is
     /// rooted at the FIRST point's seed (see crn_root); every point keeps
     /// its exact marginal block law, and estimates are bit-identical at
-    /// every thread count and point_tile width (band_eps = 0; with banding
-    /// the shared union band carries the target_sem tile caveat). Requires
-    /// all points to share alphabet, max_drift, max_insert_run and
-    /// effective band_eps. Ignored by the single-point estimators.
+    /// every thread count and point_tile width. Requires all points to
+    /// share alphabet, max_drift and max_insert_run. Ignored by the
+    /// single-point estimators.
     std::size_t point_tile = 0;
     /// Explicit root for the CRN variate tapes. 0 (default) derives the
     /// root from the first point's seed, which ties every sample to the
@@ -159,9 +147,10 @@ inline constexpr std::size_t kMcPointTileAuto = static_cast<std::size_t>(-1);
 
 /// Monte-Carlo achievable rate of the deletion-insertion(-substitution)
 /// channel with iid uniform inputs: E[log2 P(Y|X) - log2 P(Y)] / block_len.
-/// This lower-bounds the true (no-feedback) capacity up to O(1/block_len)
-/// edge effects and the lattice truncations (both only push the estimate
-/// down). Deterministic given `rng` state and invariant in opts.threads.
+/// This estimates an achievable rate, a lower bound on the true
+/// (no-feedback) capacity, up to O(1/block_len) edge effects and the
+/// lattice truncations (whose net sign is unproven, drift_hmm.hpp).
+/// Deterministic given `rng` state and invariant in opts.threads.
 [[nodiscard]] MiEstimate iid_mutual_information_rate(const DriftParams& params,
                                                      const McOptions& opts, util::Rng& rng);
 
@@ -214,7 +203,6 @@ struct PointSweepReport {
 ///   iid_mutual_information_rate(points[i].params,
 ///                               {opts, num_blocks = out[i].blocks,
 ///                                target_sem = 0, threads = 1}, r);
-/// (at band_eps = 0; see the McOptions::target_sem caveat).
 [[nodiscard]] std::vector<MiEstimate> iid_mutual_information_rate_points(
     std::span<const CapacityPoint> points, const McOptions& opts,
     PointSweepReport* report = nullptr);

@@ -20,7 +20,9 @@
 // Per-symbol insertion runs are truncated at max_insert_run (probability
 // mass P_i^{run} is geometrically negligible past ~10); drift is clamped to
 // [-max_drift, +max_drift]. Both truncations only *lower* reported
-// likelihoods, preserving the lower-bound semantics of the MI estimators.
+// likelihoods. The MI estimators subtract a truncated marginal from a
+// truncated conditional, so the net effect on an estimate has no proven
+// sign.
 #pragma once
 
 #include <cstdint>
@@ -62,15 +64,9 @@ struct DriftParams {
     double p_d = 0.0;          ///< deletion probability per channel use
     double p_i = 0.0;          ///< insertion probability per channel use
     double p_s = 0.0;          ///< substitution probability given transmission
-    unsigned alphabet = 2;     ///< symbol alphabet size M >= 2
+    unsigned alphabet = 2;     ///< symbol alphabet size M in [2, 256] (one byte per symbol)
     int max_drift = 48;        ///< |received - consumed| clamp
     int max_insert_run = 10;   ///< per-symbol insertion run truncation
-    /// Adaptive-band pruning threshold, relative to the per-row forward
-    /// maximum: states below band_eps * row_max are trimmed off the band
-    /// edges and their mass is folded into a certified slack bound
-    /// (lattice_engine.hpp). 0 keeps the exact full-band sweep,
-    /// bit-identical to the pre-banding implementation.
-    double band_eps = 0.0;
 
     /// Transmission probability per channel use.
     [[nodiscard]] double p_t() const noexcept { return 1.0 - p_d - p_i; }
@@ -78,13 +74,9 @@ struct DriftParams {
     void validate() const;
 };
 
-/// Banded evidence with its certified truncation slack:
-///   log2_evidence <= exact log2 evidence <= log2_evidence + log2_slack.
-/// With band_eps = 0 the slack is exactly 0; it is +infinity only when the
-/// banded lattice died while pruned mass might still survive exactly.
-struct BandedEvidence {
+/// One lane's result of a batched evidence call.
+struct LaneEvidence {
     double log2_evidence = -std::numeric_limits<double>::infinity();
-    double log2_slack = 0.0;
 };
 
 class DriftHmm {
@@ -107,20 +99,14 @@ public:
                                          std::span<const std::uint8_t> received,
                                          LatticeWorkspace& ws) const;
 
-    /// log2_likelihood plus the certified adaptive-band slack (0 when
-    /// params().band_eps == 0).
-    [[nodiscard]] BandedEvidence log2_likelihood_banded(
-        std::span<const std::uint8_t> transmitted, std::span<const std::uint8_t> received,
-        LatticeWorkspace& ws) const;
-
     /// log2 P(received) when transmitted symbols are drawn independently
     /// from the per-position priors (n = priors.rows()): the forward pass
     /// of posteriors() without the backward sweep, bit-identical to the
     /// evidence posteriors() reports but at half the cost. The Monte-Carlo
     /// iid marginal is computed this way.
-    [[nodiscard]] BandedEvidence log2_prior_marginal_banded(
-        const util::Matrix& priors, std::span<const std::uint8_t> received,
-        LatticeWorkspace& ws) const;
+    [[nodiscard]] double log2_prior_marginal(const util::Matrix& priors,
+                                             std::span<const std::uint8_t> received,
+                                             LatticeWorkspace& ws) const;
 
     /// Forward-backward posteriors. `priors` is an n x M row-stochastic
     /// matrix of per-position transmitted-symbol priors. Returns an n x M
@@ -195,30 +181,25 @@ public:
     [[nodiscard]] double log2_markov_marginal(const MarkovSource& source, std::size_t tx_len,
                                               std::span<const std::uint8_t> received,
                                               LatticeWorkspace& ws) const;
-    /// Markov marginal plus the certified adaptive-band slack.
-    [[nodiscard]] BandedEvidence log2_markov_marginal_banded(
-        const MarkovSource& source, std::size_t tx_len,
-        std::span<const std::uint8_t> received, LatticeWorkspace& ws) const;
 
     // Batched lockstep evidence (BatchLatticeEngine, batch_lattice.hpp;
     // implemented in batch_lattice.cpp). Each takes one lane per sequence;
     // transmitted lengths must agree across lanes (that is the lockstep
-    // shape), received lengths may be ragged. At params().band_eps == 0
-    // every lane's result is bit-identical to the scalar call on that lane
-    // alone; in banded mode each lane keeps its own certified slack. The
-    // batch engine is forward-only: posteriors() and expected_events()
-    // have no batched form and run one sequence at a time.
+    // shape), received lengths may be ragged. Every lane's result is
+    // bit-identical to the scalar call on that lane alone. The batch engine
+    // is forward-only: posteriors() and expected_events() have no batched
+    // form and run one sequence at a time.
     using SymbolSpan = std::span<const std::uint8_t>;
 
-    /// Batched log2_likelihood_banded: lane i pairs transmitted[i] with
+    /// Batched log2_likelihood: lane i pairs transmitted[i] with
     /// received[i].
-    [[nodiscard]] std::vector<BandedEvidence> log2_likelihood_batch(
+    [[nodiscard]] std::vector<LaneEvidence> log2_likelihood_batch(
         std::span<const SymbolSpan> transmitted, std::span<const SymbolSpan> received,
         LatticeWorkspace& ws) const;
 
-    /// Batched log2_prior_marginal_banded: one shared priors matrix, one
-    /// received sequence per lane.
-    [[nodiscard]] std::vector<BandedEvidence> log2_prior_marginal_batch(
+    /// Batched log2_prior_marginal: one shared priors matrix, one received
+    /// sequence per lane.
+    [[nodiscard]] std::vector<LaneEvidence> log2_prior_marginal_batch(
         const util::Matrix& priors, std::span<const SymbolSpan> received,
         LatticeWorkspace& ws) const;
 

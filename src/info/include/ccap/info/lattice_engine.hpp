@@ -1,4 +1,4 @@
-// Zero-allocation banded lattice engine for the Davey-MacKay drift HMM.
+// Zero-allocation lattice engine for the Davey-MacKay drift HMM.
 //
 // Every capacity estimate in this repo bottoms out in forward/backward
 // sweeps over the drift lattice (drift_hmm.hpp). The seed implementation
@@ -17,21 +17,11 @@
 //     one at construction time.
 //
 //   * LatticeEngine — a per-call view that runs the forward/backward
-//     passes over flat rows. In exact mode (band_eps = 0) it sweeps the
-//     full valid drift window of every row with the same floating-point
-//     operation order as the seed implementation, so results are
-//     bit-identical. In adaptive-band mode (band_eps > 0) it tracks the
-//     live drift window [lo_t, hi_t] per row, pruning edge states whose
-//     forward mass falls below band_eps * row_max. The pruned mass is
-//     accumulated into a certified slack bound: because any pruned state's
-//     future contribution to the evidence is at most its current mass
-//     (probabilities of a specific received suffix are <= 1),
-//
-//       log2_evidence_exact - log2_evidence_banded <= log2_slack()
-//
-//     always holds (docs/THEORY.md section 11 has the derivation). Banding
-//     only ever *lowers* the reported evidence, preserving the lower-bound
-//     semantics of the Monte-Carlo MI estimators.
+//     passes over flat rows. The forward pass sweeps, per row, the drift
+//     window reachable from the previous row within the valid window
+//     (band_lo/band_hi); every cell outside it is exactly zero in the seed
+//     implementation, and the cells inside are visited with the seed's
+//     floating-point operation order, so results are bit-identical.
 //
 // bcjr.cpp, watermark.cpp and alignment.cpp reuse LatticeWorkspace for
 // their own trellises so the repo has one flat-row DP idiom.
@@ -102,7 +92,7 @@ public:
     [[nodiscard]] std::span<double> scratch3(std::size_t cells) { return grab(scr3_, cells); }
 
     // Arenas for the batched structure-of-arrays engine (batch_lattice.hpp).
-    /// Small per-lane double buffers (norms, pruned mass, slack, ...).
+    /// Small per-lane double buffers (row norms).
     [[nodiscard]] std::span<double> lane_doubles(std::size_t cells) {
         return grab(lane_d_, cells);
     }
@@ -257,35 +247,15 @@ public:
     [[nodiscard]] double beta_scale(std::size_t j) const noexcept { return scale_b_[j]; }
     [[nodiscard]] int band_lo(std::size_t j) const noexcept { return band_[2 * j]; }
     [[nodiscard]] int band_hi(std::size_t j) const noexcept { return band_[2 * j + 1]; }
-    [[nodiscard]] bool dead() const noexcept { return dead_; }
-
-    /// Window the backward pass (and beta reads) sweep for row j. In
-    /// adaptive-band mode (while the forward lattice is alive) this is the
-    /// forward band. In exact mode — and after the forward pass died — it
-    /// is the full valid window: the seed's backward sweep is independent
-    /// of the forward pass, and near the lattice edges the forward band is
-    /// narrower than the valid window (row j reaches at most
-    /// j * (max_insert_run - 1) above drift 0), so normalizing beta rows
-    /// over the forward band would perturb posteriors by a few ulps.
-    bool beta_window(std::size_t j, int& lo, int& hi) const noexcept {
-        if (banded_ && !dead_) {
-            lo = band_lo(j);
-            hi = band_hi(j);
-            return lo <= hi;
-        }
-        return valid_window(j, lo, hi);
-    }
 
     /// Forward pass. emit_at(j, r) must return the emission factor for
     /// received symbol r at transmitted position j (0-based): a table
     /// lookup for point priors, a prior-weighted dot product otherwise.
-    /// band_eps = 0 sweeps the full valid window of every row and is
-    /// bit-identical to the seed implementation.
+    /// Row j sweeps [band_lo(j), band_hi(j)]: the valid window cut to the
+    /// drifts reachable from row j - 1, [lo - 1, hi + max_insert_run - 1].
+    /// Bit-identical to the seed implementation.
     template <typename EmitFn>
-    void forward(EmitFn&& emit_at, double band_eps) {
-        slack_rel_ = 0.0;
-        dead_ = false;
-        banded_ = band_eps > 0.0;
+    void forward(EmitFn&& emit_at) {
         double* row0 = alpha_.data();
         row0[idx(0)] = 1.0;
         scale_a_[0] = 0.0;
@@ -325,37 +295,22 @@ public:
                 }
             }
 
-            double pruned = 0.0;
-            if (band_eps > 0.0) {
-                double row_max = 0.0;
-                for (int d = clo; d <= chi; ++d) row_max = std::max(row_max, cur[idx(d)]);
-                const double thresh = band_eps * row_max;
-                while (clo <= chi && cur[idx(clo)] < thresh) {
-                    pruned += cur[idx(clo)];
-                    cur[idx(clo)] = 0.0;
-                    ++clo;
-                }
-                while (chi >= clo && cur[idx(chi)] < thresh) {
-                    pruned += cur[idx(chi)];
-                    cur[idx(chi)] = 0.0;
-                    --chi;
-                }
-            }
             double norm = 0.0;
             for (int d = clo; d <= chi; ++d) norm += cur[idx(d)];
-            if (!(norm > 0.0)) {
-                slack_rel_ += pruned;
-                return kill_from(j);
-            }
+            if (!(norm > 0.0)) return kill_from(j);
             for (int d = clo; d <= chi; ++d) cur[idx(d)] /= norm;
-            slack_rel_ = (slack_rel_ + pruned) / norm;
             scale_a_[j] = scale_a_[j - 1] + std::log2(norm);
             band_[2 * j] = clo;
             band_[2 * j + 1] = chi;
         }
     }
 
-    /// Backward pass, symmetric to forward, swept over beta_window().
+    /// Backward pass, symmetric to forward, swept over the full valid
+    /// window of every row, as the seed's backward sweep is: near the
+    /// lattice edges the forward band is narrower than the valid window
+    /// (row j reaches at most j * (max_insert_run - 1) above drift 0), so
+    /// normalizing beta rows over the forward band would perturb posteriors
+    /// by a few ulps.
     template <typename EmitFn>
     void backward(EmitFn&& emit_at) {
         constexpr double kNegInf = -std::numeric_limits<double>::infinity();
@@ -364,7 +319,7 @@ public:
             double* last = beta_.data() + n_ * width_;
             int lo = 0, hi = -1;
             double norm = 0.0;
-            if (beta_window(n_, lo, hi)) {
+            if (valid_window(n_, lo, hi)) {
                 for (int d = lo; d <= hi; ++d) {
                     last[idx(d)] = trailing(d);
                     norm += last[idx(d)];
@@ -381,12 +336,12 @@ public:
             double* cur = beta_.data() + j * width_;
             const double* next = beta_.data() + (j + 1) * width_;
             int lo = 0, hi = -1;
-            if (!beta_window(j, lo, hi)) {
+            if (!valid_window(j, lo, hi)) {
                 scale_b_[j] = kNegInf;
                 continue;
             }
             int nlo = 0, nhi = -1;
-            const bool next_live = beta_window(j + 1, nlo, nhi);
+            const bool next_live = valid_window(j + 1, nlo, nhi);
             double norm = 0.0;
             for (int dp = lo; dp <= hi; ++dp) {
                 const std::size_t r0 =
@@ -428,31 +383,17 @@ public:
         return t;
     }
 
-    /// log2 evidence and the certified band slack after forward(). With
-    /// band_eps = 0 the slack is exactly 0; when the banded lattice died
-    /// while exact mass may survive, the slack is +infinity.
-    [[nodiscard]] BandedEvidence evidence() const noexcept {
-        constexpr double kInf = std::numeric_limits<double>::infinity();
-        BandedEvidence out;
+    /// log2 evidence after forward(); -infinity when the lattice died.
+    [[nodiscard]] double evidence() const noexcept {
+        constexpr double kNegInf = -std::numeric_limits<double>::infinity();
         const double t = tail();
-        if (dead_ || !(t > 0.0) || scale_a_[n_] == -kInf) {
-            out.log2_evidence = -kInf;
-            out.log2_slack = slack_rel_ > 0.0 ? kInf : 0.0;
-            return out;
-        }
-        out.log2_evidence = scale_a_[n_] + std::log2(t);
-        out.log2_slack = slack_rel_ > 0.0 ? std::log2(1.0 + slack_rel_ / t) : 0.0;
-        return out;
+        if (!(t > 0.0) || scale_a_[n_] == kNegInf) return kNegInf;
+        return scale_a_[n_] + std::log2(t);
     }
-
-    /// Pruned mass accumulated so far, in units of the current forward
-    /// scale (see THEORY.md section 11). Exposed for the joint Markov pass.
-    [[nodiscard]] double slack_rel() const noexcept { return slack_rel_; }
 
 private:
     void kill_from(std::size_t j) noexcept {
         constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-        dead_ = true;
         for (std::size_t k = j; k <= n_; ++k) {
             scale_a_[k] = kNegInf;
             band_[2 * k] = 1;
@@ -470,9 +411,6 @@ private:
     std::span<double> trail_;
     std::span<double> alpha_, beta_, scale_a_, scale_b_;
     std::span<int> band_;
-    double slack_rel_ = 0.0;
-    bool dead_ = false;
-    bool banded_ = false;
 };
 
 }  // namespace ccap::info

@@ -20,7 +20,7 @@
 // arithmetic select e0*(1-s) + e1*s IS the selected entry bit for bit).
 // Vectorizing across lanes therefore changes no result: the dispatch
 // matrix test (tests/info_simd_dispatch_test.cpp) asserts bit-identity of
-// every path against the scalar LatticeEngine at band_eps = 0.
+// every path against the scalar LatticeEngine.
 //
 // Callers with lane counts >= vector_doubles pad to a multiple of it and
 // align the backing arenas (lattice_engine.hpp), so the hot calls run full
@@ -41,8 +41,8 @@ namespace ccap::info {
 /// Elementwise lane kernels. All pointers are non-null; `L` is the lane
 /// count (any value — implementations handle non-multiple tails).
 ///
-/// fma_weighted, fma_acc_run, axpy_lanes and fma_acc_run_pl have no engine
-/// caller. They stay, still bit-identity-tested per path, because the
+/// fma_weighted, maximum, fma_acc_run, axpy_lanes and fma_acc_run_pl have
+/// no engine caller. They stay, still bit-identity-tested per path, because the
 /// benchmark's kernel harness (perfbench/kernels.cpp) binds every field.
 struct LaneKernels {
     /// dst[l] += src[l] * w

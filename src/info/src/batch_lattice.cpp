@@ -2,8 +2,8 @@
 //
 // Each operation packs its lanes into the workspace's SoA arenas, runs the
 // lockstep forward pass with one of the emission-plane fillers below, and
-// reads back each lane's evidence — bit-identical at band_eps = 0 to the
-// scalar call on that lane, by the engine's row identity.
+// reads back each lane's evidence — bit-identical to the scalar call on
+// that lane, by the engine's row identity.
 #include "ccap/info/batch_lattice.hpp"
 
 #include <algorithm>
@@ -194,13 +194,13 @@ const std::uint8_t* pack_tx(std::span<const DriftHmm::SymbolSpan> transmitted,
 
 }  // namespace
 
-std::vector<BandedEvidence> DriftHmm::log2_likelihood_batch(
+std::vector<LaneEvidence> DriftHmm::log2_likelihood_batch(
     std::span<const SymbolSpan> transmitted, std::span<const SymbolSpan> received,
     LatticeWorkspace& ws) const {
     if (transmitted.size() != received.size())
         throw std::invalid_argument("DriftHmm::log2_likelihood_batch: lane count mismatch");
     const std::size_t L = transmitted.size();
-    std::vector<BandedEvidence> out(L);
+    std::vector<LaneEvidence> out(L);
     if (L == 0) return out;
     const std::size_t n = lockstep_tx_len(transmitted, "DriftHmm::log2_likelihood_batch");
     for (std::size_t l = 0; l < L; ++l) {
@@ -216,17 +216,17 @@ std::vector<BandedEvidence> DriftHmm::log2_likelihood_batch(
                         Lp,
                         ws.scratch2(2 * Lp),
                         &eng.kernels()};
-    eng.forward(emit_pt, params_.band_eps);
-    for (std::size_t l = 0; l < L; ++l) out[l] = eng.evidence(l);
+    eng.forward(emit_pt);
+    for (std::size_t l = 0; l < L; ++l) out[l].log2_evidence = eng.evidence(l);
     return out;
 }
 
-std::vector<BandedEvidence> DriftHmm::log2_prior_marginal_batch(
+std::vector<LaneEvidence> DriftHmm::log2_prior_marginal_batch(
     const util::Matrix& priors, std::span<const SymbolSpan> received,
     LatticeWorkspace& ws) const {
     check_priors(priors, params_.alphabet, "DriftHmm::log2_prior_marginal_batch");
     const std::size_t L = received.size();
-    std::vector<BandedEvidence> out(L);
+    std::vector<LaneEvidence> out(L);
     if (L == 0) return out;
     for (std::size_t l = 0; l < L; ++l)
         check_symbols(received[l], params_.alphabet, "received");
@@ -238,20 +238,19 @@ std::vector<BandedEvidence> DriftHmm::log2_prior_marginal_batch(
                           eng.lane_stride(),
                           ws.scratch3(params_.alphabet),
                           &eng.kernels()};
-    eng.forward(emit_p, params_.band_eps);
-    for (std::size_t l = 0; l < L; ++l) out[l] = eng.evidence(l);
+    eng.forward(emit_p);
+    for (std::size_t l = 0; l < L; ++l) out[l].log2_evidence = eng.evidence(l);
     return out;
 }
 
-std::vector<BandedEvidence> log2_likelihood_batch_per_lane(
+std::vector<LaneEvidence> log2_likelihood_batch_per_lane(
     std::span<const DriftParams> lane_params,
     std::span<const std::span<const std::uint8_t>> transmitted,
-    std::span<const std::span<const std::uint8_t>> received, LatticeWorkspace& ws,
-    double band_eps) {
+    std::span<const std::span<const std::uint8_t>> received, LatticeWorkspace& ws) {
     if (transmitted.size() != received.size() || transmitted.size() != lane_params.size())
         throw std::invalid_argument("log2_likelihood_batch_per_lane: lane count mismatch");
     const std::size_t L = transmitted.size();
-    std::vector<BandedEvidence> out(L);
+    std::vector<LaneEvidence> out(L);
     if (L == 0) return out;
     const std::size_t n = lockstep_tx_len(transmitted, "log2_likelihood_batch_per_lane");
     const unsigned alphabet = lane_params[0].alphabet;
@@ -268,20 +267,19 @@ std::vector<BandedEvidence> log2_likelihood_batch_per_lane(
                                Lp,
                                ws.scratch2(2 * Lp),
                                &eng.kernels()};
-    eng.forward(emit_pt, band_eps);
-    for (std::size_t l = 0; l < L; ++l) out[l] = eng.evidence(l);
+    eng.forward(emit_pt);
+    for (std::size_t l = 0; l < L; ++l) out[l].log2_evidence = eng.evidence(l);
     return out;
 }
 
-std::vector<BandedEvidence> log2_prior_marginal_batch_per_lane(
+std::vector<LaneEvidence> log2_prior_marginal_batch_per_lane(
     std::span<const DriftParams> lane_params, const util::Matrix& priors,
-    std::span<const std::span<const std::uint8_t>> received, LatticeWorkspace& ws,
-    double band_eps) {
+    std::span<const std::span<const std::uint8_t>> received, LatticeWorkspace& ws) {
     if (received.size() != lane_params.size())
         throw std::invalid_argument(
             "log2_prior_marginal_batch_per_lane: lane count mismatch");
     const std::size_t L = received.size();
-    std::vector<BandedEvidence> out(L);
+    std::vector<LaneEvidence> out(L);
     if (L == 0) return out;
     const unsigned alphabet = lane_params[0].alphabet;
     check_priors(priors, alphabet, "log2_prior_marginal_batch_per_lane");
@@ -292,8 +290,8 @@ std::vector<BandedEvidence> log2_prior_marginal_batch_per_lane(
     PriorEmitPlanePerLane emit_p{&priors, &eng, alphabet, Lp,
                                  ws.scratch3(static_cast<std::size_t>(alphabet) * Lp),
                                  &eng.kernels()};
-    eng.forward(emit_p, band_eps);
-    for (std::size_t l = 0; l < L; ++l) out[l] = eng.evidence(l);
+    eng.forward(emit_p);
+    for (std::size_t l = 0; l < L; ++l) out[l].log2_evidence = eng.evidence(l);
     return out;
 }
 

@@ -100,7 +100,7 @@ namespace {
 
 /// Information per input symbol of one block. A non-finite evidence means
 /// the block fell outside the lattice truncation: score it zero
-/// information, preserving the lower-bound semantics.
+/// information.
 double info_per_symbol(double log_cond, double log_marg, std::size_t block_len) {
     return (std::isfinite(log_cond) && std::isfinite(log_marg))
                ? (log_cond - log_marg) / static_cast<double>(block_len)
@@ -166,14 +166,6 @@ MiEstimate adaptive_mc_estimate(const McOptions& opts, std::size_t batch, util::
     return {std::max(0.0, stats.mean()), stats.sem(), spent, opts.block_len, converged};
 }
 
-/// McOptions::band_eps > 0 overrides the params' own band setting for the
-/// Monte-Carlo lattice passes.
-DriftParams effective_params(const DriftParams& params, const McOptions& opts) {
-    DriftParams p = params;
-    if (opts.band_eps > 0.0) p.band_eps = opts.band_eps;
-    return p;
-}
-
 }  // namespace
 
 std::size_t mc_round_blocks(const McOptions& opts) {
@@ -194,7 +186,8 @@ std::size_t resolved_point_tile(const McOptions& opts, std::size_t num_points) {
     if (g == kMcPointTileAuto) {
         // Auto: a small multiple of the active vector width — enough points
         // per tile to amortize the shared tape and fill vectors, few enough
-        // that the heterogeneous union band stays tight.
+        // that the lanes' union drift window, which follows the longest
+        // received sequence, stays close to each lane's own.
         const std::size_t W = util::simd_vector_doubles(util::active_simd_path());
         g = std::max<std::size_t>(W, 8);
         g = g / W * W;
@@ -215,9 +208,9 @@ std::size_t resolved_mc_batch(const McOptions& opts, const DriftParams& params) 
     b = std::clamp<std::size_t>(b, 4, 32);
     // Shape the tile for the active SIMD path: a multiple of the vector
     // width (the batched engine pads lanes to it, so anything else wastes
-    // kernel lanes). Deliberately NOT a function of opts.threads — with
-    // band_eps > 0 the tile size shifts the shared union band, and the
-    // McOptions contract promises estimates invariant in the thread count.
+    // kernel lanes). Lanes are bit-identical at any tile width, so this is
+    // a speed choice only; it does not read opts.threads, so one
+    // configuration runs one tile shape at every thread count.
     const std::size_t W = util::simd_vector_doubles(util::active_simd_path());
     b = std::max(W, b / W * W);
     // A round never fills more lanes than it has blocks. Clamping to the
@@ -234,10 +227,10 @@ namespace {
 /// identical and every received symbol r gets the same prior emission
 /// factor — the same double — nothing in the exact forward pass reads the
 /// symbols, so log2 P(y) is a function of |y| alone, bit for bit. Enabled
-/// only then, and only at band_eps == 0; otherwise it stays empty and
-/// every lookup misses. Slots cover lengths 0 .. 2n + max_drift, NaN marking an
-/// unfilled one: trailing insertions make any length reachable, and with
-/// P_i up to about 0.3 the received lengths routinely pass n + max_drift.
+/// only then; otherwise it stays empty and every lookup misses. Slots
+/// cover lengths 0 .. 2n + max_drift, NaN marking an unfilled one:
+/// trailing insertions make any length reachable, and with P_i up to
+/// about 0.3 the received lengths routinely pass n + max_drift.
 /// Longer ones are computed but not kept. The slots are atomics because
 /// the tiles of one estimate may run concurrently, and a racing fill
 /// stores identical bits.
@@ -267,10 +260,10 @@ public:
 private:
     static constexpr double kUnfilled = std::numeric_limits<double>::quiet_NaN();
 
-    /// band_eps == 0, identical prior rows, and one prior emission factor
-    /// for every received symbol — compared as bits.
+    /// Identical prior rows, and one prior emission factor for every
+    /// received symbol — compared as bits.
     static bool length_only(const DriftHmm& hmm, const util::Matrix& priors) {
-        if (hmm.params().band_eps > 0.0 || priors.rows() == 0) return false;
+        if (priors.rows() == 0) return false;
         const auto same_bits = [](double a, double b) {
             return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
         };
@@ -296,18 +289,18 @@ private:
 /// 0, so the tile partition is a function of the block indices alone and
 /// any carve-up of [0, N) into ranges produces the same sweeps.
 /// Inputs::marginals gives each lane's log2 P(y); batched lanes are
-/// bit-identical to scalar passes at band_eps = 0. One leased workspace
+/// bit-identical to scalar passes. One leased workspace
 /// per call: the lattice passes reuse the same arenas, allocation-free at
 /// steady state.
 template <typename Inputs>
 struct TileSampler {
     const DriftHmm& hmm;
-    const DriftParams& params;
     std::size_t block_len;
     std::size_t batch;
     Inputs inputs;
 
     void operator()(std::uint64_t root, std::size_t b0, std::span<double> out) const {
+        const DriftParams& params = hmm.params();
         ScopedWorkspace ws;
         std::size_t pos = 0;
         while (pos < out.size()) {
@@ -323,7 +316,7 @@ struct TileSampler {
                 txv[i] = tx[i];
                 rxv[i] = rx[i];
             }
-            const std::vector<BandedEvidence> cond = hmm.log2_likelihood_batch(txv, rxv, ws);
+            const std::vector<LaneEvidence> cond = hmm.log2_likelihood_batch(txv, rxv, ws);
             const std::vector<double> marg = inputs.marginals(hmm, rxv, ws);
             for (std::size_t i = 0; i < lanes; ++i)
                 out[pos + i] = info_per_symbol(cond[i].log2_evidence, marg[i], block_len);
@@ -355,7 +348,7 @@ struct IidInputs {
         const std::size_t lanes = rxv.size();
         std::vector<double> marg(lanes);
         if (!memo.enabled()) {
-            const std::vector<BandedEvidence> full =
+            const std::vector<LaneEvidence> full =
                 hmm.log2_prior_marginal_batch(priors, rxv, ws);
             for (std::size_t i = 0; i < lanes; ++i) marg[i] = full[i].log2_evidence;
             return marg;
@@ -386,7 +379,7 @@ struct IidInputs {
         std::vector<DriftHmm::SymbolSpan> spans;
         spans.reserve(lengths.size());
         for (const std::size_t len : lengths) spans.emplace_back(zeros.data(), len);
-        const std::vector<BandedEvidence> pass =
+        const std::vector<LaneEvidence> pass =
             hmm.log2_prior_marginal_batch(priors, spans, ws);
         for (std::size_t k = 0; k < lengths.size(); ++k)
             memo.store(lengths[k], pass[k].log2_evidence);
@@ -428,9 +421,9 @@ MiEstimate markov_mutual_information_rate(const DriftParams& params, const Marko
     if (opts.block_len == 0 || opts.num_blocks == 0)
         throw std::invalid_argument("markov_mutual_information_rate: empty experiment");
 
-    const DriftHmm hmm(effective_params(params, opts));
+    const DriftHmm hmm(params);
     const std::size_t batch = resolved_mc_batch(opts, params);
-    const TileSampler<MarkovInputs> sampler{hmm, params, opts.block_len, batch,
+    const TileSampler<MarkovInputs> sampler{hmm, opts.block_len, batch,
                                             {source, opts.block_len}};
     return adaptive_mc_estimate(opts, batch, rng, sampler);
 }
@@ -441,13 +434,12 @@ MiEstimate iid_mutual_information_rate(const DriftParams& params, const McOption
     if (opts.block_len == 0 || opts.num_blocks == 0)
         throw std::invalid_argument("iid_mutual_information_rate: empty experiment");
 
-    const DriftHmm hmm(effective_params(params, opts));
+    const DriftHmm hmm(params);
     const util::Matrix uniform_priors(opts.block_len, params.alphabet,
                                       1.0 / static_cast<double>(params.alphabet));
     const std::size_t batch = resolved_mc_batch(opts, params);
     MarginalLengthMemo memo(hmm, uniform_priors);
-    const TileSampler<IidInputs> sampler{hmm, params, opts.block_len, batch,
-                                         {uniform_priors, memo}};
+    const TileSampler<IidInputs> sampler{hmm, opts.block_len, batch, {uniform_priors, memo}};
     return adaptive_mc_estimate(opts, batch, rng, sampler);
 }
 
@@ -534,7 +526,6 @@ std::vector<std::uint8_t> crn_realize(CrnTape& tape, const DriftParams& params) 
 /// One CRN point tile: per-point folds plus the per-block sample history
 /// the paired-difference SEMs are computed from.
 struct CrnTileState {
-    std::vector<DriftParams> eff;                ///< effective per-point params
     std::vector<util::CompensatedStats> stats;   ///< per-point fold
     std::vector<std::vector<double>> history;    ///< per-point samples, block order
     std::vector<std::size_t> spent;              ///< per-point blocks folded
@@ -545,15 +536,15 @@ struct CrnTileState {
 /// sweep chunk covers kb consecutive blocks x active.size() points as
 /// lanes of one per-lane-parameter lattice pass (lane = block-major, point
 /// minor). Chunk boundaries align to global multiples of kb counted from
-/// block 0, so the chunk partition — and with band_eps = 0 every lane's
-/// sample — is a pure function of the block indices: thread- and
-/// round-invariant. The fold runs serially in (block, point) order.
-void crn_run_round(CrnTileState& st, std::span<const std::size_t> active,
-                   const util::Matrix& priors, std::uint64_t root, std::size_t block_len,
-                   double band_eps, std::size_t kb, std::size_t b0, std::size_t b1,
-                   unsigned threads) {
+/// block 0, and every lane's sample is a pure function of its block index
+/// and point: thread- and round-invariant. The fold runs serially in
+/// (block, point) order.
+void crn_run_round(CrnTileState& st, std::span<const CapacityPoint> points,
+                   std::span<const std::size_t> active, const util::Matrix& priors,
+                   std::uint64_t root, std::size_t block_len, std::size_t kb, std::size_t b0,
+                   std::size_t b1, unsigned threads) {
     const std::size_t ga = active.size();
-    const unsigned m = st.eff[active[0]].alphabet;
+    const unsigned m = points[active[0]].params.alphabet;
     std::vector<double> samples((b1 - b0) * ga, 0.0);
     const std::size_t t0 = b0 / kb;
     const std::size_t t1 = (b1 + kb - 1) / kb;
@@ -572,7 +563,7 @@ void crn_run_round(CrnTileState& st, std::span<const std::size_t> active,
                 CrnTape tape(root, lo + i, block_len, m);
                 for (std::size_t gi = 0; gi < ga; ++gi) {
                     const std::size_t lane = i * ga + gi;
-                    lane_params[lane] = st.eff[active[gi]];
+                    lane_params[lane] = points[active[gi]].params;
                     rxs[lane] = crn_realize(tape, lane_params[lane]);
                 }
                 txs[i] = std::move(tape.tx);
@@ -583,10 +574,10 @@ void crn_run_round(CrnTileState& st, std::span<const std::size_t> active,
                     txv[i * ga + gi] = txs[i];
                     rxv[i * ga + gi] = rxs[i * ga + gi];
                 }
-            const std::vector<BandedEvidence> cond =
-                log2_likelihood_batch_per_lane(lane_params, txv, rxv, ws, band_eps);
-            const std::vector<BandedEvidence> marg =
-                log2_prior_marginal_batch_per_lane(lane_params, priors, rxv, ws, band_eps);
+            const std::vector<LaneEvidence> cond =
+                log2_likelihood_batch_per_lane(lane_params, txv, rxv, ws);
+            const std::vector<LaneEvidence> marg =
+                log2_prior_marginal_batch_per_lane(lane_params, priors, rxv, ws);
             for (std::size_t lane = 0; lane < lanes; ++lane)
                 samples[(lo - b0) * ga + lane] = info_per_symbol(
                     cond[lane].log2_evidence, marg[lane].log2_evidence, block_len);
@@ -607,8 +598,7 @@ void crn_run_round(CrnTileState& st, std::span<const std::size_t> active,
 /// decision the scheduler takes about this point — and the estimate it
 /// emits — is independent of the other points.
 struct PointCtx {
-    DriftParams params;        ///< the channel the blocks sample
-    DriftHmm hmm;              ///< built from effective_params (band override)
+    DriftHmm hmm;              ///< the channel the blocks sample
     util::Matrix priors;       ///< uniform input priors for the marginal pass
     MarginalLengthMemo memo;   ///< marginal evidence by received length, all rounds
     std::size_t batch;         ///< resolved lockstep tile width for this point
@@ -647,17 +637,15 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
     if (tile > 0) {
         // Common-random-numbers mode: tiles of `tile` points share every
         // block's variate tape and ride one per-lane-parameter sweep, so
-        // every point needs one lattice shape and one effective band_eps.
+        // every point needs one lattice shape.
         const DriftParams& s0 = points[0].params;
-        const double band_eps = effective_params(s0, opts).band_eps;
         for (const CapacityPoint& pt : points) {
             pt.params.validate();
             if (pt.params.alphabet != s0.alphabet || pt.params.max_drift != s0.max_drift ||
-                pt.params.max_insert_run != s0.max_insert_run ||
-                effective_params(pt.params, opts).band_eps != band_eps)
+                pt.params.max_insert_run != s0.max_insert_run)
                 throw std::invalid_argument(
                     "iid_mutual_information_rate_points: CRN point tiling needs one "
-                    "alphabet/max_drift/max_insert_run/effective band_eps across points "
+                    "alphabet/max_drift/max_insert_run across points "
                     "(set point_tile = 0 for heterogeneous spans)");
         }
         // The shared tape is rooted at the first point's seed, split off
@@ -680,9 +668,6 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
         const std::size_t batch = resolved_mc_batch(lane_target, s0);
 
         CrnTileState st;
-        st.eff.reserve(points.size());
-        for (const CapacityPoint& pt : points)
-            st.eff.push_back(effective_params(pt.params, opts));
         st.stats.assign(points.size(), {});
         st.history.assign(points.size(), {});
         st.spent.assign(points.size(), 0);
@@ -700,14 +685,14 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
             std::size_t b = 0;
             while (!active.empty() && b < cap) {
                 const std::size_t b1 = std::min(cap, b + round);
-                crn_run_round(st, active, priors, root, opts.block_len, band_eps, kb, b, b1,
+                crn_run_round(st, points, active, priors, root, opts.block_len, kb, b, b1,
                               opts.threads);
                 b = b1;
                 if (!adaptive) break;
                 // Round-synchronous stopping: converged points drop out of
                 // later sweeps; the check reads only the point's own
                 // deterministic fold, so stopping is thread- and
-                // tile-invariant (band_eps = 0).
+                // tile-invariant.
                 std::vector<std::size_t> still;
                 for (std::size_t g : active) {
                     if (st.stats[g].sem() <= opts.target_sem)
@@ -755,10 +740,10 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
         pt.params.validate();
         const unsigned m = pt.params.alphabet;
         util::Rng rng(pt.seed);
-        DriftHmm hmm(effective_params(pt.params, opts));
+        DriftHmm hmm(pt.params);
         util::Matrix priors(opts.block_len, m, 1.0 / static_cast<double>(m));
         MarginalLengthMemo memo(hmm, priors);
-        ctx.push_back(PointCtx{pt.params, std::move(hmm), std::move(priors), std::move(memo),
+        ctx.push_back(PointCtx{std::move(hmm), std::move(priors), std::move(memo),
                                resolved_mc_batch(opts, pt.params), rng.next(),
                                util::CompensatedStats{}, 0, false});
     }
@@ -768,7 +753,7 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
     // a standalone run would, so (point, spent) determines the estimate.
     const auto run_blocks = [&](PointCtx& c, std::size_t n) {
         std::vector<double> samples(n);
-        const TileSampler<IidInputs> sampler{c.hmm, c.params, opts.block_len, c.batch,
+        const TileSampler<IidInputs> sampler{c.hmm, opts.block_len, c.batch,
                                              {c.priors, c.memo}};
         sampler(c.root, c.spent, samples);
         for (double v : samples) c.stats.add(v);

@@ -59,10 +59,10 @@ void DriftParams::validate() const {
     if (p_d + p_i >= 1.0 + 1e-12)
         throw std::domain_error("DriftParams: p_d + p_i must be < 1");
     if (alphabet < 2) throw std::domain_error("DriftParams: alphabet < 2");
+    // The lattices hold one symbol per byte.
+    if (alphabet > 256) throw std::domain_error("DriftParams: alphabet > 256");
     if (max_drift < 1 || max_insert_run < 1)
         throw std::domain_error("DriftParams: truncation bounds must be >= 1");
-    if (!(band_eps >= 0.0) || band_eps >= 1.0)
-        throw std::domain_error("DriftParams: band_eps must be in [0, 1)");
 }
 
 namespace {
@@ -91,40 +91,30 @@ double DriftHmm::log2_likelihood(std::span<const std::uint8_t> transmitted,
 double DriftHmm::log2_likelihood(std::span<const std::uint8_t> transmitted,
                                  std::span<const std::uint8_t> received,
                                  LatticeWorkspace& ws) const {
-    return log2_likelihood_banded(transmitted, received, ws).log2_evidence;
-}
-
-BandedEvidence DriftHmm::log2_likelihood_banded(std::span<const std::uint8_t> transmitted,
-                                                std::span<const std::uint8_t> received,
-                                                LatticeWorkspace& ws) const {
     check_symbols(transmitted, params_.alphabet, "transmitted");
     check_symbols(received, params_.alphabet, "received");
     LatticeEngine eng(params_, *tables_, received, transmitted.size(), ws);
-    eng.forward([&](std::size_t j, std::uint8_t r) { return eng.emit(r, transmitted[j]); },
-                params_.band_eps);
+    eng.forward([&](std::size_t j, std::uint8_t r) { return eng.emit(r, transmitted[j]); });
     return eng.evidence();
 }
 
-BandedEvidence DriftHmm::log2_prior_marginal_banded(const util::Matrix& priors,
-                                                    std::span<const std::uint8_t> received,
-                                                    LatticeWorkspace& ws) const {
+double DriftHmm::log2_prior_marginal(const util::Matrix& priors,
+                                     std::span<const std::uint8_t> received,
+                                     LatticeWorkspace& ws) const {
     const std::size_t n = priors.rows();
     const unsigned m_alpha = params_.alphabet;
     if (priors.cols() != m_alpha)
-        throw std::invalid_argument(
-            "DriftHmm::log2_prior_marginal_banded: priors cols != alphabet");
+        throw std::invalid_argument("DriftHmm::log2_prior_marginal: priors cols != alphabet");
     if (!priors.is_row_stochastic(1e-6) && n > 0)
-        throw std::invalid_argument(
-            "DriftHmm::log2_prior_marginal_banded: priors not row-stochastic");
+        throw std::invalid_argument("DriftHmm::log2_prior_marginal: priors not row-stochastic");
     check_symbols(received, m_alpha, "received");
 
-    // The backward pass never touches the forward rows, scales or slack,
-    // so this forward-only evidence is bit-identical to the one
-    // posteriors() reports — at half the lattice cost.
+    // The backward pass never touches the forward rows or scales, so this
+    // forward-only evidence is bit-identical to the one posteriors()
+    // reports — at half the lattice cost.
     LatticeEngine eng(params_, *tables_, received, n, ws);
     eng.forward(
-        [&](std::size_t j, std::uint8_t r) { return eng.emit_prior(r, priors.row(j)); },
-        params_.band_eps);
+        [&](std::size_t j, std::uint8_t r) { return eng.emit_prior(r, priors.row(j)); });
     return eng.evidence();
 }
 
@@ -150,10 +140,10 @@ util::Matrix DriftHmm::posteriors(const util::Matrix& priors,
     const auto emit_p = [&](std::size_t j, std::uint8_t r) {
         return eng.emit_prior(r, priors.row(j));
     };
-    eng.forward(emit_p, params_.band_eps);
+    eng.forward(emit_p);
     eng.backward(emit_p);
 
-    if (log2_evidence != nullptr) *log2_evidence = eng.evidence().log2_evidence;
+    if (log2_evidence != nullptr) *log2_evidence = eng.evidence();
 
     util::Matrix post(n, m_alpha);
     const std::span<double> w = ws.scratch(m_alpha);
@@ -162,7 +152,7 @@ util::Matrix DriftHmm::posteriors(const util::Matrix& priors,
         std::fill(w.begin(), w.end(), 0.0);
         double w_del = 0.0;
         int blo = 0, bhi = -1;
-        const bool beta_live = eng.beta_window(j, blo, bhi);
+        const bool beta_live = eng.valid_window(j, blo, bhi);
         const double* arow = eng.alpha_row(j - 1);
         const double* brow = eng.beta_row(j);
         for (int dp = eng.band_lo(j - 1); dp <= eng.band_hi(j - 1); ++dp) {
@@ -218,7 +208,7 @@ DriftHmm::EventExpectations DriftHmm::expected_events(std::span<const std::uint8
     const auto emit_pt = [&](std::size_t j, std::uint8_t r) {
         return eng.emit(r, transmitted[j]);
     };
-    eng.forward(emit_pt, params_.band_eps);
+    eng.forward(emit_pt);
     eng.backward(emit_pt);
 
     EventExpectations out;
@@ -242,7 +232,7 @@ DriftHmm::EventExpectations DriftHmm::expected_events(std::span<const std::uint8
         const double factor = std::exp2(log2_factor);
         const std::uint8_t sym = transmitted[j - 1];
         int blo = 0, bhi = -1;
-        const bool beta_live = eng.beta_window(j, blo, bhi);
+        const bool beta_live = eng.valid_window(j, blo, bhi);
         const double* arow = eng.alpha_row(j - 1);
         const double* brow = eng.beta_row(j);
         for (int dp = eng.band_lo(j - 1); dp <= eng.band_hi(j - 1); ++dp) {
@@ -296,19 +286,10 @@ double DriftHmm::log2_markov_marginal(const MarkovSource& source, std::size_t tx
 double DriftHmm::log2_markov_marginal(const MarkovSource& source, std::size_t tx_len,
                                       std::span<const std::uint8_t> received,
                                       LatticeWorkspace& ws) const {
-    return log2_markov_marginal_banded(source, tx_len, received, ws).log2_evidence;
-}
-
-BandedEvidence DriftHmm::log2_markov_marginal_banded(const MarkovSource& source,
-                                                     std::size_t tx_len,
-                                                     std::span<const std::uint8_t> received,
-                                                     LatticeWorkspace& ws) const {
     const unsigned m_alpha = params_.alphabet;
     source.validate(m_alpha);
     check_symbols(received, m_alpha, "received");
 
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    const double band_eps = params_.band_eps;
     LatticeEngine eng(params_, *tables_, received, tx_len, ws);
     const std::size_t width = eng.width();
     const auto& ins_pow = tables_->ins_pow;
@@ -320,7 +301,6 @@ BandedEvidence DriftHmm::log2_markov_marginal_banded(const MarkovSource& source,
     std::span<double> next = ws.scratch2(width * m_alpha);
     std::span<double> pre = ws.scratch3(width * m_alpha);
     double log2_scale = 0.0;
-    double slack_rel = 0.0;
     // Live drift window of `cur`; starts as the point mass at drift 0.
     int wlo = 0, whi = 0;
 
@@ -358,44 +338,12 @@ BandedEvidence DriftHmm::log2_markov_marginal_banded(const MarkovSource& source,
                 }
             }
         }
-        double pruned = 0.0;
-        if (band_eps > 0.0) {
-            // Trim drift rows whose aggregate (over symbols) mass falls
-            // below band_eps times the best row; certified like the
-            // marginal lattice (THEORY.md section 11).
-            double row_max = 0.0;
-            for (int d = clo; d <= chi; ++d) {
-                double agg = 0.0;
-                for (unsigned s = 0; s < m_alpha; ++s) agg += next[eng.idx(d) * m_alpha + s];
-                row_max = std::max(row_max, agg);
-            }
-            const double thresh = band_eps * row_max;
-            const auto aggregate_of = [&](int d) {
-                double agg = 0.0;
-                for (unsigned s = 0; s < m_alpha; ++s) agg += next[eng.idx(d) * m_alpha + s];
-                return agg;
-            };
-            while (clo <= chi && aggregate_of(clo) < thresh) {
-                pruned += aggregate_of(clo);
-                for (unsigned s = 0; s < m_alpha; ++s) next[eng.idx(clo) * m_alpha + s] = 0.0;
-                ++clo;
-            }
-            while (chi >= clo && aggregate_of(chi) < thresh) {
-                pruned += aggregate_of(chi);
-                for (unsigned s = 0; s < m_alpha; ++s) next[eng.idx(chi) * m_alpha + s] = 0.0;
-                --chi;
-            }
-        }
         double norm = 0.0;
         for (int d = clo; d <= chi; ++d)
             for (unsigned s = 0; s < m_alpha; ++s) norm += next[eng.idx(d) * m_alpha + s];
-        if (!(norm > 0.0)) {
-            slack_rel += pruned;
-            return false;
-        }
+        if (!(norm > 0.0)) return false;
         for (int d = clo; d <= chi; ++d)
             for (unsigned s = 0; s < m_alpha; ++s) next[eng.idx(d) * m_alpha + s] /= norm;
-        slack_rel = (slack_rel + pruned) / norm;
         log2_scale += std::log2(norm);
         std::swap(cur, next);
         wlo = clo;
@@ -403,16 +351,12 @@ BandedEvidence DriftHmm::log2_markov_marginal_banded(const MarkovSource& source,
         return true;
     };
 
-    const auto dead_result = [&] {
-        return BandedEvidence{kNegInf, slack_rel > 0.0 ? kInf : 0.0};
-    };
-
     if (tx_len >= 1) {
         // First symbol: drawn from the initial distribution, drift starts 0.
         const bool ok = step_into(1, [&](int dp, unsigned s) {
             return dp == 0 ? source.initial[s] : 0.0;
         });
-        if (!ok) return dead_result();
+        if (!ok) return kNegInf;
     }
     for (std::size_t j = 2; j <= tx_len; ++j) {
         const bool ok = step_into(j, [&](int dp, unsigned s) {
@@ -421,7 +365,7 @@ BandedEvidence DriftHmm::log2_markov_marginal_banded(const MarkovSource& source,
                 mass += cur[eng.idx(dp) * m_alpha + sp] * source.transition(sp, s);
             return mass;
         });
-        if (!ok) return dead_result();
+        if (!ok) return kNegInf;
     }
 
     double tail = 0.0;
@@ -433,11 +377,8 @@ BandedEvidence DriftHmm::log2_markov_marginal_banded(const MarkovSource& source,
                 tail += cur[eng.idx(d) * m_alpha + s] * eng.trailing(d);
         }
     }
-    if (tail <= 0.0) return dead_result();
-    BandedEvidence out;
-    out.log2_evidence = log2_scale + std::log2(tail);
-    out.log2_slack = slack_rel > 0.0 ? std::log2(1.0 + slack_rel / tail) : 0.0;
-    return out;
+    if (tail <= 0.0) return kNegInf;
+    return log2_scale + std::log2(tail);
 }
 
 util::Matrix DriftHmm::segment_likelihoods(
@@ -476,7 +417,7 @@ util::Matrix DriftHmm::segment_likelihoods(const util::Matrix& priors,
     const auto emit_p = [&](std::size_t j, std::uint8_t r) {
         return eng.emit_prior(r, priors.row(j));
     };
-    eng.forward(emit_p, params_.band_eps);
+    eng.forward(emit_p);
     eng.backward(emit_p);
 
     const std::size_t num_segments = n / seg_len;
@@ -591,7 +532,7 @@ util::Matrix DriftHmm::segment_likelihoods(const util::Matrix& priors,
         // result row is Matrix storage, so the kernels' scalar tails apply).
         for (std::size_t ci = 0; ci < C; ++ci) out(t, ci) = 0.0;
         int blo = 0, bhi = -1;
-        if (eng.beta_window(j0 + seg_len, blo, bhi)) {
+        if (eng.valid_window(j0 + seg_len, blo, bhi)) {
             const double* brow = eng.beta_row(j0 + seg_len);
             const int lo2 = std::max(wlo, blo), hi2 = std::min(whi, bhi);
             for (int d = lo2; d <= hi2; ++d) {

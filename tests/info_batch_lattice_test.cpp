@@ -1,9 +1,8 @@
 // Lockstep-vs-scalar contract of the batched structure-of-arrays lattice
-// engine (batch_lattice.hpp): at band_eps = 0 every lane of every batched
-// operation is bit-identical (EXPECT_EQ, not NEAR) to the scalar
-// LatticeEngine run on that lane alone, across ragged batch sizes, dead
-// lanes and workspace reuse; in banded mode each lane keeps its own
-// certified slack.
+// engine (batch_lattice.hpp): every lane of every batched operation is
+// bit-identical (EXPECT_EQ, not NEAR) to the scalar LatticeEngine run on
+// that lane alone, across ragged batch sizes, dead lanes and workspace
+// reuse.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -100,14 +99,13 @@ TEST(BatchLattice, LikelihoodBitIdenticalToScalarPerLane) {
     for (std::size_t batch : kBatchSizes) {
         const Lanes lanes = make_lanes(kParams, n, batch, 0x1234 + batch);
         LatticeWorkspace batch_ws, scalar_ws;
-        const std::vector<BandedEvidence> got =
+        const std::vector<LaneEvidence> got =
             hmm.log2_likelihood_batch(lanes.tx_spans(), lanes.rx_spans(), batch_ws);
         ASSERT_EQ(got.size(), batch);
         for (std::size_t b = 0; b < batch; ++b) {
-            const BandedEvidence want =
-                hmm.log2_likelihood_banded(lanes.tx[b], lanes.rx[b], scalar_ws);
-            EXPECT_EQ(got[b].log2_evidence, want.log2_evidence) << "lane " << b << " B=" << batch;
-            EXPECT_EQ(got[b].log2_slack, 0.0) << "lane " << b;
+            const double want =
+                hmm.log2_likelihood(lanes.tx[b], lanes.rx[b], scalar_ws);
+            EXPECT_EQ(got[b].log2_evidence, want) << "lane " << b << " B=" << batch;
         }
     }
 }
@@ -125,17 +123,17 @@ TEST(BatchLattice, QuaternaryAlphabetBitIdenticalToScalarPerLane) {
     for (std::size_t batch : {std::size_t{3}, std::size_t{8}}) {
         const Lanes lanes = make_lanes(params, n, batch, 0x4444 + batch);
         LatticeWorkspace batch_ws, scalar_ws;
-        const std::vector<BandedEvidence> got =
+        const std::vector<LaneEvidence> got =
             hmm.log2_likelihood_batch(lanes.tx_spans(), lanes.rx_spans(), batch_ws);
-        const std::vector<BandedEvidence> marg =
+        const std::vector<LaneEvidence> marg =
             hmm.log2_prior_marginal_batch(priors, lanes.rx_spans(), batch_ws);
         for (std::size_t b = 0; b < batch; ++b) {
-            const BandedEvidence want =
-                hmm.log2_likelihood_banded(lanes.tx[b], lanes.rx[b], scalar_ws);
-            EXPECT_EQ(got[b].log2_evidence, want.log2_evidence) << "lane " << b;
-            const BandedEvidence want_m =
-                hmm.log2_prior_marginal_banded(priors, lanes.rx[b], scalar_ws);
-            EXPECT_EQ(marg[b].log2_evidence, want_m.log2_evidence) << "lane " << b;
+            const double want =
+                hmm.log2_likelihood(lanes.tx[b], lanes.rx[b], scalar_ws);
+            EXPECT_EQ(got[b].log2_evidence, want) << "lane " << b;
+            const double want_m =
+                hmm.log2_prior_marginal(priors, lanes.rx[b], scalar_ws);
+            EXPECT_EQ(marg[b].log2_evidence, want_m) << "lane " << b;
         }
     }
 }
@@ -148,16 +146,16 @@ TEST(BatchLattice, PriorMarginalBitIdenticalToScalarPerLane) {
     for (std::size_t batch : kBatchSizes) {
         const Lanes lanes = make_lanes(kParams, n, batch, 0x9876 + batch);
         LatticeWorkspace batch_ws, scalar_ws;
-        const std::vector<BandedEvidence> got =
+        const std::vector<LaneEvidence> got =
             hmm.log2_prior_marginal_batch(priors, lanes.rx_spans(), batch_ws);
         ASSERT_EQ(got.size(), batch);
         for (std::size_t b = 0; b < batch; ++b) {
             // The forward-only scalar marginal is itself defined as
             // bit-identical to the evidence posteriors() reports; check the
             // batch lane against both.
-            const BandedEvidence want =
-                hmm.log2_prior_marginal_banded(priors, lanes.rx[b], scalar_ws);
-            EXPECT_EQ(got[b].log2_evidence, want.log2_evidence) << "lane " << b << " B=" << batch;
+            const double want =
+                hmm.log2_prior_marginal(priors, lanes.rx[b], scalar_ws);
+            EXPECT_EQ(got[b].log2_evidence, want) << "lane " << b << " B=" << batch;
             double via_posteriors = 0.0;
             (void)hmm.posteriors(priors, lanes.rx[b], scalar_ws, &via_posteriors);
             EXPECT_EQ(got[b].log2_evidence, via_posteriors) << "lane " << b;
@@ -189,14 +187,13 @@ TEST(BatchLattice, UniformPriorMarginalDependsOnlyOnLength) {
                 for (auto& s : seq) s = static_cast<std::uint8_t>(rng.uniform_below(2));
             std::vector<SymbolSpan> spans(rx.begin(), rx.end());
             LatticeWorkspace batch_ws, scalar_ws;
-            const std::vector<BandedEvidence> batched =
+            const std::vector<LaneEvidence> batched =
                 hmm.log2_prior_marginal_batch(uniform, spans, batch_ws);
-            const double want = hmm.log2_prior_marginal_banded(uniform, rx[0], scalar_ws)
-                                    .log2_evidence;
+            const double want = hmm.log2_prior_marginal(uniform, rx[0], scalar_ws);
             for (std::size_t k = 0; k < kPerLength; ++k) {
-                const BandedEvidence scalar =
-                    hmm.log2_prior_marginal_banded(uniform, rx[k], scalar_ws);
-                EXPECT_EQ(scalar.log2_evidence, want)
+                const double scalar =
+                    hmm.log2_prior_marginal(uniform, rx[k], scalar_ws);
+                EXPECT_EQ(scalar, want)
                     << "m=" << m << " sequence " << k << " p_d=" << params.p_d;
                 EXPECT_EQ(batched[k].log2_evidence, want)
                     << "m=" << m << " lane " << k << " p_d=" << params.p_d;
@@ -226,7 +223,7 @@ TEST(BatchLattice, DeletionOnlyMarginalMatchesBinomialOracle) {
         }
         std::vector<SymbolSpan> spans(rx.begin(), rx.end());
         LatticeWorkspace batch_ws, scalar_ws;
-        const std::vector<BandedEvidence> batched =
+        const std::vector<LaneEvidence> batched =
             hmm.log2_prior_marginal_batch(uniform, spans, batch_ws);
         for (std::size_t k = 0; k < rx.size(); ++k) {
             const auto m = static_cast<double>(rx[k].size());
@@ -236,8 +233,7 @@ TEST(BatchLattice, DeletionOnlyMarginalMatchesBinomialOracle) {
                 std::log(2.0);
             const double oracle =
                 log2_binom + m * std::log2(1.0 - p_d) + (nn - m) * std::log2(p_d) - m;
-            const double scalar =
-                hmm.log2_prior_marginal_banded(uniform, rx[k], scalar_ws).log2_evidence;
+            const double scalar = hmm.log2_prior_marginal(uniform, rx[k], scalar_ws);
             EXPECT_NEAR(scalar, oracle, 1e-9 * std::abs(oracle)) << "m=" << m << " p_d=" << p_d;
             EXPECT_NEAR(batched[k].log2_evidence, oracle, 1e-9 * std::abs(oracle))
                 << "m=" << m << " p_d=" << p_d;
@@ -259,7 +255,7 @@ Matrix reference_segment_likelihoods(const DriftHmm& hmm, const Matrix& priors,
     const auto emit_p = [&](std::size_t j, std::uint8_t r) {
         return eng.emit_prior(r, priors.row(j));
     };
-    eng.forward(emit_p, params.band_eps);
+    eng.forward(emit_p);
     eng.backward(emit_p);
 
     const std::size_t num_segments = n / seg_len;
@@ -318,7 +314,7 @@ Matrix reference_segment_likelihoods(const DriftHmm& hmm, const Matrix& priors,
             }
             double like = 0.0;
             int blo = 0, bhi = -1;
-            if (eng.beta_window(j0 + seg_len, blo, bhi)) {
+            if (eng.valid_window(j0 + seg_len, blo, bhi)) {
                 const double* brow = eng.beta_row(j0 + seg_len);
                 const int lo2 = std::max(wlo, blo), hi2 = std::min(whi, bhi);
                 for (int d = lo2; d <= hi2; ++d) like += cur[eng.idx(d)] * brow[eng.idx(d)];
@@ -381,7 +377,7 @@ TEST(BatchLattice, WorkspaceReuseIsBitIdentical) {
     const Lanes large = make_lanes(kParams, 48, 13, 0xBBBB);
 
     LatticeWorkspace fresh;
-    const std::vector<BandedEvidence> want =
+    const std::vector<LaneEvidence> want =
         hmm.log2_likelihood_batch(small.tx_spans(), small.rx_spans(), fresh);
 
     // Dirty every arena in both engine modes: the shared-table passes and
@@ -393,52 +389,18 @@ TEST(BatchLattice, WorkspaceReuseIsBitIdentical) {
                                         large.rx_spans(), reused);
     (void)log2_likelihood_batch_per_lane(heterogeneous_lane_params(large.tx.size()),
                                          large.tx_spans(), large.rx_spans(), reused);
-    const std::vector<BandedEvidence> got =
+    const std::vector<LaneEvidence> got =
         hmm.log2_likelihood_batch(small.tx_spans(), small.rx_spans(), reused);
     ASSERT_EQ(got.size(), want.size());
-    for (std::size_t b = 0; b < want.size(); ++b) {
+    for (std::size_t b = 0; b < want.size(); ++b)
         EXPECT_EQ(got[b].log2_evidence, want[b].log2_evidence) << "lane " << b;
-        EXPECT_EQ(got[b].log2_slack, want[b].log2_slack) << "lane " << b;
-    }
-}
-
-TEST(BatchLattice, BandedBatchKeepsPerLaneCertifiedSlack) {
-    // In banded mode the engine trims the shared union band only where
-    // every live lane is below its own threshold, so per lane:
-    //   banded <= exact <= banded + slack  (up to fp slop), and the union
-    // band never prunes more than the lane's own scalar band would.
-    DriftParams banded = kParams;
-    banded.band_eps = 1e-4;
-    const DriftHmm exact_hmm(kParams);
-    const DriftHmm banded_hmm(banded);
-    constexpr double kSlop = 1e-6;
-    const std::size_t n = 48;
-    for (std::size_t batch : {std::size_t{3}, std::size_t{8}}) {
-        const Lanes lanes = make_lanes(kParams, n, batch, 0xD00D + batch);
-        LatticeWorkspace batch_ws, scalar_ws;
-        const std::vector<BandedEvidence> got =
-            banded_hmm.log2_likelihood_batch(lanes.tx_spans(), lanes.rx_spans(), batch_ws);
-        ASSERT_EQ(got.size(), batch);
-        for (std::size_t b = 0; b < batch; ++b) {
-            const double exact =
-                exact_hmm.log2_likelihood(lanes.tx[b], lanes.rx[b], scalar_ws);
-            if (!std::isfinite(exact)) continue;  // dead lanes certify via +inf slack
-            ASSERT_TRUE(std::isfinite(got[b].log2_evidence)) << "lane " << b;
-            EXPECT_GE(got[b].log2_slack, 0.0) << "lane " << b;
-            EXPECT_LE(got[b].log2_evidence, exact + kSlop) << "lane " << b;
-            EXPECT_LE(exact, got[b].log2_evidence + got[b].log2_slack + kSlop) << "lane " << b;
-            // Union banding is no tighter than the lane's own scalar band.
-            const BandedEvidence scalar =
-                banded_hmm.log2_likelihood_banded(lanes.tx[b], lanes.rx[b], scalar_ws);
-            EXPECT_GE(got[b].log2_evidence, scalar.log2_evidence - kSlop) << "lane " << b;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Per-lane-parameter mode (log2_*_batch_per_lane): lanes carry their own
-// transition-weight and emission planes; everything else — the union band,
-// the dead-lane bookkeeping, the bit-identity contract — is unchanged.
+// transition-weight and emission planes; everything else — the union
+// window, the dead-lane bookkeeping, the bit-identity contract — is
+// unchanged.
 // ---------------------------------------------------------------------------
 
 Lanes make_hetero_lanes(std::span<const DriftParams> ps, std::size_t n,
@@ -464,16 +426,15 @@ TEST(BatchLattice, PerLaneParamsBitIdenticalToScalarPerLane) {
             lanes.rx[2].resize(1);    // dead lattice mid-pass
         }
         LatticeWorkspace batch_ws, scalar_ws;
-        const std::vector<BandedEvidence> got = log2_likelihood_batch_per_lane(
+        const std::vector<LaneEvidence> got = log2_likelihood_batch_per_lane(
             ps, lanes.tx_spans(), lanes.rx_spans(), batch_ws);
         ASSERT_EQ(got.size(), batch);
         for (std::size_t b = 0; b < batch; ++b) {
             const DriftHmm hmm(ps[b]);
-            const BandedEvidence want =
-                hmm.log2_likelihood_banded(lanes.tx[b], lanes.rx[b], scalar_ws);
-            EXPECT_EQ(got[b].log2_evidence, want.log2_evidence)
+            const double want =
+                hmm.log2_likelihood(lanes.tx[b], lanes.rx[b], scalar_ws);
+            EXPECT_EQ(got[b].log2_evidence, want)
                 << "lane " << b << " B=" << batch;
-            EXPECT_EQ(got[b].log2_slack, 0.0) << "lane " << b;
         }
     }
 }
@@ -486,14 +447,14 @@ TEST(BatchLattice, PerLanePriorMarginalBitIdenticalToScalarPerLane) {
         const std::vector<DriftParams> ps = heterogeneous_lane_params(batch);
         const Lanes lanes = make_hetero_lanes(ps, n, 0xF2F2 + batch);
         LatticeWorkspace batch_ws, scalar_ws;
-        const std::vector<BandedEvidence> got = log2_prior_marginal_batch_per_lane(
+        const std::vector<LaneEvidence> got = log2_prior_marginal_batch_per_lane(
             ps, priors, lanes.rx_spans(), batch_ws);
         ASSERT_EQ(got.size(), batch);
         for (std::size_t b = 0; b < batch; ++b) {
             const DriftHmm hmm(ps[b]);
-            const BandedEvidence want =
-                hmm.log2_prior_marginal_banded(priors, lanes.rx[b], scalar_ws);
-            EXPECT_EQ(got[b].log2_evidence, want.log2_evidence)
+            const double want =
+                hmm.log2_prior_marginal(priors, lanes.rx[b], scalar_ws);
+            EXPECT_EQ(got[b].log2_evidence, want)
                 << "lane " << b << " B=" << batch;
         }
     }
@@ -515,19 +476,16 @@ TEST(BatchLattice, PerLaneQuaternaryAlphabetBitIdenticalToScalarPerLane) {
     }
     const Lanes lanes = make_hetero_lanes(ps, n, 0xABCD);
     LatticeWorkspace batch_ws, scalar_ws;
-    const std::vector<BandedEvidence> like = log2_likelihood_batch_per_lane(
+    const std::vector<LaneEvidence> like = log2_likelihood_batch_per_lane(
         ps, lanes.tx_spans(), lanes.rx_spans(), batch_ws);
-    const std::vector<BandedEvidence> marg = log2_prior_marginal_batch_per_lane(
+    const std::vector<LaneEvidence> marg = log2_prior_marginal_batch_per_lane(
         ps, priors, lanes.rx_spans(), batch_ws);
     for (std::size_t b = 0; b < ps.size(); ++b) {
         const DriftHmm hmm(ps[b]);
         EXPECT_EQ(like[b].log2_evidence,
-                  hmm.log2_likelihood_banded(lanes.tx[b], lanes.rx[b], scalar_ws)
-                      .log2_evidence)
+                  hmm.log2_likelihood(lanes.tx[b], lanes.rx[b], scalar_ws))
             << "lane " << b;
-        EXPECT_EQ(marg[b].log2_evidence,
-                  hmm.log2_prior_marginal_banded(priors, lanes.rx[b], scalar_ws)
-                      .log2_evidence)
+        EXPECT_EQ(marg[b].log2_evidence, hmm.log2_prior_marginal(priors, lanes.rx[b], scalar_ws))
             << "lane " << b;
     }
 }
@@ -542,65 +500,13 @@ TEST(BatchLattice, PerLaneUniformParamsMatchSharedTableBatch) {
         const Lanes lanes = make_lanes(kParams, n, batch, 0x5151 + batch);
         const std::vector<DriftParams> ps(batch, kParams);
         LatticeWorkspace pl_ws, sh_ws;
-        const std::vector<BandedEvidence> got = log2_likelihood_batch_per_lane(
+        const std::vector<LaneEvidence> got = log2_likelihood_batch_per_lane(
             ps, lanes.tx_spans(), lanes.rx_spans(), pl_ws);
-        const std::vector<BandedEvidence> want =
+        const std::vector<LaneEvidence> want =
             hmm.log2_likelihood_batch(lanes.tx_spans(), lanes.rx_spans(), sh_ws);
         ASSERT_EQ(got.size(), want.size());
-        for (std::size_t b = 0; b < batch; ++b) {
+        for (std::size_t b = 0; b < batch; ++b)
             EXPECT_EQ(got[b].log2_evidence, want[b].log2_evidence) << "lane " << b;
-            EXPECT_EQ(got[b].log2_slack, want[b].log2_slack) << "lane " << b;
-        }
-    }
-}
-
-TEST(BatchLattice, PerLaneHeterogeneousUnionBandKeepsPerLaneSlack) {
-    // Stress the union band with extreme heterogeneity: a near-
-    // deterministic lane rides beside a high-deletion lane (whose mass
-    // drives the shared band), plus a dead lane. Each live lane must keep
-    // its own certified bracket, and the dead lane must be trimmed without
-    // polluting its neighbors.
-    const std::size_t n = 48;
-    DriftParams quiet = kParams;
-    quiet.p_d = 0.002;
-    quiet.p_i = 0.001;
-    quiet.p_s = 0.0;
-    DriftParams noisy = kParams;
-    noisy.p_d = 0.4;
-    noisy.p_i = 0.05;
-    noisy.p_s = 0.05;
-    const std::vector<DriftParams> ps{quiet, noisy, quiet, noisy, quiet};
-    Lanes lanes = make_hetero_lanes(ps, n, 0xBADBA2D);
-    lanes.rx[2].resize(1);  // dead mid-pass: << n - max_drift
-    constexpr double kEps = 1e-4;
-    constexpr double kSlop = 1e-6;
-    LatticeWorkspace batch_ws, scalar_ws;
-    const std::vector<BandedEvidence> got = log2_likelihood_batch_per_lane(
-        ps, lanes.tx_spans(), lanes.rx_spans(), batch_ws, kEps);
-    ASSERT_EQ(got.size(), ps.size());
-    for (std::size_t b = 0; b < ps.size(); ++b) {
-        const DriftHmm exact_hmm(ps[b]);
-        const double exact =
-            exact_hmm.log2_likelihood(lanes.tx[b], lanes.rx[b], scalar_ws);
-        if (!std::isfinite(exact)) {
-            // Dead lanes certify trivially and are trimmed from the sweep.
-            EXPECT_TRUE(!std::isfinite(got[b].log2_evidence) ||
-                        std::isinf(got[b].log2_slack))
-                << "lane " << b;
-            continue;
-        }
-        ASSERT_TRUE(std::isfinite(got[b].log2_evidence)) << "lane " << b;
-        EXPECT_GE(got[b].log2_slack, 0.0) << "lane " << b;
-        EXPECT_LE(got[b].log2_evidence, exact + kSlop) << "lane " << b;
-        EXPECT_LE(exact, got[b].log2_evidence + got[b].log2_slack + kSlop)
-            << "lane " << b;
-        // The union band never prunes more than the lane's own band.
-        DriftParams banded = ps[b];
-        banded.band_eps = kEps;
-        const DriftHmm banded_hmm(banded);
-        const BandedEvidence scalar =
-            banded_hmm.log2_likelihood_banded(lanes.tx[b], lanes.rx[b], scalar_ws);
-        EXPECT_GE(got[b].log2_evidence, scalar.log2_evidence - kSlop) << "lane " << b;
     }
 }
 

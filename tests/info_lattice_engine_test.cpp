@@ -1,19 +1,18 @@
-// Tests for the zero-allocation banded lattice engine (lattice_engine.hpp).
+// Tests for the zero-allocation lattice engine (lattice_engine.hpp).
 //
 // The contract under test has three layers:
-//   1. band_eps = 0 is *bit-identical* to the seed DriftHmm implementation
+//   1. the engine is *bit-identical* to the seed DriftHmm implementation
 //      (asserted with EXPECT_EQ against a faithful re-implementation of the
 //      seed's vector<vector<double>> lattice embedded below);
-//   2. band_eps > 0 only lowers the evidence, and the exact-minus-banded
-//      error is always within the certified slack (docs/THEORY.md §11);
+//   2. the forward pass sweeps exactly the reachable drift window of each
+//      row, which is narrower than the valid window on early rows;
 //   3. reusing one LatticeWorkspace across heterogeneous calls changes
-//      nothing — results are bit-identical to fresh-workspace runs, and the
-//      Monte-Carlo estimators stay thread-count invariant with per-worker
-//      workspaces (the ParallelMc test also runs under TSan in tier1).
+//      nothing — results are bit-identical to fresh-workspace runs.
 #include "ccap/info/lattice_engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -24,12 +23,10 @@
 
 namespace {
 
-using ccap::info::BandedEvidence;
 using ccap::info::DriftHmm;
 using ccap::info::DriftParams;
 using ccap::info::LatticeWorkspace;
 using ccap::info::MarkovSource;
-using ccap::info::McOptions;
 using ccap::util::Matrix;
 using ccap::util::Rng;
 
@@ -299,24 +296,7 @@ Matrix random_priors(std::size_t rows, unsigned alphabet, Rng& rng) {
 }
 
 // ---------------------------------------------------------------------------
-// band_eps parameter validation
-// ---------------------------------------------------------------------------
-
-TEST(LatticeEngine, BandEpsValidation) {
-    DriftParams p{0.05, 0.05, 0.01, 2, 16, 8};
-    EXPECT_NO_THROW(p.validate());
-    p.band_eps = 0.5;
-    EXPECT_NO_THROW(p.validate());
-    p.band_eps = -1e-9;
-    EXPECT_THROW(p.validate(), std::domain_error);
-    p.band_eps = 1.0;
-    EXPECT_THROW(p.validate(), std::domain_error);
-    p.band_eps = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_THROW(p.validate(), std::domain_error);
-}
-
-// ---------------------------------------------------------------------------
-// Exact-mode (band_eps = 0) bit-identity against the seed implementation
+// Bit-identity against the seed implementation
 // ---------------------------------------------------------------------------
 
 TEST(LatticeEngine, ExactModeBitIdenticalToLegacyLikelihood) {
@@ -383,75 +363,42 @@ TEST(LatticeEngine, DeadLatticeStaysDeadAndBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Banded mode: evidence only drops, and the drop is within certified slack
+// The forward band is the reachable window, not the valid window
 // ---------------------------------------------------------------------------
 
-TEST(LatticeEngine, BandedErrorWithinCertifiedSlack) {
-    Rng rng(99173);
-    // Headroom for the slack comparison itself: the bound is proved for
-    // exact arithmetic; accumulated rounding in the comparison needs a few
-    // ulps of grace, far below any meaningful violation.
-    constexpr double kFpSlop = 1e-6;
-    for (const double pd : {0.01, 0.05, 0.15}) {
-        for (const double pi : {0.01, 0.05, 0.15}) {
-            DriftParams exact_p{pd, pi, 0.02, 2, 16, 8};
-            const DriftHmm exact_hmm(exact_p);
-            const Bits tx = random_symbols(96, exact_p.alphabet, rng);
-            const Bits rx = ccap::info::simulate_drift_channel(tx, exact_p, rng);
-            const double exact = exact_hmm.log2_likelihood(tx, rx);
-            ASSERT_TRUE(std::isfinite(exact));
-
-            for (const double eps : {1e-12, 1e-8, 1e-4}) {
-                DriftParams banded_p = exact_p;
-                banded_p.band_eps = eps;
-                const DriftHmm banded_hmm(banded_p);
-                ccap::info::ScopedWorkspace ws;
-                const BandedEvidence ev = banded_hmm.log2_likelihood_banded(tx, rx, ws);
-                ASSERT_TRUE(std::isfinite(ev.log2_evidence))
-                    << "pd=" << pd << " pi=" << pi << " eps=" << eps;
-                // Pruning only removes probability mass: banded <= exact.
-                EXPECT_LE(ev.log2_evidence, exact + kFpSlop);
-                // ... and the loss is certified.
-                EXPECT_GE(ev.log2_slack, 0.0);
-                EXPECT_LE(exact - ev.log2_evidence, ev.log2_slack + kFpSlop)
-                    << "pd=" << pd << " pi=" << pi << " eps=" << eps;
-            }
+TEST(LatticeEngine, ExactForwardBandIsReachableWindow) {
+    // Row j of the forward pass sweeps
+    //   [max(-D, -j), min(D, m - j, j * (run - 1))]:
+    // the valid window cut to the drifts an insert run of at most `run`
+    // symbols per row can reach from drift 0. The shapes cover early rows
+    // narrower than the valid window (D = 48, run = 10: row 1 is [-1, 9],
+    // the valid window [-1, 48]), m < n, and n < D / (run - 1), where no
+    // row reaches the clamp.
+    struct Shape {
+        int max_drift, run;
+        std::size_t n, m;
+    };
+    Rng rng(1107);
+    for (const Shape sh : {Shape{48, 10, 64, 70}, Shape{16, 4, 40, 30}, Shape{48, 10, 4, 40},
+                           Shape{32, 3, 20, 2}, Shape{8, 2, 24, 24}}) {
+        const DriftParams p{0.1, 0.1, 0.02, 2, sh.max_drift, sh.run};
+        const ccap::info::DriftTables tables(p);
+        const Bits tx = random_symbols(sh.n, p.alphabet, rng);
+        const Bits rx = random_symbols(sh.m, p.alphabet, rng);
+        LatticeWorkspace ws;
+        ccap::info::LatticeEngine eng(p, tables, rx, sh.n, ws);
+        eng.forward([&](std::size_t j, std::uint8_t r) { return eng.emit(r, tx[j]); });
+        ASSERT_TRUE(std::isfinite(eng.evidence()))
+            << "D=" << sh.max_drift << " run=" << sh.run << " n=" << sh.n << " m=" << sh.m;
+        for (std::size_t j = 0; j <= sh.n; ++j) {
+            const long long jj = static_cast<long long>(j);
+            const long long lo = std::max<long long>(-sh.max_drift, -jj);
+            const long long hi =
+                std::min({static_cast<long long>(sh.max_drift),
+                          static_cast<long long>(sh.m) - jj, jj * (sh.run - 1)});
+            EXPECT_EQ(eng.band_lo(j), lo) << "j=" << j << " D=" << sh.max_drift;
+            EXPECT_EQ(eng.band_hi(j), hi) << "j=" << j << " D=" << sh.max_drift;
         }
-    }
-}
-
-TEST(LatticeEngine, ZeroEpsBandedEvidenceHasZeroSlack) {
-    Rng rng(31337);
-    DriftParams p{0.05, 0.05, 0.01, 2, 16, 8};
-    const DriftHmm hmm(p);
-    const Bits tx = random_symbols(64, p.alphabet, rng);
-    const Bits rx = ccap::info::simulate_drift_channel(tx, p, rng);
-    ccap::info::ScopedWorkspace ws;
-    const BandedEvidence ev = hmm.log2_likelihood_banded(tx, rx, ws);
-    EXPECT_EQ(ev.log2_slack, 0.0);
-    EXPECT_EQ(ev.log2_evidence, hmm.log2_likelihood(tx, rx));
-}
-
-TEST(LatticeEngine, BandedMarkovMarginalWithinSlack) {
-    Rng rng(5150);
-    DriftParams exact_p{0.05, 0.03, 0.01, 2, 16, 8};
-    const MarkovSource source = MarkovSource::binary_repeat(0.8);
-    const DriftHmm exact_hmm(exact_p);
-    const Bits tx = random_symbols(64, exact_p.alphabet, rng);
-    const Bits rx = ccap::info::simulate_drift_channel(tx, exact_p, rng);
-    const double exact = exact_hmm.log2_markov_marginal(source, tx.size(), rx);
-    ASSERT_TRUE(std::isfinite(exact));
-
-    for (const double eps : {1e-12, 1e-6}) {
-        DriftParams banded_p = exact_p;
-        banded_p.band_eps = eps;
-        const DriftHmm banded_hmm(banded_p);
-        ccap::info::ScopedWorkspace ws;
-        const BandedEvidence ev =
-            banded_hmm.log2_markov_marginal_banded(source, tx.size(), rx, ws);
-        ASSERT_TRUE(std::isfinite(ev.log2_evidence));
-        EXPECT_LE(ev.log2_evidence, exact + 1e-6);
-        EXPECT_LE(exact - ev.log2_evidence, ev.log2_slack + 1e-6) << "eps=" << eps;
     }
 }
 
@@ -537,53 +484,6 @@ TEST(LatticeEngine, WorkspaceReuseIsBitIdentical) {
         EXPECT_EQ(fresh.markov_b, hmm.log2_markov_marginal(source, tx_b.size(), rx_b, shared))
             << round;
     }
-}
-
-// ---------------------------------------------------------------------------
-// Per-worker workspaces in the Monte-Carlo estimators: thread-count
-// invariance with banding on. Named ParallelMc* so tier1's TSan stage
-// (ctest -R 'ThreadPool|ParallelFor|ParallelReduce|ParallelMc') runs it.
-// ---------------------------------------------------------------------------
-
-TEST(ParallelMcWorkspace, BandedIidEstimateInvariantInThreadCount) {
-    DriftParams p{0.05, 0.03, 0.01, 2, 16, 8};
-    McOptions opts;
-    opts.block_len = 48;
-    opts.num_blocks = 12;
-    opts.band_eps = 1e-8;
-
-    opts.threads = 1;
-    Rng rng_serial(2026);
-    const auto serial = ccap::info::iid_mutual_information_rate(p, opts, rng_serial);
-
-    opts.threads = 8;
-    Rng rng_parallel(2026);
-    const auto parallel = ccap::info::iid_mutual_information_rate(p, opts, rng_parallel);
-
-    EXPECT_EQ(serial.rate, parallel.rate);
-    EXPECT_EQ(serial.sem, parallel.sem);
-    EXPECT_EQ(serial.blocks, parallel.blocks);
-}
-
-TEST(ParallelMcWorkspace, BandedMarkovEstimateInvariantInThreadCount) {
-    DriftParams p{0.04, 0.02, 0.0, 2, 16, 8};
-    const MarkovSource source = MarkovSource::binary_repeat(0.8);
-    McOptions opts;
-    opts.block_len = 32;
-    opts.num_blocks = 8;
-    opts.band_eps = 1e-10;
-
-    opts.threads = 1;
-    Rng rng_serial(11);
-    const auto serial = ccap::info::markov_mutual_information_rate(p, source, opts, rng_serial);
-
-    opts.threads = 8;
-    Rng rng_parallel(11);
-    const auto parallel =
-        ccap::info::markov_mutual_information_rate(p, source, opts, rng_parallel);
-
-    EXPECT_EQ(serial.rate, parallel.rate);
-    EXPECT_EQ(serial.sem, parallel.sem);
 }
 
 }  // namespace

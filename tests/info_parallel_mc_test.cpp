@@ -87,44 +87,20 @@ TEST(ParallelMcDeterminism, RepeatedCallsWithSameRngDiffer) {
     EXPECT_NE(first.rate, second.rate);
 }
 
-TEST(ParallelMcDeterminism, BatchedBandedRateInvariantInThreadCount) {
-    // The batched banded path (shared union band) must still be
-    // deterministic and thread-invariant, and must stay a certified lower
-    // bound relative to the exact batched estimate.
-    DriftParams p{0.1, 0.03, 0.01, 2, 32, 8};
-    McOptions opts;
-    opts.block_len = 64;
-    opts.num_blocks = 8;
-    opts.band_eps = 1e-8;
-
-    opts.threads = 1;
-    Rng serial_rng(0xABCD);
-    const MiEstimate serial = iid_mutual_information_rate(p, opts, serial_rng);
-
-    for (unsigned threads : {2U, 8U}) {
-        opts.threads = threads;
-        Rng rng(0xABCD);
-        expect_bit_identical(serial, iid_mutual_information_rate(p, opts, rng));
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Scalar per-block reference, from public API only: block b runs on
 // substream b of the root, every evidence is one scalar lattice pass (no
 // length memo, no lockstep tile), and the samples fold in block order.
-// At band_eps = 0 the estimators must reproduce it bit for bit at every
-// thread count, tile width and SIMD path. Banded tiles share a union band,
-// so for band_eps > 0 the reference sweeps the same globally aligned tiles
-// through the batch entry points instead, still one full marginal pass per
-// block (docs/THEORY.md section 17).
+// The estimators must reproduce it bit for bit at every thread count, tile
+// width and SIMD path.
 // ---------------------------------------------------------------------------
 
 /// Samples of blocks [b0, b0 + out.size()) with iid uniform inputs
-/// (source == nullptr) or Markov inputs; batch <= 1 is the scalar route.
+/// (source == nullptr) or Markov inputs.
 void reference_samples(const DriftHmm& hmm, const DriftParams& params,
                        const ccap::util::Matrix& priors, const MarkovSource* source,
-                       std::size_t block_len, std::size_t batch, std::uint64_t root,
-                       std::size_t b0, std::span<double> out) {
+                       std::size_t block_len, std::uint64_t root, std::size_t b0,
+                       std::span<double> out) {
     const unsigned m = params.alphabet;
     LatticeWorkspace ws;
     const auto sample = [&](double log_cond, double log_marg) {
@@ -144,36 +120,12 @@ void reference_samples(const DriftHmm& hmm, const DriftParams& params,
     };
     const auto marginal = [&](std::span<const std::uint8_t> rx) {
         return source ? hmm.log2_markov_marginal(*source, block_len, rx, ws)
-                      : hmm.log2_prior_marginal_banded(priors, rx, ws).log2_evidence;
+                      : hmm.log2_prior_marginal(priors, rx, ws);
     };
-    if (batch <= 1) {
-        std::vector<std::uint8_t> tx;
-        for (std::size_t i = 0; i < out.size(); ++i) {
-            const std::vector<std::uint8_t> rx = draw(b0 + i, tx);
-            out[i] = sample(hmm.log2_likelihood(tx, rx, ws), marginal(rx));
-        }
-        return;
-    }
-    std::size_t pos = 0;
-    while (pos < out.size()) {
-        const std::size_t b = b0 + pos;
-        const std::size_t lanes = std::min(out.size() - pos, (b / batch + 1) * batch - b);
-        std::vector<std::vector<std::uint8_t>> tx(lanes), rx(lanes);
-        for (std::size_t i = 0; i < lanes; ++i) rx[i] = draw(b + i, tx[i]);
-        const std::vector<DriftHmm::SymbolSpan> txv(tx.begin(), tx.end());
-        const std::vector<DriftHmm::SymbolSpan> rxv(rx.begin(), rx.end());
-        const std::vector<BandedEvidence> cond = hmm.log2_likelihood_batch(txv, rxv, ws);
-        std::vector<double> marg(lanes);
-        if (source) {
-            for (std::size_t i = 0; i < lanes; ++i) marg[i] = marginal(rx[i]);
-        } else {
-            const std::vector<BandedEvidence> pass =
-                hmm.log2_prior_marginal_batch(priors, rxv, ws);
-            for (std::size_t i = 0; i < lanes; ++i) marg[i] = pass[i].log2_evidence;
-        }
-        for (std::size_t i = 0; i < lanes; ++i)
-            out[pos + i] = sample(cond[i].log2_evidence, marg[i]);
-        pos += lanes;
+    std::vector<std::uint8_t> tx;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        const std::vector<std::uint8_t> rx = draw(b0 + i, tx);
+        out[i] = sample(hmm.log2_likelihood(tx, rx, ws), marginal(rx));
     }
 }
 
@@ -183,12 +135,9 @@ void reference_samples(const DriftHmm& hmm, const DriftParams& params,
 /// only).
 MiEstimate reference_estimate(const DriftParams& params, const MarkovSource* source,
                               const McOptions& opts, std::uint64_t seed, bool points) {
-    DriftParams eff = params;
-    if (opts.band_eps > 0.0) eff.band_eps = opts.band_eps;
-    const DriftHmm hmm(eff);
+    const DriftHmm hmm(params);
     const ccap::util::Matrix priors(opts.block_len, params.alphabet,
                                     1.0 / static_cast<double>(params.alphabet));
-    const std::size_t batch = eff.band_eps > 0.0 ? resolved_mc_batch(opts, params) : 1;
     const std::uint64_t root = Rng(seed).next();
     const bool adaptive = opts.target_sem > 0.0;
     const std::size_t cap = mc_block_cap(opts);
@@ -197,8 +146,7 @@ MiEstimate reference_estimate(const DriftParams& params, const MarkovSource* sou
     std::size_t spent = 0;
     const auto run = [&](std::size_t n) {
         std::vector<double> samples(n);
-        reference_samples(hmm, params, priors, source, opts.block_len, batch, root, spent,
-                          samples);
+        reference_samples(hmm, params, priors, source, opts.block_len, root, spent, samples);
         for (double v : samples) stats.add(v);
         spent += n;
     };
@@ -315,9 +263,7 @@ TEST(ParallelMcDeterminism, LengthMemoBitIdenticalToFullMarginalPasses) {
     // Binary channels take the memo; the P_i = 0.6 point pushes received
     // lengths past the memo's range, so uncached lanes ride the tile pass.
     // The quaternary points' prior emission sums round alike for every
-    // symbol (memo); the ternary point's do not (full passes). Banded runs
-    // must bypass the memo entirely; the band is wide enough that a tile's
-    // union band really prunes, so a banded memo would change bits.
+    // symbol (memo); the ternary point's do not (full passes).
     const DriftParams params[] = {
         {0.12, 0.04, 0.02, 2, 24, 6},
         {0.3, 0.1, 0.0, 2, 16, 6},
@@ -330,36 +276,30 @@ TEST(ParallelMcDeterminism, LengthMemoBitIdenticalToFullMarginalPasses) {
     PathGuard guard;
     for (ccap::util::SimdPath path : available_paths()) {
         ASSERT_EQ(ccap::util::force_simd_path(path), path);
-        for (double band_eps : {0.0, 0.1}) {
-            for (double target_sem : {0.0, 0.02}) {
-                McOptions opts;
-                opts.block_len = 32;
-                opts.num_blocks = 10;
-                opts.target_sem = target_sem;
-                opts.max_blocks = 90;
-                opts.band_eps = band_eps;
-                std::vector<CapacityPoint> pts;
-                for (std::size_t k = 0; k < std::size(params); ++k)
-                    pts.push_back({params[k], 0x3E30 + k});
-                for (unsigned threads : {1U, nproc}) {
-                    opts.threads = threads;
-                    const std::vector<MiEstimate> got =
-                        iid_mutual_information_rate_points(pts, opts);
-                    ASSERT_EQ(got.size(), pts.size());
-                    for (std::size_t k = 0; k < pts.size(); ++k) {
-                        SCOPED_TRACE(::testing::Message()
-                                     << "point " << k << " path "
-                                     << ccap::util::simd_path_name(path) << " band_eps "
-                                     << band_eps << " target " << target_sem << " threads "
-                                     << threads);
-                        expect_bit_identical(got[k],
-                                             reference_estimate(pts[k].params, nullptr, opts,
-                                                                pts[k].seed, /*points=*/true));
-                        expect_bit_identical(
-                            library_estimate(pts[k].params, nullptr, opts, pts[k].seed),
-                            reference_estimate(pts[k].params, nullptr, opts, pts[k].seed,
-                                               /*points=*/false));
-                    }
+        for (double target_sem : {0.0, 0.02}) {
+            McOptions opts;
+            opts.block_len = 32;
+            opts.num_blocks = 10;
+            opts.target_sem = target_sem;
+            opts.max_blocks = 90;
+            std::vector<CapacityPoint> pts;
+            for (std::size_t k = 0; k < std::size(params); ++k)
+                pts.push_back({params[k], 0x3E30 + k});
+            for (unsigned threads : {1U, nproc}) {
+                opts.threads = threads;
+                const std::vector<MiEstimate> got = iid_mutual_information_rate_points(pts, opts);
+                ASSERT_EQ(got.size(), pts.size());
+                for (std::size_t k = 0; k < pts.size(); ++k) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "point " << k << " path " << ccap::util::simd_path_name(path)
+                                 << " target " << target_sem << " threads " << threads);
+                    expect_bit_identical(got[k],
+                                         reference_estimate(pts[k].params, nullptr, opts,
+                                                            pts[k].seed, /*points=*/true));
+                    expect_bit_identical(
+                        library_estimate(pts[k].params, nullptr, opts, pts[k].seed),
+                        reference_estimate(pts[k].params, nullptr, opts, pts[k].seed,
+                                           /*points=*/false));
                 }
             }
         }
@@ -892,30 +832,6 @@ TEST(ParallelMcCrnPoints, RejectsStructurallyHeterogeneousGrids) {
     opts.point_tile = 2;
     EXPECT_THROW((void)iid_mutual_information_rate_points(pts, opts),
                  std::invalid_argument);
-}
-
-TEST(ParallelMcCrnPoints, RejectsMismatchedEffectiveBandEps) {
-    // Every lane of a CRN sweep runs at one band threshold, so points whose
-    // effective band_eps differ cannot share a span: running them at the
-    // first point's band would make a point's value depend on its span.
-    std::vector<CapacityPoint> pts = crn_strip(2);
-    pts[1].params = DriftParams{0.12, 0.05, 0.02, 2, 24, 6, 0.3};
-    McOptions opts;
-    opts.block_len = 32;
-    opts.num_blocks = 4;
-    opts.point_tile = 2;
-    EXPECT_THROW((void)iid_mutual_information_rate_points(pts, opts),
-                 std::invalid_argument);
-    // McOptions::band_eps overrides every point's band: one threshold again.
-    opts.band_eps = 0.05;
-    EXPECT_NO_THROW((void)iid_mutual_information_rate_points(pts, opts));
-    // Independent streams evaluate each point at its own band.
-    opts.band_eps = 0.0;
-    opts.point_tile = 0;
-    const std::vector<MiEstimate> indep = iid_mutual_information_rate_points(pts, opts);
-    ASSERT_EQ(indep.size(), pts.size());
-    Rng rng(pts[1].seed);
-    expect_bit_identical(indep[1], iid_mutual_information_rate(pts[1].params, opts, rng));
 }
 
 }  // namespace

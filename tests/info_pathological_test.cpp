@@ -10,7 +10,6 @@
 
 #include "ccap/info/deletion_bounds.hpp"
 #include "ccap/info/drift_hmm.hpp"
-#include "ccap/info/lattice_engine.hpp"
 
 namespace {
 
@@ -41,9 +40,22 @@ TEST(PathologicalInputs, DriftParamsValidateRejectsNaNAndInf) {
         p.p_s = poison;
         EXPECT_THROW(p.validate(), std::domain_error);
     }
+}
+
+TEST(PathologicalInputs, DriftParamsValidateCapsAlphabetAtOneByte) {
+    // The lattices and the channel simulator hold one symbol per byte: a
+    // 257-symbol alphabet would silently wrap its draws.
     DriftParams p = base_params();
-    p.band_eps = kNan;
+    p.alphabet = 256;
+    EXPECT_NO_THROW(p.validate());
+    p.alphabet = 257;
     EXPECT_THROW(p.validate(), std::domain_error);
+    EXPECT_THROW((void)DriftHmm(p), std::domain_error);
+    McOptions opts;
+    opts.block_len = 8;
+    opts.num_blocks = 2;
+    ccap::util::Rng rng(1);
+    EXPECT_THROW((void)iid_mutual_information_rate(p, opts, rng), std::domain_error);
 }
 
 TEST(PathologicalInputs, NaNParamsNeverReachTheLattice) {
@@ -173,20 +185,6 @@ TEST(PathologicalInputs, MarkovMcEstimatorNeverEmitsNaN) {
         markov_mutual_information_rate(p, MarkovSource::binary_repeat(0.95), opts, rng);
     EXPECT_TRUE(std::isfinite(est.rate));
     EXPECT_TRUE(std::isfinite(est.sem));
-}
-
-TEST(PathologicalInputs, BandedEvidenceStaysCleanUnderAggressivePruning) {
-    DriftParams p = base_params();
-    p.band_eps = 0.5;  // prune almost everything
-    DriftHmm hmm(p);
-    std::vector<std::uint8_t> tx(64), rx(60);
-    for (std::size_t i = 0; i < tx.size(); ++i) tx[i] = static_cast<std::uint8_t>(i % 2);
-    for (std::size_t i = 0; i < rx.size(); ++i) rx[i] = static_cast<std::uint8_t>(i % 2);
-    ScopedWorkspace ws;
-    const BandedEvidence be = hmm.log2_likelihood_banded(tx, rx, ws.get());
-    EXPECT_TRUE(clean(be.log2_evidence));
-    EXPECT_FALSE(std::isnan(be.log2_slack));
-    EXPECT_GE(be.log2_slack, 0.0);
 }
 
 }  // namespace

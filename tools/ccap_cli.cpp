@@ -143,14 +143,18 @@ Args parse_args(int argc, char** argv, int first) {
     return args;
 }
 
+/// The drift lattices hold one symbol per byte: `--bits` is at most 8 for
+/// the commands that run them.
+constexpr unsigned kLatticeMaxBits = 8;
+
 /// `--bits N`: bits per channel symbol, in the [1,16] range
-/// core::DiChannelParams accepts. Checked before any caller forms the
-/// alphabet 1 << N.
-unsigned bits_from(const Args& args) {
+/// core::DiChannelParams accepts, or [1,max_bits]. Checked before any
+/// caller forms the alphabet 1 << N.
+unsigned bits_from(const Args& args, unsigned max_bits = 16) {
     const auto bits = args.count<unsigned>("bits", 1);
-    if (bits < 1 || bits > 16)
-        throw UsageError("option --bits expects an integer in [1,16], got '" +
-                         args.values.at("bits") + "'");
+    if (bits < 1 || bits > max_bits)
+        throw UsageError("option --bits expects an integer in [1," + std::to_string(max_bits) +
+                         "], got '" + args.values.at("bits") + "'");
     return bits;
 }
 
@@ -188,14 +192,6 @@ void apply_simd_flag(const Args& args) {
         throw UsageError("option --simd expects scalar, neon, avx2 or avx512, got '" +
                          it->second + "'");
     util::force_simd_path(path);
-}
-
-/// `--band-eps E`: adaptive-band lattice pruning threshold for the lattice
-/// subcommands; 0 (the default) keeps the exact sweep.
-double band_eps_from(const Args& args) {
-    const double eps = args.number("band-eps", 0.0);
-    if (!(eps >= 0.0)) throw UsageError("option --band-eps expects a value >= 0");
-    return eps;
 }
 
 /// `--mc-target-sem S --mc-max-blocks M`: adaptive Monte-Carlo precision
@@ -327,17 +323,14 @@ int cmd_windows(const Args& args) {
 }
 
 int cmd_sweep(const Args& args) {
-    args.reject_unknown({"bits", "threads", "mi-blocks", "mi-block-len", "band-eps",
-                         "mc-point-tile", "mc-target-sem", "mc-max-blocks", "seed", "simd",
-                         "verbose"});
+    args.reject_unknown({"bits", "threads", "mi-blocks", "mi-block-len", "mc-point-tile",
+                         "mc-target-sem", "mc-max-blocks", "seed", "simd", "verbose"});
     apply_simd_flag(args);
-    const unsigned bits = bits_from(args);
-    const unsigned threads = threads_from(args);
-    // Optional Monte-Carlo MI column: --mi-blocks K (> 0 enables), with
-    // --band-eps forwarding to the adaptive-band lattice.
+    // Optional Monte-Carlo MI column: --mi-blocks K (> 0 enables).
     const auto mi_blocks = args.count<std::size_t>("mi-blocks", 0);
+    const unsigned bits = mi_blocks > 0 ? bits_from(args, kLatticeMaxBits) : bits_from(args);
+    const unsigned threads = threads_from(args);
     const auto mi_block_len = args.count<std::size_t>("mi-block-len", 64);
-    const double band_eps = band_eps_from(args);
     const auto seed = args.count("seed", 1);
     // Materialize the grid up front: the MI column evaluates it as one
     // point sweep, and the verbose tile report needs its size.
@@ -349,7 +342,6 @@ int cmd_sweep(const Args& args) {
     mi_opts.block_len = mi_block_len;
     mi_opts.num_blocks = mi_blocks > 0 ? mi_blocks : 1;
     mi_opts.threads = threads;
-    mi_opts.band_eps = band_eps;
     apply_adaptive_flags(args, mi_opts);
     apply_point_tile_flag(args, mi_opts);
     if (args.values.count("verbose")) {
@@ -404,19 +396,18 @@ int cmd_sweep(const Args& args) {
 
 int cmd_mi(const Args& args) {
     args.reject_unknown({"pd", "pi", "ps", "bits", "block", "blocks", "seed", "threads",
-                         "markov-stay", "band-eps", "mc-target-sem", "mc-max-blocks",
-                         "simd", "verbose"});
+                         "markov-stay", "mc-target-sem", "mc-max-blocks", "simd",
+                         "verbose"});
     apply_simd_flag(args);
     info::DriftParams p;
     p.p_d = args.number("pd", 0.0);
     p.p_i = args.number("pi", 0.0);
     p.p_s = args.number("ps", 0.0);
-    p.alphabet = 1U << bits_from(args);
+    p.alphabet = 1U << bits_from(args, kLatticeMaxBits);
     info::McOptions opts;
     opts.block_len = args.count<std::size_t>("block", 128);
     opts.num_blocks = args.count<std::size_t>("blocks", 32);
     opts.threads = threads_from(args);
-    opts.band_eps = band_eps_from(args);
     apply_adaptive_flags(args, opts);
     // --markov-stay Q: binary repeat-Q Markov inputs instead of iid ones.
     const bool markov = args.values.count("markov-stay") != 0;
@@ -676,7 +667,7 @@ int cmd_track(const Args& args) {
     tc.headroom = args.number("headroom", 0.95);
     tc.prefetch = args.count<std::size_t>("prefetch", 0);
     tc.threads = threads_from(args);
-    const unsigned bits = bits_from(args);
+    const unsigned bits = bits_from(args, kLatticeMaxBits);
     tc.cache.base.p_s = args.number("ps", 0.0);
     tc.cache.base.alphabet = 1U << bits;
     const double grid_step = args.number("grid-step", 0.02);
@@ -760,11 +751,11 @@ void usage() {
         "  simulate  --sent FILE --received FILE [--pd X --pi Y --ps Z --bits N\n"
         "            --len L --seed S]\n"
         "  sweep     [--bits N --threads T --mi-blocks K --mi-block-len L\n"
-        "            --band-eps E --mc-point-tile G|auto --mc-target-sem S\n"
-        "            --mc-max-blocks M --seed S --simd P --verbose]\n"
+        "            --mc-point-tile G|auto --mc-target-sem S --mc-max-blocks M\n"
+        "            --seed S --simd P --verbose]\n"
         "  mi        [--pd X --pi Y --ps Z --bits N --block L --blocks K\n"
-        "            --seed S --threads T --markov-stay Q --band-eps E\n"
-        "            --mc-target-sem S --mc-max-blocks M --simd P --verbose]\n"
+        "            --seed S --threads T --markov-stay Q --mc-target-sem S\n"
+        "            --mc-max-blocks M --simd P --verbose]\n"
         "  windows   --sent FILE --received FILE [--window W]\n"
         "  protocol  [--proto saw|counter|gbn --pd X --ps Z --bits N --len L\n"
         "            --seed S --p-ack-loss P --p-ack-corrupt Q --ack-delay D\n"
@@ -789,8 +780,8 @@ void usage() {
         "            --resume FILE --status-every N --verbose]\n"
         "--threads 0 (default) uses every hardware thread; 1 runs serially.\n"
         "Monte-Carlo results are bit-identical for every --threads value.\n"
-        "--band-eps > 0 prunes the drift lattice adaptively (certified slack;\n"
-        "results are a slightly looser lower bound); 0 is exact.\n"
+        "--bits N is 1..16, but 1..8 for the drift lattice (mi, track, and\n"
+        "sweep with --mi-blocks), which holds one symbol per byte.\n"
         "--mc-point-tile G evaluates G grid points per lattice sweep from one\n"
         "shared variate tape (common random numbers: same per-point law,\n"
         "positively correlated neighbors; auto = a vector-width multiple).\n"
@@ -802,7 +793,7 @@ void usage() {
         "S = 0 keeps the fixed block count exactly.\n"
         "--simd scalar|neon|avx2|avx512 pins the lattice kernel path (same as\n"
         "the CCAP_SIMD env var; requests clamp down to what the CPU has).\n"
-        "All paths are bit-identical at --band-eps 0. --verbose prints the\n"
+        "All paths are bit-identical. --verbose prints the\n"
         "resolved kernel path and Monte-Carlo tile shape before estimating\n"
         "(sweep prints to stderr; stdout stays CSV).\n"
         "`track` runs until its stream ends, --windows N are ingested, or\n"

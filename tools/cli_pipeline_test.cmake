@@ -64,16 +64,33 @@ ccap_expect_failure(1 "exceeds 1"
   bounds --pd 0.8 --pi 0.6)
 # --bits is range-checked ([1,16]) before any command forms the alphabet
 # 1 << bits: out-of-range widths are usage errors, never a silently
-# wrapped alphabet.
-ccap_expect_failure(2 "--bits expects an integer in \\[1,16\\]"
+# wrapped alphabet. The drift lattice holds one symbol per byte, so every
+# command that runs it (mi, track, sweep with an MC column) takes [1,8].
+ccap_expect_failure(2 "--bits expects an integer in \\[1,8\\]"
   mi --bits 40)
-ccap_expect_failure(2 "--bits expects an integer in \\[1,16\\]"
+ccap_expect_failure(2 "--bits expects an integer in \\[1,8\\]"
   mi --bits 32)
 ccap_expect_failure(2 "--bits expects an integer in \\[1,16\\]"
   sweep --bits 40)
-ccap_expect_failure(2 "--bits expects an integer in \\[1,16\\]"
+ccap_expect_failure(2 "--bits expects an integer in \\[1,8\\]"
   track --sent ${WORK_DIR}/cli_sent.txt --received ${WORK_DIR}/cli_recv.txt
         --bits 40)
+ccap_expect_failure(2 "--bits expects an integer in \\[1,8\\]"
+  mi --bits 9 --pd 0.1 --pi 0.05 --blocks 4 --block 32)
+ccap_expect_failure(2 "--bits expects an integer in \\[1,8\\]"
+  track --pd 0.2 --windows 2 --bits 9)
+ccap_expect_failure(2 "--bits expects an integer in \\[1,8\\]"
+  sweep --bits 9 --mi-blocks 2)
+# The closed-form sweep (no MC column) never touches the lattice and
+# keeps the full 1..16 range.
+execute_process(
+  COMMAND ${CCAP_BIN} sweep --bits 9
+  OUTPUT_VARIABLE sweep9_out
+  ERROR_VARIABLE sweep9_err
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0 OR NOT sweep9_out MATCHES "p_d,p_i,thm5_lower")
+  message(FATAL_ERROR "'ccap sweep --bits 9' exited ${rc}: ${sweep9_err}")
+endif()
 # Counts must fit their destination type: no undefined double->integer
 # cast past 2^64, no truncation of a 64-bit value into a 32-bit field.
 ccap_expect_failure(2 "--threads expects an integer at most 4294967295"
@@ -86,12 +103,12 @@ ccap_expect_failure(2 "mc-point-tile expects a non-negative integer or 'auto'"
   sweep --mi-blocks 2 --mc-point-tile fast)
 ccap_expect_failure(2 "unknown option --mc-point-tile"
   mi --mc-point-tile 4)
-# --band-eps is a pruning threshold: a negative value is a usage error,
-# never silently run as the exact sweep.
-ccap_expect_failure(2 "--band-eps expects a value >= 0"
-  mi --band-eps -1)
-ccap_expect_failure(2 "--band-eps expects a value >= 0"
-  sweep --mi-blocks 2 --band-eps -1)
+# Every lattice pass is exact: adaptive-band pruning is not a flag, and
+# --band-eps is an unknown option like any other.
+ccap_expect_failure(2 "unknown option --band-eps"
+  mi --band-eps 0)
+ccap_expect_failure(2 "unknown option --band-eps"
+  sweep --mi-blocks 2 --band-eps 0)
 # The Monte-Carlo tile width is not a flag: --mc-batch is an unknown
 # option like any other.
 ccap_expect_failure(2 "unknown option --mc-batch"
