@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 gate: full build + tests, then the concurrency suite under TSan.
+# Tier-1 gate: full build + tests, the link audit, then the concurrency suite
+# under TSan.
 #
-#   ./scripts/tier1.sh            # standard + TSan stages
-#   CCAP_SKIP_TSAN=1 ./scripts/tier1.sh   # standard stage only
+#   ./scripts/tier1.sh            # standard + link audit + TSan stages
+#   CCAP_SKIP_TSAN=1 ./scripts/tier1.sh   # everything but the TSan stage
 #   CCAP_RUN_ASAN=1 ./scripts/tier1.sh    # additionally run the info/util/
 #                                         # estimate tests under
 #                                         # -fsanitize=address (opt-in: ~3x
@@ -35,6 +36,12 @@ cmake --build build -j"$(nproc)"
 echo "== tier1: perfbench harness build (compile only) =="
 cmake -S perfbench -B build/perfbench >/dev/null
 cmake --build build/perfbench -j"$(nproc)"
+
+# Link audit: every out-of-line ccap:: library function is linked by a
+# program (tools/ccap, bench/, examples/, perfbench) or named with its
+# reason in scripts/api_allowlist.txt; a stale allow-list entry fails too.
+echo "== tier1: link audit of the public library surface =="
+./scripts/api_audit.sh
 
 # SIMD cross-check: rerun the batch-lattice lane-identity suite and the
 # parallel Monte-Carlo scheduler suite with the kernel dispatch pinned to

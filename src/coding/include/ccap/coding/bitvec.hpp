@@ -18,12 +18,6 @@ using Bits = std::vector<std::uint8_t>;
 /// Throws std::domain_error unless every element is 0 or 1.
 void check_bits(std::span<const std::uint8_t> bits, const char* who = "bits");
 
-/// Pack bits (MSB-first) into bytes; the tail is zero-padded.
-[[nodiscard]] std::vector<std::uint8_t> pack_bytes(std::span<const std::uint8_t> bits);
-
-/// Unpack `count` bits (MSB-first) from bytes.
-[[nodiscard]] Bits unpack_bytes(std::span<const std::uint8_t> bytes, std::size_t count);
-
 /// Lowest `width` bits of `value`, MSB-first.
 [[nodiscard]] Bits bits_from_uint(std::uint64_t value, unsigned width);
 

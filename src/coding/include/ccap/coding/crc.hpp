@@ -1,4 +1,4 @@
-// Table-driven CRC-16-CCITT and CRC-32 (IEEE 802.3) over bit sequences.
+// Bitwise CRC-16-CCITT over bit sequences.
 //
 // Used by the covert-channel protocols to verify end-to-end message
 // integrity after decoding, and by tests as a ground-truth corruption
@@ -15,9 +15,6 @@ namespace ccap::coding {
 
 /// CRC-16-CCITT (poly 0x1021, init 0xFFFF, no reflection), bitwise.
 [[nodiscard]] std::uint16_t crc16(std::span<const std::uint8_t> bits);
-
-/// CRC-32 IEEE (poly 0x04C11DB7 reflected = 0xEDB88320, init/xorout 0xFFFFFFFF).
-[[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> bits);
 
 /// Append a 16-bit CRC (MSB-first) to the message bits.
 [[nodiscard]] Bits append_crc16(std::span<const std::uint8_t> bits);

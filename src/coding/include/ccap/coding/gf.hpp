@@ -23,9 +23,7 @@ public:
         return a ^ b;
     }
     [[nodiscard]] std::uint16_t mul(std::uint16_t a, std::uint16_t b) const;
-    [[nodiscard]] std::uint16_t div(std::uint16_t a, std::uint16_t b) const;
     [[nodiscard]] std::uint16_t inv(std::uint16_t a) const;
-    [[nodiscard]] std::uint16_t pow(std::uint16_t a, std::uint64_t e) const;
 
     /// alpha^i for the field's primitive element alpha.
     [[nodiscard]] std::uint16_t alpha_pow(unsigned i) const {

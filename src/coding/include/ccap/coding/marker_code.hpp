@@ -33,8 +33,6 @@ public:
 
     /// Stream length after inserting markers into `data_len` data bits.
     [[nodiscard]] std::size_t encoded_length(std::size_t data_len) const noexcept;
-    /// Code rate data/(data+markers) for a given data length.
-    [[nodiscard]] double rate(std::size_t data_len) const noexcept;
 
     [[nodiscard]] Bits encode(std::span<const std::uint8_t> data) const;
 

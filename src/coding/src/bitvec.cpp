@@ -11,23 +11,6 @@ void check_bits(std::span<const std::uint8_t> bits, const char* who) {
         if (b > 1) throw std::domain_error(std::string(who) + ": element is not a bit");
 }
 
-std::vector<std::uint8_t> pack_bytes(std::span<const std::uint8_t> bits) {
-    check_bits(bits, "pack_bytes");
-    std::vector<std::uint8_t> bytes((bits.size() + 7) / 8, 0);
-    for (std::size_t i = 0; i < bits.size(); ++i)
-        if (bits[i]) bytes[i / 8] |= static_cast<std::uint8_t>(0x80U >> (i % 8));
-    return bytes;
-}
-
-Bits unpack_bytes(std::span<const std::uint8_t> bytes, std::size_t count) {
-    if (count > bytes.size() * 8)
-        throw std::invalid_argument("unpack_bytes: not enough bytes for requested bits");
-    Bits bits(count);
-    for (std::size_t i = 0; i < count; ++i)
-        bits[i] = (bytes[i / 8] >> (7 - i % 8)) & 1U;
-    return bits;
-}
-
 Bits bits_from_uint(std::uint64_t value, unsigned width) {
     if (width > 64) throw std::invalid_argument("bits_from_uint: width > 64");
     Bits bits(width);

@@ -5,10 +5,9 @@
 namespace ccap::coding {
 namespace {
 
-// Bit-at-a-time CRC engines. Messages here are at most a few thousand bits,
+// Bit-at-a-time CRC engine. Messages here are at most a few thousand bits,
 // so clarity wins over a byte-table implementation.
 constexpr std::uint16_t kCcittPoly = 0x1021;
-constexpr std::uint32_t kIeeePolyReflected = 0xEDB88320U;
 
 }  // namespace
 
@@ -21,17 +20,6 @@ std::uint16_t crc16(std::span<const std::uint8_t> bits) {
         if (top != (b != 0)) crc ^= kCcittPoly;
     }
     return crc;
-}
-
-std::uint32_t crc32(std::span<const std::uint8_t> bits) {
-    check_bits(bits, "crc32");
-    std::uint32_t crc = 0xFFFFFFFFU;
-    for (std::uint8_t b : bits) {
-        const std::uint32_t in = (crc ^ b) & 1U;
-        crc >>= 1;
-        if (in) crc ^= kIeeePolyReflected;
-    }
-    return crc ^ 0xFFFFFFFFU;
 }
 
 Bits append_crc16(std::span<const std::uint8_t> bits) {

@@ -52,26 +52,10 @@ std::uint16_t GaloisField::mul(std::uint16_t a, std::uint16_t b) const {
     return exp_[s % (q_ - 1)];
 }
 
-std::uint16_t GaloisField::div(std::uint16_t a, std::uint16_t b) const {
-    check_element(a);
-    check_element(b);
-    if (b == 0) throw std::domain_error("GaloisField::div: division by zero");
-    if (a == 0) return 0;
-    const unsigned s = log_[a] + (q_ - 1) - log_[b];
-    return exp_[s % (q_ - 1)];
-}
-
 std::uint16_t GaloisField::inv(std::uint16_t a) const {
     check_element(a);
     if (a == 0) throw std::domain_error("GaloisField::inv: zero has no inverse");
     return exp_[(q_ - 1 - log_[a]) % (q_ - 1)];
-}
-
-std::uint16_t GaloisField::pow(std::uint16_t a, std::uint64_t e) const {
-    check_element(a);
-    if (a == 0) return e == 0 ? 1 : 0;
-    const std::uint64_t le = (static_cast<std::uint64_t>(log_[a]) * (e % (q_ - 1))) % (q_ - 1);
-    return exp_[le];
 }
 
 }  // namespace ccap::coding

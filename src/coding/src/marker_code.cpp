@@ -22,11 +22,6 @@ std::size_t MarkerCode::encoded_length(std::size_t data_len) const noexcept {
     return data_len + groups * params_.marker.size();
 }
 
-double MarkerCode::rate(std::size_t data_len) const noexcept {
-    const std::size_t total = encoded_length(data_len);
-    return total == 0 ? 0.0 : static_cast<double>(data_len) / static_cast<double>(total);
-}
-
 Bits MarkerCode::encode(std::span<const std::uint8_t> data) const {
     check_bits(data, "MarkerCode::encode");
     Bits out;

@@ -34,7 +34,4 @@ struct DiChannelParams {
     [[nodiscard]] bool operator==(const DiChannelParams&) const noexcept = default;
 };
 
-/// A synchronous channel (per-use deletion and insertion both zero).
-[[nodiscard]] bool is_synchronous(const DiChannelParams& p) noexcept;
-
 }  // namespace ccap::core

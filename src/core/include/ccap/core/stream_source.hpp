@@ -12,9 +12,10 @@
 // Determinism discipline: window w's transmitted symbols come from the
 // substream substream_seed(seed, w) while the channel and fault clocks run
 // continuously across windows (so a drift period can span many windows).
-// The whole stream is a pure function of (config, seed), and skip(k)
-// deterministically replays k windows — which is how a checkpoint resume
-// reproduces the uninterrupted run bit for bit.
+// The whole stream is a pure function of (config, seed), so
+// ChunkSource::skip(k) replays k windows deterministically — which is how
+// `ccap track --resume` reproduces the uninterrupted run bit for bit, for a
+// live source and a trace pair alike.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +45,12 @@ class ChunkSource {
 public:
     virtual ~ChunkSource() = default;
     [[nodiscard]] virtual std::optional<StreamChunk> next() = 0;
+
+    /// Deterministic fast-forward: pull and discard up to `windows` chunks
+    /// (fewer when the stream ends first). After skip(k), next() returns
+    /// exactly the chunk an uninterrupted source would return as its
+    /// (k+1)-th — the checkpoint-resume path.
+    void skip(std::uint64_t windows);
 };
 
 /// Live simulation source: a DeletionInsertionChannel wrapped in a
@@ -74,11 +81,6 @@ public:
     [[nodiscard]] std::uint64_t uses() const noexcept { return uses_; }
 
     [[nodiscard]] std::optional<StreamChunk> next() override;
-
-    /// Deterministic fast-forward: generate and discard `windows` chunks.
-    /// After skip(k), next() returns exactly the chunk an uninterrupted
-    /// source would return as its (k+1)-th — the checkpoint-resume path.
-    void skip(std::uint64_t windows);
 
 private:
     Config cfg_;

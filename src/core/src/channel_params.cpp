@@ -26,6 +26,4 @@ std::string DiChannelParams::to_string() const {
     return buf;
 }
 
-bool is_synchronous(const DiChannelParams& p) noexcept { return p.p_d == 0.0 && p.p_i == 0.0; }
-
 }  // namespace ccap::core

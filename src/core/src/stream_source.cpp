@@ -6,6 +6,14 @@
 
 namespace ccap::core {
 
+void ChunkSource::skip(std::uint64_t windows) {
+    // Replay-and-discard: a live source's channel, fault RNG and use clock
+    // advance exactly as a real run would, so the next emitted chunk is
+    // bit-identical to the uninterrupted stream's.
+    for (std::uint64_t i = 0; i < windows; ++i)
+        if (!next()) break;
+}
+
 void FaultStreamSource::Config::validate() const {
     params.validate();
     profile.validate();
@@ -50,14 +58,6 @@ std::optional<StreamChunk> FaultStreamSource::next() {
     uses_ += chunk.channel_uses;
     ++emitted_;
     return chunk;
-}
-
-void FaultStreamSource::skip(std::uint64_t windows) {
-    // Replay-and-discard: the channel, fault RNG and use clock advance
-    // exactly as a real run would, so the next emitted chunk is
-    // bit-identical to the uninterrupted stream's.
-    for (std::uint64_t i = 0; i < windows; ++i)
-        if (!next()) break;
 }
 
 }  // namespace ccap::core

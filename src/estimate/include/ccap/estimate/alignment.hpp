@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace ccap::estimate {
@@ -31,16 +30,13 @@ struct Alignment {
     std::size_t distance = 0;  ///< Levenshtein distance
 
     [[nodiscard]] std::size_t count(EditOp op) const noexcept;
-    /// "MMSDI"-style compact rendering for logs and tests.
-    [[nodiscard]] std::string to_string() const;
 };
 
-/// Every entry point runs one bit-parallel Levenshtein kernel (Myers'
-/// block recurrence): O(|sent|·|received|/64) time. align and
-/// align_end_free keep a traceback store of 0.5 B per trellis cell;
-/// edit_distance keeps one column. Each throws std::invalid_argument,
-/// before allocating, when |sent|·|received| exceeds 4e8 cells: align
-/// longer traces blockwise (see param_estimator.hpp).
+/// Both entry points run one bit-parallel Levenshtein kernel (Myers'
+/// block recurrence): O(|sent|·|received|/64) time and a traceback store
+/// of 0.5 B per trellis cell. Each throws std::invalid_argument, before
+/// allocating, when |sent|·|received| exceeds 4e8 cells: align longer
+/// traces blockwise (see param_estimator.hpp).
 
 /// Align two symbol traces end to end.
 [[nodiscard]] Alignment align(std::span<const std::uint32_t> sent,
@@ -56,9 +52,5 @@ struct PrefixAlignment {
 };
 [[nodiscard]] PrefixAlignment align_end_free(std::span<const std::uint32_t> sent,
                                              std::span<const std::uint32_t> received);
-
-/// Levenshtein distance only (no traceback store).
-[[nodiscard]] std::size_t edit_distance(std::span<const std::uint32_t> sent,
-                                        std::span<const std::uint32_t> received);
 
 }  // namespace ccap::estimate

@@ -11,10 +11,4 @@ namespace ccap::estimate {
 /// Multi-line human-readable report.
 [[nodiscard]] std::string render_report(const AnalysisReport& report, const std::string& title);
 
-/// One CSV-ish row: "p_d,p_i,p_s,traditional,lower,exact,upper,degraded,b/s,severity".
-[[nodiscard]] std::string render_row(const AnalysisReport& report);
-
-/// Header matching render_row.
-[[nodiscard]] std::string render_row_header();
-
 }  // namespace ccap::estimate

@@ -37,10 +37,6 @@ public:
         return attributes_;
     }
 
-    /// True if `op` reads/modifies `attribute` (directly).
-    [[nodiscard]] bool reads(const std::string& op, const std::string& attribute) const;
-    [[nodiscard]] bool modifies(const std::string& op, const std::string& attribute) const;
-
     struct Channel {
         std::string attribute;    ///< the shared medium
         std::string sender_op;    ///< modifies the attribute
@@ -48,13 +44,11 @@ public:
         bool indirect = false;    ///< receiver senses it through a derived attribute
     };
 
-    /// Direct candidates: (attribute, modifier, reader) triples with
-    /// modifier != reader.
-    [[nodiscard]] std::vector<Channel> direct_channels() const;
-
-    /// Candidates including indirect flows: the transitive closure where an
-    /// operation that reads A and modifies B propagates A's information
-    /// into B ("A flows to B"), so reading B senses A.
+    /// Candidates: (attribute, modifier, reader) triples with modifier !=
+    /// reader. A reader of the attribute itself is a direct channel; one
+    /// that only senses it through the transitive closure (an operation
+    /// that reads A and modifies B propagates A's information into B, "A
+    /// flows to B", so reading B senses A) is an indirect one.
     [[nodiscard]] std::vector<Channel> all_channels() const;
 
     /// Attribute-to-attribute information-flow closure: flow(a, b) iff some
@@ -67,7 +61,6 @@ private:
         std::vector<std::size_t> reads;
         std::vector<std::size_t> modifies;
     };
-    [[nodiscard]] std::size_t attribute_index(const std::string& name) const;
 
     std::vector<std::string> attributes_;
     std::vector<Operation> operations_;

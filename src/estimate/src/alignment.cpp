@@ -16,20 +16,6 @@ std::size_t Alignment::count(EditOp op) const noexcept {
     return c;
 }
 
-std::string Alignment::to_string() const {
-    std::string s;
-    s.reserve(steps.size());
-    for (const EditStep& step : steps) {
-        switch (step.op) {
-            case EditOp::match: s.push_back('M'); break;
-            case EditOp::substitution: s.push_back('S'); break;
-            case EditOp::deletion: s.push_back('D'); break;
-            case EditOp::insertion: s.push_back('I'); break;
-        }
-    }
-    return s;
-}
-
 namespace {
 
 // Bit-parallel Levenshtein trellis (Myers, JACM 1999, in Hyyrö's block
@@ -285,16 +271,6 @@ PrefixAlignment align_end_free(std::span<const std::uint32_t> sent,
         return PrefixAlignment{trace_back(sent, received, deltas, best_j, s.last_row[best_j]),
                                best_j};
     });
-}
-
-std::size_t edit_distance(std::span<const std::uint32_t> sent,
-                          std::span<const std::uint32_t> received) {
-    const std::size_t n = sent.size();
-    const std::size_t m = received.size();
-    check_cells(n, m, "edit_distance");
-    if (n == 0 || m == 0) return n + m;
-    return with_scratch(n, m,
-                        [&](Scratch& s) { return sweep(sent, received, s, nullptr, nullptr); });
 }
 
 }  // namespace ccap::estimate

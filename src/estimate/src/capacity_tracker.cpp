@@ -23,6 +23,54 @@ constexpr double kZ = 1.96;  ///< confidence radius, matches the cache's
     return mix(h, std::bit_cast<std::uint64_t>(v));
 }
 
+// last() travels in the checkpoint under "last_*" keys: a resume with no
+// window left to ingest must still report the saved update.
+void set_update(util::Checkpoint& cp, const TrackerUpdate& u) {
+    cp.set_u64("last_window", u.window);
+    cp.set_u64("last_status", static_cast<std::uint64_t>(u.status));
+    cp.set_double("last_p_d", u.p_d);
+    cp.set_double("last_p_i", u.p_i);
+    cp.set_double("last_p_s", u.p_s);
+    cp.set_double("last_window_capacity", u.window_capacity);
+    cp.set_double("last_window_sem", u.window_sem);
+    cp.set_double("last_capacity", u.capacity);
+    cp.set_double("last_sem", u.sem);
+    cp.set_double("last_bound", u.bound);
+    cp.set_double("last_trend_slope", u.trend_slope);
+    cp.set_u64("last_drift", u.drift ? 1 : 0);
+    cp.set_double("last_served_rate", u.served_rate);
+    cp.set_u64("last_resyncs", u.resyncs);
+    cp.set_u64("last_stale_windows", u.stale_windows);
+    cp.set_u64("last_mc_blocks", u.mc_blocks);
+    cp.set_u64("last_converged", u.converged ? 1 : 0);
+}
+
+[[nodiscard]] TrackerUpdate get_update(const util::Checkpoint& cp) {
+    TrackerUpdate u;
+    u.window = cp.u64("last_window");
+    const std::uint64_t status = cp.u64("last_status");
+    if (status > static_cast<std::uint64_t>(TrackerStatus::degraded))
+        throw util::CheckpointIoError(util::CheckpointError::malformed,
+                                      "checkpoint last_status is not a tracker status");
+    u.status = static_cast<TrackerStatus>(status);
+    u.p_d = cp.number("last_p_d");
+    u.p_i = cp.number("last_p_i");
+    u.p_s = cp.number("last_p_s");
+    u.window_capacity = cp.number("last_window_capacity");
+    u.window_sem = cp.number("last_window_sem");
+    u.capacity = cp.number("last_capacity");
+    u.sem = cp.number("last_sem");
+    u.bound = cp.number("last_bound");
+    u.trend_slope = cp.number("last_trend_slope");
+    u.drift = cp.u64("last_drift") != 0;
+    u.served_rate = cp.number("last_served_rate");
+    u.resyncs = cp.u64("last_resyncs");
+    u.stale_windows = cp.u64("last_stale_windows");
+    u.mc_blocks = cp.u64("last_mc_blocks");
+    u.converged = cp.u64("last_converged") != 0;
+    return u;
+}
+
 }  // namespace
 
 const char* tracker_status_name(TrackerStatus status) noexcept {
@@ -304,6 +352,7 @@ util::Checkpoint CapacityTracker::checkpoint() const {
     cp.set_u64("trend_len", trend_.size());
     for (std::size_t i = 0; i < trend_.size(); ++i)
         cp.set_double("trend_" + std::to_string(i), trend_[i]);
+    set_update(cp, last_);
     return cp;
 }
 
@@ -333,6 +382,7 @@ CapacityTracker CapacityTracker::resume(TrackerConfig cfg,
     t.trend_.clear();
     for (std::uint64_t i = 0; i < n; ++i)
         t.trend_.push_back(state.number("trend_" + std::to_string(i)));
+    t.last_ = get_update(state);
     return t;
 }
 

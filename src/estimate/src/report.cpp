@@ -34,19 +34,4 @@ std::string render_report(const AnalysisReport& report, const std::string& title
     return os.str();
 }
 
-std::string render_row_header() {
-    return "p_d,p_i,p_s,traditional,thm5_lower,exact,thm1_upper,degraded,bits_per_s,severity";
-}
-
-std::string render_row(const AnalysisReport& report) {
-    char line[256];
-    std::snprintf(line, sizeof line, "%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.2f,%s",
-                  report.params.p_d.value, report.params.p_i.value, report.params.p_s.value,
-                  report.traditional_bits_per_use, report.band_bits_per_use.lower,
-                  report.band_bits_per_use.exact_protocol, report.band_bits_per_use.upper,
-                  report.degraded_bits_per_use, report.degraded_bits_per_second,
-                  severity_name(report.severity));
-    return line;
-}
-
 }  // namespace ccap::estimate

@@ -26,48 +26,6 @@ void SharedResourceMatrix::add_operation(const std::string& name,
     operations_.push_back(std::move(op));
 }
 
-std::size_t SharedResourceMatrix::attribute_index(const std::string& name) const {
-    const auto it = std::find(attributes_.begin(), attributes_.end(), name);
-    if (it == attributes_.end()) throw std::out_of_range("SRM: unknown attribute " + name);
-    return static_cast<std::size_t>(it - attributes_.begin());
-}
-
-bool SharedResourceMatrix::reads(const std::string& op_name,
-                                 const std::string& attribute) const {
-    const std::size_t a = attribute_index(attribute);
-    for (const Operation& op : operations_)
-        if (op.name == op_name)
-            return std::find(op.reads.begin(), op.reads.end(), a) != op.reads.end();
-    throw std::out_of_range("SRM: unknown operation " + op_name);
-}
-
-bool SharedResourceMatrix::modifies(const std::string& op_name,
-                                    const std::string& attribute) const {
-    const std::size_t a = attribute_index(attribute);
-    for (const Operation& op : operations_)
-        if (op.name == op_name)
-            return std::find(op.modifies.begin(), op.modifies.end(), a) != op.modifies.end();
-    throw std::out_of_range("SRM: unknown operation " + op_name);
-}
-
-std::vector<SharedResourceMatrix::Channel> SharedResourceMatrix::direct_channels() const {
-    std::vector<Channel> out;
-    for (std::size_t a = 0; a < attributes_.size(); ++a)
-        for (const Operation& writer : operations_) {
-            if (std::find(writer.modifies.begin(), writer.modifies.end(), a) ==
-                writer.modifies.end())
-                continue;
-            for (const Operation& reader : operations_) {
-                if (reader.name == writer.name) continue;
-                if (std::find(reader.reads.begin(), reader.reads.end(), a) ==
-                    reader.reads.end())
-                    continue;
-                out.push_back({attributes_[a], writer.name, reader.name, false});
-            }
-        }
-    return out;
-}
-
 std::vector<std::vector<bool>> SharedResourceMatrix::flow_closure() const {
     const std::size_t n = attributes_.size();
     std::vector<std::vector<bool>> flow(n, std::vector<bool>(n, false));

@@ -216,7 +216,7 @@ struct PointSweepReport {
 /// Monte-Carlo achievable rate with a first-order Markov input process —
 /// the Davey-MacKay observation that run-length-biased inputs beat iid on
 /// deletion channels, quantified. The marginal log2 P(Y) runs over the
-/// joint (drift, previous-symbol) lattice. With MarkovSource::uniform this
+/// joint (drift, previous-symbol) lattice. With an iid uniform source this
 /// reduces (statistically) to iid_mutual_information_rate. Same seeding
 /// and threads contract as the iid estimator (see McOptions).
 [[nodiscard]] MiEstimate markov_mutual_information_rate(const DriftParams& params,

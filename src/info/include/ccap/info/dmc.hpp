@@ -8,12 +8,9 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "ccap/util/matrix.hpp"
-#include "ccap/util/rng.hpp"
 
 namespace ccap::info {
 
@@ -28,18 +25,8 @@ public:
     [[nodiscard]] const util::Matrix& matrix() const noexcept { return w_; }
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
-    /// W(y|x).
-    [[nodiscard]] double transition(std::size_t x, std::size_t y) const { return w_.at(x, y); }
-
-    /// Output distribution induced by an input distribution.
-    [[nodiscard]] std::vector<double> output_distribution(std::span<const double> input) const;
-
-    /// Sample one output symbol for input x.
-    [[nodiscard]] std::size_t sample(std::size_t x, util::Rng& rng) const;
-
-    /// Transduce a whole input sequence (synchronously, one out per in).
-    [[nodiscard]] std::vector<std::size_t> transduce(std::span<const std::size_t> inputs,
-                                                     util::Rng& rng) const;
+    /// W(y|x); requires x < num_inputs() and y < num_outputs().
+    [[nodiscard]] double transition(std::size_t x, std::size_t y) const { return w_(x, y); }
 
 private:
     util::Matrix w_;

@@ -55,9 +55,6 @@ struct MarkovSource {
     /// Binary source that repeats the previous symbol with probability
     /// `stay` (stay = 0.5 gives iid uniform).
     [[nodiscard]] static MarkovSource binary_repeat(double stay);
-
-    /// Uniform iid source over an M-ary alphabet.
-    [[nodiscard]] static MarkovSource uniform(unsigned alphabet);
 };
 
 struct DriftParams {
@@ -141,18 +138,8 @@ public:
                                                    std::span<const std::uint8_t> received,
                                                    std::size_t seg_len,
                                                    std::size_t num_candidates,
-                                                   const CandidateFn& candidates_for) const;
-    [[nodiscard]] util::Matrix segment_likelihoods(const util::Matrix& priors,
-                                                   std::span<const std::uint8_t> received,
-                                                   std::size_t seg_len,
-                                                   std::size_t num_candidates,
                                                    const CandidateFn& candidates_for,
                                                    LatticeWorkspace& ws) const;
-
-    /// Convenience overload with one shared candidate set for all segments.
-    [[nodiscard]] util::Matrix segment_likelihoods(
-        const util::Matrix& priors, std::span<const std::uint8_t> received,
-        std::size_t seg_len, const std::vector<std::vector<std::uint8_t>>& candidates) const;
 
     /// Posterior expected channel-event counts given a (transmitted,
     /// received) pair — the E-step of Baum-Welch parameter estimation
@@ -176,8 +163,6 @@ public:
     /// the joint (drift, previous-symbol) state. Needed because the
     /// per-position independent `priors` of posteriors() cannot express
     /// symbol correlation. Returns -infinity when unreachable.
-    [[nodiscard]] double log2_markov_marginal(const MarkovSource& source, std::size_t tx_len,
-                                              std::span<const std::uint8_t> received) const;
     [[nodiscard]] double log2_markov_marginal(const MarkovSource& source, std::size_t tx_len,
                                               std::span<const std::uint8_t> received,
                                               LatticeWorkspace& ws) const;

@@ -2,8 +2,7 @@
 //
 // These are the primitives every capacity expression in the paper is built
 // from: the binary entropy H(p) of eq (5), the M-ary symmetric penalty of
-// eq (3), and the mutual-information machinery behind Blahut-Arimoto and the
-// empirical estimators.
+// eq (3), and the mutual-information machinery behind Blahut-Arimoto.
 #pragma once
 
 #include <span>
@@ -18,18 +17,6 @@ namespace ccap::info {
 /// Binary entropy H(p) = -p log2 p - (1-p) log2(1-p). Paper eq (5).
 /// p outside [0,1] throws std::domain_error.
 [[nodiscard]] double binary_entropy(double p);
-
-/// Inverse of binary_entropy on [0, 1/2]: smallest p with H(p) = h.
-/// h outside [0,1] throws.
-[[nodiscard]] double binary_entropy_inverse(double h);
-
-/// Shannon entropy of a probability vector (must be >= 0; renormalization is
-/// NOT applied — a vector not summing to 1 within 1e-6 throws).
-[[nodiscard]] double entropy(std::span<const double> p);
-
-/// KL divergence D(p || q) in bits. Infinite if p puts mass where q doesn't
-/// (returns +inf). Sizes must match.
-[[nodiscard]] double kl_divergence(std::span<const double> p, std::span<const double> q);
 
 /// Mutual information I(X;Y) in bits from a joint distribution
 /// (rows = x, cols = y). The joint must sum to 1 within 1e-6.

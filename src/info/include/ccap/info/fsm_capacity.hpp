@@ -39,11 +39,6 @@ public:
     /// infinite transmission (e.g. no cycles reachable).
     [[nodiscard]] double capacity() const;
 
-    /// Count of distinct operation sequences of total length exactly `steps`
-    /// starting from `start`, assuming unit durations — used by tests to
-    /// verify capacity = lim log2(count)/steps.
-    [[nodiscard]] double count_sequences(std::size_t start, std::size_t steps) const;
-
 private:
     std::size_t num_states_;
     std::vector<FsmEdge> edges_;

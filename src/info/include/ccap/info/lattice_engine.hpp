@@ -23,8 +23,8 @@
 //     implementation, and the cells inside are visited with the seed's
 //     floating-point operation order, so results are bit-identical.
 //
-// bcjr.cpp, watermark.cpp and alignment.cpp reuse LatticeWorkspace for
-// their own trellises so the repo has one flat-row DP idiom.
+// watermark.cpp reuses LatticeWorkspace for its own trellis so the repo
+// has one flat-row DP idiom.
 #pragma once
 
 #include <algorithm>

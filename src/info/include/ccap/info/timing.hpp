@@ -16,9 +16,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
-
-#include "ccap/info/blahut_arimoto.hpp"
 
 namespace ccap::info {
 
@@ -41,9 +38,5 @@ struct TimedZResult {
 /// with prob 1-p as '1' (duration t1) or flips to '0' with prob p. Capacity
 /// in bits per unit time via Dinkelbach / tilted Blahut-Arimoto.
 [[nodiscard]] TimedZResult timed_z_capacity(double p, double t0, double t1);
-
-/// Capacity (bits/use) of an arbitrary DMC whose symbols cost unequal time,
-/// reported per unit time. Thin wrapper over capacity_per_unit_cost.
-[[nodiscard]] double dmc_capacity_per_time(const Dmc& channel, std::span<const double> durations);
 
 }  // namespace ccap::info

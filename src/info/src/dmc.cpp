@@ -16,25 +16,6 @@ Dmc::Dmc(util::Matrix transition, std::string name)
     w_.normalize_rows();  // remove the 1e-9 slack exactly
 }
 
-std::vector<double> Dmc::output_distribution(std::span<const double> input) const {
-    if (input.size() != w_.rows())
-        throw std::invalid_argument("Dmc::output_distribution: input size mismatch");
-    return w_.transpose_vec(input);
-}
-
-std::size_t Dmc::sample(std::size_t x, util::Rng& rng) const {
-    if (x >= w_.rows()) throw std::out_of_range("Dmc::sample: input symbol out of range");
-    return rng.categorical(w_.row(x));  // in-range for the stochastic row
-}
-
-std::vector<std::size_t> Dmc::transduce(std::span<const std::size_t> inputs,
-                                        util::Rng& rng) const {
-    std::vector<std::size_t> out;
-    out.reserve(inputs.size());
-    for (std::size_t x : inputs) out.push_back(sample(x, rng));
-    return out;
-}
-
 namespace {
 void check_prob(double p, const char* who) {
     if (p < 0.0 || p > 1.0) throw std::domain_error(std::string(who) + ": probability outside [0,1]");

@@ -42,14 +42,6 @@ MarkovSource MarkovSource::binary_repeat(double stay) {
     return s;
 }
 
-MarkovSource MarkovSource::uniform(unsigned alphabet) {
-    if (alphabet < 2) throw std::invalid_argument("MarkovSource::uniform: alphabet < 2");
-    MarkovSource s;
-    s.initial.assign(alphabet, 1.0 / alphabet);
-    s.transition = util::Matrix(alphabet, alphabet, 1.0 / alphabet);
-    return s;
-}
-
 void DriftParams::validate() const {
     // isfinite first: NaN sails through every < comparison below.
     if (!std::isfinite(p_d) || !std::isfinite(p_i) || !std::isfinite(p_s))
@@ -278,12 +270,6 @@ DriftHmm::EventExpectations DriftHmm::expected_events(std::span<const std::uint8
 }
 
 double DriftHmm::log2_markov_marginal(const MarkovSource& source, std::size_t tx_len,
-                                      std::span<const std::uint8_t> received) const {
-    ScopedWorkspace lease;
-    return log2_markov_marginal(source, tx_len, received, lease.get());
-}
-
-double DriftHmm::log2_markov_marginal(const MarkovSource& source, std::size_t tx_len,
                                       std::span<const std::uint8_t> received,
                                       LatticeWorkspace& ws) const {
     const unsigned m_alpha = params_.alphabet;
@@ -379,24 +365,6 @@ double DriftHmm::log2_markov_marginal(const MarkovSource& source, std::size_t tx
     }
     if (tail <= 0.0) return kNegInf;
     return log2_scale + std::log2(tail);
-}
-
-util::Matrix DriftHmm::segment_likelihoods(
-    const util::Matrix& priors, std::span<const std::uint8_t> received, std::size_t seg_len,
-    const std::vector<std::vector<std::uint8_t>>& candidates) const {
-    return segment_likelihoods(priors, received, seg_len, candidates.size(),
-                               [&](std::size_t) -> std::span<const std::vector<std::uint8_t>> {
-                                   return candidates;
-                               });
-}
-
-util::Matrix DriftHmm::segment_likelihoods(const util::Matrix& priors,
-                                           std::span<const std::uint8_t> received,
-                                           std::size_t seg_len, std::size_t num_candidates,
-                                           const CandidateFn& candidates_for) const {
-    ScopedWorkspace lease;
-    return segment_likelihoods(priors, received, seg_len, num_candidates, candidates_for,
-                               lease.get());
 }
 
 util::Matrix DriftHmm::segment_likelihoods(const util::Matrix& priors,

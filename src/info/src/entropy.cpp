@@ -1,11 +1,8 @@
 #include "ccap/info/entropy.hpp"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
-
-#include "ccap/util/solvers.hpp"
 
 namespace ccap::info {
 
@@ -14,14 +11,6 @@ double xlog2x(double x) noexcept { return x > 0.0 ? x * std::log2(x) : 0.0; }
 double binary_entropy(double p) {
     if (p < 0.0 || p > 1.0) throw std::domain_error("binary_entropy: p outside [0,1]");
     return -xlog2x(p) - xlog2x(1.0 - p);
-}
-
-double binary_entropy_inverse(double h) {
-    if (h < 0.0 || h > 1.0) throw std::domain_error("binary_entropy_inverse: h outside [0,1]");
-    if (h == 0.0) return 0.0;
-    if (h == 1.0) return 0.5;
-    // H is strictly increasing on [0, 1/2]; bisect H(p) - h.
-    return util::bisect([h](double p) { return binary_entropy(p) - h; }, 0.0, 0.5, 1e-14).x;
 }
 
 namespace {
@@ -35,26 +24,6 @@ void check_distribution(std::span<const double> p, const char* who) {
         throw std::domain_error(std::string(who) + ": probabilities do not sum to 1");
 }
 }  // namespace
-
-double entropy(std::span<const double> p) {
-    check_distribution(p, "entropy");
-    double h = 0.0;
-    for (double v : p) h -= xlog2x(v);
-    return h;
-}
-
-double kl_divergence(std::span<const double> p, std::span<const double> q) {
-    if (p.size() != q.size()) throw std::invalid_argument("kl_divergence: size mismatch");
-    check_distribution(p, "kl_divergence(p)");
-    check_distribution(q, "kl_divergence(q)");
-    double d = 0.0;
-    for (std::size_t i = 0; i < p.size(); ++i) {
-        if (p[i] == 0.0) continue;
-        if (q[i] == 0.0) return std::numeric_limits<double>::infinity();
-        d += p[i] * std::log2(p[i] / q[i]);
-    }
-    return d < 0.0 && d > -1e-12 ? 0.0 : d;  // clamp tiny negative round-off
-}
 
 double mutual_information(const util::Matrix& joint) {
     double total = 0.0;

@@ -48,16 +48,4 @@ double FsmChannel::capacity() const {
     return std::log2(x0);
 }
 
-double FsmChannel::count_sequences(std::size_t start, std::size_t steps) const {
-    if (start >= num_states_) throw std::out_of_range("count_sequences: bad start state");
-    // counts[s] = number of sequences of the elapsed length ending in state s.
-    std::vector<double> counts(num_states_, 0.0);
-    counts[start] = 1.0;
-    const util::Matrix a = weight_matrix(edges_, num_states_, 1.0);  // adjacency with multiplicity
-    for (std::size_t i = 0; i < steps; ++i) counts = a.transpose_vec(counts);
-    double total = 0.0;
-    for (double c : counts) total += c;
-    return total;
-}
-
 }  // namespace ccap::info

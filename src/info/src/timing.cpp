@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "ccap/info/blahut_arimoto.hpp"
 #include "ccap/util/solvers.hpp"
 
 namespace ccap::info {
@@ -46,10 +47,6 @@ TimedZResult timed_z_capacity(double p, double t0, double t1) {
     res.optimal_p1 = r.optimal_input.size() == 2 ? r.optimal_input[1] : 0.0;
     res.converged = r.converged;
     return res;
-}
-
-double dmc_capacity_per_time(const Dmc& channel, std::span<const double> durations) {
-    return capacity_per_unit_cost(channel, durations).capacity_per_cost;
 }
 
 }  // namespace ccap::info

@@ -19,9 +19,6 @@ using ProcessId = std::uint32_t;
 
 enum class ProcessState : std::uint8_t { runnable, blocked, finished };
 
-/// Human-readable state label (for reports and logs).
-[[nodiscard]] const char* state_name(ProcessState s) noexcept;
-
 class Process {
 public:
     Process(ProcessId id, std::string name, int priority = 0, std::uint64_t tickets = 1)

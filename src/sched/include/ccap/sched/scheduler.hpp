@@ -65,7 +65,6 @@ public:
     ProcessId add_process(std::unique_ptr<Process> process);
 
     [[nodiscard]] Process& process(ProcessId id);
-    [[nodiscard]] const Process& process(ProcessId id) const;
     [[nodiscard]] std::size_t num_processes() const noexcept { return processes_.size(); }
     [[nodiscard]] const SimStats& stats() const noexcept { return stats_; }
     [[nodiscard]] SimTime now() const noexcept { return queue_.now(); }

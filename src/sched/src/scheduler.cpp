@@ -176,7 +176,6 @@ ProcessId UniprocessorSim::add_process(std::unique_ptr<Process> process) {
 }
 
 Process& UniprocessorSim::process(ProcessId id) { return *processes_.at(id); }
-const Process& UniprocessorSim::process(ProcessId id) const { return *processes_.at(id); }
 
 void UniprocessorSim::run(std::uint64_t quanta) {
     if (processes_.empty()) throw std::logic_error("UniprocessorSim: no processes");

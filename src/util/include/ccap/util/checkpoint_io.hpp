@@ -68,7 +68,6 @@ public:
     /// tracker's no-NaN contract extends to its checkpoints.
     void set_double(const std::string& key, double value);
 
-    [[nodiscard]] bool has(const std::string& key) const noexcept;
     /// Typed getters throw CheckpointIoError(malformed) when the key is
     /// missing or its value does not parse as the requested type.
     [[nodiscard]] const std::string& text(const std::string& key) const;

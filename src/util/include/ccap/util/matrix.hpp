@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <initializer_list>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace ccap::util {
@@ -35,10 +34,6 @@ public:
         return data_[r * cols_ + c];
     }
 
-    /// Bounds-checked access; throws std::out_of_range.
-    [[nodiscard]] double& at(std::size_t r, std::size_t c);
-    [[nodiscard]] double at(std::size_t r, std::size_t c) const;
-
     [[nodiscard]] std::span<double> row(std::size_t r) noexcept {
         return {data_.data() + r * cols_, cols_};
     }
@@ -51,12 +46,6 @@ public:
     /// y = A x. Requires x.size() == cols().
     [[nodiscard]] std::vector<double> mat_vec(std::span<const double> x) const;
 
-    /// y = A^T x. Requires x.size() == rows().
-    [[nodiscard]] std::vector<double> transpose_vec(std::span<const double> x) const;
-
-    [[nodiscard]] Matrix transpose() const;
-    [[nodiscard]] Matrix multiply(const Matrix& other) const;
-
     /// True iff every entry is >= -tol and every row sums to 1 within tol.
     [[nodiscard]] bool is_row_stochastic(double tol = 1e-9) const noexcept;
 
@@ -68,8 +57,6 @@ public:
     /// eigenvalue; `iterations` bounds the work. Tolerance is on the
     /// eigenvalue estimate between successive iterations.
     [[nodiscard]] double spectral_radius(int iterations = 10000, double tol = 1e-12) const;
-
-    [[nodiscard]] std::string to_string(int precision = 6) const;
 
     [[nodiscard]] bool operator==(const Matrix& other) const noexcept = default;
 

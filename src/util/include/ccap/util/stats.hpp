@@ -1,20 +1,16 @@
-// Streaming statistics used by the Monte-Carlo experiments: Welford running
-// moments, normal-approximation confidence intervals, and a fixed-bin
-// histogram for distribution sanity checks in tests and benches.
+// Streaming statistics: the compensated mean/SEM fold every Monte-Carlo
+// estimator uses, and the Welford running moments it is tested against.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <span>
-#include <vector>
 
 namespace ccap::util {
 
-/// Numerically stable running mean/variance (Welford's algorithm).
+/// Numerically stable running mean/variance (Welford's algorithm): the
+/// reference CompensatedStats is checked against.
 class RunningStats {
 public:
     void add(double x) noexcept;
-    void merge(const RunningStats& other) noexcept;
 
     [[nodiscard]] std::size_t count() const noexcept { return n_; }
     [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
@@ -23,19 +19,11 @@ public:
     [[nodiscard]] double stddev() const noexcept;
     /// Standard error of the mean.
     [[nodiscard]] double sem() const noexcept;
-    [[nodiscard]] double min() const noexcept { return n_ ? min_ : 0.0; }
-    [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
-
-    /// Half-width of the two-sided normal-approximation CI at the given
-    /// z value (default 1.96 ~ 95%).
-    [[nodiscard]] double ci_halfwidth(double z = 1.96) const noexcept;
 
 private:
     std::size_t n_ = 0;
     double mean_ = 0.0;
     double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
 };
 
 /// Fold-order-deterministic compensated mean/SEM accumulator — the shared
@@ -74,31 +62,5 @@ private:
     double sum_ = 0.0, sum_c_ = 0.0;   ///< Kahan sum of (x - K)
     double sq_ = 0.0, sq_c_ = 0.0;     ///< Kahan sum of (x - K)^2
 };
-
-/// Fixed-range equal-width histogram.
-class Histogram {
-public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x) noexcept;
-    [[nodiscard]] std::size_t bin_count(std::size_t bin) const;
-    [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-    [[nodiscard]] std::size_t total() const noexcept { return total_; }
-    [[nodiscard]] std::size_t underflow() const noexcept { return underflow_; }
-    [[nodiscard]] std::size_t overflow() const noexcept { return overflow_; }
-    [[nodiscard]] double bin_low(std::size_t bin) const;
-    [[nodiscard]] double bin_high(std::size_t bin) const;
-
-private:
-    double lo_, hi_, width_;
-    std::vector<std::size_t> counts_;
-    std::size_t total_ = 0, underflow_ = 0, overflow_ = 0;
-};
-
-/// Mean of a sample span (0 for empty).
-[[nodiscard]] double mean_of(std::span<const double> xs) noexcept;
-
-/// Percentile (0..100) by linear interpolation on a copy; empty span -> 0.
-[[nodiscard]] double percentile_of(std::span<const double> xs, double pct);
 
 }  // namespace ccap::util

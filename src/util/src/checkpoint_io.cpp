@@ -61,8 +61,6 @@ void Checkpoint::set_double(const std::string& key, double value) {
     set_text(key, buf);
 }
 
-bool Checkpoint::has(const std::string& key) const noexcept { return find(key) != nullptr; }
-
 const std::string& Checkpoint::text(const std::string& key) const {
     const std::string* v = find(key);
     if (v == nullptr) fail(CheckpointError::malformed, "missing checkpoint field '" + key + "'");

@@ -1,8 +1,6 @@
 #include "ccap/util/matrix.hpp"
 
 #include <cmath>
-#include <iomanip>
-#include <sstream>
 #include <stdexcept>
 
 namespace ccap::util {
@@ -24,16 +22,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
     }
 }
 
-double& Matrix::at(std::size_t r, std::size_t c) {
-    if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
-    return data_[r * cols_ + c];
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-    if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
-    return data_[r * cols_ + c];
-}
-
 std::vector<double> Matrix::mat_vec(std::span<const double> x) const {
     if (x.size() != cols_) throw std::invalid_argument("Matrix::mat_vec: size mismatch");
     std::vector<double> y(rows_, 0.0);
@@ -44,37 +32,6 @@ std::vector<double> Matrix::mat_vec(std::span<const double> x) const {
         y[r] = acc;
     }
     return y;
-}
-
-std::vector<double> Matrix::transpose_vec(std::span<const double> x) const {
-    if (x.size() != rows_) throw std::invalid_argument("Matrix::transpose_vec: size mismatch");
-    std::vector<double> y(cols_, 0.0);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        const double xr = x[r];
-        const double* row_ptr = data_.data() + r * cols_;
-        for (std::size_t c = 0; c < cols_; ++c) y[c] += row_ptr[c] * xr;
-    }
-    return y;
-}
-
-Matrix Matrix::transpose() const {
-    Matrix t(cols_, rows_);
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-    return t;
-}
-
-Matrix Matrix::multiply(const Matrix& other) const {
-    if (cols_ != other.rows_)
-        throw std::invalid_argument("Matrix::multiply: inner dimension mismatch");
-    Matrix out(rows_, other.cols_);
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t k = 0; k < cols_; ++k) {
-            const double a = (*this)(r, k);
-            if (a == 0.0) continue;
-            for (std::size_t c = 0; c < other.cols_; ++c) out(r, c) += a * other(k, c);
-        }
-    return out;
 }
 
 bool Matrix::is_row_stochastic(double tol) const noexcept {
@@ -115,17 +72,6 @@ double Matrix::spectral_radius(int iterations, double tol) const {
         if (it > 0 && std::abs(lambda - prev) < tol * std::max(1.0, lambda)) break;
     }
     return lambda;
-}
-
-std::string Matrix::to_string(int precision) const {
-    std::ostringstream os;
-    os << std::setprecision(precision) << std::fixed;
-    for (std::size_t r = 0; r < rows_; ++r) {
-        os << "[";
-        for (std::size_t c = 0; c < cols_; ++c) os << (c ? ", " : " ") << (*this)(r, c);
-        os << " ]\n";
-    }
-    return os.str();
 }
 
 }  // namespace ccap::util

@@ -2,38 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace ccap::util {
 
 void RunningStats::add(double x) noexcept {
-    if (n_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
     ++n_;
     const double delta = x - mean_;
     mean_ += delta / static_cast<double>(n_);
     m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(n_);
-    const double nb = static_cast<double>(other.n_);
-    const double delta = other.mean_ - mean_;
-    const double total = na + nb;
-    mean_ += delta * nb / total;
-    m2_ += other.m2_ + delta * delta * na * nb / total;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    n_ += other.n_;
 }
 
 double RunningStats::variance() const noexcept {
@@ -45,8 +21,6 @@ double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 double RunningStats::sem() const noexcept {
     return n_ >= 2 ? stddev() / std::sqrt(static_cast<double>(n_)) : 0.0;
 }
-
-double RunningStats::ci_halfwidth(double z) const noexcept { return z * sem(); }
 
 namespace {
 
@@ -88,53 +62,6 @@ double CompensatedStats::stddev() const noexcept { return std::sqrt(variance());
 
 double CompensatedStats::sem() const noexcept {
     return n_ >= 2 ? stddev() / std::sqrt(static_cast<double>(n_)) : 0.0;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-    if (!(hi > lo) || bins == 0)
-        throw std::invalid_argument("Histogram: need hi > lo and bins > 0");
-}
-
-void Histogram::add(double x) noexcept {
-    ++total_;
-    if (x < lo_) {
-        ++underflow_;
-        return;
-    }
-    if (x >= hi_) {
-        ++overflow_;
-        return;
-    }
-    auto bin = static_cast<std::size_t>((x - lo_) / width_);
-    if (bin >= counts_.size()) bin = counts_.size() - 1;  // FP edge
-    ++counts_[bin];
-}
-
-std::size_t Histogram::bin_count(std::size_t bin) const { return counts_.at(bin); }
-double Histogram::bin_low(std::size_t bin) const {
-    if (bin >= counts_.size()) throw std::out_of_range("Histogram::bin_low");
-    return lo_ + width_ * static_cast<double>(bin);
-}
-double Histogram::bin_high(std::size_t bin) const { return bin_low(bin) + width_; }
-
-double mean_of(std::span<const double> xs) noexcept {
-    if (xs.empty()) return 0.0;
-    double s = 0.0;
-    for (double x : xs) s += x;
-    return s / static_cast<double>(xs.size());
-}
-
-double percentile_of(std::span<const double> xs, double pct) {
-    if (xs.empty()) return 0.0;
-    if (pct < 0.0 || pct > 100.0) throw std::invalid_argument("percentile_of: pct out of range");
-    std::vector<double> sorted(xs.begin(), xs.end());
-    std::sort(sorted.begin(), sorted.end());
-    const double pos = pct / 100.0 * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 }  // namespace ccap::util

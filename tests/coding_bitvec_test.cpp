@@ -13,25 +13,6 @@ TEST(Bitvec, CheckBitsRejectsNonBits) {
     EXPECT_NO_THROW(check_bits(good));
 }
 
-TEST(Bitvec, PackUnpackRoundTrip) {
-    const Bits bits = bits_from_string("1011001110001");
-    const auto bytes = pack_bytes(bits);
-    EXPECT_EQ(bytes.size(), 2U);
-    EXPECT_EQ(unpack_bytes(bytes, bits.size()), bits);
-}
-
-TEST(Bitvec, PackMsbFirst) {
-    const Bits bits = bits_from_string("10000001");
-    const auto bytes = pack_bytes(bits);
-    ASSERT_EQ(bytes.size(), 1U);
-    EXPECT_EQ(bytes[0], 0x81);
-}
-
-TEST(Bitvec, UnpackTooManyThrows) {
-    const std::vector<std::uint8_t> bytes = {0xFF};
-    EXPECT_THROW((void)unpack_bytes(bytes, 9), std::invalid_argument);
-}
-
 TEST(Bitvec, BitsFromUintRoundTrip) {
     for (std::uint64_t v : {0ULL, 1ULL, 5ULL, 255ULL, 0xDEADBEEFULL}) {
         const Bits b = bits_from_uint(v, 32);
@@ -85,7 +66,6 @@ TEST(Bitvec, RandomBitsDeterministicAndBalanced) {
 }
 
 TEST(Bitvec, EmptyInputs) {
-    EXPECT_TRUE(pack_bytes({}).empty());
     EXPECT_TRUE(to_string({}).empty());
     EXPECT_EQ(uint_from_bits({}), 0ULL);
 }

@@ -46,12 +46,6 @@ TEST(MarkerCode, PartialLastGroupStillGetsMarker) {
     EXPECT_EQ(to_string(code.encode(data)), "10101" "001" "01" "001");
 }
 
-TEST(MarkerCode, RateAccounting) {
-    const MarkerCode code(default_params());
-    EXPECT_NEAR(code.rate(10), 10.0 / 16.0, 1e-12);
-    EXPECT_DOUBLE_EQ(code.rate(0), 0.0);
-}
-
 TEST(MarkerCode, CleanChannelDecodesExactly) {
     const MarkerCode code(default_params());
     const Bits data = random_bits(40, 2);

@@ -10,7 +10,6 @@ TEST(DiChannelParams, DefaultsAreSynchronousNoiseless) {
     DiChannelParams p;
     EXPECT_NO_THROW(p.validate());
     EXPECT_DOUBLE_EQ(p.p_t(), 1.0);
-    EXPECT_TRUE(ccap::core::is_synchronous(p));
 }
 
 TEST(DiChannelParams, TransmissionProbabilityDerived) {
@@ -52,12 +51,6 @@ TEST(DiChannelParams, Equality) {
     DiChannelParams c{0.1, 0.2, 0.0, 2};
     EXPECT_EQ(a, b);
     EXPECT_NE(a, c);
-}
-
-TEST(DiChannelParams, SynchronousDetection) {
-    EXPECT_TRUE(ccap::core::is_synchronous({0.0, 0.0, 0.3, 1}));
-    EXPECT_FALSE(ccap::core::is_synchronous({0.1, 0.0, 0.0, 1}));
-    EXPECT_FALSE(ccap::core::is_synchronous({0.0, 0.1, 0.0, 1}));
 }
 
 }  // namespace

@@ -88,6 +88,13 @@ std::size_t reference_distance(const Trace& a, const Trace& b) {
     return prev[b.size()];
 }
 
+/// "MMSDI"-style rendering of the edit operations.
+std::string ops(const Alignment& a) {
+    std::string s;
+    for (const EditStep& step : a.steps) s.push_back("MSDI"[static_cast<int>(step.op)]);
+    return s;
+}
+
 void expect_same_steps(const Alignment& got, const Alignment& want, const std::string& what) {
     EXPECT_EQ(got.distance, want.distance) << what;
     ASSERT_EQ(got.steps.size(), want.steps.size()) << what;
@@ -96,8 +103,8 @@ void expect_same_steps(const Alignment& got, const Alignment& want, const std::s
         const EditStep& w = want.steps[k];
         ASSERT_TRUE(g.op == w.op && g.sent_index == w.sent_index &&
                     g.received_index == w.received_index)
-            << what << ": first difference at step " << k << " of " << got.to_string()
-            << " vs " << want.to_string();
+            << what << ": first difference at step " << k << " of " << ops(got) << " vs "
+            << ops(want);
     }
 }
 
@@ -105,7 +112,6 @@ void expect_same_steps(const Alignment& got, const Alignment& want, const std::s
 void expect_matches_reference(const Trace& sent, const Trace& received, const std::string& what) {
     const Reference full = reference_align(sent, received, false);
     expect_same_steps(align(sent, received), full.alignment, what + " align");
-    EXPECT_EQ(edit_distance(sent, received), full.alignment.distance) << what;
 
     const Reference free = reference_align(sent, received, true);
     const PrefixAlignment got = align_end_free(sent, received);
@@ -147,7 +153,7 @@ TEST(Alignment, IdenticalTracesAllMatch) {
     const Alignment a = align(t, t);
     EXPECT_EQ(a.distance, 0U);
     EXPECT_EQ(a.count(EditOp::match), t.size());
-    EXPECT_EQ(a.to_string(), "MMMMM");
+    EXPECT_EQ(ops(a), "MMMMM");
 }
 
 TEST(Alignment, EmptyTraces) {
@@ -194,7 +200,7 @@ TEST(Alignment, PrefersMatchesOnTies) {
     const Trace received = {2, 1};
     const Alignment a = align(sent, received);
     EXPECT_EQ(a.distance, 2U);
-    EXPECT_EQ(a.to_string(), "SS");
+    EXPECT_EQ(ops(a), "SS");
 }
 
 TEST(Alignment, StepsReconstructReceived) {
@@ -234,7 +240,7 @@ TEST(Alignment, DistanceMatchesLinearMemoryVersion) {
         Trace a(60), b(70);
         for (auto& s : a) s = static_cast<std::uint32_t>(rng.uniform_below(3));
         for (auto& s : b) s = static_cast<std::uint32_t>(rng.uniform_below(3));
-        EXPECT_EQ(align(a, b).distance, edit_distance(a, b));
+        EXPECT_EQ(align(a, b).distance, reference_distance(a, b));
     }
 }
 
@@ -244,13 +250,13 @@ TEST(Alignment, TriangleInequality) {
     for (auto& s : a) s = static_cast<std::uint32_t>(rng.uniform_below(2));
     for (auto& s : b) s = static_cast<std::uint32_t>(rng.uniform_below(2));
     for (auto& s : c) s = static_cast<std::uint32_t>(rng.uniform_below(2));
-    EXPECT_LE(edit_distance(a, c), edit_distance(a, b) + edit_distance(b, c));
+    EXPECT_LE(align(a, c).distance, align(a, b).distance + align(b, c).distance);
 }
 
 TEST(Alignment, Symmetry) {
     const Trace a = {1, 2, 3, 4, 2};
     const Trace b = {1, 3, 4, 4};
-    EXPECT_EQ(edit_distance(a, b), edit_distance(b, a));
+    EXPECT_EQ(align(a, b).distance, align(b, a).distance);
 }
 
 TEST(Alignment, CountsSumToSteps) {
@@ -321,7 +327,6 @@ TEST(AlignmentKernel, LargeTrellisOutsideTheReusedScratch) {
     const Trace received = random_trace(rng, 1 << 17, 4);
     const Alignment a = align(sent, received);
     EXPECT_EQ(a.distance, reference_distance(sent, received));
-    EXPECT_EQ(edit_distance(sent, received), a.distance);
     EXPECT_EQ(a.count(EditOp::match) + a.count(EditOp::substitution) + a.count(EditOp::deletion),
               sent.size());
     EXPECT_EQ(a.count(EditOp::match) + a.count(EditOp::substitution) +
@@ -347,10 +352,8 @@ TEST(AlignmentKernel, OversizedWindowIsRejected) {
     expect_rejected([&] { (void)align(sent, received); }, "align");
     expect_rejected([&] { (void)align_end_free(sent, received); }, "align_end_free");
     expect_rejected([&] { (void)estimate_window(sent, received); }, "align_end_free");
-    expect_rejected([&] { (void)edit_distance(sent, received); }, "edit_distance");
     const Trace trace(30'000, 1);
     EXPECT_THROW((void)windowed_rates(trace, trace, 30'000), std::invalid_argument);
-    EXPECT_EQ(edit_distance(Trace(20'000, 1), received), 0U);  // exactly at the cap
 }
 
 }  // namespace

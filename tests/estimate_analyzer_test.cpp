@@ -148,15 +148,4 @@ TEST(Report, RenderContainsKeyNumbers) {
     EXPECT_NE(text.find("severity"), std::string::npos);
 }
 
-TEST(Report, RowFormat) {
-    const DiChannelParams p{0.1, 0.05, 0.0, 1};
-    const AnalysisReport r = analyze_params(p, 10.0);
-    const std::string row = render_row(r);
-    // Same number of commas as the header.
-    const auto commas = [](const std::string& s) {
-        return std::count(s.begin(), s.end(), ',');
-    };
-    EXPECT_EQ(commas(row), commas(render_row_header()));
-}
-
 }  // namespace

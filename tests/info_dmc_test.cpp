@@ -12,7 +12,6 @@ namespace {
 
 using namespace ccap::info;
 using ccap::util::Matrix;
-using ccap::util::Rng;
 
 TEST(Dmc, RejectsNonStochastic) {
     Matrix bad{{0.5, 0.4}, {0.5, 0.5}};
@@ -26,37 +25,6 @@ TEST(Dmc, Dimensions) {
     EXPECT_EQ(bec.num_inputs(), 2U);
     EXPECT_EQ(bec.num_outputs(), 3U);
     EXPECT_EQ(bec.name(), "bec");
-}
-
-TEST(Dmc, OutputDistribution) {
-    const Dmc bsc = make_bsc(0.1);
-    const std::vector<double> input = {1.0, 0.0};
-    const auto out = bsc.output_distribution(input);
-    EXPECT_NEAR(out[0], 0.9, 1e-12);
-    EXPECT_NEAR(out[1], 0.1, 1e-12);
-}
-
-TEST(Dmc, SampleRespectsDistribution) {
-    const Dmc bsc = make_bsc(0.25);
-    Rng rng(3);
-    int flips = 0;
-    constexpr int kN = 40000;
-    for (int i = 0; i < kN; ++i) flips += bsc.sample(0, rng) == 1;
-    EXPECT_NEAR(static_cast<double>(flips) / kN, 0.25, 0.01);
-}
-
-TEST(Dmc, SampleOutOfRangeThrows) {
-    const Dmc bsc = make_bsc(0.25);
-    Rng rng(4);
-    EXPECT_THROW((void)bsc.sample(2, rng), std::out_of_range);
-}
-
-TEST(Dmc, TransduceLengthPreserved) {
-    const Dmc noiseless = make_noiseless(4);
-    Rng rng(5);
-    const std::vector<std::size_t> in = {0, 1, 2, 3, 3, 2, 1, 0};
-    const auto out = noiseless.transduce(in, rng);
-    EXPECT_EQ(out, in);  // identity channel
 }
 
 TEST(Builders, BscMatrix) {

@@ -4,7 +4,10 @@
 
 #include <cmath>
 #include <map>
+#include <span>
 #include <vector>
+
+#include "ccap/info/lattice_engine.hpp"
 
 namespace {
 
@@ -13,6 +16,15 @@ using ccap::info::DriftParams;
 using ccap::util::Matrix;
 
 using Bits = std::vector<std::uint8_t>;
+
+/// segment_likelihoods with one candidate set shared by every segment.
+Matrix segment_likelihoods(const DriftHmm& hmm, const Matrix& priors, const Bits& rx,
+                           std::size_t seg_len, const std::vector<Bits>& candidates) {
+    ccap::info::LatticeWorkspace ws;
+    return hmm.segment_likelihoods(
+        priors, rx, seg_len, candidates.size(),
+        [&](std::size_t) { return std::span<const Bits>(candidates); }, ws);
+}
 
 /// Exact reference P(rx | tx) by memoized recursion over the untruncated
 /// generative model (geometric insertion runs, trailing insertions).
@@ -177,7 +189,7 @@ TEST(DriftHmm, SegmentLikelihoodsCleanChannelPicksTruth) {
     Matrix priors(4, 2, 0.5);
     const Bits rx = {1, 0, 0, 1};
     const std::vector<Bits> candidates = {{1, 0}, {0, 0}, {0, 1}, {1, 1}};
-    const Matrix like = hmm.segment_likelihoods(priors, rx, 2, candidates);
+    const Matrix like = segment_likelihoods(hmm, priors, rx, 2, candidates);
     ASSERT_EQ(like.rows(), 2U);
     ASSERT_EQ(like.cols(), 4U);
     EXPECT_NEAR(like(0, 0), 1.0, 1e-9);  // segment "10"
@@ -190,7 +202,7 @@ TEST(DriftHmm, SegmentLikelihoodsRowsNormalized) {
     Matrix priors(6, 2, 0.5);
     const Bits rx = {1, 0, 0, 1, 1};
     const std::vector<Bits> candidates = {{0, 0, 0}, {1, 0, 0}, {0, 1, 1}, {1, 1, 1}};
-    const Matrix like = hmm.segment_likelihoods(priors, rx, 3, candidates);
+    const Matrix like = segment_likelihoods(hmm, priors, rx, 3, candidates);
     for (std::size_t t = 0; t < like.rows(); ++t) {
         double sum = 0.0;
         for (std::size_t c = 0; c < like.cols(); ++c) sum += like(t, c);
@@ -203,12 +215,12 @@ TEST(DriftHmm, SegmentLikelihoodsValidation) {
     Matrix priors(4, 2, 0.5);
     const Bits rx = {0, 1, 0, 1};
     const std::vector<Bits> bad_len = {{0, 1, 0}};
-    EXPECT_THROW((void)hmm.segment_likelihoods(priors, rx, 2, bad_len),
+    EXPECT_THROW((void)segment_likelihoods(hmm, priors, rx, 2, bad_len),
                  std::invalid_argument);
     const std::vector<Bits> empty;
-    EXPECT_THROW((void)hmm.segment_likelihoods(priors, rx, 2, empty), std::invalid_argument);
+    EXPECT_THROW((void)segment_likelihoods(hmm, priors, rx, 2, empty), std::invalid_argument);
     const std::vector<Bits> ok = {{0, 1}};
-    EXPECT_THROW((void)hmm.segment_likelihoods(priors, rx, 3, ok), std::invalid_argument);
+    EXPECT_THROW((void)segment_likelihoods(hmm, priors, rx, 3, ok), std::invalid_argument);
 }
 
 }  // namespace

@@ -98,10 +98,4 @@ TEST(TimedZ, InvalidArgumentsThrow) {
     EXPECT_THROW((void)timed_z_capacity(1.1, 1.0, 1.0), std::domain_error);
 }
 
-TEST(DmcPerTime, MatchesTimingForNoiseless) {
-    const std::vector<double> t = {1.0, 2.0};
-    const double via_dmc = dmc_capacity_per_time(make_noiseless(2), t);
-    EXPECT_NEAR(via_dmc, timing_capacity(t), 1e-6);
-}
-
 }  // namespace

@@ -6,11 +6,12 @@
 #include <cmath>
 #include <functional>
 #include <map>
+#include <span>
 
-#include "ccap/coding/bcjr.hpp"
 #include "ccap/coding/ldpc_gf.hpp"
 #include "ccap/coding/viterbi.hpp"
 #include "ccap/info/drift_hmm.hpp"
+#include "ccap/info/lattice_engine.hpp"
 #include "ccap/util/rng.hpp"
 
 namespace {
@@ -20,46 +21,8 @@ using coding::Bits;
 using coding::ConvolutionalCode;
 
 // ---------------------------------------------------------------------------
-// BCJR vs exhaustive MAP.
+// Viterbi vs exhaustive ML.
 // ---------------------------------------------------------------------------
-
-double bsc_likelihood(const Bits& codeword, const Bits& received, double p) {
-    double like = 1.0;
-    for (std::size_t i = 0; i < codeword.size(); ++i)
-        like *= codeword[i] == received[i] ? 1.0 - p : p;
-    return like;
-}
-
-TEST(DeepBcjr, PosteriorsMatchExhaustiveEnumeration) {
-    const ConvolutionalCode code({0b111, 0b101}, 3);
-    const std::size_t info_len = 8;
-    util::Rng rng(1);
-    const double p = 0.12;
-
-    for (int trial = 0; trial < 4; ++trial) {
-        const Bits info = coding::random_bits(info_len, 10 + trial);
-        Bits received = code.encode(info);
-        for (auto& b : received)
-            if (rng.bernoulli(p)) b ^= 1;
-
-        // Exhaustive posterior: sum over all 2^8 information words.
-        std::vector<double> post_one(info_len, 0.0);
-        double total = 0.0;
-        for (std::uint32_t v = 0; v < (1U << info_len); ++v) {
-            const Bits candidate = coding::bits_from_uint(v, info_len);
-            const double like = bsc_likelihood(code.encode(candidate), received, p);
-            total += like;
-            for (std::size_t i = 0; i < info_len; ++i)
-                if (candidate[i]) post_one[i] += like;
-        }
-        for (double& x : post_one) x /= total;
-
-        const auto bcjr = coding::bcjr_decode_bsc(code, received, p);
-        for (std::size_t i = 0; i < info_len; ++i)
-            EXPECT_NEAR(bcjr.posterior_one[i], post_one[i], 1e-9)
-                << "trial " << trial << " bit " << i;
-    }
-}
 
 TEST(DeepViterbi, HardDecodeIsMaximumLikelihood) {
     const ConvolutionalCode code({0b111, 0b101}, 3);
@@ -159,7 +122,10 @@ TEST(DeepDriftHmm, SegmentLikelihoodsMatchExhaustiveEnumeration) {
     for (std::uint32_t v = 0; v < (1U << n); ++v)
         candidates.push_back(coding::bits_from_uint(v, n));
 
-    const util::Matrix like = hmm.segment_likelihoods(priors, rx, n, candidates);
+    info::LatticeWorkspace ws;
+    const util::Matrix like = hmm.segment_likelihoods(
+        priors, rx, n, candidates.size(),
+        [&](std::size_t) { return std::span<const Bits>(candidates); }, ws);
     double total = 0.0;
     std::vector<double> exact(candidates.size());
     for (std::size_t c = 0; c < candidates.size(); ++c) {

@@ -13,7 +13,7 @@ class CountingProcess final : public Process {
 public:
     CountingProcess(ProcessId id, int priority = 0, std::uint64_t tickets = 1,
                     SimTime block_every = 0, SimTime block_len = 0)
-        : Process(id, "p" + std::to_string(id), priority, tickets),
+        : Process(id, std::string("p").append(std::to_string(id)), priority, tickets),
           block_every_(block_every),
           block_len_(block_len) {}
 
@@ -200,12 +200,6 @@ TEST(Sim, AllFinishedStopsEarly) {
     sim.add_process(std::make_unique<OneShot>(0));
     sim.run(1000);
     EXPECT_LE(sim.stats().total_quanta, 2U);
-}
-
-TEST(Sim, StateNames) {
-    EXPECT_STREQ(state_name(ProcessState::runnable), "runnable");
-    EXPECT_STREQ(state_name(ProcessState::blocked), "blocked");
-    EXPECT_STREQ(state_name(ProcessState::finished), "finished");
 }
 
 }  // namespace

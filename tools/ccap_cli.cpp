@@ -134,7 +134,7 @@ Args parse_args(int argc, char** argv, int first) {
         if (flag.rfind("--", 0) != 0)
             throw UsageError("expected --option, got '" + flag + "'");
         if (flag == "--verbose") {  // the one valueless flag
-            args.values["verbose"] = "1";
+            args.values.emplace("verbose", "1");
             continue;
         }
         if (i + 1 >= argc) throw UsageError("option " + flag + " needs a value");
@@ -689,9 +689,18 @@ int cmd_track(const Args& args) {
             : estimate::CapacityTracker::resume(tc, util::Checkpoint::read_file(resume_path));
 
     // Source: a trace pair when --sent/--received are given, otherwise a
-    // live simulated channel under the fault profile.
+    // live simulated channel under the fault profile. The live channel's
+    // flags mean nothing next to a trace pair (--ps stays: the cache's
+    // base substitution rate reads it).
     std::unique_ptr<core::ChunkSource> source;
     if (args.values.count("sent") || args.values.count("received")) {
+        for (const char* live : {"pd", "pi", "profile", "storm-period", "storm-len",
+                                 "drift-amp", "drift-period", "stuck-period", "stuck-len",
+                                 "stuck-symbol", "windows", "seed"})
+            if (args.values.count(live))
+                throw UsageError(std::string("option --") + live +
+                                 " configures the live channel; it cannot be combined "
+                                 "with --sent/--received");
         source = std::make_unique<estimate::TraceChunkSource>(
             estimate::read_trace_file(args.require("sent")),
             estimate::read_trace_file(args.require("received")), tc.window_len);
@@ -705,10 +714,9 @@ int cmd_track(const Args& args) {
         source = std::make_unique<core::FaultStreamSource>(sc);
     }
     // A resumed tracker replays (and discards) the windows it has already
-    // ingested, so the live channel/fault clocks line up with the
-    // uninterrupted run and subsequent outputs are bit-identical.
-    for (std::uint64_t i = 0; i < tracker.windows(); ++i)
-        if (!source->next()) break;
+    // ingested, so the source lines up with the uninterrupted run and
+    // subsequent outputs are bit-identical.
+    source->skip(tracker.windows());
 
     const std::string checkpoint_path = args.text("checkpoint", "");
     const std::uint64_t checkpoint_every = args.count("checkpoint-every", 16);

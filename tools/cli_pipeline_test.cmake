@@ -353,7 +353,7 @@ endif()
 execute_process(
   COMMAND ${CCAP_BIN} track ${track_flags} --windows 4
           --checkpoint ${WORK_DIR}/cli_track.ckpt
-  RESULT_VARIABLE rc)
+  OUTPUT_VARIABLE ckpt_out RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "track checkpoint run failed: ${rc}")
 endif()
@@ -376,6 +376,25 @@ if(NOT full_report STREQUAL CMAKE_MATCH_1)
     "resumed track diverged from the uninterrupted run:\n${full_out}\nvs\n${resumed_out}")
 endif()
 
+# Resume with no window left to ingest: the final report is the
+# checkpointed one, not a zeroed warmup line.
+execute_process(
+  COMMAND ${CCAP_BIN} track ${track_flags} --windows 4
+          --resume ${WORK_DIR}/cli_track.ckpt
+  OUTPUT_VARIABLE at_end_out RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "track resume-at-end run failed: ${rc}")
+endif()
+if(NOT ckpt_out MATCHES "(track finished after 4 windows: [^\n]+)")
+  message(FATAL_ERROR "track checkpoint run printed no final report: ${ckpt_out}")
+endif()
+set(ckpt_report "${CMAKE_MATCH_1}")
+if(NOT at_end_out MATCHES "(track finished after 4 windows: [^\n]+)"
+   OR NOT ckpt_report STREQUAL CMAKE_MATCH_1)
+  message(FATAL_ERROR
+    "resume at the stream's end lost the final report:\n${ckpt_out}\nvs\n${at_end_out}")
+endif()
+
 # Corrupt checkpoints: typed errors, exit 1, the kind named on stderr.
 file(WRITE ${WORK_DIR}/cli_track_torn.ckpt
   "# ccap-track v1 fields=9\nfingerprint 1\n")
@@ -390,6 +409,15 @@ ccap_expect_failure(1 "checkpoint unreadable"
 ccap_expect_failure(1 "checkpoint malformed.*different tracker configuration"
   track ${track_flags} --windows 2 --window 999
         --resume ${WORK_DIR}/cli_track.ckpt)
+
+# The live channel's flags are usage errors next to a trace pair, not
+# silently ignored.
+ccap_expect_failure(2 "option --windows configures the live channel"
+  track --sent ${WORK_DIR}/cli_sent.txt --received ${WORK_DIR}/cli_recv.txt
+        --windows 4)
+ccap_expect_failure(2 "option --pd configures the live channel"
+  track --sent ${WORK_DIR}/cli_sent.txt --received ${WORK_DIR}/cli_recv.txt
+        --pd 0.2)
 
 # Trace mode: the tracker over simulated files ends cleanly.
 execute_process(
