@@ -4,9 +4,9 @@
 // capacity point, so a uniform schedule able to hit a SEM target at the
 // noisiest point of a sweep overpays everywhere else. The adaptive driver
 // (McOptions::target_sem) runs rounds until each point's own fold-order
-// SEM reaches the target, and the cross-point scheduler in
-// iid_mutual_information_rate_points grants top-up rounds where the
-// variance actually is. This harness quantifies the saving on a
+// SEM reaches the target, and iid_mutual_information_rate_points runs
+// that same rule at every point of a sweep, so each point stops where its
+// own variance allows. This harness quantifies the saving on a
 // heterogeneous-variance (P_d, P_i) grid.
 //
 // The matched-precision baseline is self-calibrating: after the adaptive
@@ -52,8 +52,8 @@ std::vector<CapacityPoint> make_grid(bool smoke) {
     // A capacity sweep spans both regimes: mid-deletion rows where the MI
     // samples are noisy (hundreds of blocks to pin down), and the
     // capacity-zero plateau past the deletion threshold where every block
-    // returns the same clamped value and the pilot round already suffices —
-    // the heterogeneity the allocator exists to exploit.
+    // returns the same clamped value and the first round already suffices —
+    // the heterogeneity per-point stopping exploits.
     const std::vector<double> pds =
         smoke ? std::vector<double>{0.02, 0.2, 0.4}
               : std::vector<double>{0.02, 0.1, 0.2, 0.3, 0.4, 0.5};

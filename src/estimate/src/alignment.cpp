@@ -132,8 +132,8 @@ void build_peq(std::span<const std::uint32_t> sent, std::span<const std::uint32_
 
 /// Sweeps the columns of D for `sent` x `received` and returns D(n, m).
 /// `deltas` (m * words_for(n) entries, column-major) receives each
-/// column's block deltas; `last_row` (m + 1 entries) receives D(n, j).
-/// Either may be null. Requires n, m > 0.
+/// column's block deltas; `last_row` (m + 1 entries), unless null, receives
+/// D(n, j). Requires n, m > 0.
 std::uint32_t sweep(std::span<const std::uint32_t> sent, std::span<const std::uint32_t> received,
                     Scratch& s, BlockDeltas* deltas, std::uint32_t* last_row) {
     const std::size_t n = sent.size();
@@ -150,7 +150,7 @@ std::uint32_t sweep(std::span<const std::uint32_t> sent, std::span<const std::ui
     if (last_row != nullptr) last_row[0] = score;
     for (std::size_t j = 0; j < m; ++j) {
         const std::uint64_t* eq_col = s.peq.data() + s.rank[j] * words;
-        BlockDeltas* out = deltas != nullptr ? deltas + j * words : nullptr;
+        BlockDeltas* out = deltas + j * words;
         // Row 0 of the trellis is D(0, j) = j: the carry into the top
         // block is a +1 horizontal delta.
         std::uint64_t hin_pos = 1, hin_neg = 0;
@@ -167,7 +167,7 @@ std::uint32_t sweep(std::span<const std::uint32_t> sent, std::span<const std::ui
             const std::uint64_t mh_in = (mh << 1) | hin_neg;
             s.pv[b] = mh_in | ~(xv | ph_in);
             s.mv[b] = ph_in & xv;
-            if (out != nullptr) out[b] = {s.pv[b], s.mv[b], ph, mh};
+            out[b] = {s.pv[b], s.mv[b], ph, mh};
             hin_pos = ph >> (kWordBits - 1);
             hin_neg = mh >> (kWordBits - 1);
         }

@@ -145,6 +145,14 @@ inline constexpr std::size_t kMcPointTileAuto = static_cast<std::size_t>(-1);
 /// function of opts.threads (the thread-invariance contract above).
 [[nodiscard]] std::size_t resolved_mc_batch(const McOptions& opts, const DriftParams& params);
 
+/// Blocks per sweep chunk of a CRN tile of `tile_points` points: the
+/// resolved_mc_batch lane budget without the round clamp, divided among the
+/// tile's points, at least 1, and at most the blocks of one round
+/// (min(mc_round_blocks, mc_block_cap)). A chunk sweeps up to that many
+/// blocks x tile_points lanes.
+[[nodiscard]] std::size_t crn_sweep_blocks(const McOptions& opts, const DriftParams& params,
+                                           std::size_t tile_points);
+
 /// Monte-Carlo achievable rate of the deletion-insertion(-substitution)
 /// channel with iid uniform inputs: E[log2 P(Y|X) - log2 P(Y)] / block_len.
 /// This estimates an achievable rate, a lower bound on the true
@@ -184,25 +192,14 @@ struct PointSweepReport {
 /// common-random-numbers point tiles (see McOptions); `report`, when
 /// non-null, receives the sweep diagnostics.
 ///
-/// Independent streams: the point axis is parallelized over opts.threads,
-/// each point runs serially inside (its blocks still advance through the
-/// SIMD lockstep engine in tiles of resolved_mc_batch lanes). Every point
-/// first runs a pilot round — mc_round_blocks blocks, or all num_blocks in
-/// fixed mode (target_sem == 0), which stops there. Adaptive mode
-/// (target_sem > 0) then runs Neyman-style allocation passes that grant
-/// top-up rounds where the per-point variance says they are needed: each
-/// point whose SEM is still above target gets its predicted deficit
-/// ceil((sd_i / target_sem)^2) - spent_i blocks, rounded up to whole rounds
-/// and clamped to mc_block_cap, until no such point is left. All decisions
-/// are functions of the deterministic per-point folds, so the spent counts
-/// and estimates are bit-identical at every thread count; and because block
-/// samples depend only on (point, global block index), out[i] is
-/// bit-identical to a standalone fixed-mode evaluation of the same point
-/// over the same number of blocks:
+/// Independent streams: each point is the standalone estimator on its own
+/// seed, run serially, and the point axis is parallelized over
+/// opts.threads. Every Monte-Carlo estimate thus follows one stopping rule
+/// (McOptions::target_sem), and out[i] is bit-identical, spent count and
+/// converged flag included, to
 ///   Rng r(points[i].seed);
-///   iid_mutual_information_rate(points[i].params,
-///                               {opts, num_blocks = out[i].blocks,
-///                                target_sem = 0, threads = 1}, r);
+///   iid_mutual_information_rate(points[i].params, {opts, threads = 1}, r);
+/// in fixed and adaptive mode, at every thread count.
 [[nodiscard]] std::vector<MiEstimate> iid_mutual_information_rate_points(
     std::span<const CapacityPoint> points, const McOptions& opts,
     PointSweepReport* report = nullptr);

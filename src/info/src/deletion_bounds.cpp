@@ -220,6 +220,22 @@ std::size_t resolved_mc_batch(const McOptions& opts, const DriftParams& params) 
     return b;
 }
 
+std::size_t crn_sweep_blocks(const McOptions& opts, const DriftParams& params,
+                             std::size_t tile_points) {
+    // The chunk width is a LANE-count target: a tile of G points packs G
+    // lanes per block, so dividing by G already scales it down. Resolve it
+    // without the round clamp — in adaptive mode num_blocks is the (small)
+    // round size, and clamping would shrink chunks to one block each,
+    // rebuilding the engine and the per-lane tables per block instead of
+    // per ~batch lanes.
+    McOptions lane_target = opts;
+    lane_target.num_blocks = 0;
+    const std::size_t kb =
+        std::max<std::size_t>(1, resolved_mc_batch(lane_target, params) / tile_points);
+    // No chunk crosses a round boundary, so a wider one would only split.
+    return std::min({kb, mc_round_blocks(opts), mc_block_cap(opts)});
+}
+
 namespace {
 
 /// Per-estimate memo of the uniform-prior marginal log2-evidence, keyed by
@@ -593,21 +609,6 @@ void crn_run_round(CrnTileState& st, std::span<const CapacityPoint> points,
         }
 }
 
-/// Per-point state of the independent-streams scheduler. The root seed,
-/// the model and the fold are all derived from the point alone, so every
-/// decision the scheduler takes about this point — and the estimate it
-/// emits — is independent of the other points.
-struct PointCtx {
-    DriftHmm hmm;              ///< the channel the blocks sample
-    util::Matrix priors;       ///< uniform input priors for the marginal pass
-    MarginalLengthMemo memo;   ///< marginal evidence by received length, all rounds
-    std::size_t batch;         ///< resolved lockstep tile width for this point
-    std::uint64_t root;        ///< Rng(point.seed).next(), as standalone would draw
-    util::CompensatedStats stats;
-    std::size_t spent = 0;
-    bool converged = false;
-};
-
 }  // namespace
 
 std::vector<MiEstimate> iid_mutual_information_rate_points(
@@ -621,13 +622,6 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
     if (points.empty()) return out;
     if (opts.block_len == 0 || opts.num_blocks == 0)
         throw std::invalid_argument("iid_mutual_information_rate_points: empty experiment");
-    // Fixed mode (target_sem = 0) is the first round alone: the cap is then
-    // num_blocks <= round. Every SEM test is guarded by `adaptive`: at a
-    // zero target, `sem <= target_sem` fails for any noisy point and would
-    // send fixed-mode points into top-up rounds.
-    const bool adaptive = opts.target_sem > 0.0;
-    const std::size_t cap = mc_block_cap(opts);
-    const std::size_t round = mc_round_blocks(opts);
     // Independent combination of adjacent SEMs: what every pair reports
     // unless CRN coupling pairs its samples.
     const auto independent_diff_sem = [&](std::size_t i) {
@@ -637,7 +631,14 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
     if (tile > 0) {
         // Common-random-numbers mode: tiles of `tile` points share every
         // block's variate tape and ride one per-lane-parameter sweep, so
-        // every point needs one lattice shape.
+        // every point needs one lattice shape. Fixed mode (target_sem = 0)
+        // is the first round alone: the cap is then num_blocks <= round.
+        // Every SEM test is guarded by `adaptive`: at a zero target,
+        // `sem <= target_sem` fails for any noisy point and would send
+        // fixed-mode points into more rounds.
+        const bool adaptive = opts.target_sem > 0.0;
+        const std::size_t cap = mc_block_cap(opts);
+        const std::size_t round = mc_round_blocks(opts);
         const DriftParams& s0 = points[0].params;
         for (const CapacityPoint& pt : points) {
             pt.params.validate();
@@ -657,15 +658,6 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
             util::Rng seed_rng(points[0].seed);
             root = seed_rng.next();
         }
-        // The chunk width is a LANE-count target: a tile of G points packs
-        // G lanes per block, so the blocks-per-chunk divisor below already
-        // scales it down. Resolve it without the round clamp — in
-        // adaptive mode num_blocks is the (small) round size, and clamping
-        // would shrink chunks to one block each, rebuilding the engine and
-        // the per-lane tables per block instead of per ~batch lanes.
-        McOptions lane_target = opts;
-        lane_target.num_blocks = 0;
-        const std::size_t batch = resolved_mc_batch(lane_target, s0);
 
         CrnTileState st;
         st.stats.assign(points.size(), {});
@@ -677,9 +669,7 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
 
         for (std::size_t g0 = 0; g0 < points.size(); g0 += tile) {
             const std::size_t gn = std::min(tile, points.size() - g0);
-            // Blocks per sweep chunk: the resolved lane budget divided
-            // among the tile's points, at least one block per sweep.
-            const std::size_t kb = std::max<std::size_t>(1, batch / gn);
+            const std::size_t kb = crn_sweep_blocks(opts, s0, gn);
             std::vector<std::size_t> active(gn);
             for (std::size_t i = 0; i < gn; ++i) active[i] = g0 + i;
             std::size_t b = 0;
@@ -730,81 +720,17 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
         return out;
     }
 
-    // Independent streams: a pilot round at every point, then (adaptive
-    // mode only) Neyman-style top-up passes. All scheduling decisions read
-    // only the deterministic per-point folds, serially, so spent counts and
-    // estimates do not depend on the thread count.
-    std::vector<PointCtx> ctx;
-    ctx.reserve(points.size());
-    for (const CapacityPoint& pt : points) {
-        pt.params.validate();
-        const unsigned m = pt.params.alphabet;
-        util::Rng rng(pt.seed);
-        DriftHmm hmm(pt.params);
-        util::Matrix priors(opts.block_len, m, 1.0 / static_cast<double>(m));
-        MarginalLengthMemo memo(hmm, priors);
-        ctx.push_back(PointCtx{std::move(hmm), std::move(priors), std::move(memo),
-                               resolved_mc_batch(opts, pt.params), rng.next(),
-                               util::CompensatedStats{}, 0, false});
-    }
-
-    // Run `n` more blocks of point `c`, serially: block b always samples
-    // substream b of the point's root and folds in block order, exactly as
-    // a standalone run would, so (point, spent) determines the estimate.
-    const auto run_blocks = [&](PointCtx& c, std::size_t n) {
-        std::vector<double> samples(n);
-        const TileSampler<IidInputs> sampler{c.hmm, opts.block_len, c.batch,
-                                             {c.priors, c.memo}};
-        sampler(c.root, c.spent, samples);
-        for (double v : samples) c.stats.add(v);
-        c.spent += n;
-    };
-
-    // Stage 1: pilot round at every point (the whole run in fixed mode).
+    // Independent streams: every point is the standalone estimator on its
+    // own seed, serial inside, so the point axis takes the threads.
+    McOptions serial = opts;
+    serial.threads = 1;
     util::parallel_for(
-        util::ThreadPool::shared(), ctx.size(),
-        [&](std::size_t i) { run_blocks(ctx[i], std::min(round, cap)); }, opts.threads);
-
-    // Stage 2 (adaptive only): repeated allocation passes. Each pass grants
-    // every point still above the target its predicted block deficit
-    // n* = (sd / target_sem)^2 - spent, rounded up to whole rounds and
-    // clamped to the cap, until no such point is left.
-    while (adaptive) {
-        std::vector<std::size_t> needy;
-        std::vector<std::size_t> want;
-        for (std::size_t i = 0; i < ctx.size(); ++i) {
-            PointCtx& c = ctx[i];
-            if (c.converged || c.spent >= cap) continue;
-            if (c.stats.sem() <= opts.target_sem) {
-                c.converged = true;
-                continue;
-            }
-            const double sd = c.stats.stddev();
-            // Clamped to the cap before the integer cast: a tiny target
-            // makes (sd / target)^2 overflow size_t, or reach infinity.
-            const double predicted = std::min((sd / opts.target_sem) * (sd / opts.target_sem),
-                                              static_cast<double>(cap));
-            std::size_t deficit =
-                predicted > static_cast<double>(c.spent)
-                    ? static_cast<std::size_t>(std::ceil(predicted)) - c.spent
-                    : 1;  // SEM still above target: must make progress
-            deficit = (deficit + round - 1) / round * round;  // whole rounds
-            needy.push_back(i);
-            want.push_back(std::min(deficit, cap - c.spent));
-        }
-        if (needy.empty()) break;
-        util::parallel_for(
-            util::ThreadPool::shared(), needy.size(),
-            [&](std::size_t k) { run_blocks(ctx[needy[k]], want[k]); }, opts.threads);
-    }
-
-    for (std::size_t i = 0; i < ctx.size(); ++i) {
-        const PointCtx& c = ctx[i];
-        const bool converged =
-            !adaptive || c.converged || c.stats.sem() <= opts.target_sem;
-        out[i] = {std::max(0.0, c.stats.mean()), c.stats.sem(), c.spent, opts.block_len,
-                  converged};
-    }
+        util::ThreadPool::shared(), points.size(),
+        [&](std::size_t i) {
+            util::Rng rng(points[i].seed);
+            out[i] = iid_mutual_information_rate(points[i].params, serial, rng);
+        },
+        opts.threads);
     if (report)
         for (std::size_t i = 0; i + 1 < out.size(); ++i)
             report->adjacent_diff_sem[i] = independent_diff_sem(i);

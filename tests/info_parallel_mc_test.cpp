@@ -129,12 +129,10 @@ void reference_samples(const DriftHmm& hmm, const DriftParams& params,
     }
 }
 
-/// Reference for one point: the single-point estimators' round loop
-/// (points == false) or the independent-streams pilot + Neyman top-up
-/// schedule of iid_mutual_information_rate_points (points == true, iid
-/// only).
+/// Reference for one point: the estimators' round loop, stopping at the
+/// first round boundary whose SEM meets the target.
 MiEstimate reference_estimate(const DriftParams& params, const MarkovSource* source,
-                              const McOptions& opts, std::uint64_t seed, bool points) {
+                              const McOptions& opts, std::uint64_t seed) {
     const DriftHmm hmm(params);
     const ccap::util::Matrix priors(opts.block_len, params.alphabet,
                                     1.0 / static_cast<double>(params.alphabet));
@@ -144,39 +142,17 @@ MiEstimate reference_estimate(const DriftParams& params, const MarkovSource* sou
     const std::size_t round = mc_round_blocks(opts);
     ccap::util::CompensatedStats stats;
     std::size_t spent = 0;
-    const auto run = [&](std::size_t n) {
-        std::vector<double> samples(n);
+    bool converged = !adaptive;
+    while (spent < cap) {
+        std::vector<double> samples(std::min(cap, spent + (adaptive ? round : cap)) - spent);
         reference_samples(hmm, params, priors, source, opts.block_len, root, spent, samples);
         for (double v : samples) stats.add(v);
-        spent += n;
-    };
-    bool converged = false;
-    if (!points) {
-        while (spent < cap) {
-            run(std::min(cap, spent + (adaptive ? round : cap)) - spent);
-            if (adaptive && stats.sem() <= opts.target_sem) {
-                converged = true;
-                break;
-            }
-        }
-    } else {
-        run(std::min(round, cap));
-        while (adaptive && spent < cap) {
-            if (stats.sem() <= opts.target_sem) {
-                converged = true;
-                break;
-            }
-            const double sd = stats.stddev();
-            const double predicted = std::min((sd / opts.target_sem) * (sd / opts.target_sem),
-                                              static_cast<double>(cap));
-            std::size_t deficit = predicted > static_cast<double>(spent)
-                                      ? static_cast<std::size_t>(std::ceil(predicted)) - spent
-                                      : 1;
-            deficit = (deficit + round - 1) / round * round;
-            run(std::min(deficit, cap - spent));
+        spent += samples.size();
+        if (adaptive && stats.sem() <= opts.target_sem) {
+            converged = true;
+            break;
         }
     }
-    converged = !adaptive || converged || stats.sem() <= opts.target_sem;
     return {std::max(0.0, stats.mean()), stats.sem(), spent, opts.block_len, converged};
 }
 
@@ -213,7 +189,7 @@ void expect_reference_on_every_path(const DriftParams& params, const MarkovSourc
     for (ccap::util::SimdPath path : available_paths()) {
         ASSERT_EQ(ccap::util::force_simd_path(path), path);
         for (McOptions opts : {fixed, adaptive}) {
-            const MiEstimate want = reference_estimate(params, source, opts, seed, false);
+            const MiEstimate want = reference_estimate(params, source, opts, seed);
             EXPECT_GT(want.rate, 0.0);
             for (unsigned threads : {1U, nproc}) {
                 SCOPED_TRACE(::testing::Message()
@@ -293,13 +269,11 @@ TEST(ParallelMcDeterminism, LengthMemoBitIdenticalToFullMarginalPasses) {
                     SCOPED_TRACE(::testing::Message()
                                  << "point " << k << " path " << ccap::util::simd_path_name(path)
                                  << " target " << target_sem << " threads " << threads);
-                    expect_bit_identical(got[k],
-                                         reference_estimate(pts[k].params, nullptr, opts,
-                                                            pts[k].seed, /*points=*/true));
+                    const MiEstimate want =
+                        reference_estimate(pts[k].params, nullptr, opts, pts[k].seed);
+                    expect_bit_identical(got[k], want);
                     expect_bit_identical(
-                        library_estimate(pts[k].params, nullptr, opts, pts[k].seed),
-                        reference_estimate(pts[k].params, nullptr, opts, pts[k].seed,
-                                           /*points=*/false));
+                        library_estimate(pts[k].params, nullptr, opts, pts[k].seed), want);
                 }
             }
         }
@@ -351,7 +325,7 @@ protected:
 TEST_P(ParallelMcTileInvariance, IidBitIdenticalToSerialScalar) {
     const DriftParams p{0.12, 0.04, 0.02, 2, 24, 6};
     const McOptions opts = options();
-    const MiEstimate want = reference_estimate(p, nullptr, opts, 0xFEED5EED, false);
+    const MiEstimate want = reference_estimate(p, nullptr, opts, 0xFEED5EED);
     EXPECT_GT(want.rate, 0.0);
     EXPECT_EQ(want.blocks, opts.max_blocks);
     expect_bit_identical(library_estimate(p, nullptr, opts, 0xFEED5EED), want);
@@ -361,7 +335,7 @@ TEST_P(ParallelMcTileInvariance, MarkovBitIdenticalToSerialScalar) {
     const DriftParams p{0.15, 0.02, 0.01, 2, 24, 6};
     const MarkovSource src = MarkovSource::binary_repeat(0.75);
     const McOptions opts = options();
-    const MiEstimate want = reference_estimate(p, &src, opts, 0xD15EA5E, false);
+    const MiEstimate want = reference_estimate(p, &src, opts, 0xD15EA5E);
     EXPECT_GT(want.rate, 0.0);
     EXPECT_EQ(want.blocks, opts.max_blocks);
     expect_bit_identical(library_estimate(p, &src, opts, 0xD15EA5E), want);
@@ -476,7 +450,7 @@ TEST_P(ParallelMcAdaptiveInvariance, IidStoppingTimeBitIdenticalToSerialScalar) 
     opts.target_sem = 0.015;
     opts.max_blocks = 96;
     set_round(opts);
-    const MiEstimate want = reference_estimate(p, nullptr, opts, 0xADA97, false);
+    const MiEstimate want = reference_estimate(p, nullptr, opts, 0xADA97);
     EXPECT_GT(want.blocks, mc_round_blocks(opts));  // took > 1 round
     expect_bit_identical(library_estimate(p, nullptr, opts, 0xADA97), want);
 }
@@ -490,7 +464,7 @@ TEST_P(ParallelMcAdaptiveInvariance, MarkovStoppingTimeBitIdenticalToSerialScala
     opts.target_sem = 0.02;
     opts.max_blocks = 80;
     set_round(opts);
-    const MiEstimate want = reference_estimate(p, &src, opts, 0xADA98, false);
+    const MiEstimate want = reference_estimate(p, &src, opts, 0xADA98);
     EXPECT_GT(want.blocks, mc_round_blocks(opts));
     expect_bit_identical(library_estimate(p, &src, opts, 0xADA98), want);
 }
@@ -505,13 +479,13 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Cross-point budget allocation (iid_mutual_information_rate_points in
-// adaptive mode).
+// Independent-streams point sweeps (iid_mutual_information_rate_points with
+// point_tile = 0): every point is the standalone estimator on its own seed.
 // ---------------------------------------------------------------------------
 
 std::vector<CapacityPoint> heterogeneous_points() {
     // Low-noise points converge almost immediately; the noisy ones need
-    // many more blocks — the spread the Neyman allocator exists for.
+    // many more blocks.
     std::vector<CapacityPoint> pts;
     std::uint64_t seed = 1000;
     for (double pd : {0.02, 0.1, 0.25, 0.4})
@@ -520,8 +494,8 @@ std::vector<CapacityPoint> heterogeneous_points() {
 }
 
 TEST(ParallelMcAdaptivePoints, EachPointMatchesStandaloneFixedRun) {
-    // The tentpole identity: out[i] must be bit-identical to a standalone
-    // fixed-mode evaluation of the same point over the same spent count.
+    // out[i] must be bit-identical to a standalone fixed-mode evaluation of
+    // the same point over the same spent count.
     const std::vector<CapacityPoint> pts = heterogeneous_points();
     McOptions opts;
     opts.block_len = 32;
@@ -544,9 +518,70 @@ TEST(ParallelMcAdaptivePoints, EachPointMatchesStandaloneFixedRun) {
     }
 }
 
+/// heterogeneous_points() plus point 0 of the length-memo test, and the
+/// adaptive options that memo test runs at target 0.02.
+std::vector<CapacityPoint> stopping_points() {
+    std::vector<CapacityPoint> pts = heterogeneous_points();
+    pts.push_back({DriftParams{0.12, 0.04, 0.02, 2, 24, 6}, 0x3E30});
+    return pts;
+}
+
+McOptions stopping_options() {
+    McOptions opts;
+    opts.block_len = 32;
+    opts.num_blocks = 10;
+    opts.target_sem = 0.02;
+    opts.max_blocks = 90;
+    return opts;
+}
+
+TEST(ParallelMcAdaptivePoints, EachPointIsTheStandaloneEstimator) {
+    // The same value, spent count and converged flag as the standalone
+    // estimator on the point's seed, in fixed and adaptive mode, at every
+    // thread count.
+    const std::vector<CapacityPoint> pts = stopping_points();
+    McOptions fixed = stopping_options();
+    fixed.target_sem = 0.0;
+    const unsigned nproc = std::max(1U, std::thread::hardware_concurrency());
+    for (McOptions opts : {fixed, stopping_options()})
+        for (unsigned threads : {1U, nproc}) {
+            opts.threads = threads;
+            const std::vector<MiEstimate> out = iid_mutual_information_rate_points(pts, opts);
+            ASSERT_EQ(out.size(), pts.size());
+            for (std::size_t i = 0; i < pts.size(); ++i) {
+                SCOPED_TRACE(::testing::Message() << "point " << i << " target "
+                                                  << opts.target_sem << " threads " << threads);
+                Rng rng(pts[i].seed);
+                expect_bit_identical(out[i], iid_mutual_information_rate(pts[i].params, opts, rng));
+            }
+        }
+}
+
+TEST(ParallelMcAdaptivePoints, StopsAtFirstRoundMeetingTarget) {
+    // A converged point that spent more than one round was still above the
+    // target one round earlier. Its SEM there is that of a fixed run over
+    // the first blocks - round blocks of the same seed.
+    const std::vector<CapacityPoint> pts = stopping_points();
+    const McOptions opts = stopping_options();
+    const std::size_t round = mc_round_blocks(opts);
+    const std::vector<MiEstimate> out = iid_mutual_information_rate_points(pts, opts);
+    ASSERT_EQ(out.size(), pts.size());
+    bool multi_round = false;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+        if (!out[i].converged || out[i].blocks <= round) continue;
+        multi_round = true;
+        McOptions earlier = opts;
+        earlier.target_sem = 0.0;
+        earlier.num_blocks = out[i].blocks - round;
+        Rng rng(pts[i].seed);
+        EXPECT_GT(iid_mutual_information_rate(pts[i].params, earlier, rng).sem, opts.target_sem)
+            << "point " << i << " spent " << out[i].blocks;
+    }
+    EXPECT_TRUE(multi_round);
+}
+
 TEST(ParallelMcAdaptivePoints, SpendFollowsVariance) {
-    // The budget-allocation claim: blocks go where the per-block variance
-    // is. The stopping rule spends ~ (sd / target)^2 per point, so the
+    // Blocks go where the per-block variance is. The stopping rule spends ~ (sd / target)^2 per point, so the
     // realized per-block sd (sem * sqrt(blocks)) of the biggest spender
     // must dominate the smallest spender's — and a heterogeneous grid must
     // actually produce differentiated spends.
@@ -592,10 +627,8 @@ TEST(ParallelMcAdaptivePoints, ThreadCountDoesNotChangeSpentCountsOrBits) {
 }
 
 TEST(ParallelMcAdaptivePoints, TinyTargetSemClampsDeficitToCap) {
-    // (sd / target)^2 is past 2^64 at 1e-11 and infinite at 1e-200: the
-    // Neyman deficit must clamp to the cap before its integer cast (UBSan
-    // float-cast-overflow otherwise), spend exactly the cap and report the
-    // point unconverged.
+    // A target no run can reach (1e-11, 1e-200) must spend exactly the
+    // cap, report the point unconverged, and leave UBSan silent.
     const std::vector<CapacityPoint> pts{{DriftParams{0.2, 0.05, 0.02, 2, 16, 6}, 77}};
     for (double target : {1e-11, 1e-200}) {
         McOptions opts;

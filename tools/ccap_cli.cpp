@@ -30,6 +30,7 @@
 //        --timeout 6 --len 20000
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -39,6 +40,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -96,15 +98,28 @@ struct Args {
     /// an undefined or truncating conversion.
     template <typename T = std::uint64_t>
     [[nodiscard]] T count(const std::string& key, std::type_identity_t<T> fallback) const {
-        const double v = number(key, static_cast<double>(fallback));
-        if (v < 0.0 || v != std::floor(v))
-            throw UsageError("option --" + key + " expects a non-negative integer, got '" +
-                             values.at(key) + "'");
-        // 2^digits is exact in a double and is the first value T cannot hold.
-        if (v >= std::ldexp(1.0, std::numeric_limits<T>::digits))
+        const auto it = values.find(key);
+        if (it == values.end()) return fallback;
+        const std::string& s = it->second;
+        // Plain decimal digits parse exactly (through a double, seeds past
+        // 2^53 would round onto their neighbors); any other token ("1e3",
+        // "+5", "2.0") takes the strict numeric parse and must be whole.
+        std::uint64_t v = 0;
+        const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+        bool too_large = ec == std::errc::result_out_of_range;
+        if (end != s.data() + s.size() || ec == std::errc::invalid_argument) {
+            const double d = number(key, 0.0);
+            if (d < 0.0 || d != std::floor(d))
+                throw UsageError("option --" + key + " expects a non-negative integer, got '" +
+                                 s + "'");
+            // 2^64 is exact in a double and is the first value v cannot hold.
+            too_large = d >= 0x1p64;
+            if (!too_large) v = static_cast<std::uint64_t>(d);
+        }
+        if (too_large || v > std::numeric_limits<T>::max())
             throw UsageError("option --" + key + " expects an integer at most " +
-                             std::to_string(std::numeric_limits<T>::max()) + ", got '" +
-                             values.at(key) + "'");
+                             std::to_string(std::numeric_limits<T>::max()) + ", got '" + s +
+                             "'");
         return static_cast<T>(v);
     }
     [[nodiscard]] std::string text(const std::string& key, const std::string& fallback) const {
@@ -116,13 +131,14 @@ struct Args {
         if (it == values.end()) throw UsageError("missing required option --" + key);
         return it->second;
     }
-    /// Strict per-command flag set: a flag outside `allowed` is a usage
-    /// error, not a silently ignored typo (--theads, --p_d, ...).
-    void reject_unknown(std::initializer_list<const char*> allowed) const {
+    /// Strict per-command flag set: a flag outside `allowed` and `group` is
+    /// a usage error, not a silently ignored typo (--theads, --p_d, ...).
+    void reject_unknown(std::initializer_list<const char*> allowed,
+                        std::span<const char* const> group = {}) const {
         for (const auto& [key, value] : values) {
-            bool known = false;
-            for (const char* a : allowed) known = known || key == a;
-            if (!known) throw UsageError("unknown option --" + key);
+            const auto is_key = [&](const char* a) { return key == a; };
+            if (std::ranges::none_of(allowed, is_key) && std::ranges::none_of(group, is_key))
+                throw UsageError("unknown option --" + key);
         }
     }
 };
@@ -168,87 +184,85 @@ core::DiChannelParams params_from(const Args& args) {
     return p;
 }
 
-/// Worker-thread cap shared by the parallel subcommands: 0 (the default)
-/// means one lane per hardware thread, 1 forces serial execution.
-unsigned threads_from(const Args& args) {
-    return args.count<unsigned>("threads", 0);
-}
-
 /// The worker count a `threads` cap resolves to: the cap itself, or one per
 /// hardware thread for 0.
 unsigned workers_for(unsigned threads) {
     return threads != 0 ? threads : std::max(1U, std::thread::hardware_concurrency());
 }
 
-/// `--simd scalar|neon|avx2|avx512`: pin the lattice kernel dispatch for
-/// this process (same semantics as the CCAP_SIMD environment override —
-/// requests above the best available path clamp down, never up). Call
-/// before any estimator runs so the choice is visible everywhere.
-void apply_simd_flag(const Args& args) {
-    const auto it = args.values.find("simd");
-    if (it == args.values.end()) return;
-    util::SimdPath path{};
-    if (!util::parse_simd_path(it->second, path))
-        throw UsageError("option --simd expects scalar, neon, avx2 or avx512, got '" +
-                         it->second + "'");
-    util::force_simd_path(path);
-}
+/// The Monte-Carlo flag group of sweep, mi, contend and track, parsed by
+/// mc_flags_from. --mc-point-tile comes last: mi estimates one point and
+/// takes the group without it (kMcPointFlags).
+constexpr const char* kMcFlags[] = {"threads",       "simd",          "verbose",
+                                    "mc-target-sem", "mc-max-blocks", "mc-point-tile"};
+constexpr auto kMcPointFlags = std::span(kMcFlags).first<std::size(kMcFlags) - 1>();
 
-/// `--mc-target-sem S --mc-max-blocks M`: adaptive Monte-Carlo precision
-/// for the lattice subcommands. S > 0 turns the estimators adaptive (run
-/// in rounds, stop once the standard error of the mean reaches S); M caps
-/// the total blocks (0 keeps the library default of 64 rounds). S = 0
-/// (the default) keeps the historical fixed-block behavior bit for bit.
-void apply_adaptive_flags(const Args& args, info::McOptions& opts) {
+/// Parse the Monte-Carlo flag group into `opts` and return the --threads
+/// worker cap (0, the default, means one per hardware thread; 1 forces
+/// serial execution).
+///   --simd scalar|neon|avx2|avx512 pins the lattice kernel dispatch for
+///     this process (same as the CCAP_SIMD environment override: requests
+///     above the best available path clamp down, never up). It is applied
+///     here, before any estimator runs, so the choice is visible everywhere.
+///   --mc-target-sem S > 0 turns the estimators adaptive (run in rounds,
+///     stop once the standard error of the mean reaches S); --mc-max-blocks
+///     M caps the total blocks (0 keeps the library default of 64 rounds).
+///     S = 0 (the default) keeps the fixed block count bit for bit.
+///   --mc-point-tile G|auto: common-random-numbers point tiling for grid
+///     sweeps. G grid points share every block's variate tape and ride one
+///     per-lane-parameter lattice sweep; "auto" picks a vector-width
+///     multiple. 0 (the default) keeps independent per-point streams.
+unsigned mc_flags_from(const Args& args, info::McOptions& opts) {
+    if (const auto it = args.values.find("simd"); it != args.values.end()) {
+        util::SimdPath path{};
+        if (!util::parse_simd_path(it->second, path))
+            throw UsageError("option --simd expects scalar, neon, avx2 or avx512, got '" +
+                             it->second + "'");
+        util::force_simd_path(path);
+    }
+    const auto threads = args.count<unsigned>("threads", 0);
     const double target = args.number("mc-target-sem", 0.0);
     if (target < 0.0) throw UsageError("option --mc-target-sem expects a value >= 0");
     opts.target_sem = target;
     opts.max_blocks = args.count<std::size_t>("mc-max-blocks", 0);
-}
-
-/// `--mc-point-tile G|auto`: common-random-numbers point tiling for grid
-/// sweeps. G grid points share every Monte-Carlo block's variate tape and
-/// ride one per-lane-parameter lattice sweep; "auto" picks a vector-width
-/// multiple. 0 (the default) keeps independent per-point substreams bit
-/// for bit.
-void apply_point_tile_flag(const Args& args, info::McOptions& opts) {
-    const auto it = args.values.find("mc-point-tile");
-    if (it == args.values.end()) return;
-    if (it->second == "auto") {
-        opts.point_tile = info::kMcPointTileAuto;
-        return;
+    if (const auto it = args.values.find("mc-point-tile"); it != args.values.end()) {
+        try {
+            opts.point_tile = it->second == "auto" ? info::kMcPointTileAuto
+                                                   : args.count<std::size_t>("mc-point-tile", 0);
+        } catch (const UsageError&) {
+            throw UsageError("option --mc-point-tile expects a non-negative integer or 'auto', "
+                             "got '" +
+                             it->second + "'");
+        }
     }
-    try {
-        opts.point_tile = args.count<std::size_t>("mc-point-tile", 0);
-    } catch (const UsageError&) {
-        throw UsageError("option --mc-point-tile expects a non-negative integer or "
-                         "'auto', got '" +
-                         it->second + "'");
-    }
+    return threads;
 }
 
 /// `--verbose` line for the lattice subcommands: the resolved SIMD kernel
-/// path and the Monte-Carlo tile shape (lockstep lattice lanes x worker
-/// threads) the estimator will actually run with.
+/// path and the Monte-Carlo tile shape the estimator will actually run
+/// with: the lockstep lattice lanes of one sweep (in CRN mode,
+/// crn_sweep_blocks blocks x the point tile) x the worker cap `threads`
+/// the command hands to the engine.
 void print_lattice_verbose(std::FILE* out, const info::McOptions& opts,
-                           const info::DriftParams& params,
+                           const info::DriftParams& params, unsigned threads,
                            std::size_t sweep_points = 0) {
     const info::LaneKernels& k = info::active_lane_kernels();
+    // The CRN tile width, clamped to the grid when its size is known.
+    const std::size_t tile = info::resolved_point_tile(
+        opts, sweep_points != 0 ? sweep_points : static_cast<std::size_t>(-1) / 2);
+    const std::size_t lanes = tile != 0 ? info::crn_sweep_blocks(opts, params, tile) * tile
+                                        : info::resolved_mc_batch(opts, params);
     std::fprintf(out,
                  "# simd: %s (%zu doubles/vector, cpu: %s)\n"
                  "# mc tile: %zu lanes x %u threads\n",
-                 k.name, k.vector_doubles, util::cpu_feature_string().c_str(),
-                 info::resolved_mc_batch(opts, params), workers_for(opts.threads));
-    if (opts.point_tile != 0) {
-        // CRN point tiling: report the resolved tile width (clamped to the
-        // grid when its size is known).
-        const std::size_t n =
-            sweep_points != 0 ? sweep_points : static_cast<std::size_t>(-1) / 2;
+                 k.name, k.vector_doubles, util::cpu_feature_string().c_str(), lanes,
+                 workers_for(threads));
+    if (tile != 0) {
         const std::string tile_str = opts.point_tile == info::kMcPointTileAuto
                                          ? std::string("auto")
                                          : std::to_string(opts.point_tile);
-        std::fprintf(out, "# mc point tile: %zu points/sweep (crn, requested %s)\n",
-                     info::resolved_point_tile(opts, n), tile_str.c_str());
+        std::fprintf(out, "# mc point tile: %zu points/sweep (crn, requested %s)\n", tile,
+                     tile_str.c_str());
     }
 }
 
@@ -323,13 +337,12 @@ int cmd_windows(const Args& args) {
 }
 
 int cmd_sweep(const Args& args) {
-    args.reject_unknown({"bits", "threads", "mi-blocks", "mi-block-len", "mc-point-tile",
-                         "mc-target-sem", "mc-max-blocks", "seed", "simd", "verbose"});
-    apply_simd_flag(args);
+    args.reject_unknown({"bits", "mi-blocks", "mi-block-len", "seed"}, kMcFlags);
+    info::McOptions mi_opts;
+    const unsigned threads = mc_flags_from(args, mi_opts);
     // Optional Monte-Carlo MI column: --mi-blocks K (> 0 enables).
     const auto mi_blocks = args.count<std::size_t>("mi-blocks", 0);
     const unsigned bits = mi_blocks > 0 ? bits_from(args, kLatticeMaxBits) : bits_from(args);
-    const unsigned threads = threads_from(args);
     const auto mi_block_len = args.count<std::size_t>("mi-block-len", 64);
     const auto seed = args.count("seed", 1);
     // Materialize the grid up front: the MI column evaluates it as one
@@ -338,18 +351,15 @@ int cmd_sweep(const Args& args) {
     for (double pd = 0.0; pd <= 0.501; pd += 0.05)
         for (double pi = 0.0; pi <= 0.301; pi += 0.05)
             if (pd + pi < 1.0) grid.emplace_back(pd, pi);
-    info::McOptions mi_opts;
     mi_opts.block_len = mi_block_len;
     mi_opts.num_blocks = mi_blocks > 0 ? mi_blocks : 1;
     mi_opts.threads = threads;
-    apply_adaptive_flags(args, mi_opts);
-    apply_point_tile_flag(args, mi_opts);
     if (args.values.count("verbose")) {
         // stderr: stdout is the CSV. Every grid point shares one MC shape,
         // so one report covers the sweep.
         info::DriftParams dp;
         dp.alphabet = 1U << bits;
-        print_lattice_verbose(stderr, mi_opts, dp, grid.size());
+        print_lattice_verbose(stderr, mi_opts, dp, threads, grid.size());
     }
     // The MI column goes through the points API: without --mc-point-tile it
     // reproduces the historical independent per-point substreams bit for
@@ -395,20 +405,17 @@ int cmd_sweep(const Args& args) {
 }
 
 int cmd_mi(const Args& args) {
-    args.reject_unknown({"pd", "pi", "ps", "bits", "block", "blocks", "seed", "threads",
-                         "markov-stay", "mc-target-sem", "mc-max-blocks", "simd",
-                         "verbose"});
-    apply_simd_flag(args);
+    args.reject_unknown({"pd", "pi", "ps", "bits", "block", "blocks", "seed", "markov-stay"},
+                        kMcPointFlags);
+    info::McOptions opts;
+    opts.threads = mc_flags_from(args, opts);
     info::DriftParams p;
     p.p_d = args.number("pd", 0.0);
     p.p_i = args.number("pi", 0.0);
     p.p_s = args.number("ps", 0.0);
     p.alphabet = 1U << bits_from(args, kLatticeMaxBits);
-    info::McOptions opts;
     opts.block_len = args.count<std::size_t>("block", 128);
     opts.num_blocks = args.count<std::size_t>("blocks", 32);
-    opts.threads = threads_from(args);
-    apply_adaptive_flags(args, opts);
     // --markov-stay Q: binary repeat-Q Markov inputs instead of iid ones.
     const bool markov = args.values.count("markov-stay") != 0;
     const double stay = args.number("markov-stay", 0.0);
@@ -416,7 +423,7 @@ int cmd_mi(const Args& args) {
         throw UsageError("option --markov-stay expects a value in [0,1]");
     if (markov && p.alphabet != 2)
         throw UsageError("option --markov-stay needs --bits 1 (a binary source)");
-    if (args.values.count("verbose")) print_lattice_verbose(stdout, opts, p);
+    if (args.values.count("verbose")) print_lattice_verbose(stdout, opts, p, opts.threads);
     util::Rng rng(args.count("seed", 1));
 
     info::MiEstimate est;
@@ -539,12 +546,13 @@ int cmd_protocol(const Args& args) {
 int cmd_contend(const Args& args) {
     args.reject_unknown({"flows", "load", "ticks", "slices", "domain", "queue-cap",
                          "deadline", "collision-rate", "pd", "pi", "ps", "grid-step",
-                         "mi-block", "mi-blocks", "mc-point-tile", "mc-target-sem",
-                         "mc-max-blocks", "seed", "threads", "simd", "cache", "interp",
-                         "verbose"});
-    apply_simd_flag(args);
-
+                         "mi-block", "mi-blocks", "seed", "cache", "interp"},
+                        kMcFlags);
+    // The per-node options take the flag group; the engine takes the
+    // threads and warms its nodes with them.
     info::CapacityCache::Config cc;
+    sched::ContentionConfig cfg;
+    cfg.threads = mc_flags_from(args, cc.mc);
     cc.base.p_d = args.number("pd", 0.0);
     cc.base.p_i = args.number("pi", 0.0);
     cc.base.p_s = args.number("ps", 0.0);
@@ -554,10 +562,6 @@ int cmd_contend(const Args& args) {
     cc.grid.pi_step = grid_step;
     cc.mc.block_len = args.count<std::size_t>("mi-block", 48);
     cc.mc.num_blocks = args.count<std::size_t>("mi-blocks", 8);
-    apply_adaptive_flags(args, cc.mc);
-    // CRN point tiling flows through the cache config into every batched
-    // ensure() sweep the contention engine triggers.
-    apply_point_tile_flag(args, cc.mc);
     const std::string cache_flag = args.text("cache", "on");
     if (cache_flag == "on")
         cc.enabled = true;
@@ -567,7 +571,6 @@ int cmd_contend(const Args& args) {
         throw UsageError("option --cache expects on or off, got '" + cache_flag + "'");
     info::CapacityCache cache(cc);
 
-    sched::ContentionConfig cfg;
     cfg.flows = args.count<std::size_t>("flows", 4096);
     cfg.offered_load = args.number("load", 0.8);
     cfg.ticks = args.count("ticks", 1024);
@@ -585,11 +588,10 @@ int cmd_contend(const Args& args) {
         else
             throw UsageError("option --interp expects on or off, got '" + v + "'");
     }
-    cfg.threads = threads_from(args);
     cfg.seed = args.count("seed", 1);
     sched::ContentionEngine engine(cfg, cache);
 
-    if (args.values.count("verbose")) print_lattice_verbose(stdout, cc.mc, cc.base);
+    if (args.values.count("verbose")) print_lattice_verbose(stdout, cc.mc, cc.base, cfg.threads);
 
     const sched::ContentionReport report = engine.run();
     std::printf("contention: %zu flows, offered load %.2f, %llu ticks, "
@@ -648,12 +650,13 @@ int cmd_track(const Args& args) {
                          "drift-sustain", "resync-jump", "ps-tolerance", "warmup",
                          "aimd-increase",
                          "aimd-beta", "headroom", "prefetch", "grid-step", "mi-block",
-                         "mi-blocks", "mc-target-sem", "mc-max-blocks", "mc-point-tile",
-                         "threads", "simd", "checkpoint", "checkpoint-every", "resume",
-                         "status-every", "verbose"});
-    apply_simd_flag(args);
-
+                         "mi-blocks", "checkpoint", "checkpoint-every", "resume",
+                         "status-every"},
+                        kMcFlags);
+    // The cache nodes take the flag group; the threads are the prefetch
+    // warm-up's workers.
     estimate::TrackerConfig tc;
+    tc.threads = mc_flags_from(args, tc.cache.mc);
     tc.window_len = args.count<std::size_t>("window", 2000);
     tc.smoothing = args.number("smoothing", 0.3);
     tc.trend_window = args.count<std::size_t>("trend-window", 8);
@@ -666,7 +669,6 @@ int cmd_track(const Args& args) {
     tc.aimd_beta = args.number("aimd-beta", 0.85);
     tc.headroom = args.number("headroom", 0.95);
     tc.prefetch = args.count<std::size_t>("prefetch", 0);
-    tc.threads = threads_from(args);
     const unsigned bits = bits_from(args, kLatticeMaxBits);
     tc.cache.base.p_s = args.number("ps", 0.0);
     tc.cache.base.alphabet = 1U << bits;
@@ -676,9 +678,8 @@ int cmd_track(const Args& args) {
     tc.cache.grid.pi_step = grid_step;
     tc.cache.mc.block_len = args.count<std::size_t>("mi-block", 48);
     tc.cache.mc.num_blocks = args.count<std::size_t>("mi-blocks", 8);
-    apply_adaptive_flags(args, tc.cache.mc);
-    apply_point_tile_flag(args, tc.cache.mc);
-    if (args.values.count("verbose")) print_lattice_verbose(stderr, tc.cache.mc, tc.cache.base);
+    if (args.values.count("verbose"))
+        print_lattice_verbose(stderr, tc.cache.mc, tc.cache.base, tc.threads);
 
     // --resume FILE restores state (typed CheckpointIoError -> exit 1 on a
     // corrupt/mismatched file); otherwise start fresh.
@@ -758,12 +759,9 @@ void usage() {
         "            --estimator mle|em|align]\n"
         "  simulate  --sent FILE --received FILE [--pd X --pi Y --ps Z --bits N\n"
         "            --len L --seed S]\n"
-        "  sweep     [--bits N --threads T --mi-blocks K --mi-block-len L\n"
-        "            --mc-point-tile G|auto --mc-target-sem S --mc-max-blocks M\n"
-        "            --seed S --simd P --verbose]\n"
+        "  sweep     [--bits N --mi-blocks K --mi-block-len L --seed S MC]\n"
         "  mi        [--pd X --pi Y --ps Z --bits N --block L --blocks K\n"
-        "            --seed S --threads T --markov-stay Q --mc-target-sem S\n"
-        "            --mc-max-blocks M --simd P --verbose]\n"
+        "            --seed S --markov-stay Q MC, without --mc-point-tile]\n"
         "  windows   --sent FILE --received FILE [--window W]\n"
         "  protocol  [--proto saw|counter|gbn --pd X --ps Z --bits N --len L\n"
         "            --seed S --p-ack-loss P --p-ack-corrupt Q --ack-delay D\n"
@@ -773,19 +771,17 @@ void usage() {
         "            --stuck-period/--stuck-len/--stuck-symbol]\n"
         "  contend   [--flows F --load R --ticks T --slices S --domain D\n"
         "            --queue-cap Q --deadline A --collision-rate K --pd X --pi Y\n"
-        "            --ps Z --grid-step G --mi-block L --mi-blocks K\n"
-        "            --mc-point-tile G|auto --mc-target-sem S --mc-max-blocks M\n"
-        "            --seed S --threads T --simd P --cache on|off\n"
-        "            --interp on|off --verbose]\n"
+        "            --ps Z --grid-step G --mi-block L --mi-blocks K --seed S\n"
+        "            --cache on|off --interp on|off MC]\n"
         "  track     [--sent FILE --received FILE | --pd X --pi Y --ps Z\n"
         "            --profile NAME --windows N --seed S] [--bits N --window W\n"
         "            --smoothing A --trend-window K --drift-slope D\n"
         "            --drift-sustain C --resync-jump J --ps-tolerance Z --warmup U\n"
         "            --aimd-increase I --aimd-beta B --headroom H --prefetch P\n"
-        "            --grid-step G --mi-block L --mi-blocks K --mc-target-sem S\n"
-        "            --mc-max-blocks M --mc-point-tile G|auto --threads T\n"
-        "            --simd P --checkpoint FILE --checkpoint-every N\n"
-        "            --resume FILE --status-every N --verbose]\n"
+        "            --grid-step G --mi-block L --mi-blocks K --checkpoint FILE\n"
+        "            --checkpoint-every N --resume FILE --status-every N MC]\n"
+        "MC, the Monte-Carlo flags: --threads T --simd P --verbose\n"
+        "            --mc-target-sem S --mc-max-blocks M --mc-point-tile G|auto\n"
         "--threads 0 (default) uses every hardware thread; 1 runs serially.\n"
         "Monte-Carlo results are bit-identical for every --threads value.\n"
         "--bits N is 1..16, but 1..8 for the drift lattice (mi, track, and\n"
@@ -803,7 +799,7 @@ void usage() {
         "the CCAP_SIMD env var; requests clamp down to what the CPU has).\n"
         "All paths are bit-identical. --verbose prints the\n"
         "resolved kernel path and Monte-Carlo tile shape before estimating\n"
-        "(sweep prints to stderr; stdout stays CSV).\n"
+        "(sweep and track print it to stderr).\n"
         "`track` runs until its stream ends, --windows N are ingested, or\n"
         "SIGINT/SIGTERM arrives — then flushes a final checkpoint + report\n"
         "and exits 0. --resume continues bit-identically from a checkpoint.\n",

@@ -156,6 +156,47 @@ if(NOT rc EQUAL 0 OR NOT out MATCHES "threads: 3\n")
   message(FATAL_ERROR "mi --threads 3 did not report 3 workers: ${rc} ${out}")
 endif()
 
+# Integer flags parse their decimal digits exactly: a seed past 2^53 must
+# not round onto its neighbor through a double, so adjacent seeds there
+# give different estimates.
+foreach(seed 9007199254740992 9007199254740993)
+  execute_process(
+    COMMAND ${CCAP_BIN} mi --pd 0.2 --pi 0.05 --block 16 --blocks 4 --seed ${seed}
+    OUTPUT_VARIABLE mi_seed_${seed}
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "mi --seed ${seed} failed: ${rc}")
+  endif()
+endforeach()
+if(mi_seed_9007199254740992 STREQUAL mi_seed_9007199254740993)
+  message(FATAL_ERROR
+    "mi --seed 2^53 and 2^53 + 1 printed the same estimate: ${mi_seed_9007199254740993}")
+endif()
+ccap_expect_failure(2 "--seed expects an integer at most 18446744073709551615"
+  mi --seed 18446744073709551616)
+
+# --verbose reports the Monte-Carlo shape the command hands to the engine.
+# contend's CRN sweeps pack crn_sweep_blocks blocks x the point tile (4 x 8
+# lanes on the scalar path at the default options) and warm the nodes with
+# the --threads workers; track reports its prefetch workers.
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E env CCAP_SIMD=scalar
+          ${CCAP_BIN} contend --flows 256 --mc-point-tile auto --threads 3 --verbose
+  OUTPUT_VARIABLE out
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "# mc tile: 32 lanes x 3 threads\n")
+  message(FATAL_ERROR "contend --verbose misreported its MC shape: ${rc} ${out}")
+endif()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E env CCAP_SIMD=scalar
+          ${CCAP_BIN} track --pd 0.2 --windows 1 --threads 3 --verbose
+  OUTPUT_QUIET
+  ERROR_VARIABLE err
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0 OR NOT err MATCHES "# mc tile: 8 lanes x 3 threads\n")
+  message(FATAL_ERROR "track --verbose misreported its MC shape: ${rc} ${err}")
+endif()
+
 # CRN sweep smoke: the verbose tile report lands on stderr, the CSV stays
 # on stdout and carries the MI column.
 execute_process(
