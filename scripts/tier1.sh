@@ -12,8 +12,8 @@
 #                                         # layouts and the bit-parallel
 #                                         # alignment's word-boundary
 #                                         # indexing are prone to)
-#   CCAP_RUN_UBSAN=1 ./scripts/tier1.sh   # additionally run the core/info/
-#                                         # estimate tests under
+#   CCAP_RUN_UBSAN=1 ./scripts/tier1.sh   # additionally run the util/core/
+#                                         # info/sched/estimate tests under
 #                                         # -fsanitize=undefined (opt-in:
 #                                         # cheap; catches the overflow/shift
 #                                         # bugs the backoff and
@@ -21,7 +21,8 @@
 #                                         # hide, shift-by-64 in the
 #                                         # alignment kernel, and
 #                                         # out-of-range double -> integer
-#                                         # casts)
+#                                         # casts such as the geometric
+#                                         # draw's truncation)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -88,16 +89,17 @@ if [[ "${CCAP_RUN_ASAN:-0}" == "1" ]]; then
 fi
 
 if [[ "${CCAP_RUN_UBSAN:-0}" == "1" ]]; then
-    echo "== tier1: core/info/estimate tests under -fsanitize=undefined (opt-in) =="
+    echo "== tier1: util/core/info/sched/estimate tests under -fsanitize=undefined (opt-in) =="
     cmake -B build-ubsan -S . \
         -DCCAP_SANITIZE=undefined \
         -DCCAP_BUILD_BENCH=OFF \
         -DCCAP_BUILD_EXAMPLES=OFF >/dev/null
-    cmake --build build-ubsan -j"$(nproc)" --target ccap_core_tests ccap_info_tests ccap_estimate_tests
+    cmake --build build-ubsan -j"$(nproc)" --target ccap_util_tests ccap_core_tests \
+        ccap_info_tests ccap_sched_tests ccap_estimate_tests
     # Run the binaries directly: every test they hold runs under UBSan
     # (a ctest -R filter would only match a subset of the discovered names).
-    (cd build-ubsan && ./tests/ccap_core_tests && ./tests/ccap_info_tests &&
-        ./tests/ccap_estimate_tests)
+    (cd build-ubsan && ./tests/ccap_util_tests && ./tests/ccap_core_tests &&
+        ./tests/ccap_info_tests && ./tests/ccap_sched_tests && ./tests/ccap_estimate_tests)
 fi
 
 if [[ "${CCAP_SKIP_TSAN:-0}" == "1" ]]; then

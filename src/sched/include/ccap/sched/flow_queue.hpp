@@ -10,7 +10,10 @@
 //
 // Everything is O(1) per push/pop (amortized) and allocation-free after
 // construction: flow rings live in one flat array, and the active-flow
-// rotation is an intrusive circular list over flow ids.
+// rotation is an intrusive circular list over flow ids. push and pop are
+// defined here, inline, because the contention engine's slice loop calls
+// them once per arrival and per serve; ring indices wrap with a compare
+// and subtract (every index sum stays below 2 * cap), not a division.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +42,22 @@ public:
 
     /// Enqueue one symbol of `flow` arriving at `now`. Returns false (and
     /// counts an overflow drop) when the flow's ring is full.
-    bool push(std::size_t flow, SimTime now);
+    bool push(std::size_t flow, SimTime now) {
+        FlowRing& r = rings_[flow];
+        FlowCounters& c = counters_[flow];
+        if (r.size == cap_) {
+            ++c.dropped_overflow;
+            return false;
+        }
+        std::size_t tail = std::size_t{r.head} + r.size;  // head, size < cap_
+        if (tail >= cap_) tail -= cap_;
+        slots_[flow * cap_ + tail] = now;
+        ++r.size;
+        ++c.enqueued;
+        ++backlog_;
+        activate(static_cast<std::uint32_t>(flow));
+        return true;
+    }
 
     struct Served {
         std::size_t flow = 0;
@@ -50,7 +68,28 @@ public:
     /// oldest non-expired symbol and rotates to the back. Expired heads are
     /// dropped (counted per flow) until a serveable symbol or an empty ring
     /// is found. Returns nullopt when no flow has backlog.
-    std::optional<Served> pop(SimTime now);
+    std::optional<Served> pop(SimTime now) {
+        while (active_head_ != kNil) {
+            const std::uint32_t f = rotate_front();
+            FlowRing& r = rings_[f];
+            FlowCounters& c = counters_[f];
+            const SimTime* ring = slots_.data() + std::size_t{f} * cap_;
+            // Lazy expiry: age is measured when the symbol reaches the head.
+            while (r.size > 0 && deadline_ != 0 && now - ring[r.head] > deadline_) {
+                advance_head(r);
+                ++c.dropped_expired;
+            }
+            if (r.size == 0) continue;  // drained by expiry; drop out of rotation
+            Served out;
+            out.flow = f;
+            out.enqueued_at = ring[r.head];
+            advance_head(r);
+            ++c.served;
+            if (r.size > 0) activate(f);  // rotate to the back of the ring
+            return out;
+        }
+        return std::nullopt;
+    }
 
     [[nodiscard]] std::size_t backlog() const noexcept { return backlog_; }
     [[nodiscard]] std::size_t num_flows() const noexcept { return counters_.size(); }
@@ -68,8 +107,34 @@ private:
     };
     static constexpr std::uint32_t kNil = 0xffffffffu;
 
-    void activate(std::uint32_t f);
-    std::uint32_t rotate_front();
+    void activate(std::uint32_t f) {
+        FlowRing& r = rings_[f];
+        if (r.active) return;
+        r.active = true;
+        r.next = kNil;
+        if (active_tail_ == kNil) {
+            active_head_ = active_tail_ = f;
+        } else {
+            rings_[active_tail_].next = f;
+            active_tail_ = f;
+        }
+    }
+
+    std::uint32_t rotate_front() {
+        const std::uint32_t f = active_head_;
+        active_head_ = rings_[f].next;
+        if (active_head_ == kNil) active_tail_ = kNil;
+        rings_[f].active = false;
+        rings_[f].next = kNil;
+        return f;
+    }
+
+    /// Drop the head symbol of a non-empty ring.
+    void advance_head(FlowRing& r) {
+        if (++r.head == cap_) r.head = 0;
+        --r.size;
+        --backlog_;
+    }
 
     std::size_t cap_;
     SimTime deadline_;

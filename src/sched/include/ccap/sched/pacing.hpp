@@ -9,7 +9,9 @@
 //
 // Deterministic by construction: the controller draws no randomness and is
 // only ever driven from one slice's event loop, so replaying the same event
-// sequence replays the same budget trajectory bit for bit.
+// sequence replays the same budget trajectory bit for bit. on_tick and
+// try_consume are defined here, inline: the contention engine's slice loop
+// calls try_consume once per served symbol.
 #pragma once
 
 #include <cstdint>
@@ -35,10 +37,27 @@ public:
     explicit PacingController(PacingConfig cfg);
 
     /// Deposit one tick's budget (clamped to the burst cap).
-    void on_tick();
+    void on_tick() {
+        ++stats_.ticks;
+        budget_ += cfg_.budget_per_tick;
+        // The burst cap bounds *banked* budget: a tick's fresh deposit is
+        // always spendable in full, so a budget_per_tick above the cap still
+        // serves.
+        const double cap = cfg_.burst_budget > cfg_.budget_per_tick ? cfg_.burst_budget
+                                                                    : cfg_.budget_per_tick;
+        if (budget_ > cap) budget_ = cap;
+    }
 
     /// Spend `cost` tokens if available. Refusals are counted as throttling.
-    bool try_consume(double cost = 1.0);
+    bool try_consume(double cost = 1.0) {
+        if (budget_ < cost) {
+            ++stats_.throttled;
+            return false;
+        }
+        budget_ -= cost;
+        ++stats_.consumed;
+        return true;
+    }
 
     [[nodiscard]] double budget() const noexcept { return budget_; }
     [[nodiscard]] const PacingConfig& config() const noexcept { return cfg_; }

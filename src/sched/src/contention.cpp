@@ -1,6 +1,7 @@
 #include "ccap/sched/contention.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <unordered_map>
@@ -123,6 +124,9 @@ void ContentionEngine::simulate_slice(std::size_t slice, std::vector<FlowLoad>& 
     // population offers `offered_load` times the aggregate service rate.
     const double lambda = cfg_.offered_load * service_ / static_cast<double>(cfg_.flows);
     const double p = std::clamp(lambda, 1e-12, 1.0);
+    // Hoisted out of the per-arrival draw. At p = 1 it is -inf and every
+    // gap is 0, as geometric(1) gives.
+    const double log1m = std::log1p(-p);
 
     RoundRobinFlowQueue queue(n, cfg_.queue_cap, cfg_.deadline);
     // The slice serves its population share of the aggregate budget. The
@@ -149,7 +153,7 @@ void ContentionEngine::simulate_slice(std::size_t slice, std::vector<FlowLoad>& 
     // only by the flow that owns the Rng, so the draw order — and hence the
     // whole trajectory — is independent of event interleaving.
     const auto schedule_arrival = [&](std::uint32_t f, SimTime now) {
-        const std::uint64_t gap = rngs[f].geometric(p);
+        const std::uint64_t gap = rngs[f].geometric_log1m(log1m);
         if (gap < cfg_.ticks - now) wheel.schedule(now, now + 1 + gap, f);
     };
     for (std::size_t f = 0; f < n; ++f) schedule_arrival(static_cast<std::uint32_t>(f), 0);

@@ -18,71 +18,6 @@ RoundRobinFlowQueue::RoundRobinFlowQueue(std::size_t num_flows, std::size_t per_
     counters_.resize(num_flows);
 }
 
-void RoundRobinFlowQueue::activate(std::uint32_t f) {
-    FlowRing& r = rings_[f];
-    if (r.active) return;
-    r.active = true;
-    r.next = kNil;
-    if (active_tail_ == kNil) {
-        active_head_ = active_tail_ = f;
-    } else {
-        rings_[active_tail_].next = f;
-        active_tail_ = f;
-    }
-}
-
-std::uint32_t RoundRobinFlowQueue::rotate_front() {
-    const std::uint32_t f = active_head_;
-    active_head_ = rings_[f].next;
-    if (active_head_ == kNil) active_tail_ = kNil;
-    rings_[f].active = false;
-    rings_[f].next = kNil;
-    return f;
-}
-
-bool RoundRobinFlowQueue::push(std::size_t flow, SimTime now) {
-    FlowRing& r = rings_[flow];
-    FlowCounters& c = counters_[flow];
-    if (r.size == cap_) {
-        ++c.dropped_overflow;
-        return false;
-    }
-    const std::size_t slot = flow * cap_ + (r.head + r.size) % cap_;
-    slots_[slot] = now;
-    ++r.size;
-    ++c.enqueued;
-    ++backlog_;
-    activate(static_cast<std::uint32_t>(flow));
-    return true;
-}
-
-std::optional<RoundRobinFlowQueue::Served> RoundRobinFlowQueue::pop(SimTime now) {
-    while (active_head_ != kNil) {
-        const std::uint32_t f = rotate_front();
-        FlowRing& r = rings_[f];
-        FlowCounters& c = counters_[f];
-        // Lazy expiry: age is measured when the symbol reaches the head.
-        while (r.size > 0 && deadline_ != 0 &&
-               now - slots_[f * cap_ + r.head] > deadline_) {
-            r.head = (r.head + 1) % static_cast<std::uint32_t>(cap_);
-            --r.size;
-            --backlog_;
-            ++c.dropped_expired;
-        }
-        if (r.size == 0) continue;  // drained by expiry; drop out of rotation
-        Served out;
-        out.flow = f;
-        out.enqueued_at = slots_[f * cap_ + r.head];
-        r.head = (r.head + 1) % static_cast<std::uint32_t>(cap_);
-        --r.size;
-        --backlog_;
-        ++c.served;
-        if (r.size > 0) activate(f);  // rotate to the back of the ring
-        return out;
-    }
-    return std::nullopt;
-}
-
 FlowCounters RoundRobinFlowQueue::totals() const noexcept {
     FlowCounters t;
     for (const FlowCounters& c : counters_) {

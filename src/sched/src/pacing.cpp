@@ -12,24 +12,4 @@ PacingController::PacingController(PacingConfig cfg) : cfg_(cfg) {
     if (cfg_.burst_budget == 0.0) cfg_.burst_budget = cfg_.budget_per_tick;
 }
 
-void PacingController::on_tick() {
-    ++stats_.ticks;
-    budget_ += cfg_.budget_per_tick;
-    // The burst cap bounds *banked* budget: a tick's fresh deposit is always
-    // spendable in full, so a budget_per_tick above the cap still serves.
-    const double cap = cfg_.burst_budget > cfg_.budget_per_tick ? cfg_.burst_budget
-                                                                : cfg_.budget_per_tick;
-    if (budget_ > cap) budget_ = cap;
-}
-
-bool PacingController::try_consume(double cost) {
-    if (budget_ < cost) {
-        ++stats_.throttled;
-        return false;
-    }
-    budget_ -= cost;
-    ++stats_.consumed;
-    return true;
-}
-
 }  // namespace ccap::sched

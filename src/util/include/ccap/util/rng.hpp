@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -87,8 +88,29 @@ public:
     /// fixed index. Empty weights return 0 (there is no valid index).
     [[nodiscard]] std::size_t categorical(std::span<const double> weights) noexcept;
 
-    /// Geometric: number of failures before first success, success prob p in (0,1].
-    [[nodiscard]] std::uint64_t geometric(double p) noexcept;
+    /// Geometric: number of failures before first success, success prob p.
+    /// p >= 1 returns 0 and p <= 0 returns ~0ULL ("never"), both without a
+    /// draw; otherwise one geometric_log1m(std::log1p(-p)) draw.
+    [[nodiscard]] std::uint64_t geometric(double p) noexcept {
+        if (p >= 1.0) return 0;
+        if (p <= 0.0) return ~0ULL;
+        return geometric_log1m(std::log1p(-p));
+    }
+
+    /// geometric(p) for a caller that holds `log1m = std::log1p(-p)` for
+    /// many draws at one p in (0, 1]: inversion floor(log(U) / log1m) on
+    /// U = 1 - uniform() in (0, 1], one uniform() per call. log1m = -inf
+    /// (p = 1) yields 0 but still consumes the draw. The quotient is >= 0
+    /// (or -0.0), so truncation equals floor; quotients of 2^64 or more,
+    /// reachable only for p below about 2e-18, saturate to ~0ULL.
+    [[nodiscard]] std::uint64_t geometric_log1m(double log1m) noexcept {
+        const double x = std::log(1.0 - uniform()) / log1m;
+        // The signed conversion is the cheap one; [2^63, 2^64) holds only
+        // integers, which the unsigned conversion takes exactly.
+        if (x < 0x1.0p63) return static_cast<std::uint64_t>(static_cast<std::int64_t>(x));
+        if (x < 0x1.0p64) return static_cast<std::uint64_t>(x);
+        return ~0ULL;
+    }
 
     /// Standard normal via Box-Muller (no cached spare: deterministic stream).
     [[nodiscard]] double normal() noexcept;

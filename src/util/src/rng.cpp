@@ -34,14 +34,6 @@ std::size_t Rng::categorical(std::span<const double> weights) noexcept {
     return weights.size() - 1;  // unreachable (total > 0), kept for safety
 }
 
-std::uint64_t Rng::geometric(double p) noexcept {
-    if (p >= 1.0) return 0;
-    if (p <= 0.0) return ~0ULL;  // degenerate: "never"
-    // Inversion: floor(log(U)/log(1-p)).
-    const double u = 1.0 - uniform();  // in (0,1]
-    return static_cast<std::uint64_t>(std::floor(std::log(u) / std::log1p(-p)));
-}
-
 double Rng::normal() noexcept {
     // Box-Muller, discarding the second variate to keep the stream simple.
     double u1 = uniform();

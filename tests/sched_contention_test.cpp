@@ -209,6 +209,19 @@ TEST(ContentionEngineTest, SimulationMatchesHeapReference) {
         cfg.ticks = 3 * 4096;
         cases.push_back({"mixed_near_far_contended", cfg});
     }
+    {
+        // Per-flow rate 32/16 = 2 per tick clamps p to 1: every gap is 0,
+        // so each flow arrives on every tick.
+        ContentionConfig cfg = engine_config();
+        cfg.offered_load = 32.0;
+        cases.push_back({"p_clamped_to_one", cfg});
+    }
+    {
+        // p clamps to 1e-12: no arrival lands inside the horizon.
+        ContentionConfig cfg = engine_config();
+        cfg.offered_load = 0.0;
+        cases.push_back({"no_load", cfg});
+    }
 
     CapacityCache cache(cache_config());
     for (const Case& c : cases) {
@@ -225,7 +238,15 @@ TEST(ContentionEngineTest, SimulationMatchesHeapReference) {
             EXPECT_EQ(got[f].dropped_expired, want[f].dropped_expired) << "flow " << f;
             offered += want[f].offered;
         }
-        EXPECT_GT(offered, 0u);
+        const double rate = c.cfg.offered_load * engine.service_per_tick() /
+                            static_cast<double>(c.cfg.flows);
+        if (rate >= 1.0) {
+            EXPECT_EQ(offered, c.cfg.flows * c.cfg.ticks);  // one arrival per flow per tick
+        } else if (rate > 0.0) {
+            EXPECT_GT(offered, 0u);
+        } else {
+            EXPECT_EQ(offered, 0u);
+        }
     }
 }
 

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "ccap/sched/flow_queue.hpp"
 #include "ccap/sched/pacing.hpp"
+#include "ccap/util/rng.hpp"
 
 namespace {
 
@@ -12,6 +17,7 @@ using ccap::sched::FlowCounters;
 using ccap::sched::PacingConfig;
 using ccap::sched::PacingController;
 using ccap::sched::RoundRobinFlowQueue;
+using ccap::sched::SimTime;
 
 TEST(PacingControllerTest, RejectsNonPositiveBudget) {
     EXPECT_THROW(PacingController({0.0, 0.0}), std::invalid_argument);
@@ -130,6 +136,112 @@ TEST(RoundRobinFlowQueueTest, TotalsAggregateAcrossFlows) {
     EXPECT_EQ(t.served, 1u);
     EXPECT_EQ(t.dropped_overflow, 1u);
     EXPECT_EQ(t.dropped_expired, 0u);
+}
+
+// Reference model of the queue: one std::deque per flow and a std::deque
+// rotation of backlogged flows, with no ring arithmetic at all.
+struct DequeFlowQueue {
+    DequeFlowQueue(std::size_t flows, std::size_t cap, SimTime deadline)
+        : cap(cap), deadline(deadline), rings(flows), active(flows, false), counters(flows) {}
+
+    bool push(std::size_t f, SimTime now) {
+        if (rings[f].size() == cap) {
+            ++counters[f].dropped_overflow;
+            return false;
+        }
+        rings[f].push_back(now);
+        ++counters[f].enqueued;
+        if (!active[f]) {
+            active[f] = true;
+            rotation.push_back(f);
+        }
+        return true;
+    }
+
+    std::optional<RoundRobinFlowQueue::Served> pop(SimTime now) {
+        while (!rotation.empty()) {
+            const std::size_t f = rotation.front();
+            rotation.pop_front();
+            active[f] = false;
+            std::deque<SimTime>& r = rings[f];
+            while (!r.empty() && deadline != 0 && now - r.front() > deadline) {
+                r.pop_front();
+                ++counters[f].dropped_expired;
+            }
+            if (r.empty()) continue;
+            const RoundRobinFlowQueue::Served out{f, r.front()};
+            r.pop_front();
+            ++counters[f].served;
+            if (!r.empty()) {
+                active[f] = true;
+                rotation.push_back(f);
+            }
+            return out;
+        }
+        return std::nullopt;
+    }
+
+    std::size_t backlog() const {
+        std::size_t b = 0;
+        for (const auto& r : rings) b += r.size();
+        return b;
+    }
+
+    std::size_t cap;
+    SimTime deadline;
+    std::vector<std::deque<SimTime>> rings;
+    std::vector<bool> active;
+    std::deque<std::size_t> rotation;
+    std::vector<FlowCounters> counters;
+};
+
+TEST(RoundRobinFlowQueueTest, RingWrapAroundMatchesDequeReference) {
+    constexpr std::size_t kFlows = 5;
+    constexpr SimTime kSteps = 6000;
+    for (const std::size_t cap : {std::size_t{1}, std::size_t{3}, std::size_t{16}}) {
+        for (const SimTime deadline : {SimTime{0}, SimTime{6}}) {
+            SCOPED_TRACE("cap " + std::to_string(cap) + " deadline " +
+                         std::to_string(deadline));
+            RoundRobinFlowQueue q(kFlows, cap, deadline);
+            DequeFlowQueue ref(kFlows, cap, deadline);
+            ccap::util::Rng rng(cap * 31 + deadline);
+            std::uint64_t served = 0;
+            for (SimTime t = 1; t <= kSteps; ++t) {
+                // Alternate 250-tick fill and drain phases so rings run both
+                // full (overflow drops) and empty, wrapping at every depth.
+                const bool filling = (t / 250) % 2 == 0;
+                const std::uint64_t pushes = rng.uniform_below(filling ? 5 : 2);
+                const std::uint64_t pops = rng.uniform_below(filling ? 2 : 5);
+                for (std::uint64_t i = 0; i < pushes; ++i) {
+                    const std::size_t f = rng.uniform_below(kFlows);
+                    ASSERT_EQ(q.push(f, t), ref.push(f, t)) << "t=" << t;
+                }
+                for (std::uint64_t i = 0; i < pops; ++i) {
+                    const auto got = q.pop(t);
+                    const auto want = ref.pop(t);
+                    ASSERT_EQ(got.has_value(), want.has_value()) << "t=" << t;
+                    if (!want) continue;
+                    ASSERT_EQ(got->flow, want->flow) << "t=" << t;
+                    ASSERT_EQ(got->enqueued_at, want->enqueued_at) << "t=" << t;
+                    ++served;
+                }
+                ASSERT_EQ(q.backlog(), ref.backlog()) << "t=" << t;
+            }
+            for (std::size_t f = 0; f < kFlows; ++f) {
+                EXPECT_EQ(q.flow(f).enqueued, ref.counters[f].enqueued);
+                EXPECT_EQ(q.flow(f).served, ref.counters[f].served);
+                EXPECT_EQ(q.flow(f).dropped_overflow, ref.counters[f].dropped_overflow);
+                EXPECT_EQ(q.flow(f).dropped_expired, ref.counters[f].dropped_expired);
+                // Every ring wrapped many times over.
+                EXPECT_GT(q.flow(f).enqueued, 20 * cap);
+            }
+            EXPECT_GT(q.totals().dropped_overflow, 0u);
+            if (deadline != 0) {
+                EXPECT_GT(q.totals().dropped_expired, 0u);
+            }
+            EXPECT_GT(served, 0u);
+        }
+    }
 }
 
 TEST(RoundRobinFlowQueueTest, PacerAndQueueComposeIntoAServeLoop) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -146,6 +147,56 @@ TEST(Rng, GeometricMeanMatches) {
 TEST(Rng, GeometricCertainSuccessIsZero) {
     Rng rng(17);
     for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.geometric(1.0), 0U);
+}
+
+// Pins both geometric entries to the inversion floor(log(1 - U) / log1p(-p))
+// on a twin stream, so an oracle that calls geometric(p) stays independent
+// of the hoisted-log, truncating draw.
+TEST(Rng, GeometricMatchesFloorInversionBitForBit) {
+    for (const double p : {1e-12, 1e-6, 0.06875, 0.3, 0.5, 1.0 - 1e-9}) {
+        const double log1m = std::log1p(-p);
+        Rng a(19), b(19), ref(19);
+        for (int i = 0; i < 20000; ++i) {
+            const double x = std::floor(std::log(1.0 - ref.uniform()) / std::log1p(-p));
+            const auto want = static_cast<std::uint64_t>(x);
+            ASSERT_EQ(a.geometric(p), want) << "p=" << p << " draw " << i;
+            ASSERT_EQ(b.geometric_log1m(log1m), want) << "p=" << p << " draw " << i;
+        }
+    }
+}
+
+TEST(Rng, GeometricEdgesDrawNothing) {
+    Rng a(20), ref(20);
+    EXPECT_EQ(a.geometric(1.0), 0U);
+    EXPECT_EQ(a.geometric(2.0), 0U);
+    EXPECT_EQ(a.geometric(0.0), ~0ULL);
+    EXPECT_EQ(a.geometric(-0.5), ~0ULL);
+    EXPECT_EQ(a.next(), ref.next());  // the stream did not move
+}
+
+TEST(Rng, GeometricLog1mAtCertainSuccessIsZero) {
+    // p = 1 hoists to log1m = -inf: every gap is 0, one draw each.
+    Rng a(21), ref(21);
+    const double log1m = std::log1p(-1.0);
+    for (int i = 0; i < 100; ++i) EXPECT_EQ(a.geometric_log1m(log1m), 0U);
+    for (int i = 0; i < 100; ++i) (void)ref.uniform();
+    EXPECT_EQ(a.next(), ref.next());
+}
+
+TEST(Rng, GeometricSaturatesForTinyP) {
+    // log(1 - U) / log1p(-p) exceeds 1e280 here: past 2^64 the draw
+    // saturates to "never" instead of an out-of-range conversion.
+    Rng rng(22);
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(rng.geometric(1e-300), ~0ULL) << "draw " << i;
+    // At this log1m the quotients straddle 2^63 and 2^64: those in
+    // [2^63, 2^64) are integers and kept exactly, the rest as above.
+    const double log1m = -1.0 / 0x1.8p63;
+    Rng b(23), ref(23);
+    for (int i = 0; i < 1000; ++i) {
+        const double x = std::log(1.0 - ref.uniform()) / log1m;
+        const std::uint64_t want = x >= 0x1p64 ? ~0ULL : static_cast<std::uint64_t>(std::floor(x));
+        ASSERT_EQ(b.geometric_log1m(log1m), want) << "draw " << i;
+    }
 }
 
 TEST(Rng, NormalMoments) {

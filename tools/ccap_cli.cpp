@@ -77,7 +77,8 @@ struct Args {
     std::map<std::string, std::string> values;
 
     /// Strict numeric parse: the whole token must be a finite number.
-    /// std::stod alone would silently accept "0.2x" and "nan".
+    /// std::stod alone would silently accept "0.2x" and "nan"; an empty
+    /// token (`--pd ''`) is no number either, not 0.
     [[nodiscard]] double number(const std::string& key, double fallback) const {
         const auto it = values.find(key);
         if (it == values.end()) return fallback;
@@ -88,7 +89,7 @@ struct Args {
         } catch (const std::exception&) {
             pos = 0;
         }
-        if (pos != it->second.size() || !std::isfinite(v))
+        if (it->second.empty() || pos != it->second.size() || !std::isfinite(v))
             throw UsageError("option --" + key + " expects a number, got '" + it->second +
                              "'");
         return v;

@@ -57,6 +57,18 @@ ccap_expect_failure(2 "unknown option --theads.*usage: ccap"
 # Malformed value: strict numeric parse rejects trailing garbage.
 ccap_expect_failure(2 "expects a number"
   bounds --pd 0.2x)
+# An empty value is no number: neither P_d = 0 nor seed 0. The empty token
+# is passed quoted, since an unquoted ${ARGN} would drop it.
+execute_process(COMMAND ${CCAP_BIN} bounds --pd ""
+  OUTPUT_QUIET ERROR_VARIABLE err RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "--pd expects a number, got ''")
+  message(FATAL_ERROR "'ccap bounds --pd \"\"' exited ${rc}, expected 2 (${err})")
+endif()
+execute_process(COMMAND ${CCAP_BIN} mi --seed "" --blocks 2 --block 16
+  OUTPUT_QUIET ERROR_VARIABLE err RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "--seed expects a number, got ''")
+  message(FATAL_ERROR "'ccap mi --seed \"\"' exited ${rc}, expected 2 (${err})")
+endif()
 # Out-of-range values: negative counts and infeasible probabilities.
 ccap_expect_failure(2 "non-negative integer"
   mi --threads -2)
