@@ -5,13 +5,14 @@
 #   ./scripts/tier1.sh            # standard + link audit + TSan stages
 #   CCAP_SKIP_TSAN=1 ./scripts/tier1.sh   # everything but the TSan stage
 #   CCAP_RUN_ASAN=1 ./scripts/tier1.sh    # additionally run the info/util/
-#                                         # estimate tests under
+#                                         # core/estimate tests under
 #                                         # -fsanitize=address (opt-in: ~3x
 #                                         # slower, catches the arena
 #                                         # over/under-reads the SoA lattice
-#                                         # layouts and the bit-parallel
-#                                         # alignment's word-boundary
-#                                         # indexing are prone to)
+#                                         # layouts, the banded alignment's
+#                                         # per-column block offsets and the
+#                                         # stream loop's inline channel
+#                                         # step are prone to)
 #   CCAP_RUN_UBSAN=1 ./scripts/tier1.sh   # additionally run the util/core/
 #                                         # info/sched/estimate tests under
 #                                         # -fsanitize=undefined (opt-in:
@@ -78,14 +79,16 @@ for baseline in BENCH_*.json; do
 done
 
 if [[ "${CCAP_RUN_ASAN:-0}" == "1" ]]; then
-    echo "== tier1: info/util/estimate tests under -fsanitize=address (opt-in) =="
+    echo "== tier1: info/util/core/estimate tests under -fsanitize=address (opt-in) =="
     cmake -B build-asan -S . \
         -DCCAP_SANITIZE=address \
         -DCCAP_BUILD_BENCH=OFF \
         -DCCAP_BUILD_EXAMPLES=OFF >/dev/null
-    cmake --build build-asan -j"$(nproc)" --target ccap_util_tests ccap_info_tests ccap_estimate_tests
+    cmake --build build-asan -j"$(nproc)" --target ccap_util_tests ccap_info_tests \
+        ccap_core_tests ccap_estimate_tests
     (cd build-asan && ctest --output-on-failure -R 'ccap_util|ccap_info|Lattice|BatchLattice|ParallelMc|Drift')
-    (cd build-asan && ./tests/ccap_estimate_tests --gtest_brief=1)
+    (cd build-asan && ./tests/ccap_core_tests --gtest_brief=1 &&
+        ./tests/ccap_estimate_tests --gtest_brief=1)
 fi
 
 if [[ "${CCAP_RUN_UBSAN:-0}" == "1" ]]; then

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "ccap/core/channel_params.hpp"
@@ -60,7 +61,28 @@ public:
     using UseOutcome = ChannelUseOutcome;
 
     /// One channel use with `queued` at the head of the sender's queue.
-    [[nodiscard]] UseOutcome use(std::uint32_t queued) override;
+    /// Inline, so a caller holding the concrete channel (the stream
+    /// source's per-use loop) runs it without a virtual call.
+    [[nodiscard]] UseOutcome use(std::uint32_t queued) override {
+        if (queued >= params_.alphabet())
+            throw std::out_of_range("DeletionInsertionChannel::use: symbol out of alphabet");
+        ++uses_;
+        const double u = rng_.uniform();
+        UseOutcome out;
+        if (u < params_.p_i) {
+            out.kind = ChannelEvent::insertion;
+            out.delivered = random_symbol();
+            out.consumed = false;
+        } else if (u < params_.p_i + params_.p_d) {
+            out.kind = ChannelEvent::deletion;
+            out.consumed = true;
+        } else {
+            out.kind = ChannelEvent::transmission;
+            out.delivered = substitute(queued);
+            out.consumed = true;
+        }
+        return out;
+    }
 
     struct Transduction {
         std::vector<std::uint32_t> output;  ///< what the receiver saw, in order
@@ -75,8 +97,14 @@ public:
                                          bool trailing_insertions = true);
 
 private:
-    [[nodiscard]] std::uint32_t random_symbol() noexcept;
-    [[nodiscard]] std::uint32_t substitute(std::uint32_t s) noexcept;
+    [[nodiscard]] std::uint32_t random_symbol() noexcept {
+        return static_cast<std::uint32_t>(rng_.uniform_below(params_.alphabet()));
+    }
+    [[nodiscard]] std::uint32_t substitute(std::uint32_t s) noexcept {
+        if (params_.p_s <= 0.0 || !rng_.bernoulli(params_.p_s)) return s;
+        auto r = static_cast<std::uint32_t>(rng_.uniform_below(params_.alphabet() - 1));
+        return r >= s ? r + 1 : r;
+    }
 
     DiChannelParams params_;
     util::Rng rng_;

@@ -22,7 +22,9 @@
 // protocol_analysis.hpp.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <numbers>
 #include <string>
 #include <vector>
 
@@ -134,11 +136,58 @@ public:
         return fault_log_;
     }
 
-    [[nodiscard]] ChannelUseOutcome use(std::uint32_t queued) override;
+    [[nodiscard]] ChannelUseOutcome use(std::uint32_t queued) override {
+        return apply(inner_->use(queued));
+    }
 
     static constexpr std::size_t kMaxLoggedFaults = 4096;
 
 private:
+    friend class FaultStreamSource;  // drives its concrete inner channel, then apply()
+
+    /// The profile applied to `out`, the inner channel's outcome of the
+    /// next use; advances the schedule clock. Inline, so a caller holding
+    /// the concrete inner channel runs a whole use without a virtual call.
+    [[nodiscard]] ChannelUseOutcome apply(ChannelUseOutcome out) {
+        const std::uint64_t t = stats_.uses++;
+        if (null_profile_) return out;  // bit-identical passthrough, no RNG draws
+
+        if (out.delivered) {
+            // Blackout faults drop the delivery but preserve `consumed`:
+            // the sender's queue semantics (and the inner channel's own
+            // state) are exactly what they were — only the receiver's view
+            // changes, which is what a scheduler stall or a jammed return
+            // path does.
+            if (in_window(t, profile_.storm_period, profile_.storm_len)) {
+                out.delivered.reset();
+                out.kind = ChannelEvent::deletion;
+                ++stats_.storm_drops;
+                log_fault(t, InjectedFault::Kind::storm_drop);
+            } else if (profile_.drift_amplitude > 0.0 && profile_.drift_period > 0) {
+                const double phase = static_cast<double>(t % profile_.drift_period) /
+                                     static_cast<double>(profile_.drift_period);
+                const double delta = profile_.drift_amplitude *
+                                     (1.0 - std::cos(2.0 * std::numbers::pi * phase)) / 2.0;
+                if (delta > 0.0 && rng_.bernoulli(delta)) {
+                    out.delivered.reset();
+                    out.kind = ChannelEvent::deletion;
+                    ++stats_.drift_drops;
+                    log_fault(t, InjectedFault::Kind::drift_drop);
+                }
+            }
+        }
+        if (out.delivered && in_window(t, profile_.stuck_period, profile_.stuck_len)) {
+            const std::uint32_t stuck =
+                profile_.stuck_symbol & (inner_->params().alphabet() - 1U);
+            if (*out.delivered != stuck) {
+                out.delivered = stuck;
+                ++stats_.stuck_overrides;
+                log_fault(t, InjectedFault::Kind::stuck_override);
+            }
+        }
+        return out;
+    }
+
     [[nodiscard]] bool in_window(std::uint64_t t, std::uint64_t period,
                                  std::uint64_t len) const noexcept {
         return period != 0 && len != 0 && (t % period) < len;

@@ -1,43 +1,10 @@
 #include "ccap/core/deletion_insertion_channel.hpp"
 
-#include <stdexcept>
-
 namespace ccap::core {
 
 DeletionInsertionChannel::DeletionInsertionChannel(DiChannelParams params, std::uint64_t seed)
     : params_(params), rng_(seed) {
     params_.validate();
-}
-
-std::uint32_t DeletionInsertionChannel::random_symbol() noexcept {
-    return static_cast<std::uint32_t>(rng_.uniform_below(params_.alphabet()));
-}
-
-std::uint32_t DeletionInsertionChannel::substitute(std::uint32_t s) noexcept {
-    if (params_.p_s <= 0.0 || !rng_.bernoulli(params_.p_s)) return s;
-    auto r = static_cast<std::uint32_t>(rng_.uniform_below(params_.alphabet() - 1));
-    return r >= s ? r + 1 : r;
-}
-
-DeletionInsertionChannel::UseOutcome DeletionInsertionChannel::use(std::uint32_t queued) {
-    if (queued >= params_.alphabet())
-        throw std::out_of_range("DeletionInsertionChannel::use: symbol out of alphabet");
-    ++uses_;
-    const double u = rng_.uniform();
-    UseOutcome out;
-    if (u < params_.p_i) {
-        out.kind = ChannelEvent::insertion;
-        out.delivered = random_symbol();
-        out.consumed = false;
-    } else if (u < params_.p_i + params_.p_d) {
-        out.kind = ChannelEvent::deletion;
-        out.consumed = true;
-    } else {
-        out.kind = ChannelEvent::transmission;
-        out.delivered = substitute(queued);
-        out.consumed = true;
-    }
-    return out;
 }
 
 DeletionInsertionChannel::Transduction DeletionInsertionChannel::transduce(

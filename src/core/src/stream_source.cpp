@@ -44,12 +44,13 @@ std::optional<StreamChunk> FaultStreamSource::next() {
         chunk.sent.push_back(static_cast<std::uint32_t>(msg_rng.uniform_below(alphabet)));
 
     // Drive the faulty channel one use at a time until each queued symbol
-    // is consumed; insertions deliver without consuming (they extend the
+    // is consumed (faulty_.use(), without its virtual call to the inner
+    // channel); insertions deliver without consuming (they extend the
     // received stream), deletions consume without delivering. Config
     // validation guarantees P_d + P_t > 0 so each symbol terminates.
     for (const std::uint32_t queued : chunk.sent) {
         for (;;) {
-            const ChannelUseOutcome out = faulty_.use(queued);
+            const ChannelUseOutcome out = faulty_.apply(inner_.use(queued));
             ++chunk.channel_uses;
             if (out.delivered) chunk.received.push_back(*out.delivered);
             if (out.consumed) break;

@@ -33,10 +33,17 @@ struct Alignment {
 };
 
 /// Both entry points run one bit-parallel Levenshtein kernel (Myers'
-/// block recurrence): O(|sent|·|received|/64) time and a traceback store
-/// of 0.5 B per trellis cell. Each throws std::invalid_argument, before
-/// allocating, when |sent|·|received| exceeds 4e8 cells: align longer
-/// traces blockwise (see param_estimator.hpp).
+/// block recurrence) over a diagonal band of the trellis: the 64-row
+/// blocks a path of cost <= k can reach (Ukkonen's cut-off). The first
+/// sweep takes k = |sent| - |received| + 64 for align_end_free (64 when
+/// received is the longer one) and ||sent| - |received|| + 64 for align;
+/// when the best path it finds costs more than k, a second sweep at that
+/// cost is exact. Time is O(band blocks) per sweep, at most
+/// O(|sent|·|received|/64), and the traceback stores 32 B per swept block.
+/// Results are those of the full scalar DP, step for step (THEORY §16).
+/// Each throws std::invalid_argument, before allocating, when
+/// |sent|·|received| exceeds 4e8 cells: align longer traces blockwise
+/// (see param_estimator.hpp).
 
 /// Align two symbol traces end to end.
 [[nodiscard]] Alignment align(std::span<const std::uint32_t> sent,

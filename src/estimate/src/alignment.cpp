@@ -22,7 +22,15 @@ namespace {
 // form). Rows are sent symbols i = 1..n, packed 64 to a word; columns are
 // received symbols j = 1..m. Per column and 64-row block the sweep keeps
 // the vertical deltas D(i,j) - D(i-1,j) (pv/mv: +1/-1 bits) and the
-// horizontal deltas D(i,j) - D(i,j-1) (ph/mh). The deltas are exact, so a
+// horizontal deltas D(i,j) - D(i,j-1) (ph/mh).
+//
+// Only a diagonal band of blocks is swept (Ukkonen's cut-off): the blocks
+// holding the cells a path of cost <= k can visit (see Band). Cells outside
+// the band are stood in for by costs of real paths: the row above the top
+// block moves right (+1 per column), and a block entering the band at the
+// bottom continues the column before it downwards (+1 per row). So every
+// swept D is an upper bound on the true one, and it is exact on every cell
+// of a path of cost <= k. The swept blocks' deltas are stored, and a
 // traceback rebuilds every D it compares from them.
 
 constexpr unsigned kWordBits = 64;
@@ -35,11 +43,48 @@ struct BlockDeltas {
 /// checked before anything is allocated.
 constexpr std::size_t kMaxCells = 400'000'000;
 
-/// A call whose trellis fits in this many block-columns runs on the
-/// thread's reused scratch (a 2000-symbol tracker window needs ~2^17);
-/// larger calls get their own buffers, released on return, so one big
-/// align does not pin its storage for the thread's lifetime.
+/// A call that stores at most this many block deltas and per-column entries
+/// leaves its buffers in the thread's scratch for the next call (a
+/// 2000-symbol tracker window stores ~2^14); a larger call releases them on
+/// return, so one big align does not pin its storage for the thread's
+/// lifetime.
 constexpr std::size_t kRetainBlocks = std::size_t{1} << 19;
+
+/// D(n, j) of a column whose band misses row n.
+constexpr std::uint32_t kUnreached = ~0U;
+
+/// The cells a path of cost <= `cost` can visit. Reaching (i, j) costs at
+/// least |i - j|; leaving it costs at least |(n - i) - (m - j)| for a path
+/// ending at (n, m), and at least max(0, (n - i) - (m - j)) for an end-free
+/// one (the sent rows left beyond the received columns left). Their sum is
+/// at most `cost` on an interval of rows in each column, which moves down
+/// as j grows once `cost` covers the least cost owed at (0, 0).
+struct Band {
+    std::ptrdiff_t n = 0, m = 0, cost = 0;
+    bool end_free = false;
+
+    /// The 64-row blocks [first, last] holding column j's band rows; empty
+    /// (first > last) once the band has left the trellis.
+    struct Blocks {
+        std::size_t first, last;
+    };
+    [[nodiscard]] Blocks blocks(std::size_t j) const noexcept {
+        const auto col = static_cast<std::ptrdiff_t>(j);
+        // Both ends of twice the row index; >> 1 is floor division.
+        const std::ptrdiff_t mid = 2 * col + n - m;
+        std::ptrdiff_t lo = (mid - cost + 1) >> 1;
+        std::ptrdiff_t hi = (mid + cost) >> 1;
+        if (end_free) {
+            lo = std::max(lo, col - cost);
+            hi = col + cost;
+        }
+        lo = std::max<std::ptrdiff_t>(lo, 1);
+        hi = std::min(hi, n);
+        if (lo > hi) return {1, 0};
+        return {static_cast<std::size_t>(lo - 1) / kWordBits,
+                static_cast<std::size_t>(hi - 1) / kWordBits};
+    }
+};
 
 struct Scratch {
     std::vector<std::uint32_t> direct;    ///< symbol -> its peq row (small alphabets)
@@ -48,6 +93,7 @@ struct Scratch {
     std::vector<std::uint64_t> peq;       ///< [row][block]: sent rows holding the symbol
     std::vector<std::uint64_t> pv, mv;    ///< the current column's vertical deltas
     std::vector<std::uint32_t> last_row;  ///< D(n, j), j = 0..m
+    std::vector<std::size_t> col_base;    ///< column j's block b is deltas[col_base[j] + b]
     std::unique_ptr<BlockDeltas[]> deltas;
     std::size_t deltas_len = 0;
 
@@ -76,13 +122,14 @@ Scratch& thread_scratch() {
     return scratch;
 }
 
-/// Runs `body(scratch)` on the thread's reused scratch when the n x m
-/// trellis is small enough to keep, else on a scratch freed afterwards.
+/// Runs `body(scratch)` on the thread's reused scratch, then releases the
+/// scratch's buffers if the call stored more than kRetainBlocks entries.
 template <typename Body>
-auto with_scratch(std::size_t n, std::size_t m, Body&& body) {
-    if ((m + 1) * (words_for(n) + 1) <= kRetainBlocks) return body(thread_scratch());
-    Scratch scratch;
-    return body(scratch);
+auto with_scratch(std::size_t m, Body&& body) {
+    Scratch& scratch = thread_scratch();
+    auto result = body(scratch);
+    if (scratch.deltas_len + m > kRetainBlocks) scratch = Scratch{};
+    return result;
 }
 
 /// Fills s.rank (received[j] -> its Peq row) and s.peq ([row][block]:
@@ -130,32 +177,49 @@ void build_peq(std::span<const std::uint32_t> sent, std::span<const std::uint32_
     fill(row_of);
 }
 
-/// Sweeps the columns of D for `sent` x `received` and returns D(n, m).
-/// `deltas` (m * words_for(n) entries, column-major) receives each
-/// column's block deltas; `last_row` (m + 1 entries), unless null, receives
-/// D(n, j). Requires n, m > 0.
-std::uint32_t sweep(std::span<const std::uint32_t> sent, std::span<const std::uint32_t> received,
-                    Scratch& s, BlockDeltas* deltas, std::uint32_t* last_row) {
-    const std::size_t n = sent.size();
-    const std::size_t m = received.size();
+/// Sweeps the band's columns over s.rank / s.peq (build_peq first). Stores
+/// the swept blocks' deltas (see Scratch::col_base) and D(n, j) in
+/// s.last_row, kUnreached where the band misses row n. Requires n, m > 0
+/// and a band cost of at least the least cost owed at (0, 0).
+void sweep(const Band& band, Scratch& s) {
+    const auto n = static_cast<std::size_t>(band.n);
+    const auto m = static_cast<std::size_t>(band.m);
     const std::size_t words = words_for(n);
 
-    build_peq(sent, received, s);
+    // Lay out the stored blocks; the band leaves the trellis for good after
+    // column `end`.
+    s.col_base.resize(m + 1);
+    std::size_t stored = 0, end = 0;
+    for (std::size_t j = 1; j <= m; ++j) {
+        const Band::Blocks b = band.blocks(j);
+        if (b.first > b.last) break;
+        s.col_base[j] = stored - b.first;
+        stored += b.last - b.first + 1;
+        end = j;
+    }
+    BlockDeltas* const deltas = s.grab_deltas(stored);
 
-    // Column 0: D(i, 0) = i, every vertical delta +1.
+    // Column 0: D(i, 0) = i, every vertical delta +1 — which is also the
+    // column a block entering the band at the bottom starts from.
     s.pv.assign(words, ~std::uint64_t{0});
     s.mv.assign(words, 0);
+    s.last_row.assign(m + 1, kUnreached);
+    s.last_row[0] = static_cast<std::uint32_t>(n);
     const unsigned last_bit = static_cast<unsigned>((n - 1) % kWordBits);
-    std::uint32_t score = static_cast<std::uint32_t>(n);
-    if (last_row != nullptr) last_row[0] = score;
-    for (std::size_t j = 0; j < m; ++j) {
-        const std::uint64_t* eq_col = s.peq.data() + s.rank[j] * words;
-        BlockDeltas* out = deltas + j * words;
-        // Row 0 of the trellis is D(0, j) = j: the carry into the top
-        // block is a +1 horizontal delta.
+    std::size_t entered = 0;   // blocks the band has reached so far
+    std::uint32_t bottom = 0;  // D(min(64 * entered, n), j - 1)
+    for (std::size_t j = 1; j <= end; ++j) {
+        const auto [first, last] = band.blocks(j);
+        for (; entered <= last; ++entered)
+            bottom += static_cast<std::uint32_t>(
+                std::min<std::size_t>(kWordBits, n - entered * kWordBits));
+        const std::uint64_t* eq_col = s.peq.data() + s.rank[j - 1] * words;
+        BlockDeltas* out = deltas + s.col_base[j];
+        // The carry into the top block is a +1 horizontal delta: row 0's
+        // D(0, j) = j, or the row above the band moving right.
         std::uint64_t hin_pos = 1, hin_neg = 0;
         std::uint64_t ph = 0, mh = 0;
-        for (std::size_t b = 0; b < words; ++b) {
+        for (std::size_t b = first; b <= last; ++b) {
             const std::uint64_t pv = s.pv[b];
             const std::uint64_t mv = s.mv[b];
             const std::uint64_t eq = eq_col[b] | hin_neg;
@@ -165,27 +229,49 @@ std::uint32_t sweep(std::span<const std::uint32_t> sent, std::span<const std::ui
             mh = pv & xh;
             const std::uint64_t ph_in = (ph << 1) | hin_pos;
             const std::uint64_t mh_in = (mh << 1) | hin_neg;
-            s.pv[b] = mh_in | ~(xv | ph_in);
-            s.mv[b] = ph_in & xv;
-            out[b] = {s.pv[b], s.mv[b], ph, mh};
+            const std::uint64_t pv_out = mh_in | ~(xv | ph_in);
+            const std::uint64_t mv_out = ph_in & xv;
+            s.pv[b] = pv_out;
+            s.mv[b] = mv_out;
+            out[b] = {pv_out, mv_out, ph, mh};
             hin_pos = ph >> (kWordBits - 1);
             hin_neg = mh >> (kWordBits - 1);
         }
-        // ph/mh still hold the last block's horizontal deltas; row n's
-        // is D(n, j) - D(n, j-1).
-        score += static_cast<std::uint32_t>((ph >> last_bit) & 1U);
-        score -= static_cast<std::uint32_t>((mh >> last_bit) & 1U);
-        if (last_row != nullptr) last_row[j + 1] = score;
+        // ph/mh still hold the last block's horizontal deltas, whose bottom
+        // row is row n once the band holds n's block.
+        const bool holds_n = last + 1 == words;
+        const unsigned edge = holds_n ? last_bit : kWordBits - 1;
+        bottom += static_cast<std::uint32_t>((ph >> edge) & 1U);
+        bottom -= static_cast<std::uint32_t>((mh >> edge) & 1U);
+        if (holds_n) s.last_row[j] = bottom;
     }
-    return score;
 }
 
-/// Traceback from (n, j) with D(n, j) = `distance`, preferring match >
+/// Sweeps `band`, picks an end column with `pick(s.last_row)` and returns
+/// it. The picked D is the cost of a real path, so the optimum is at most
+/// that. When it is within `band.cost`, every optimal path lies in the band
+/// and the sweep was exact; otherwise one more sweep at that cost is.
+/// `band.cost` ends as the cost of the exact sweep.
+template <typename Pick>
+std::size_t certified_sweep(Band& band, Scratch& s, Pick pick) {
+    sweep(band, s);
+    std::size_t j = pick(s.last_row);
+    if (s.last_row[j] > band.cost) {
+        band.cost = s.last_row[j];
+        sweep(band, s);
+        j = pick(s.last_row);
+    }
+    return j;
+}
+
+/// Traceback from (n, j) with D(n, j) = `distance` over an exact sweep of
+/// `band` in `s` (unused when n or j is 0), preferring match >
 /// substitution > deletion > insertion — the scalar DP's order, on the
-/// same integers.
+/// same integers. Every cell it visits lies on an optimal path, so its D
+/// is exact; a neighbour it passes over has a D at least the true one,
+/// and every branch test answers as on the full trellis.
 Alignment trace_back(std::span<const std::uint32_t> sent, std::span<const std::uint32_t> received,
-                     const BlockDeltas* deltas, std::size_t j, std::size_t distance) {
-    const std::size_t words = words_for(sent.size());
+                     const Band& band, const Scratch& s, std::size_t j, std::size_t distance) {
     const auto bit = [](std::uint64_t w, std::size_t k) {
         return static_cast<long long>((w >> k) & 1U);
     };
@@ -196,13 +282,14 @@ Alignment trace_back(std::span<const std::uint32_t> sent, std::span<const std::u
     auto d = static_cast<long long>(distance);  // D(i, j)
     while (i > 0 && j > 0) {
         const std::size_t k = (i - 1) % kWordBits;
-        const BlockDeltas* col = deltas + (j - 1) * words;
+        const BlockDeltas* col = s.deltas.get() + s.col_base[j];
         const BlockDeltas& c = col[(i - 1) / kWordBits];
         const long long up = d - (bit(c.pv, k) - bit(c.mv, k));  // D(i-1, j)
         // D(i-1, j-1): the horizontal delta of the row above, which is
-        // the previous block's top bit at a block edge and +1 on row 0.
+        // the previous block's top bit at a block edge, and +1 on row 0
+        // and on the row above the band's top block.
         long long dh_above = 1;
-        if (i > 1) {
+        if (i > 1 && (k != 0 || (i - 2) / kWordBits >= band.blocks(j).first)) {
             const BlockDeltas& a = col[(i - 2) / kWordBits];
             dh_above = bit(a.ph, (i - 2) % kWordBits) - bit(a.mh, (i - 2) % kWordBits);
         }
@@ -236,12 +323,13 @@ Alignment align(std::span<const std::uint32_t> sent, std::span<const std::uint32
     const std::size_t n = sent.size();
     const std::size_t m = received.size();
     check_cells(n, m, "align");
-    if (n == 0 || m == 0)
-        return trace_back(sent, received, nullptr, m, n + m);
-    return with_scratch(n, m, [&](Scratch& s) {
-        BlockDeltas* deltas = s.grab_deltas(m * words_for(n));
-        const std::uint32_t distance = sweep(sent, received, s, deltas, nullptr);
-        return trace_back(sent, received, deltas, m, distance);
+    if (n == 0 || m == 0) return trace_back(sent, received, Band{}, Scratch{}, m, n + m);
+    return with_scratch(m, [&](Scratch& s) {
+        build_peq(sent, received, s);
+        const auto sn = static_cast<std::ptrdiff_t>(n), sm = static_cast<std::ptrdiff_t>(m);
+        Band band{sn, sm, std::abs(sn - sm) + kWordBits, false};
+        const std::size_t j = certified_sweep(band, s, [m](const auto&) { return m; });
+        return trace_back(sent, received, band, s, j, s.last_row[j]);
     });
 }
 
@@ -251,25 +339,27 @@ PrefixAlignment align_end_free(std::span<const std::uint32_t> sent,
     const std::size_t m = received.size();
     check_cells(n, m, "align_end_free");
     // The empty prefix is the only one (m = 0) or the best (D(0, j) = j).
-    if (n == 0 || m == 0)
-        return {trace_back(sent, received, nullptr, 0, n), 0};
-    return with_scratch(n, m, [&](Scratch& s) {
-        BlockDeltas* deltas = s.grab_deltas(m * words_for(n));
-        s.last_row.resize(m + 1);
-        sweep(sent, received, s, deltas, s.last_row.data());
+    if (n == 0 || m == 0) return {trace_back(sent, received, Band{}, Scratch{}, 0, n), 0};
+    return with_scratch(m, [&](Scratch& s) {
+        build_peq(sent, received, s);
+        const auto sn = static_cast<std::ptrdiff_t>(n), sm = static_cast<std::ptrdiff_t>(m);
+        Band band{sn, sm, std::max<std::ptrdiff_t>(0, sn - sm) + kWordBits, true};
         // Smallest distance; ties go to the prefix closest to n, and the
         // first such prefix wins.
-        const auto off_n = [n](std::size_t j) {
-            return std::llabs(static_cast<long long>(j) - static_cast<long long>(n));
+        const auto best_prefix = [n, m](const std::vector<std::uint32_t>& last_row) {
+            const auto off_n = [n](std::size_t j) {
+                return std::llabs(static_cast<long long>(j) - static_cast<long long>(n));
+            };
+            std::size_t best_j = 0;
+            for (std::size_t j = 1; j <= m; ++j) {
+                const std::uint32_t dj = last_row[j];
+                const std::uint32_t db = last_row[best_j];
+                if (dj < db || (dj == db && off_n(j) < off_n(best_j))) best_j = j;
+            }
+            return best_j;
         };
-        std::size_t best_j = 0;
-        for (std::size_t j = 1; j <= m; ++j) {
-            const std::uint32_t dj = s.last_row[j];
-            const std::uint32_t db = s.last_row[best_j];
-            if (dj < db || (dj == db && off_n(j) < off_n(best_j))) best_j = j;
-        }
-        return PrefixAlignment{trace_back(sent, received, deltas, best_j, s.last_row[best_j]),
-                               best_j};
+        const std::size_t j = certified_sweep(band, s, best_prefix);
+        return PrefixAlignment{trace_back(sent, received, band, s, j, s.last_row[j]), j};
     });
 }
 

@@ -70,8 +70,20 @@ public:
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
     }
 
-    /// Uniform integer in [0, bound). Requires bound > 0. Unbiased (rejection).
-    [[nodiscard]] std::uint64_t uniform_below(std::uint64_t bound) noexcept;
+    /// Uniform integer in [0, bound). Requires bound > 0. Unbiased
+    /// (rejection); bound <= 1 returns 0 without a draw. A power-of-two
+    /// bound takes one draw's low bits: its rejection threshold
+    /// (2^64 - bound) mod bound is 0 and r % bound = r & (bound - 1), so
+    /// the values are the rejection path's.
+    [[nodiscard]] std::uint64_t uniform_below(std::uint64_t bound) noexcept {
+        if (bound <= 1) return 0;
+        if ((bound & (bound - 1)) == 0) return next() & (bound - 1);
+        const std::uint64_t threshold = (~bound + 1) % bound;  // (2^64 - bound) mod bound
+        for (;;) {
+            const std::uint64_t r = next();
+            if (r >= threshold) return r % bound;
+        }
+    }
 
     /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
     [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept {

@@ -5,16 +5,6 @@
 
 namespace ccap::util {
 
-std::uint64_t Rng::uniform_below(std::uint64_t bound) noexcept {
-    if (bound <= 1) return 0;
-    // Lemire-style rejection to remove modulo bias.
-    const std::uint64_t threshold = (~bound + 1) % bound;  // (2^64 - bound) mod bound
-    for (;;) {
-        const std::uint64_t r = next();
-        if (r >= threshold) return r % bound;
-    }
-}
-
 std::size_t Rng::categorical(std::span<const double> weights) noexcept {
     if (weights.empty()) return 0;
     double total = 0.0;

@@ -4,10 +4,13 @@
 
 #include <atomic>
 #include <cmath>
+#include <optional>
+#include <string>
 #include <tuple>
 
 #include "ccap/core/feedback_protocols.hpp"
 #include "ccap/core/protocol_analysis.hpp"
+#include "ccap/core/stream_source.hpp"
 #include "ccap/util/thread_pool.hpp"
 
 namespace {
@@ -27,6 +30,107 @@ FeedbackLink delayed_link(std::uint64_t delay, std::uint64_t seed = 99) {
     FeedbackLinkParams p;
     p.delay = delay;
     return {p, seed};
+}
+
+// ---------------------------------------------------------------------------
+// FaultStreamSource runs the faulty channel's step on its concrete inner
+// channel: its chunks must be what FaultyChannel(DeletionInsertionChannel)
+// gives through the virtual use(), seeded as the source seeds them.
+// ---------------------------------------------------------------------------
+
+/// `windows` chunks of a FaultStreamSource with `cfg`, rebuilt by driving
+/// the decorator through SymbolChannel::use().
+std::vector<StreamChunk> virtual_loop_chunks(const FaultStreamSource::Config& cfg,
+                                             std::uint64_t windows, FaultStats& stats) {
+    DeletionInsertionChannel inner(cfg.params, ccap::util::substream_seed(cfg.seed, 0xC11));
+    FaultyChannel faulty(inner, cfg.profile, ccap::util::substream_seed(cfg.seed, 0xFA17));
+    SymbolChannel& channel = faulty;
+    std::vector<StreamChunk> out;
+    for (std::uint64_t w = 0; w < windows; ++w) {
+        StreamChunk chunk;
+        chunk.index = w;
+        ccap::util::Rng msg_rng(ccap::util::substream_seed(cfg.seed, w));
+        for (std::size_t i = 0; i < cfg.window_len; ++i)
+            chunk.sent.push_back(
+                static_cast<std::uint32_t>(msg_rng.uniform_below(cfg.params.alphabet())));
+        for (const std::uint32_t queued : chunk.sent) {
+            for (;;) {
+                const ChannelUseOutcome o = channel.use(queued);
+                ++chunk.channel_uses;
+                if (o.delivered) chunk.received.push_back(*o.delivered);
+                if (o.consumed) break;
+            }
+        }
+        out.push_back(std::move(chunk));
+    }
+    stats = faulty.stats();
+    return out;
+}
+
+void expect_same_chunk(const StreamChunk& got, const StreamChunk& want, const std::string& what) {
+    EXPECT_EQ(got.index, want.index) << what;
+    EXPECT_EQ(got.sent, want.sent) << what;
+    EXPECT_EQ(got.received, want.received) << what;
+    EXPECT_EQ(got.channel_uses, want.channel_uses) << what;
+}
+
+TEST(FaultStreamSource, ChunksMatchTheVirtualChannelLoop) {
+    for (const char* preset : {"none", "storms", "drift", "stuck"})
+        for (const double p_i : {0.0, 0.15})
+            for (const double p_s : {0.0, 0.05})
+                for (const unsigned bits : {1U, 2U, 3U}) {
+                    FaultStreamSource::Config cfg;
+                    cfg.params = {0.1, p_i, p_s, bits};
+                    ASSERT_TRUE(named_fault_profile(preset, cfg.profile));
+                    cfg.window_len = 1500;
+                    cfg.seed = 31 + bits;
+                    const std::string what = std::string(preset) + " p_i " + std::to_string(p_i) +
+                                             " p_s " + std::to_string(p_s) + " bits " +
+                                             std::to_string(bits);
+                    FaultStats want_stats;
+                    const std::vector<StreamChunk> want = virtual_loop_chunks(cfg, 6, want_stats);
+                    FaultStreamSource src(cfg);
+                    std::uint64_t uses = 0;
+                    for (const StreamChunk& w : want) {
+                        const std::optional<StreamChunk> got = src.next();
+                        ASSERT_TRUE(got.has_value()) << what;
+                        expect_same_chunk(*got, w, what);
+                        uses += w.channel_uses;
+                    }
+                    EXPECT_EQ(src.uses(), uses) << what;
+                    const FaultStats& got_stats = src.fault_stats();
+                    EXPECT_EQ(got_stats.uses, want_stats.uses) << what;
+                    EXPECT_EQ(got_stats.storm_drops, want_stats.storm_drops) << what;
+                    EXPECT_EQ(got_stats.drift_drops, want_stats.drift_drops) << what;
+                    EXPECT_EQ(got_stats.stuck_overrides, want_stats.stuck_overrides) << what;
+                }
+}
+
+TEST(FaultStreamSource, SkipThenNextMatchesUninterruptedStream) {
+    for (const char* preset : {"none", "storms", "drift", "stuck"}) {
+        FaultStreamSource::Config cfg;
+        cfg.params = {0.15, 0.05, 0.02, 2};
+        ASSERT_TRUE(named_fault_profile(preset, cfg.profile));
+        cfg.window_len = 1200;
+        cfg.windows = 9;
+        cfg.seed = 5;
+        FaultStreamSource full(cfg);
+        std::vector<StreamChunk> chunks;
+        while (auto c = full.next()) chunks.push_back(std::move(*c));
+        ASSERT_EQ(chunks.size(), 9U) << preset;
+        for (const std::uint64_t k : {0U, 1U, 4U, 8U}) {
+            FaultStreamSource resumed(cfg);
+            resumed.skip(k);
+            for (std::uint64_t w = k; w < chunks.size(); ++w) {
+                const std::optional<StreamChunk> got = resumed.next();
+                ASSERT_TRUE(got.has_value()) << preset << " skip " << k;
+                expect_same_chunk(*got, chunks[w], std::string(preset) + " skip " +
+                                                       std::to_string(k));
+            }
+            EXPECT_FALSE(resumed.next().has_value()) << preset << " skip " << k;
+            EXPECT_EQ(resumed.uses(), full.uses()) << preset << " skip " << k;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "ccap/core/stream_source.hpp"
 #include "ccap/estimate/changepoint.hpp"
 #include "ccap/estimate/param_estimator.hpp"
 #include "ccap/util/rng.hpp"
@@ -313,6 +314,129 @@ TEST(AlignmentKernel, TieHeavyInputsMatchScalarReference) {
         expect_matches_reference(run, Trace(n / 2, 3), tag + " short run");
         expect_matches_reference(run, Trace(n + 40, 3), tag + " long run");
         expect_matches_reference(periodic, Trace(n, 1), tag + " half matches");
+    }
+}
+
+// Pairs whose best path costs more than the first band sweep covers, so
+// only the second sweep is exact: unrelated traces, insertion floods
+// (received much longer than sent) and substitution floods, at lengths
+// around the block edges and past several blocks.
+TEST(AlignmentKernel, SecondSweepPairsMatchScalarReference) {
+    ccap::util::Rng rng(17);
+    for (const std::uint64_t alphabet : {2ULL, 4ULL}) {
+        for (const std::size_t n : {40, 64, 129, 300}) {
+            const std::string tag =
+                "alphabet " + std::to_string(alphabet) + " n " + std::to_string(n);
+            const Trace sent = random_trace(rng, n, alphabet);
+            expect_matches_reference(sent, random_trace(rng, n, alphabet), tag + " unrelated");
+            expect_matches_reference(sent, random_trace(rng, 2 * n + 70, alphabet),
+                                     tag + " unrelated longer");
+            expect_matches_reference(sent, random_trace(rng, n / 3 + 1, alphabet),
+                                     tag + " unrelated shorter");
+            Trace flood;  // about three insertions per sent symbol
+            for (const std::uint32_t sym : sent) {
+                while (rng.bernoulli(0.75))
+                    flood.push_back(static_cast<std::uint32_t>(rng.uniform_below(alphabet)));
+                flood.push_back(rng.bernoulli(0.2)
+                                    ? static_cast<std::uint32_t>(rng.uniform_below(alphabet))
+                                    : sym);
+            }
+            expect_matches_reference(sent, flood, tag + " insertion flood");
+            Trace subs = sent;  // most symbols replaced by another one
+            for (std::uint32_t& sym : subs)
+                if (rng.bernoulli(0.6))
+                    sym = static_cast<std::uint32_t>(
+                        (sym + 1 + rng.uniform_below(alphabet - 1)) % alphabet);
+            expect_matches_reference(sent, subs, tag + " substitution flood");
+        }
+    }
+}
+
+/// A trace of length `m` related to `sent`: its corrupted copy, cut or
+/// topped up with random symbols.
+Trace related_trace(ccap::util::Rng& rng, const Trace& sent, std::size_t m,
+                    std::uint64_t alphabet, std::uint32_t offset) {
+    Trace out = corrupt(rng, sent, alphabet);
+    out.resize(std::min(out.size(), m));
+    while (out.size() < m)
+        out.push_back(static_cast<std::uint32_t>(rng.uniform_below(alphabet)));
+    for (std::uint32_t& sym : out) sym += offset;
+    return out;
+}
+
+// Every shape of the band at the block edges: n in {1, 63, 64, 65, 127,
+// 128, 129} against m in {1, n/2, n, 2n}, related and unrelated, over a
+// binary alphabet and over four symbols at 70000 and up, which rank
+// through the sorted-key Peq path.
+TEST(AlignmentKernel, BlockEdgeShapesMatchScalarReference) {
+    ccap::util::Rng rng(18);
+    for (const std::uint32_t offset : {0U, 70'000U}) {
+        const std::uint64_t alphabet = offset == 0 ? 2 : 4;
+        for (const std::size_t n : {1, 63, 64, 65, 127, 128, 129}) {
+            const Trace plain = random_trace(rng, n, alphabet);
+            Trace sent = plain;
+            for (std::uint32_t& sym : sent) sym += offset;
+            for (const std::size_t m : {std::size_t{1}, n / 2, n, 2 * n}) {
+                const std::string tag = "offset " + std::to_string(offset) + " n " +
+                                        std::to_string(n) + " m " + std::to_string(m);
+                Trace unrelated = random_trace(rng, m, alphabet);
+                for (std::uint32_t& sym : unrelated) sym += offset;
+                expect_matches_reference(sent, related_trace(rng, plain, m, alphabet, offset),
+                                         tag + " related");
+                expect_matches_reference(sent, unrelated, tag + " unrelated");
+            }
+        }
+    }
+}
+
+// Blockwise windows as the estimators cut them: each sent block against a
+// received span padded to drift_window past its own symbols, so the best
+// prefix ends well before the span does.
+TEST(AlignmentKernel, DriftWindowSpansMatchScalarReference) {
+    ccap::util::Rng rng(19);
+    for (const std::uint64_t alphabet : {2ULL, 4ULL}) {
+        const Trace sent = random_trace(rng, 1500, alphabet);
+        const Trace received = corrupt(rng, sent, alphabet);
+        std::size_t recv_pos = 0;
+        for (std::size_t sent_pos = 0; sent_pos < sent.size(); sent_pos += 300) {
+            const Trace block(sent.begin() + static_cast<std::ptrdiff_t>(sent_pos),
+                              sent.begin() + static_cast<std::ptrdiff_t>(sent_pos + 300));
+            const std::size_t w = drift_window(block.size(), received.size() - recv_pos);
+            const Trace span(received.begin() + static_cast<std::ptrdiff_t>(recv_pos),
+                             received.begin() + static_cast<std::ptrdiff_t>(recv_pos + w));
+            expect_matches_reference(block, span,
+                                     "alphabet " + std::to_string(alphabet) + " block at " +
+                                         std::to_string(sent_pos));
+            recv_pos += align_end_free(block, span).received_consumed;
+        }
+    }
+}
+
+// The tracker's own input: 2000-symbol FaultStreamSource windows under
+// every fault preset, alone and padded with the next window's received
+// symbols.
+TEST(AlignmentKernel, FaultStreamWindowsMatchScalarReference) {
+    for (const char* preset : {"none", "storms", "drift", "stuck"}) {
+        ccap::core::FaultStreamSource::Config sc;
+        sc.params.p_d = 0.1;
+        sc.params.p_i = 0.05;
+        sc.params.p_s = 0.02;
+        sc.params.bits_per_symbol = 2;
+        ASSERT_TRUE(ccap::core::named_fault_profile(preset, sc.profile)) << preset;
+        sc.window_len = 2000;
+        sc.seed = 23;
+        ccap::core::FaultStreamSource src(sc);
+        // Windows 2 and 3 of the stream, past storm and stuck windows'
+        // starts at uses 0 and 4096.
+        src.skip(2);
+        const ccap::core::StreamChunk a = *src.next();
+        const ccap::core::StreamChunk b = *src.next();
+        const std::string tag = std::string(preset) + " window " + std::to_string(a.index);
+        expect_matches_reference(a.sent, a.received, tag);
+        Trace padded = a.received;
+        padded.insert(padded.end(), b.received.begin(), b.received.end());
+        padded.resize(drift_window(a.sent.size(), padded.size()));
+        expect_matches_reference(a.sent, padded, tag + " padded");
     }
 }
 

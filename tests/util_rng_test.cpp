@@ -69,6 +69,27 @@ TEST(Rng, UniformBelowCoversAllValues) {
     EXPECT_EQ(seen.size(), 7U);
 }
 
+// The inline draw, power-of-two fast path included, against the rejection
+// formula it replaced, on a twin stream: same values, same draws consumed.
+TEST(Rng, UniformBelowMatchesRejectionPath) {
+    const auto rejection = [](Rng& rng, std::uint64_t bound) -> std::uint64_t {
+        if (bound <= 1) return 0;
+        const std::uint64_t threshold = (~bound + 1) % bound;
+        for (;;) {
+            const std::uint64_t r = rng.next();
+            if (r >= threshold) return r % bound;
+        }
+    };
+    for (const std::uint64_t bound :
+         {1ULL, 2ULL, 4ULL, 256ULL, 1ULL << 63, 3ULL, 5ULL, 1000ULL, (1ULL << 63) + 1}) {
+        Rng a(24), b(24);
+        for (int i = 0; i < 5000; ++i)
+            ASSERT_EQ(a.uniform_below(bound), rejection(b, bound))
+                << "bound=" << bound << " draw " << i;
+        EXPECT_EQ(a.next(), b.next()) << "bound=" << bound;
+    }
+}
+
 TEST(Rng, UniformIntInclusiveRange) {
     Rng rng(10);
     bool saw_lo = false, saw_hi = false;

@@ -448,6 +448,47 @@ if(NOT at_end_out MATCHES "(track finished after 4 windows: [^\n]+)"
     "resume at the stream's end lost the final report:\n${ckpt_out}\nvs\n${at_end_out}")
 endif()
 
+# Golden pins: the exact stdout of a live drift run and of `windows` on the
+# trace pair above. The alignment kernel and the stream loop must keep
+# every byte; a change that moves one has to say why and re-pin.
+execute_process(
+  COMMAND ${CCAP_BIN} track --pd 0.1 --profile drift --windows 12 --window 800
+          --grid-step 0.05 --mi-block 16
+  OUTPUT_VARIABLE out RESULT_VARIABLE rc)
+set(expected [=[
+window 0 warmup   P_d 0.1000 P_i 0.0000 cap 0.5765 +-0.2241 bits/use served 0.0200 slope +0.00000 resyncs 0
+window 1 warmup   P_d 0.1300 P_i 0.0000 cap 0.5390 +-0.1844 bits/use served 0.0400 slope +0.00000 resyncs 0
+window 2 resync   P_d 0.2050 P_i 0.0000 cap 0.4749 +-0.1770 bits/use served 0.0340 slope +0.05250 resyncs 1
+window 3 resync   P_d 0.2825 P_i 0.0000 cap 0.2703 +-0.1565 bits/use served 0.0289 slope +0.06225 resyncs 2
+window 4 drifting P_d 0.3113 P_i 0.0000 cap 0.2703 +-0.1311 bits/use served 0.0246 slope +0.05750 resyncs 2
+window 5 drifting P_d 0.3300 P_i 0.0000 cap 0.2470 +-0.1091 bits/use served 0.0209 slope +0.05061 resyncs 2
+window 6 drifting P_d 0.2725 P_i 0.0000 cap 0.2595 +-0.1067 bits/use served 0.0177 slope +0.03656 resyncs 2
+window 7 resync   P_d 0.2288 P_i 0.0000 cap 0.2886 +-0.1794 bits/use served 0.0151 slope +0.02402 resyncs 3
+window 8 resync   P_d 0.1562 P_i 0.0000 cap 0.4514 +-0.2393 bits/use served 0.0128 slope +0.00347 resyncs 4
+window 9 tracking P_d 0.1075 P_i 0.0000 cap 0.4889 +-0.1924 bits/use served 0.0328 slope -0.01927 resyncs 4
+window 10 tracking P_d 0.1138 P_i 0.0000 cap 0.5152 +-0.1625 bits/use served 0.0528 slope -0.03292 resyncs 4
+window 11 drifting P_d 0.1400 P_i 0.0000 cap 0.4961 +-0.1471 bits/use served 0.0449 slope -0.03390 resyncs 4
+track finished after 12 windows: capacity 0.4961 +-0.1471 bits/use, served 0.0449, resyncs 4, status drifting
+]=])
+if(NOT rc EQUAL 0 OR NOT out STREQUAL expected)
+  message(FATAL_ERROR "track drift run moved off its pinned output (${rc}):\n${out}")
+endif()
+execute_process(
+  COMMAND ${CCAP_BIN} windows --sent ${WORK_DIR}/cli_sent.txt
+          --received ${WORK_DIR}/cli_recv.txt
+  OUTPUT_VARIABLE out RESULT_VARIABLE rc)
+set(expected [=[
+window,p_d,p_i,p_s
+0,0.1190,0.0244,0.0490
+1,0.1262,0.0291,0.0391
+2,0.1304,0.0196,0.0611
+3,0.1135,0.0215,0.0430
+# no P_d changepoint detected
+]=])
+if(NOT rc EQUAL 0 OR NOT out STREQUAL expected)
+  message(FATAL_ERROR "windows moved off its pinned output (${rc}):\n${out}")
+endif()
+
 # Corrupt checkpoints: typed errors, exit 1, the kind named on stderr.
 file(WRITE ${WORK_DIR}/cli_track_torn.ckpt
   "# ccap-track v1 fields=9\nfingerprint 1\n")
