@@ -13,7 +13,7 @@
 //
 // The (N, P_d) grid rows are independent (each seeds its own channel and
 // generators), so they are evaluated through the shared thread pool; the
-// serial-vs-parallel grid wall time is emitted as BENCH_e1_grid.json.
+// serial-vs-parallel grid wall time is printed as an `e1_grid` BENCH_JSON line.
 
 #include <cstdio>
 #include <string>

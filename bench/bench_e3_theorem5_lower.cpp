@@ -14,7 +14,7 @@
 //
 // The (N, P_d) grid rows are independent 30000-symbol protocol executions;
 // they run through the shared thread pool and the serial-vs-parallel wall
-// time is emitted as BENCH_e3_grid.json.
+// time is printed as an `e3_grid` BENCH_JSON line.
 
 #include <cstdio>
 #include <string>

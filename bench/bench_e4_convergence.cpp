@@ -7,9 +7,10 @@
 //
 // Second half: the deterministic-parallelism benchmark for the repo's
 // hottest kernel, the drift-lattice Monte-Carlo MI estimator. The same
-// root seed runs with threads=1 and threads=hardware; the estimates must
-// be bit-identical and the wall-clock ratio is the speedup recorded in
-// BENCH_mc_parallel.json.
+// root seed runs with threads=1 and threads=hardware. Exit 1 unless the
+// estimates are bit-identical and the rate stays within 25% of the value
+// recorded for this seeded configuration. The wall-clock ratio is printed
+// as the speedup but not gated: perfbench/ owns calibrated timing.
 
 #include <cstdio>
 #include <thread>
@@ -76,7 +77,7 @@ int main() {
                 "wider symbols amortize the synchronization overhead, which is the\n"
                 "operational content of the paper's convergence claim.\n");
 
-    // ---- Parallel Monte-Carlo MI benchmark (BENCH_mc_parallel.json) ----
+    // ---- Parallel Monte-Carlo MI benchmark ----
     info::DriftParams dp;
     dp.p_d = 0.05;
     dp.p_i = 0.05;
@@ -122,5 +123,14 @@ int main() {
         .field("sem", serial.sem)
         .field("bit_identical", identical ? "true" : "false");
     json.write();
-    return identical ? 0 : 1;
+
+    // The estimate is a pure function of the seed; the floor catches an
+    // estimator change that moves it far below its recorded value.
+    constexpr double kRecordedRate = 0.56974;
+    const bool rate_ok = serial.rate >= 0.75 * kRecordedRate;
+    if (!identical) std::fprintf(stderr, "FAIL: serial and parallel MC estimates differ\n");
+    if (!rate_ok)
+        std::fprintf(stderr, "FAIL: rate %.6f below 0.75 x recorded %.5f\n", serial.rate,
+                     kRecordedRate);
+    return identical && rate_ok ? 0 : 1;
 }

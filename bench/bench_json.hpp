@@ -1,10 +1,10 @@
-// Machine-readable timing output for the bench harnesses.
+// Machine-readable output for the bench harnesses.
 //
-// Each harness section that wants to be tracked across PRs builds a
-// BenchJson, adds flat key/value fields, and calls write(): the record is
-// echoed to stdout as one `BENCH_JSON {...}` line (greppable in CI logs)
-// and persisted as BENCH_<name>.json in the working directory, so perf
-// trajectories can be diffed commit to commit without scraping tables.
+// A harness builds a BenchJson, adds flat key/value fields, and calls
+// write(): the record is echoed to stdout as one `BENCH_JSON {...}` line,
+// greppable in logs. Nothing is persisted and nothing diffs records across
+// runs: each harness gates its own figures through its exit code, and
+// calibrated timing lives in perfbench/.
 #pragma once
 
 #include <chrono>
@@ -35,22 +35,12 @@ private:
 /// Flat-object JSON record writer (insertion order preserved).
 class BenchJson {
 public:
-    explicit BenchJson(std::string name) : name_(std::move(name)) {
-        field("name", name_);
-        // Provenance fields so checked-in BENCH_* records are attributable:
-        // the commit the binary was built from (CCAP_GIT_REV is injected by
-        // bench/CMakeLists.txt) and the hardware thread budget.
-#ifdef CCAP_GIT_REV
-        field("git_rev", std::string(CCAP_GIT_REV));
-#else
-        field("git_rev", std::string("unknown"));
-#endif
+    explicit BenchJson(const std::string& name) {
+        field("name", name);
+        // Provenance: the hardware thread budget, the dispatched SIMD kernel
+        // path and the features the CPU reported. Timings from different
+        // vector widths are not comparable.
         field("threads", static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-        // SIMD provenance: the dispatched kernel path the run used and the
-        // features the CPU reported. bench_compare.py refuses comparisons
-        // across different "simd" values the same way it refuses
-        // cross-fault-profile ones — timings from different vector widths
-        // are not comparable.
         field("simd", std::string(util::simd_path_name(util::active_simd_path())));
         field("cpu", util::cpu_feature_string());
     }
@@ -74,32 +64,18 @@ public:
         return *this;
     }
 
-    /// Render `{"k":v,...}` in insertion order.
-    [[nodiscard]] std::string render() const {
+    /// Echo the record to stdout as one `BENCH_JSON {"k":v,...}` line, in
+    /// insertion order.
+    void write() const {
         std::string out = "{";
         for (std::size_t i = 0; i < entries_.size(); ++i) {
             if (i) out += ",";
             out += "\"" + entries_[i].first + "\":" + entries_[i].second;
         }
-        out += "}";
-        return out;
-    }
-
-    /// Echo to stdout and persist BENCH_<name>.json next to the binary's CWD.
-    void write() const {
-        const std::string body = render();
-        std::printf("BENCH_JSON %s\n", body.c_str());
-        const std::string path = "BENCH_" + name_ + ".json";
-        if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-            std::fprintf(f, "%s\n", body.c_str());
-            std::fclose(f);
-        } else {
-            std::fprintf(stderr, "BENCH_JSON: could not write %s\n", path.c_str());
-        }
+        std::printf("BENCH_JSON %s}\n", out.c_str());
     }
 
 private:
-    std::string name_;
     std::vector<std::pair<std::string, std::string>> entries_;
 };
 

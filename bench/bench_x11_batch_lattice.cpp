@@ -17,9 +17,8 @@
 // An end-to-end iid Monte-Carlo timing at the auto tile closes the loop on
 // the estimator the batch engine was built for.
 //
-// Emits BENCH_JSON and persists BENCH_batch_lattice.json (gated by
-// scripts/bench_compare.py); `--smoke` writes BENCH_batch_lattice_smoke.json
-// so ctest runs never clobber the checked-in full-size baseline.
+// Emits BENCH_JSON; `--smoke` runs tiny sizes. The timings are
+// informational: perfbench/ owns timing.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -115,7 +114,7 @@ int main(int argc, char** argv) {
         smoke ? std::vector<std::size_t>{1, 4} : std::vector<std::size_t>{1, 4, 8, 16, 32};
     const std::size_t num_pairs = smoke ? 8 : 32;
 
-    ccap::bench::BenchJson json(smoke ? "batch_lattice_smoke" : "batch_lattice");
+    ccap::bench::BenchJson json("batch_lattice");
     json.field("p_d", base.p_d).field("p_i", base.p_i).field("p_s", base.p_s);
     json.field("batch", static_cast<std::uint64_t>(batches.back()));
 

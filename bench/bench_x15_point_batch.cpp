@@ -29,9 +29,8 @@
 // pays the engine setup per point, while the CRN tile packs
 // blocks x points lanes into full vectors and pays the setup per tile.
 //
-// Emits BENCH_JSON and persists BENCH_point_batch.json (gated by
-// scripts/bench_compare.py); `--smoke` writes BENCH_point_batch_smoke.json
-// so ctest runs never clobber the checked-in full-size baseline.
+// Emits BENCH_JSON; `--smoke` runs a 4-point grid and checks the identity
+// gates only.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -99,7 +98,7 @@ int main(int argc, char** argv) {
     crn.point_tile = ccap::info::kMcPointTileAuto;
     const std::size_t tile = ccap::info::resolved_point_tile(crn, pts.size());
 
-    ccap::bench::BenchJson json(smoke ? "point_batch_smoke" : "point_batch");
+    ccap::bench::BenchJson json("point_batch");
     json.field("points", static_cast<std::uint64_t>(pts.size()));
     json.field("block_len", static_cast<std::uint64_t>(indep.block_len));
     json.field("mc_blocks", static_cast<std::uint64_t>(indep.num_blocks));

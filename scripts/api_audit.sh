@@ -32,7 +32,11 @@
 # covered. An inline function appears only when a library TU emits it, and
 # a template instantiated in a header is not in the archive at all; a
 # demangled template instance whose name starts with its return type does
-# not start with `ccap::` and is skipped.
+# not start with `ccap::` and is skipped. The -O0 above does not reach
+# src/info/src/batch_lattice.cpp: its per-file -O3 (src/info/CMakeLists.txt)
+# comes after CMAKE_CXX_FLAGS on the command line, so that TU is audited at
+# -O3 and a member whose only callers sit in it can be inlined away and
+# reported as dead.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export LC_ALL=C  # one collation for sort and comm

@@ -38,8 +38,8 @@ namespace ccap::core {
 /// 2, ... Every component is optional; a default-constructed profile is the
 /// null profile (no faults).
 struct FaultProfile {
-    /// Stamped into bench records so baselines from different profiles are
-    /// never compared against each other (scripts/bench_compare.py).
+    /// Stamped into bench records (`fault_profile`), so a figure names the
+    /// fault profile it was measured under.
     std::string name = "none";
 
     // --- Burst deletion storms -------------------------------------------
