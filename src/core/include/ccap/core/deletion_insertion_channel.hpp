@@ -31,6 +31,15 @@ struct ChannelUseOutcome {
     bool consumed = false;
 };
 
+/// One use as a flat pair, for per-use loops that hold a concrete channel:
+/// the event, and the symbol the receiver saw unless it is a deletion.
+/// Whether the queued symbol was consumed follows from the channel's own
+/// event (not an insertion).
+struct UseEvent {
+    ChannelEvent kind = ChannelEvent::transmission;
+    std::uint32_t symbol = 0;
+};
+
 /// Interface for channels the feedback protocols can drive: the
 /// Definition-1 channel, and variants such as the Markov-modulated bursty
 /// channel (bursty_channel.hpp).
@@ -61,27 +70,26 @@ public:
     using UseOutcome = ChannelUseOutcome;
 
     /// One channel use with `queued` at the head of the sender's queue.
-    /// Inline, so a caller holding the concrete channel (the stream
-    /// source's per-use loop) runs it without a virtual call.
     [[nodiscard]] UseOutcome use(std::uint32_t queued) override {
+        const UseEvent e = draw(queued);
+        UseOutcome out;
+        out.kind = e.kind;
+        if (e.kind != ChannelEvent::deletion) out.delivered = e.symbol;
+        out.consumed = e.kind != ChannelEvent::insertion;
+        return out;
+    }
+
+    /// use() as a flat pair. Inline, so a caller holding the concrete
+    /// channel (the stream source's per-use loop) runs it without a virtual
+    /// call or an optional to unpack.
+    [[nodiscard]] UseEvent draw(std::uint32_t queued) {
         if (queued >= params_.alphabet())
             throw std::out_of_range("DeletionInsertionChannel::use: symbol out of alphabet");
         ++uses_;
         const double u = rng_.uniform();
-        UseOutcome out;
-        if (u < params_.p_i) {
-            out.kind = ChannelEvent::insertion;
-            out.delivered = random_symbol();
-            out.consumed = false;
-        } else if (u < params_.p_i + params_.p_d) {
-            out.kind = ChannelEvent::deletion;
-            out.consumed = true;
-        } else {
-            out.kind = ChannelEvent::transmission;
-            out.delivered = substitute(queued);
-            out.consumed = true;
-        }
-        return out;
+        if (u < params_.p_i) return {ChannelEvent::insertion, random_symbol()};
+        if (u < params_.p_i + params_.p_d) return {ChannelEvent::deletion, 0};
+        return {ChannelEvent::transmission, substitute(queued)};
     }
 
     struct Transduction {

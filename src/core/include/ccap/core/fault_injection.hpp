@@ -69,6 +69,12 @@ struct FaultProfile {
     /// through bit-identically.
     [[nodiscard]] bool is_null() const noexcept;
 
+    /// delta at schedule phase k = t % drift_period (drift active).
+    [[nodiscard]] double drift_delta(std::uint64_t k) const noexcept {
+        const double phase = static_cast<double>(k) / static_cast<double>(drift_period);
+        return drift_amplitude * (1.0 - std::cos(2.0 * std::numbers::pi * phase)) / 2.0;
+    }
+
     /// Throws std::domain_error / std::invalid_argument when malformed
     /// (non-finite or out-of-range amplitude, window longer than period,
     /// active component with a zero period).
@@ -136,57 +142,56 @@ public:
         return fault_log_;
     }
 
-    [[nodiscard]] ChannelUseOutcome use(std::uint32_t queued) override {
-        return apply(inner_->use(queued));
-    }
+    [[nodiscard]] ChannelUseOutcome use(std::uint32_t queued) override;
 
     static constexpr std::size_t kMaxLoggedFaults = 4096;
+    /// Longest drift period whose delta(t) is tabled, one double per phase
+    /// (64 KiB at the `drift` preset's 8192); a longer period computes each
+    /// delta directly. An implementation limit: both give the same doubles.
+    static constexpr std::uint64_t kMaxDriftTable = 8192;
 
 private:
     friend class FaultStreamSource;  // drives its concrete inner channel, then apply()
 
-    /// The profile applied to `out`, the inner channel's outcome of the
-    /// next use; advances the schedule clock. Inline, so a caller holding
-    /// the concrete inner channel runs a whole use without a virtual call.
-    [[nodiscard]] ChannelUseOutcome apply(ChannelUseOutcome out) {
+    /// The profile applied to `e`, the inner channel's event of the next
+    /// use: a fault turns a delivery into a deletion or rewrites its symbol.
+    /// Advances the schedule clock. Inline, so a caller holding the concrete
+    /// inner channel runs a whole use without a virtual call; a profile with
+    /// storm or stuck-at windows goes through apply_windows.
+    [[nodiscard]] UseEvent apply(UseEvent e) {
         const std::uint64_t t = stats_.uses++;
-        if (null_profile_) return out;  // bit-identical passthrough, no RNG draws
-
-        if (out.delivered) {
-            // Blackout faults drop the delivery but preserve `consumed`:
-            // the sender's queue semantics (and the inner channel's own
-            // state) are exactly what they were — only the receiver's view
-            // changes, which is what a scheduler stall or a jammed return
-            // path does.
-            if (in_window(t, profile_.storm_period, profile_.storm_len)) {
-                out.delivered.reset();
-                out.kind = ChannelEvent::deletion;
-                ++stats_.storm_drops;
-                log_fault(t, InjectedFault::Kind::storm_drop);
-            } else if (profile_.drift_amplitude > 0.0 && profile_.drift_period > 0) {
-                const double phase = static_cast<double>(t % profile_.drift_period) /
-                                     static_cast<double>(profile_.drift_period);
-                const double delta = profile_.drift_amplitude *
-                                     (1.0 - std::cos(2.0 * std::numbers::pi * phase)) / 2.0;
-                if (delta > 0.0 && rng_.bernoulli(delta)) {
-                    out.delivered.reset();
-                    out.kind = ChannelEvent::deletion;
-                    ++stats_.drift_drops;
-                    log_fault(t, InjectedFault::Kind::drift_drop);
-                }
-            }
-        }
-        if (out.delivered && in_window(t, profile_.stuck_period, profile_.stuck_len)) {
-            const std::uint32_t stuck =
-                profile_.stuck_symbol & (inner_->params().alphabet() - 1U);
-            if (*out.delivered != stuck) {
-                out.delivered = stuck;
-                ++stats_.stuck_overrides;
-                log_fault(t, InjectedFault::Kind::stuck_override);
-            }
-        }
-        return out;
+        if (null_profile_) return e;  // bit-identical passthrough, no RNG draws
+        const std::uint64_t phase = drift_phase_;  // t % drift_period, without a division
+        if (drift_on_ && ++drift_phase_ == profile_.drift_period) drift_phase_ = 0;
+        if (windows_on_) return apply_windows(e, t, phase);
+        // Drift alone: a drop is the only fault.
+        if (e.kind != ChannelEvent::deletion && drift_drop(t, phase))
+            e.kind = ChannelEvent::deletion;
+        return e;
     }
+
+    /// apply() for a profile with storm or stuck-at windows. Blackout
+    /// faults drop the delivery but preserve whether the queued symbol was
+    /// consumed: the sender's queue semantics (and the inner channel's own
+    /// state) are exactly what they were — only the receiver's view
+    /// changes, which is what a scheduler stall or a jammed return path
+    /// does.
+    [[nodiscard]] UseEvent apply_windows(UseEvent e, std::uint64_t t, std::uint64_t phase);
+
+    /// Draws whether delta(t) drops the delivery at use t (`phase` = t %
+    /// drift_period), and counts and logs a drop. delta comes from the
+    /// table once the clock has reached its phase.
+    [[nodiscard]] bool drift_drop(std::uint64_t t, std::uint64_t phase) {
+        const double delta =
+            phase < drift_table_.size() ? drift_table_[phase] : extend_drift_table(phase);
+        if (!(delta > 0.0 && rng_.bernoulli(delta))) return false;
+        ++stats_.drift_drops;
+        log_fault(t, InjectedFault::Kind::drift_drop);
+        return true;
+    }
+    /// Tables delta up to phase k and returns it; computes it directly
+    /// when the period is longer than kMaxDriftTable.
+    double extend_drift_table(std::uint64_t k);
 
     [[nodiscard]] bool in_window(std::uint64_t t, std::uint64_t period,
                                  std::uint64_t len) const noexcept {
@@ -197,9 +202,13 @@ private:
     SymbolChannel* inner_;
     FaultProfile profile_;
     bool null_profile_;
+    bool drift_on_;
+    bool windows_on_;  ///< storm or stuck-at windows scheduled
+    std::uint64_t drift_phase_ = 0;
     util::Rng rng_;
     FaultStats stats_;
     std::vector<InjectedFault> fault_log_;
+    std::vector<double> drift_table_;  ///< delta by phase, filled up to the highest reached
 };
 
 // ---------------------------------------------------------------------------

@@ -13,19 +13,18 @@ DeletionInsertionChannel::Transduction DeletionInsertionChannel::transduce(
     t.output.reserve(message.size());
     for (std::uint32_t symbol : message) {
         for (;;) {
-            const UseOutcome out = use(symbol);
+            const UseEvent e = draw(symbol);
             ++t.channel_uses;
             EventRecord rec;
-            rec.kind = out.kind;
+            rec.kind = e.kind;
             rec.offered = symbol;
-            if (out.delivered) {
-                rec.delivered = *out.delivered;
-                rec.substituted =
-                    out.kind == ChannelEvent::transmission && *out.delivered != symbol;
-                t.output.push_back(*out.delivered);
+            if (e.kind != ChannelEvent::deletion) {
+                rec.delivered = e.symbol;
+                rec.substituted = e.kind == ChannelEvent::transmission && e.symbol != symbol;
+                t.output.push_back(e.symbol);
             }
             t.events.push_back(rec);
-            if (out.consumed) break;
+            if (e.kind != ChannelEvent::insertion) break;
         }
     }
     if (trailing_insertions) {

@@ -85,8 +85,51 @@ FaultyChannel::FaultyChannel(SymbolChannel& inner, FaultProfile profile, std::ui
     : inner_(&inner),
       profile_(std::move(profile)),
       null_profile_(profile_.is_null()),
+      drift_on_(profile_.drift_amplitude > 0.0 && profile_.drift_period > 0),
+      windows_on_((profile_.storm_period != 0 && profile_.storm_len != 0) ||
+                  (profile_.stuck_period != 0 && profile_.stuck_len != 0)),
       rng_(seed) {
     profile_.validate();
+}
+
+ChannelUseOutcome FaultyChannel::use(std::uint32_t queued) {
+    ChannelUseOutcome out = inner_->use(queued);
+    const UseEvent seen = apply({out.kind, out.delivered.value_or(0)});
+    out.kind = seen.kind;
+    if (seen.kind == ChannelEvent::deletion)
+        out.delivered.reset();
+    else
+        out.delivered = seen.symbol;
+    return out;
+}
+
+UseEvent FaultyChannel::apply_windows(UseEvent e, std::uint64_t t, std::uint64_t phase) {
+    if (e.kind != ChannelEvent::deletion) {
+        if (in_window(t, profile_.storm_period, profile_.storm_len)) {
+            e.kind = ChannelEvent::deletion;
+            ++stats_.storm_drops;
+            log_fault(t, InjectedFault::Kind::storm_drop);
+        } else if (drift_on_ && drift_drop(t, phase)) {
+            e.kind = ChannelEvent::deletion;
+        }
+    }
+    if (e.kind != ChannelEvent::deletion &&
+        in_window(t, profile_.stuck_period, profile_.stuck_len)) {
+        const std::uint32_t stuck = profile_.stuck_symbol & (inner_->params().alphabet() - 1U);
+        if (e.symbol != stuck) {
+            e.symbol = stuck;
+            ++stats_.stuck_overrides;
+            log_fault(t, InjectedFault::Kind::stuck_override);
+        }
+    }
+    return e;
+}
+
+double FaultyChannel::extend_drift_table(std::uint64_t k) {
+    if (profile_.drift_period > kMaxDriftTable) return profile_.drift_delta(k);
+    while (drift_table_.size() <= k)
+        drift_table_.push_back(profile_.drift_delta(drift_table_.size()));
+    return drift_table_[k];
 }
 
 void FaultyChannel::log_fault(std::uint64_t t, InjectedFault::Kind kind) {

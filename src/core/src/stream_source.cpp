@@ -36,6 +36,7 @@ std::optional<StreamChunk> FaultStreamSource::next() {
     StreamChunk chunk;
     chunk.index = emitted_;
     chunk.sent.reserve(cfg_.window_len);
+    chunk.received.reserve(cfg_.window_len);
     // Per-window message substream: order-free, so a resumed source only
     // needs the channel replayed (skip), not a serialized generator.
     util::Rng msg_rng(util::substream_seed(cfg_.seed, emitted_));
@@ -45,15 +46,18 @@ std::optional<StreamChunk> FaultStreamSource::next() {
 
     // Drive the faulty channel one use at a time until each queued symbol
     // is consumed (faulty_.use(), without its virtual call to the inner
-    // channel); insertions deliver without consuming (they extend the
-    // received stream), deletions consume without delivering. Config
-    // validation guarantees P_d + P_t > 0 so each symbol terminates.
+    // channel or its outcome's optional); insertions deliver without
+    // consuming (they extend the received stream), deletions consume
+    // without delivering, and a fault's drop leaves consumption as the
+    // inner channel decided it. Config validation guarantees P_d + P_t > 0
+    // so each symbol terminates.
     for (const std::uint32_t queued : chunk.sent) {
         for (;;) {
-            const ChannelUseOutcome out = faulty_.apply(inner_.use(queued));
+            const UseEvent drawn = inner_.draw(queued);
+            const UseEvent seen = faulty_.apply(drawn);
             ++chunk.channel_uses;
-            if (out.delivered) chunk.received.push_back(*out.delivered);
-            if (out.consumed) break;
+            if (seen.kind != ChannelEvent::deletion) chunk.received.push_back(seen.symbol);
+            if (drawn.kind != ChannelEvent::insertion) break;
         }
     }
     uses_ += chunk.channel_uses;

@@ -9,6 +9,7 @@
 // substitutions, making the classification deterministic.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -17,30 +18,30 @@ namespace ccap::estimate {
 
 enum class EditOp : std::uint8_t { match, substitution, deletion, insertion };
 
-struct EditStep {
-    EditOp op = EditOp::match;
-    /// Index into the sent trace (valid except for insertions).
-    std::size_t sent_index = 0;
-    /// Index into the received trace (valid except for deletions).
-    std::size_t received_index = 0;
-};
-
 struct Alignment {
-    std::vector<EditStep> steps;
+    /// The edit operations in trellis order. They fix every index: a match
+    /// or substitution consumes one sent and one received symbol, a deletion
+    /// one sent symbol, an insertion one received symbol.
+    std::vector<EditOp> ops;
     std::size_t distance = 0;  ///< Levenshtein distance
+    std::array<std::size_t, 4> counts{};  ///< ops of each kind, indexed by EditOp
 
-    [[nodiscard]] std::size_t count(EditOp op) const noexcept;
+    [[nodiscard]] std::size_t count(EditOp op) const noexcept {
+        return counts[static_cast<std::size_t>(op)];
+    }
 };
 
 /// Both entry points run one bit-parallel Levenshtein kernel (Myers'
 /// block recurrence) over a diagonal band of the trellis: the 64-row
-/// blocks a path of cost <= k can reach (Ukkonen's cut-off). The first
+/// blocks a path of cost <= k can reach (Ukkonen's cut-off), less the top
+/// blocks whose cost so far already rules such a path out. The first
 /// sweep takes k = |sent| - |received| + 64 for align_end_free (64 when
 /// received is the longer one) and ||sent| - |received|| + 64 for align;
 /// when the best path it finds costs more than k, a second sweep at that
 /// cost is exact. Time is O(band blocks) per sweep, at most
-/// O(|sent|·|received|/64), and the traceback stores 32 B per swept block.
-/// Results are those of the full scalar DP, step for step (THEORY §16).
+/// O(|sent|·|received|/64). The result holds one byte per edit op and
+/// the four op counts, which the traceback keeps as it walks. Results are
+/// those of the full scalar DP, op for op (THEORY §16).
 /// Each throws std::invalid_argument, before allocating, when
 /// |sent|·|received| exceeds 4e8 cells: align longer traces blockwise
 /// (see param_estimator.hpp).

@@ -1,6 +1,7 @@
 #include "ccap/estimate/alignment.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
@@ -8,13 +9,6 @@
 #include <vector>
 
 namespace ccap::estimate {
-
-std::size_t Alignment::count(EditOp op) const noexcept {
-    std::size_t c = 0;
-    for (const EditStep& s : steps)
-        if (s.op == op) ++c;
-    return c;
-}
 
 namespace {
 
@@ -30,8 +24,10 @@ namespace {
 // block moves right (+1 per column), and a block entering the band at the
 // bottom continues the column before it downwards (+1 per row). So every
 // swept D is an upper bound on the true one, and it is exact on every cell
-// of a path of cost <= k. The swept blocks' deltas are stored, and a
-// traceback rebuilds every D it compares from them.
+// of a path of cost <= k. The band's top block is also dropped once the
+// D on its bottom row shows that no such path passes through it (see
+// sweep). The swept blocks' deltas are stored, and a traceback rebuilds
+// every D it compares from them.
 
 constexpr unsigned kWordBits = 64;
 
@@ -43,11 +39,11 @@ struct BlockDeltas {
 /// checked before anything is allocated.
 constexpr std::size_t kMaxCells = 400'000'000;
 
-/// A call that stores at most this many block deltas and per-column entries
-/// leaves its buffers in the thread's scratch for the next call (a
-/// 2000-symbol tracker window stores ~2^14); a larger call releases them on
-/// return, so one big align does not pin its storage for the thread's
-/// lifetime.
+/// A call that sizes at most this many block deltas and per-column entries
+/// leaves its buffers in the thread's scratch for the next call (the band
+/// of a 2000-symbol tracker window holds ~2^14 blocks, of which the sweep
+/// stores about 70%); a larger call releases them on return, so one big
+/// align does not pin its storage for the thread's lifetime.
 constexpr std::size_t kRetainBlocks = std::size_t{1} << 19;
 
 /// D(n, j) of a column whose band misses row n.
@@ -94,6 +90,7 @@ struct Scratch {
     std::vector<std::uint64_t> pv, mv;    ///< the current column's vertical deltas
     std::vector<std::uint32_t> last_row;  ///< D(n, j), j = 0..m
     std::vector<std::size_t> col_base;    ///< column j's block b is deltas[col_base[j] + b]
+    std::vector<std::size_t> col_first;   ///< column j's first swept block
     std::unique_ptr<BlockDeltas[]> deltas;
     std::size_t deltas_len = 0;
 
@@ -178,26 +175,35 @@ void build_peq(std::span<const std::uint32_t> sent, std::span<const std::uint32_
 }
 
 /// Sweeps the band's columns over s.rank / s.peq (build_peq first). Stores
-/// the swept blocks' deltas (see Scratch::col_base) and D(n, j) in
-/// s.last_row, kUnreached where the band misses row n. Requires n, m > 0
-/// and a band cost of at least the least cost owed at (0, 0).
+/// the swept blocks' deltas (see Scratch::col_base and col_first) and
+/// D(n, j) in s.last_row, kUnreached where the band misses row n. Requires
+/// n, m > 0 and a band cost of at least the least cost owed at (0, 0).
+///
+/// The band's top block is dropped, for this column and every later one,
+/// when no path of cost <= band.cost can pass through it. With r its bottom
+/// row and e = (n - r) - (m - j), a row i <= r of column j has
+/// D(i, j) >= D(r, j) - (r - i) and owes at least e + (r - i) to finish,
+/// so D(r, j) + e bounds every path through rows <= r from below (loosely
+/// where e < 0, as the end-free debt stops at 0). Along row r it never
+/// falls (Δh >= -1 while e grows by 1), so a dropped block stays dropped
+/// (THEORY §16).
 void sweep(const Band& band, Scratch& s) {
     const auto n = static_cast<std::size_t>(band.n);
     const auto m = static_cast<std::size_t>(band.m);
     const std::size_t words = words_for(n);
 
-    // Lay out the stored blocks; the band leaves the trellis for good after
-    // column `end`.
-    s.col_base.resize(m + 1);
-    std::size_t stored = 0, end = 0;
+    // Size the store for the geometric band, which leaves the trellis for
+    // good after column `end`.
+    std::size_t capacity = 0, end = 0;
     for (std::size_t j = 1; j <= m; ++j) {
         const Band::Blocks b = band.blocks(j);
         if (b.first > b.last) break;
-        s.col_base[j] = stored - b.first;
-        stored += b.last - b.first + 1;
+        capacity += b.last - b.first + 1;
         end = j;
     }
-    BlockDeltas* const deltas = s.grab_deltas(stored);
+    BlockDeltas* const deltas = s.grab_deltas(capacity);
+    s.col_base.resize(m + 1);
+    s.col_first.resize(m + 1);
 
     // Column 0: D(i, 0) = i, every vertical delta +1 — which is also the
     // column a block entering the band at the bottom starts from.
@@ -208,18 +214,35 @@ void sweep(const Band& band, Scratch& s) {
     const unsigned last_bit = static_cast<unsigned>((n - 1) % kWordBits);
     std::size_t entered = 0;   // blocks the band has reached so far
     std::uint32_t bottom = 0;  // D(min(64 * entered, n), j - 1)
+    std::size_t top = 0;       // the first swept block
+    // D(64 * (top + 1), j - 1), the top block's bottom row (unused once the
+    // top block is the last one).
+    auto top_d = static_cast<std::ptrdiff_t>(std::min<std::size_t>(kWordBits, n));
+    std::size_t stored = 0;
     for (std::size_t j = 1; j <= end; ++j) {
         const auto [first, last] = band.blocks(j);
+        // Column j - 1's lower bound on a path through the top block.
+        const auto top_bound = [&] {
+            const auto r = static_cast<std::ptrdiff_t>(kWordBits * (top + 1));
+            return top_d + (band.n - r) - (band.m - static_cast<std::ptrdiff_t>(j - 1));
+        };
+        while (top < first || (top < last && top_bound() > band.cost)) {
+            ++top;
+            top_d += std::popcount(s.pv[top]) - std::popcount(s.mv[top]);
+        }
         for (; entered <= last; ++entered)
             bottom += static_cast<std::uint32_t>(
                 std::min<std::size_t>(kWordBits, n - entered * kWordBits));
         const std::uint64_t* eq_col = s.peq.data() + s.rank[j - 1] * words;
+        s.col_first[j] = top;
+        s.col_base[j] = stored - top;
+        stored += last - top + 1;
         BlockDeltas* out = deltas + s.col_base[j];
         // The carry into the top block is a +1 horizontal delta: row 0's
         // D(0, j) = j, or the row above the band moving right.
         std::uint64_t hin_pos = 1, hin_neg = 0;
         std::uint64_t ph = 0, mh = 0;
-        for (std::size_t b = first; b <= last; ++b) {
+        for (std::size_t b = top; b <= last; ++b) {
             const std::uint64_t pv = s.pv[b];
             const std::uint64_t mv = s.mv[b];
             const std::uint64_t eq = eq_col[b] | hin_neg;
@@ -237,6 +260,8 @@ void sweep(const Band& band, Scratch& s) {
             hin_pos = ph >> (kWordBits - 1);
             hin_neg = mh >> (kWordBits - 1);
         }
+        top_d += static_cast<std::ptrdiff_t>(out[top].ph >> (kWordBits - 1)) -
+                 static_cast<std::ptrdiff_t>(out[top].mh >> (kWordBits - 1));
         // ph/mh still hold the last block's horizontal deltas, whose bottom
         // row is row n once the band holds n's block.
         const bool holds_n = last + 1 == words;
@@ -264,21 +289,27 @@ std::size_t certified_sweep(Band& band, Scratch& s, Pick pick) {
     return j;
 }
 
-/// Traceback from (n, j) with D(n, j) = `distance` over an exact sweep of
-/// `band` in `s` (unused when n or j is 0), preferring match >
-/// substitution > deletion > insertion — the scalar DP's order, on the
-/// same integers. Every cell it visits lies on an optimal path, so its D
-/// is exact; a neighbour it passes over has a D at least the true one,
-/// and every branch test answers as on the full trellis.
+/// Traceback from (n, j) with D(n, j) = `distance` over an exact sweep in
+/// `s` (unused when n or j is 0), preferring match > substitution >
+/// deletion > insertion — the scalar DP's order, on the same integers.
+/// Every cell it visits lies on an optimal path, so its D is exact; a
+/// neighbour it passes over has a D at least the true one, and every branch
+/// test answers as on the full trellis. The ops are written back to front,
+/// and the counts kept as the walk goes.
 Alignment trace_back(std::span<const std::uint32_t> sent, std::span<const std::uint32_t> received,
-                     const Band& band, const Scratch& s, std::size_t j, std::size_t distance) {
+                     const Scratch& s, std::size_t j, std::size_t distance) {
     const auto bit = [](std::uint64_t w, std::size_t k) {
         return static_cast<long long>((w >> k) & 1U);
     };
     Alignment out;
     out.distance = distance;
-    out.steps.reserve(std::max(sent.size(), j));
-    std::size_t i = sent.size();
+    const std::size_t n = sent.size();
+    const std::size_t end_j = j;
+    out.ops.resize(n + j);
+    EditOp* const ops = out.ops.data();
+    std::size_t at = n + j;  // ops[at..] holds the path walked so far
+    std::size_t diagonal = 0, matches = 0;
+    std::size_t i = n;
     auto d = static_cast<long long>(distance);  // D(i, j)
     while (i > 0 && j > 0) {
         const std::size_t k = (i - 1) % kWordBits;
@@ -287,33 +318,36 @@ Alignment trace_back(std::span<const std::uint32_t> sent, std::span<const std::u
         const long long up = d - (bit(c.pv, k) - bit(c.mv, k));  // D(i-1, j)
         // D(i-1, j-1): the horizontal delta of the row above, which is
         // the previous block's top bit at a block edge, and +1 on row 0
-        // and on the row above the band's top block.
+        // and on the row above the column's first swept block.
         long long dh_above = 1;
-        if (i > 1 && (k != 0 || (i - 2) / kWordBits >= band.blocks(j).first)) {
+        if (i > 1 && (k != 0 || (i - 2) / kWordBits >= s.col_first[j])) {
             const BlockDeltas& a = col[(i - 2) / kWordBits];
             dh_above = bit(a.ph, (i - 2) % kWordBits) - bit(a.mh, (i - 2) % kWordBits);
         }
         const long long diag = up - dh_above;
         const bool is_match = sent[i - 1] == received[j - 1];
         if (diag + (is_match ? 0 : 1) == d) {
-            out.steps.push_back({is_match ? EditOp::match : EditOp::substitution, i - 1, j - 1});
+            ops[--at] = is_match ? EditOp::match : EditOp::substitution;
+            ++diagonal;
+            matches += is_match ? 1 : 0;
             d = diag;
             --i;
             --j;
         } else if (up + 1 == d) {
-            out.steps.push_back({EditOp::deletion, i - 1, 0});
+            ops[--at] = EditOp::deletion;
             d = up;
             --i;
         } else {
-            out.steps.push_back({EditOp::insertion, 0, j - 1});
+            ops[--at] = EditOp::insertion;
             d -= bit(c.ph, k) - bit(c.mh, k);
             --j;
         }
     }
     // On row 0 only insertions remain, on column 0 only deletions.
-    for (; i > 0; --i) out.steps.push_back({EditOp::deletion, i - 1, 0});
-    for (; j > 0; --j) out.steps.push_back({EditOp::insertion, 0, j - 1});
-    std::reverse(out.steps.begin(), out.steps.end());
+    for (; i > 0; --i) ops[--at] = EditOp::deletion;
+    for (; j > 0; --j) ops[--at] = EditOp::insertion;
+    out.ops.erase(out.ops.begin(), out.ops.begin() + static_cast<std::ptrdiff_t>(at));
+    out.counts = {matches, diagonal - matches, n - diagonal, end_j - diagonal};
     return out;
 }
 
@@ -323,13 +357,13 @@ Alignment align(std::span<const std::uint32_t> sent, std::span<const std::uint32
     const std::size_t n = sent.size();
     const std::size_t m = received.size();
     check_cells(n, m, "align");
-    if (n == 0 || m == 0) return trace_back(sent, received, Band{}, Scratch{}, m, n + m);
+    if (n == 0 || m == 0) return trace_back(sent, received, Scratch{}, m, n + m);
     return with_scratch(m, [&](Scratch& s) {
         build_peq(sent, received, s);
         const auto sn = static_cast<std::ptrdiff_t>(n), sm = static_cast<std::ptrdiff_t>(m);
         Band band{sn, sm, std::abs(sn - sm) + kWordBits, false};
         const std::size_t j = certified_sweep(band, s, [m](const auto&) { return m; });
-        return trace_back(sent, received, band, s, j, s.last_row[j]);
+        return trace_back(sent, received, s, j, s.last_row[j]);
     });
 }
 
@@ -339,7 +373,7 @@ PrefixAlignment align_end_free(std::span<const std::uint32_t> sent,
     const std::size_t m = received.size();
     check_cells(n, m, "align_end_free");
     // The empty prefix is the only one (m = 0) or the best (D(0, j) = j).
-    if (n == 0 || m == 0) return {trace_back(sent, received, Band{}, Scratch{}, 0, n), 0};
+    if (n == 0 || m == 0) return {trace_back(sent, received, Scratch{}, 0, n), 0};
     return with_scratch(m, [&](Scratch& s) {
         build_peq(sent, received, s);
         const auto sn = static_cast<std::ptrdiff_t>(n), sm = static_cast<std::ptrdiff_t>(m);
@@ -359,7 +393,7 @@ PrefixAlignment align_end_free(std::span<const std::uint32_t> sent,
             return best_j;
         };
         const std::size_t j = certified_sweep(band, s, best_prefix);
-        return PrefixAlignment{trace_back(sent, received, band, s, j, s.last_row[j]), j};
+        return PrefixAlignment{trace_back(sent, received, s, j, s.last_row[j]), j};
     });
 }
 

@@ -106,6 +106,86 @@ TEST(FaultStreamSource, ChunksMatchTheVirtualChannelLoop) {
                 }
 }
 
+// ---------------------------------------------------------------------------
+// Golden digests of whole streams, recorded from the direct per-use
+// cos() schedule: the drift table must hand back the same doubles on every
+// pass over the period, and the direct fallback above its cap must too.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over little-endian 64-bit words.
+struct Fnv {
+    std::uint64_t h = 14695981039346656037ULL;
+    void add(std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xFFU;
+            h *= 1099511628211ULL;
+        }
+    }
+};
+
+/// Digest of every chunk (index, sent, received, channel_uses) of a
+/// bounded stream, then its use clock and fault totals.
+std::uint64_t stream_digest(const FaultStreamSource::Config& cfg) {
+    FaultStreamSource src(cfg);
+    Fnv d;
+    while (const std::optional<StreamChunk> c = src.next()) {
+        d.add(c->index);
+        d.add(c->sent.size());
+        for (const std::uint32_t s : c->sent) d.add(s);
+        d.add(c->received.size());
+        for (const std::uint32_t s : c->received) d.add(s);
+        d.add(c->channel_uses);
+    }
+    const FaultStats& st = src.fault_stats();
+    for (const std::uint64_t v :
+         {src.uses(), st.uses, st.storm_drops, st.drift_drops, st.stuck_overrides})
+        d.add(v);
+    return d.h;
+}
+
+/// 25 binary windows of 2000 symbols at nominal P_d 0.1 under `profile`
+/// (the perfbench `track` stream's shape).
+FaultStreamSource::Config pinned_stream(const FaultProfile& profile, std::uint64_t seed) {
+    FaultStreamSource::Config cfg;
+    cfg.params = {0.1, 0.0, 0.0, 1};
+    cfg.profile = profile;
+    cfg.window_len = 2000;
+    cfg.windows = 25;
+    cfg.seed = seed;
+    return cfg;
+}
+
+TEST(FaultStreamSource, DriftStreamsMatchPinnedDigests) {
+    FaultProfile drift;
+    ASSERT_TRUE(named_fault_profile("drift", drift));
+    // The preset over about six of its 8192-use periods.
+    EXPECT_EQ(stream_digest(pinned_stream(drift, 1)), 0xa918f693282af222ULL)
+        << "drift preset";
+    // A period past the table's cap runs the direct schedule.
+    EXPECT_EQ(stream_digest(pinned_stream(FaultProfile::drifting(0.3, 20011), 2)),
+              0x418c1124e43a0fb6ULL)
+        << "period 20011";
+    // Periods 1 and 3: every use on phase 0, and the table wrapping each
+    // third use.
+    EXPECT_EQ(stream_digest(pinned_stream(FaultProfile::drifting(0.4, 1), 3)),
+              0x3b9bdb5a5130b4aeULL)
+        << "period 1";
+    EXPECT_EQ(stream_digest(pinned_stream(FaultProfile::drifting(0.4, 3), 4)),
+              0x18289b57a7736fb2ULL)
+        << "period 3";
+    // Every component at once, over a 4-ary channel with insertions and
+    // substitutions.
+    FaultProfile mixed = FaultProfile::drifting(0.2, 5000);
+    mixed.storm_period = 7000;
+    mixed.storm_len = 300;
+    mixed.stuck_period = 9000;
+    mixed.stuck_len = 400;
+    mixed.stuck_symbol = 3;
+    FaultStreamSource::Config cfg = pinned_stream(mixed, 5);
+    cfg.params = {0.1, 0.08, 0.03, 2};
+    EXPECT_EQ(stream_digest(cfg), 0xfa50f9711ee17a8aULL) << "mixed";
+}
+
 TEST(FaultStreamSource, SkipThenNextMatchesUninterruptedStream) {
     for (const char* preset : {"none", "storms", "drift", "stuck"}) {
         FaultStreamSource::Config cfg;

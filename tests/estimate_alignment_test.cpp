@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -53,26 +54,27 @@ Reference reference_align(const Trace& sent, const Trace& received, bool end_fre
     out.consumed = end_j;
     out.alignment.distance = dp[n][end_j];
     std::size_t i = n, j = end_j;
-    std::vector<EditStep> rev;
+    std::vector<EditOp> rev;
     while (i > 0 || j > 0) {
         if (i > 0 && j > 0) {
             const bool is_match = sent[i - 1] == received[j - 1];
             if (dp[i - 1][j - 1] + (is_match ? 0U : 1U) == dp[i][j]) {
-                rev.push_back({is_match ? EditOp::match : EditOp::substitution, i - 1, j - 1});
+                rev.push_back(is_match ? EditOp::match : EditOp::substitution);
                 --i;
                 --j;
                 continue;
             }
         }
         if (i > 0 && dp[i - 1][j] + 1U == dp[i][j]) {
-            rev.push_back({EditOp::deletion, i - 1, 0});
+            rev.push_back(EditOp::deletion);
             --i;
             continue;
         }
-        rev.push_back({EditOp::insertion, 0, j - 1});
+        rev.push_back(EditOp::insertion);
         --j;
     }
-    out.alignment.steps.assign(rev.rbegin(), rev.rend());
+    out.alignment.ops.assign(rev.rbegin(), rev.rend());
+    for (const EditOp op : rev) ++out.alignment.counts[static_cast<std::size_t>(op)];
     return out;
 }
 
@@ -92,31 +94,30 @@ std::size_t reference_distance(const Trace& a, const Trace& b) {
 /// "MMSDI"-style rendering of the edit operations.
 std::string ops(const Alignment& a) {
     std::string s;
-    for (const EditStep& step : a.steps) s.push_back("MSDI"[static_cast<int>(step.op)]);
+    for (const EditOp op : a.ops) s.push_back("MSDI"[static_cast<int>(op)]);
     return s;
 }
 
-void expect_same_steps(const Alignment& got, const Alignment& want, const std::string& what) {
+/// Same distance, same length, the same op at every step (which fixes
+/// every index) and the same counts.
+void expect_same_ops(const Alignment& got, const Alignment& want, const std::string& what) {
     EXPECT_EQ(got.distance, want.distance) << what;
-    ASSERT_EQ(got.steps.size(), want.steps.size()) << what;
-    for (std::size_t k = 0; k < got.steps.size(); ++k) {
-        const EditStep& g = got.steps[k];
-        const EditStep& w = want.steps[k];
-        ASSERT_TRUE(g.op == w.op && g.sent_index == w.sent_index &&
-                    g.received_index == w.received_index)
+    ASSERT_EQ(got.ops.size(), want.ops.size()) << what;
+    for (std::size_t k = 0; k < got.ops.size(); ++k)
+        ASSERT_TRUE(got.ops[k] == want.ops[k])
             << what << ": first difference at step " << k << " of " << ops(got) << " vs "
             << ops(want);
-    }
+    EXPECT_EQ(got.counts, want.counts) << what;
 }
 
 /// Every entry point against the reference on one trace pair.
 void expect_matches_reference(const Trace& sent, const Trace& received, const std::string& what) {
     const Reference full = reference_align(sent, received, false);
-    expect_same_steps(align(sent, received), full.alignment, what + " align");
+    expect_same_ops(align(sent, received), full.alignment, what + " align");
 
     const Reference free = reference_align(sent, received, true);
     const PrefixAlignment got = align_end_free(sent, received);
-    expect_same_steps(got.alignment, free.alignment, what + " align_end_free");
+    expect_same_ops(got.alignment, free.alignment, what + " align_end_free");
     EXPECT_EQ(got.received_consumed, free.consumed) << what;
     if (!sent.empty()) {
         const WindowEstimate we = estimate_window(sent, received);
@@ -190,8 +191,7 @@ TEST(Alignment, SingleSubstitution) {
     const Alignment a = align(sent, received);
     EXPECT_EQ(a.distance, 1U);
     EXPECT_EQ(a.count(EditOp::substitution), 1U);
-    EXPECT_EQ(a.steps[1].sent_index, 1U);
-    EXPECT_EQ(a.steps[1].received_index, 1U);
+    EXPECT_EQ(ops(a), "MSM");  // sent[1] against received[1]
 }
 
 TEST(Alignment, PrefersMatchesOnTies) {
@@ -217,21 +217,28 @@ TEST(Alignment, StepsReconstructReceived) {
                                                : s);
     }
     const Alignment a = align(sent, received);
-    // Replaying the steps over `sent` must reproduce `received`.
+    // Replaying the ops over `sent` must reproduce `received`.
     Trace rebuilt;
-    for (const EditStep& step : a.steps) {
-        switch (step.op) {
+    std::size_t i = 0, j = 0;
+    for (const EditOp op : a.ops) {
+        switch (op) {
             case EditOp::match:
-                rebuilt.push_back(sent[step.sent_index]);
+                rebuilt.push_back(sent[i++]);
+                ++j;
                 break;
             case EditOp::substitution:
+                ++i;
+                rebuilt.push_back(received[j++]);
+                break;
             case EditOp::insertion:
-                rebuilt.push_back(received[step.received_index]);
+                rebuilt.push_back(received[j++]);
                 break;
             case EditOp::deletion:
+                ++i;
                 break;
         }
     }
+    EXPECT_EQ(i, sent.size());
     EXPECT_EQ(rebuilt, received);
 }
 
@@ -266,7 +273,7 @@ TEST(Alignment, CountsSumToSteps) {
     const Alignment a = align(sent, received);
     EXPECT_EQ(a.count(EditOp::match) + a.count(EditOp::substitution) +
                   a.count(EditOp::deletion) + a.count(EditOp::insertion),
-              a.steps.size());
+              a.ops.size());
 }
 
 // Block-edge lengths (one word, word +- 1, two words +- 1) and a tracker
@@ -438,6 +445,142 @@ TEST(AlignmentKernel, FaultStreamWindowsMatchScalarReference) {
         padded.resize(drift_window(a.sent.size(), padded.size()));
         expect_matches_reference(a.sent, padded, tag + " padded");
     }
+}
+
+/// `sent` through deletions at rate `p_del(i)` for sent index i, plus ~2%
+/// insertions and ~2% substitutions.
+template <typename Rate>
+Trace delete_by(ccap::util::Rng& rng, const Trace& sent, std::uint64_t alphabet, Rate p_del) {
+    Trace received;
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+        if (rng.bernoulli(p_del(i))) continue;
+        if (rng.bernoulli(0.02))
+            received.push_back(static_cast<std::uint32_t>(rng.uniform_below(alphabet)));
+        received.push_back(rng.bernoulli(0.02)
+                               ? static_cast<std::uint32_t>(rng.uniform_below(alphabet))
+                               : sent[i]);
+    }
+    return received;
+}
+
+// The band's top is cut by score: a block leaves the band once the D on
+// its bottom row shows no path of the band's cost passes through it. These
+// 2000-symbol windows put the deletions (n - m up to ~700) where the
+// optimal path bends away from the geometric band's top: crowded at the
+// start, at the end, in a burst, and spread at the tracker's worst drift;
+// one pads the window past its own symbols, so the received columns left
+// exceed the sent rows left below the band's top (a negative exit debt
+// there); and one needs the second, certifying sweep.
+TEST(AlignmentKernel, PrunedBandTopMatchesScalarReference) {
+    ccap::util::Rng rng(20);
+    constexpr std::size_t n = 2000;
+    for (const std::uint64_t alphabet : {2ULL, 4ULL}) {
+        const std::string tag = "alphabet " + std::to_string(alphabet);
+        const Trace sent = random_trace(rng, n, alphabet);
+        const auto in = [](std::size_t i, std::size_t lo, std::size_t hi) {
+            return i >= lo && i < hi;
+        };
+        const Trace start = delete_by(
+            rng, sent, alphabet, [&](std::size_t i) { return in(i, 0, 750) ? 0.9 : 0.02; });
+        const Trace end = delete_by(
+            rng, sent, alphabet, [&](std::size_t i) { return in(i, 1250, n) ? 0.9 : 0.02; });
+        const Trace burst = delete_by(
+            rng, sent, alphabet, [&](std::size_t i) { return in(i, 700, 1400) ? 0.85 : 0.05; });
+        const Trace spread = delete_by(rng, sent, alphabet, [](std::size_t) { return 0.35; });
+        for (const auto& [name, received] : {std::pair{"start", &start}, {"end", &end},
+                                             {"burst", &burst}, {"spread", &spread}}) {
+            EXPECT_GE(n - received->size(), 500U) << tag << " " << name;
+            expect_matches_reference(sent, *received, tag + " deletions at " + name);
+        }
+
+        Trace padded = delete_by(rng, sent, alphabet, [](std::size_t) { return 0.1; });
+        const Trace tail = random_trace(rng, n, alphabet);
+        padded.insert(padded.end(), tail.begin(), tail.end());
+        padded.resize(drift_window(n, padded.size()));
+        expect_matches_reference(sent, padded, tag + " padded window");
+
+        // Deletions plus a substitution flood: the best path costs more
+        // than the first sweep's n - m + 64.
+        Trace flood = delete_by(rng, sent, alphabet, [](std::size_t) { return 0.15; });
+        for (std::uint32_t& sym : flood)
+            if (rng.bernoulli(0.5))
+                sym = static_cast<std::uint32_t>((sym + 1 + rng.uniform_below(alphabet - 1)) %
+                                                 alphabet);
+        EXPECT_GT(align_end_free(sent, flood).alignment.distance, n - flood.size() + 64) << tag;
+        expect_matches_reference(sent, flood, tag + " second sweep");
+    }
+}
+
+/// FNV-1a over little-endian 64-bit words.
+struct Fnv {
+    std::uint64_t h = 14695981039346656037ULL;
+    void add(std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xFFU;
+            h *= 1099511628211ULL;
+        }
+    }
+    void add(double v) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof bits);
+        add(bits);
+    }
+};
+
+/// Digest of the end-free alignment of every window of a 25 x 2000-symbol
+/// binary stream at nominal P_d 0.1 under `profile`: alone (as the tracker
+/// aligns it) and padded with the next window's received symbols to
+/// drift_window (as a trace source carves it). Per window: the op
+/// sequence, the distance, the four counts, the prefix consumed and
+/// estimate_window's rates.
+std::uint64_t window_digest(const ccap::core::FaultProfile& profile, std::uint64_t seed) {
+    ccap::core::FaultStreamSource::Config sc;
+    sc.params = {0.1, 0.0, 0.0, 1};
+    sc.profile = profile;
+    sc.window_len = 2000;
+    sc.windows = 26;
+    sc.seed = seed;
+    ccap::core::FaultStreamSource src(sc);
+    std::vector<ccap::core::StreamChunk> chunks;
+    while (auto c = src.next()) chunks.push_back(std::move(*c));
+    Fnv d;
+    for (std::size_t w = 0; w + 1 < chunks.size(); ++w) {
+        Trace padded = chunks[w].received;
+        padded.insert(padded.end(), chunks[w + 1].received.begin(),
+                      chunks[w + 1].received.end());
+        padded.resize(drift_window(chunks[w].sent.size(), padded.size()));
+        for (const Trace* received : {&chunks[w].received, &padded}) {
+            const PrefixAlignment got = align_end_free(chunks[w].sent, *received);
+            for (const char c : ops(got.alignment)) d.add(static_cast<std::uint64_t>(c));
+            d.add(got.alignment.distance);
+            for (const EditOp op :
+                 {EditOp::match, EditOp::substitution, EditOp::deletion, EditOp::insertion})
+                d.add(got.alignment.count(op));
+            d.add(got.received_consumed);
+            const WindowEstimate we = estimate_window(chunks[w].sent, *received);
+            d.add(we.received_consumed);
+            d.add(we.estimate.p_d.value);
+            d.add(we.estimate.p_i.value);
+            d.add(we.estimate.p_s.value);
+            d.add(we.estimate.channel_uses);
+        }
+    }
+    return d.h;
+}
+
+// Golden digests of the alignments of live drifting windows, recorded
+// from the full-band sweep with a stored-step traceback.
+TEST(AlignmentKernel, FaultStreamWindowsMatchPinnedDigests) {
+    using ccap::core::FaultProfile;
+    FaultProfile drift;
+    ASSERT_TRUE(ccap::core::named_fault_profile("drift", drift));
+    EXPECT_EQ(window_digest(drift, 1), 0xa03f683ee13a07e8ULL) << "drift preset";
+    EXPECT_EQ(window_digest(FaultProfile::drifting(0.3, 20011), 2), 0x04e249d2f7988356ULL)
+        << "period 20011";
+    EXPECT_EQ(window_digest(FaultProfile::drifting(0.4, 1), 3), 0x4cb586e572d8605dULL)
+        << "period 1";
+    EXPECT_EQ(window_digest(FaultProfile::drifting(0.4, 3), 4), 0xa0b8239f0860186cULL)
+        << "period 3";
 }
 
 // A trellis too large for the thread's reused scratch runs on its own
