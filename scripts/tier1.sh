@@ -48,9 +48,10 @@ echo "== tier1: perfbench harness build (compile only) =="
 cmake -S perfbench -B build/perfbench >/dev/null
 cmake --build build/perfbench -j"$(nproc)"
 
-# Link audit: every out-of-line ccap:: library function is linked by a
-# program (tools/ccap, bench/, examples/, perfbench) or named with its
-# reason in scripts/api_allowlist.txt; a stale allow-list entry fails too.
+# Link audit: every ccap:: library function, out-of-line or inline in a
+# header (weak special members aside), is linked by a program (tools/ccap,
+# bench/, examples/, perfbench) or named with its reason in
+# scripts/api_allowlist.txt; a stale allow-list entry fails too.
 echo "== tier1: link audit of the public library surface =="
 ./scripts/api_audit.sh
 

@@ -26,9 +26,6 @@ public:
         return static_cast<unsigned>(generators_.size());
     }
     [[nodiscard]] unsigned num_states() const noexcept { return 1U << (k_ - 1); }
-    [[nodiscard]] const std::vector<std::uint32_t>& generators() const noexcept {
-        return generators_;
-    }
 
     /// Encode with `k-1` terminating zero bits appended (trellis returns to
     /// state 0). Output length = (info.size() + k - 1) * n.

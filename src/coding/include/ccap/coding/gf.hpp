@@ -13,7 +13,6 @@ public:
     /// GF(2^m). Throws for m outside [1, 12].
     explicit GaloisField(unsigned m);
 
-    [[nodiscard]] unsigned m() const noexcept { return m_; }
     [[nodiscard]] unsigned size() const noexcept { return q_; }  ///< q = 2^m
 
     [[nodiscard]] std::uint16_t add(std::uint16_t a, std::uint16_t b) const noexcept {
@@ -25,14 +24,8 @@ public:
     [[nodiscard]] std::uint16_t mul(std::uint16_t a, std::uint16_t b) const;
     [[nodiscard]] std::uint16_t inv(std::uint16_t a) const;
 
-    /// alpha^i for the field's primitive element alpha.
-    [[nodiscard]] std::uint16_t alpha_pow(unsigned i) const {
-        return exp_[i % (q_ - 1)];
-    }
-
 private:
     void check_element(std::uint16_t a) const;
-    unsigned m_;
     unsigned q_;
     std::vector<std::uint16_t> exp_;  // exp_[i] = alpha^i, size q-1
     std::vector<std::uint16_t> log_;  // log_[a] = i with alpha^i = a, a != 0

@@ -35,14 +35,10 @@ class NbLdpcCode {
 public:
     explicit NbLdpcCode(NbLdpcParams params);
 
-    [[nodiscard]] const GaloisField& field() const noexcept { return gf_; }
     [[nodiscard]] std::size_t n() const noexcept { return params_.n; }
     /// Actual information symbols: n - rank(H). (Equals n - num_checks when
     /// the random H has full rank, which the constructor retries for.)
     [[nodiscard]] std::size_t k() const noexcept { return info_cols_.size(); }
-    [[nodiscard]] double rate() const noexcept {
-        return static_cast<double>(k()) / static_cast<double>(n());
-    }
 
     /// Systematic encode: info symbols land in the non-pivot columns in
     /// increasing column order; parity symbols are solved from H.

@@ -34,7 +34,6 @@ class LtCode {
 public:
     explicit LtCode(LtParams params);
 
-    [[nodiscard]] const LtParams& params() const noexcept { return params_; }
     [[nodiscard]] std::size_t k() const noexcept { return params_.k; }
 
     /// Source indices XOR-combined into encoded symbol `index`
@@ -68,7 +67,6 @@ public:
     bool add_symbol(std::uint64_t index, std::uint32_t value);
 
     [[nodiscard]] bool complete() const noexcept { return decoded_count_ == code_->k(); }
-    [[nodiscard]] std::size_t decoded_count() const noexcept { return decoded_count_; }
     [[nodiscard]] std::size_t symbols_consumed() const noexcept { return consumed_; }
 
     /// Decoded source block; entries are nullopt until recovered.

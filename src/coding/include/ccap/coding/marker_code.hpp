@@ -29,8 +29,6 @@ class MarkerCode {
 public:
     explicit MarkerCode(MarkerParams params);
 
-    [[nodiscard]] const MarkerParams& params() const noexcept { return params_; }
-
     /// Stream length after inserting markers into `data_len` data bits.
     [[nodiscard]] std::size_t encoded_length(std::size_t data_len) const noexcept;
 

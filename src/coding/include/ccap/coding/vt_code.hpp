@@ -38,8 +38,6 @@ public:
     /// Code of length n (>= 2) with checksum residue a in [0, n].
     VtCode(unsigned n, unsigned a);
 
-    [[nodiscard]] unsigned block_length() const noexcept { return n_; }
-    [[nodiscard]] unsigned residue() const noexcept { return a_; }
     /// Information bits carried per block by the systematic encoder.
     [[nodiscard]] unsigned data_bits() const noexcept;
     [[nodiscard]] double rate() const noexcept {

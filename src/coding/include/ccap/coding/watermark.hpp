@@ -38,9 +38,6 @@ class WatermarkCode {
 public:
     explicit WatermarkCode(WatermarkParams params);
 
-    [[nodiscard]] const WatermarkParams& params() const noexcept { return params_; }
-    [[nodiscard]] const NbLdpcCode& outer() const noexcept { return ldpc_; }
-
     /// Information bits per block.
     [[nodiscard]] std::size_t info_bits() const noexcept {
         return ldpc_.k() * params_.bits_per_symbol;
@@ -53,9 +50,6 @@ public:
     [[nodiscard]] double rate() const noexcept {
         return static_cast<double>(info_bits()) / static_cast<double>(channel_bits());
     }
-
-    /// Mean density of ones in the sparse stream (decoder prior).
-    [[nodiscard]] double sparse_density() const noexcept { return density_; }
 
     [[nodiscard]] Bits encode(std::span<const std::uint8_t> info) const;
 

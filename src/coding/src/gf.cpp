@@ -26,7 +26,7 @@ constexpr std::array<std::uint16_t, 13> kPrimitivePoly = {
 
 }  // namespace
 
-GaloisField::GaloisField(unsigned m) : m_(m), q_(1U << m) {
+GaloisField::GaloisField(unsigned m) : q_(1U << m) {
     if (m < 1 || m > 12) throw std::invalid_argument("GaloisField: m must be in [1,12]");
     exp_.resize(q_ - 1);
     log_.assign(q_, 0);

@@ -42,9 +42,6 @@ public:
 
     /// Long-run average parameters (what the paper's formulas apply to).
     [[nodiscard]] const DiChannelParams& params() const noexcept override { return average_; }
-    [[nodiscard]] const BurstyChannelParams& bursty_params() const noexcept { return params_; }
-    [[nodiscard]] bool in_bad_state() const noexcept { return bad_state_; }
-    [[nodiscard]] std::uint64_t uses() const noexcept { return uses_; }
     /// Fraction of uses spent in the bad state so far (0 before first use).
     [[nodiscard]] double measured_bad_fraction() const noexcept;
 

@@ -65,7 +65,6 @@ public:
     DeletionInsertionChannel(DiChannelParams params, std::uint64_t seed);
 
     [[nodiscard]] const DiChannelParams& params() const noexcept override { return params_; }
-    [[nodiscard]] std::uint64_t uses() const noexcept { return uses_; }
 
     using UseOutcome = ChannelUseOutcome;
 
@@ -85,7 +84,6 @@ public:
     [[nodiscard]] UseEvent draw(std::uint32_t queued) {
         if (queued >= params_.alphabet())
             throw std::out_of_range("DeletionInsertionChannel::use: symbol out of alphabet");
-        ++uses_;
         const double u = rng_.uniform();
         if (u < params_.p_i) return {ChannelEvent::insertion, random_symbol()};
         if (u < params_.p_i + params_.p_d) return {ChannelEvent::deletion, 0};
@@ -116,7 +114,6 @@ private:
 
     DiChannelParams params_;
     util::Rng rng_;
-    std::uint64_t uses_ = 0;
 };
 
 }  // namespace ccap::core

@@ -111,13 +111,6 @@ struct FaultStats {
     }
 };
 
-/// One injected fault, for replay/debug logs (bounded; see FaultyChannel).
-struct InjectedFault {
-    enum class Kind : std::uint8_t { storm_drop, drift_drop, stuck_override };
-    std::uint64_t use = 0;
-    Kind kind = Kind::storm_drop;
-};
-
 /// Decorator over any SymbolChannel applying a FaultProfile per use. The
 /// schedule clock is the decorator's own use counter, so the same profile
 /// and seed replay the same fault sequence over any inner channel. The
@@ -134,17 +127,10 @@ public:
     [[nodiscard]] const DiChannelParams& params() const noexcept override {
         return inner_->params();
     }
-    [[nodiscard]] const FaultProfile& profile() const noexcept { return profile_; }
     [[nodiscard]] const FaultStats& stats() const noexcept { return stats_; }
-    /// Injected-fault log, capped at kMaxLoggedFaults entries (the stats
-    /// counters keep exact totals past the cap).
-    [[nodiscard]] const std::vector<InjectedFault>& fault_log() const noexcept {
-        return fault_log_;
-    }
 
     [[nodiscard]] ChannelUseOutcome use(std::uint32_t queued) override;
 
-    static constexpr std::size_t kMaxLoggedFaults = 4096;
     /// Longest drift period whose delta(t) is tabled, one double per phase
     /// (64 KiB at the `drift` preset's 8192); a longer period computes each
     /// delta directly. An implementation limit: both give the same doubles.
@@ -165,7 +151,7 @@ private:
         if (drift_on_ && ++drift_phase_ == profile_.drift_period) drift_phase_ = 0;
         if (windows_on_) return apply_windows(e, t, phase);
         // Drift alone: a drop is the only fault.
-        if (e.kind != ChannelEvent::deletion && drift_drop(t, phase))
+        if (e.kind != ChannelEvent::deletion && drift_drop(phase))
             e.kind = ChannelEvent::deletion;
         return e;
     }
@@ -179,14 +165,13 @@ private:
     [[nodiscard]] UseEvent apply_windows(UseEvent e, std::uint64_t t, std::uint64_t phase);
 
     /// Draws whether delta(t) drops the delivery at use t (`phase` = t %
-    /// drift_period), and counts and logs a drop. delta comes from the
-    /// table once the clock has reached its phase.
-    [[nodiscard]] bool drift_drop(std::uint64_t t, std::uint64_t phase) {
+    /// drift_period), and counts a drop. delta comes from the table once
+    /// the clock has reached its phase.
+    [[nodiscard]] bool drift_drop(std::uint64_t phase) {
         const double delta =
             phase < drift_table_.size() ? drift_table_[phase] : extend_drift_table(phase);
         if (!(delta > 0.0 && rng_.bernoulli(delta))) return false;
         ++stats_.drift_drops;
-        log_fault(t, InjectedFault::Kind::drift_drop);
         return true;
     }
     /// Tables delta up to phase k and returns it; computes it directly
@@ -197,7 +182,6 @@ private:
                                  std::uint64_t len) const noexcept {
         return period != 0 && len != 0 && (t % period) < len;
     }
-    void log_fault(std::uint64_t t, InjectedFault::Kind kind);
 
     SymbolChannel* inner_;
     FaultProfile profile_;
@@ -207,7 +191,6 @@ private:
     std::uint64_t drift_phase_ = 0;
     util::Rng rng_;
     FaultStats stats_;
-    std::vector<InjectedFault> fault_log_;
     std::vector<double> drift_table_;  ///< delta by phase, filled up to the highest reached
 };
 

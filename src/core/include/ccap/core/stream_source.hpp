@@ -73,12 +73,9 @@ public:
 
     explicit FaultStreamSource(Config cfg);
 
-    [[nodiscard]] const Config& config() const noexcept { return cfg_; }
-    [[nodiscard]] std::uint64_t emitted() const noexcept { return emitted_; }
-    /// Fault totals injected so far (storms/drift/stuck overrides).
+    /// Channel uses (the fault-schedule clock) and fault totals injected
+    /// so far (storms/drift/stuck overrides).
     [[nodiscard]] const FaultStats& fault_stats() const noexcept { return faulty_.stats(); }
-    /// Channel uses consumed so far (the fault-schedule clock).
-    [[nodiscard]] std::uint64_t uses() const noexcept { return uses_; }
 
     [[nodiscard]] std::optional<StreamChunk> next() override;
 
@@ -87,7 +84,6 @@ private:
     DeletionInsertionChannel inner_;
     FaultyChannel faulty_;
     std::uint64_t emitted_ = 0;
-    std::uint64_t uses_ = 0;
 };
 
 }  // namespace ccap::core

@@ -29,7 +29,6 @@ DeletionInsertionChannel::Transduction DeletionInsertionChannel::transduce(
     }
     if (trailing_insertions) {
         while (rng_.bernoulli(params_.p_i)) {
-            ++uses_;
             ++t.channel_uses;
             EventRecord rec;
             rec.kind = ChannelEvent::insertion;

@@ -108,8 +108,7 @@ UseEvent FaultyChannel::apply_windows(UseEvent e, std::uint64_t t, std::uint64_t
         if (in_window(t, profile_.storm_period, profile_.storm_len)) {
             e.kind = ChannelEvent::deletion;
             ++stats_.storm_drops;
-            log_fault(t, InjectedFault::Kind::storm_drop);
-        } else if (drift_on_ && drift_drop(t, phase)) {
+        } else if (drift_on_ && drift_drop(phase)) {
             e.kind = ChannelEvent::deletion;
         }
     }
@@ -119,7 +118,6 @@ UseEvent FaultyChannel::apply_windows(UseEvent e, std::uint64_t t, std::uint64_t
         if (e.symbol != stuck) {
             e.symbol = stuck;
             ++stats_.stuck_overrides;
-            log_fault(t, InjectedFault::Kind::stuck_override);
         }
     }
     return e;
@@ -130,10 +128,6 @@ double FaultyChannel::extend_drift_table(std::uint64_t k) {
     while (drift_table_.size() <= k)
         drift_table_.push_back(profile_.drift_delta(drift_table_.size()));
     return drift_table_[k];
-}
-
-void FaultyChannel::log_fault(std::uint64_t t, InjectedFault::Kind kind) {
-    if (fault_log_.size() < kMaxLoggedFaults) fault_log_.push_back({t, kind});
 }
 
 void FeedbackLinkParams::validate() const {

@@ -60,7 +60,6 @@ std::optional<StreamChunk> FaultStreamSource::next() {
             if (drawn.kind != ChannelEvent::insertion) break;
         }
     }
-    uses_ += chunk.channel_uses;
     ++emitted_;
     return chunk;
 }

@@ -135,7 +135,6 @@ class CapacityTracker {
 public:
     explicit CapacityTracker(TrackerConfig cfg);
 
-    [[nodiscard]] const TrackerConfig& config() const noexcept { return cfg_; }
     /// The backing grid cache (benches evaluate ground truth through it so
     /// tracker and truth share one quantization).
     [[nodiscard]] info::CapacityCache& cache() noexcept { return cache_; }

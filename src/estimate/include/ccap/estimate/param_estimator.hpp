@@ -100,13 +100,16 @@ struct WindowEstimate {
 /// P_s = E[S]/E[T]. Monotone in likelihood and typically converges in
 /// ~10-20 iterations; agrees with estimate_params_mle at the optimum. Each
 /// iteration is a scalar forward-backward pass per block, so it is the
-/// slower fit. Paired against the MLE on 200 seeded binary trace pairs of
-/// 4096 symbols per (P_d, P_i, P_s) point (4-core AVX-512 Xeon), the mean
-/// max-abs error EM - MLE was -0.0030 (95% CI -0.0036 to -0.0024) at
-/// (0.10, 0.05, 0.02), -0.0020 (-0.0024 to -0.0016) at (0.05, 0.05, 0.01)
-/// and -0.0025 (-0.0094 to +0.0045, not significant) at (0.20, 0.10,
-/// 0.05). EM had the lower error in 151-156 of the 200 pairs at each
-/// point, and took 6.5x, 8.7x and 34x the MLE's median wall time per fit.
+/// slower fit. It fits at most the first 4096 sent symbols; the MLE fits
+/// at most the first 2048. On 200 seeded binary trace pairs of 4096
+/// symbols per (P_d, P_i, P_s) point (4-core AVX-512 Xeon), the mean
+/// max-abs error EM - MLE at these defaults was -0.0030 (95% CI -0.0036
+/// to -0.0024) at (0.10, 0.05, 0.02) and -0.0020 (-0.0024 to -0.0016) at
+/// (0.05, 0.05, 0.01), but most of that is EM's extra data. With both
+/// fits given the same symbols it was -0.0006 (-0.0011 to -0.0001) at
+/// 2048 and -0.0012 (-0.0016 to -0.0007) at 4096 for the first point,
+/// and +0.0002 (-0.0000 to +0.0004, not significant) at both for the
+/// second. At equal data EM took 4-7x the MLE's median time per fit.
 [[nodiscard]] ParamEstimate estimate_params_em(std::span<const std::uint32_t> sent,
                                                std::span<const std::uint32_t> received,
                                                unsigned bits_per_symbol,

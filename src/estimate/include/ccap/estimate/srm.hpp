@@ -31,12 +31,6 @@ public:
     void add_operation(const std::string& name, const std::vector<std::string>& reads,
                        const std::vector<std::string>& modifies);
 
-    [[nodiscard]] std::size_t num_attributes() const noexcept { return attributes_.size(); }
-    [[nodiscard]] std::size_t num_operations() const noexcept { return operations_.size(); }
-    [[nodiscard]] const std::vector<std::string>& attributes() const noexcept {
-        return attributes_;
-    }
-
     struct Channel {
         std::string attribute;    ///< the shared medium
         std::string sender_op;    ///< modifies the attribute

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "ccap/util/matrix.hpp"
 
@@ -18,19 +17,13 @@ class Dmc {
 public:
     /// Construct from a row-stochastic matrix W(y|x); throws if not
     /// stochastic within 1e-9 (rows are renormalized if within tolerance).
-    explicit Dmc(util::Matrix transition, std::string name = "dmc");
+    explicit Dmc(util::Matrix transition);
 
-    [[nodiscard]] std::size_t num_inputs() const noexcept { return w_.rows(); }
-    [[nodiscard]] std::size_t num_outputs() const noexcept { return w_.cols(); }
+    /// W(y|x) at (x, y): one row per input, one column per output.
     [[nodiscard]] const util::Matrix& matrix() const noexcept { return w_; }
-    [[nodiscard]] const std::string& name() const noexcept { return name_; }
-
-    /// W(y|x); requires x < num_inputs() and y < num_outputs().
-    [[nodiscard]] double transition(std::size_t x, std::size_t y) const { return w_(x, y); }
 
 private:
     util::Matrix w_;
-    std::string name_;
 };
 
 /// Binary symmetric channel with crossover probability p.

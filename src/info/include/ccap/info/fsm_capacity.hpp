@@ -32,7 +32,6 @@ public:
     void add_edge(std::size_t from, std::size_t to, double duration = 1.0);
 
     [[nodiscard]] std::size_t num_states() const noexcept { return num_states_; }
-    [[nodiscard]] std::size_t num_edges() const noexcept { return edges_.size(); }
     [[nodiscard]] const std::vector<FsmEdge>& edges() const noexcept { return edges_; }
 
     /// Capacity in bits per unit time. Returns 0 for machines that admit no

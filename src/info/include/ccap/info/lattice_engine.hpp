@@ -197,10 +197,8 @@ public:
         band_ = ws.bands(2 * (n_ + 1));
     }
 
-    [[nodiscard]] std::size_t n() const noexcept { return n_; }
     [[nodiscard]] std::size_t m() const noexcept { return m_; }
     [[nodiscard]] std::size_t width() const noexcept { return width_; }
-    [[nodiscard]] int d_max() const noexcept { return d_max_; }
     [[nodiscard]] std::size_t idx(int d) const noexcept {
         return static_cast<std::size_t>(d + d_max_);
     }

@@ -9,8 +9,7 @@
 
 namespace ccap::info {
 
-Dmc::Dmc(util::Matrix transition, std::string name)
-    : w_(std::move(transition)), name_(std::move(name)) {
+Dmc::Dmc(util::Matrix transition) : w_(std::move(transition)) {
     if (w_.rows() == 0 || w_.cols() == 0) throw std::invalid_argument("Dmc: empty matrix");
     if (!w_.is_row_stochastic(1e-9)) throw std::invalid_argument("Dmc: matrix not row-stochastic");
     w_.normalize_rows();  // remove the 1e-9 slack exactly
@@ -24,12 +23,12 @@ void check_prob(double p, const char* who) {
 
 Dmc make_bsc(double p) {
     check_prob(p, "make_bsc");
-    return Dmc(util::Matrix{{1.0 - p, p}, {p, 1.0 - p}}, "bsc");
+    return Dmc(util::Matrix{{1.0 - p, p}, {p, 1.0 - p}});
 }
 
 Dmc make_bec(double e) {
     check_prob(e, "make_bec");
-    return Dmc(util::Matrix{{1.0 - e, 0.0, e}, {0.0, 1.0 - e, e}}, "bec");
+    return Dmc(util::Matrix{{1.0 - e, 0.0, e}, {0.0, 1.0 - e, e}});
 }
 
 Dmc make_mary_symmetric(unsigned m, double p) {
@@ -37,12 +36,12 @@ Dmc make_mary_symmetric(unsigned m, double p) {
     check_prob(p, "make_mary_symmetric");
     util::Matrix w(m, m, p / (static_cast<double>(m) - 1.0));
     for (unsigned i = 0; i < m; ++i) w(i, i) = 1.0 - p;
-    return Dmc(std::move(w), "mary_symmetric");
+    return Dmc(std::move(w));
 }
 
 Dmc make_z_channel(double p) {
     check_prob(p, "make_z_channel");
-    return Dmc(util::Matrix{{1.0, 0.0}, {p, 1.0 - p}}, "z_channel");
+    return Dmc(util::Matrix{{1.0, 0.0}, {p, 1.0 - p}});
 }
 
 Dmc make_mary_erasure(unsigned m, double e) {
@@ -53,14 +52,14 @@ Dmc make_mary_erasure(unsigned m, double e) {
         w(i, i) = 1.0 - e;
         w(i, m) = e;
     }
-    return Dmc(std::move(w), "mary_erasure");
+    return Dmc(std::move(w));
 }
 
 Dmc make_noiseless(unsigned m) {
     if (m < 1) throw std::invalid_argument("make_noiseless: m < 1");
     util::Matrix w(m, m);
     for (unsigned i = 0; i < m; ++i) w(i, i) = 1.0;
-    return Dmc(std::move(w), "noiseless");
+    return Dmc(std::move(w));
 }
 
 double bsc_capacity(double p) {

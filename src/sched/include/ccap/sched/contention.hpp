@@ -137,7 +137,6 @@ public:
     /// The full pipeline: simulate -> map -> evaluate.
     [[nodiscard]] ContentionReport run() const;
 
-    [[nodiscard]] const ContentionConfig& config() const noexcept { return cfg_; }
     /// Resolved aggregate service rate (config default applied).
     [[nodiscard]] double service_per_tick() const noexcept { return service_; }
 

@@ -27,8 +27,6 @@ public:
     void schedule_in(SimTime delay, Callback cb) { schedule_at(now_ + delay, std::move(cb)); }
 
     [[nodiscard]] SimTime now() const noexcept { return now_; }
-    [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-    [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
 
     /// Pop and run the earliest event; advances now(). Returns false if empty.
     bool step();

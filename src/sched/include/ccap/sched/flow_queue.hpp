@@ -92,7 +92,6 @@ public:
     }
 
     [[nodiscard]] std::size_t backlog() const noexcept { return backlog_; }
-    [[nodiscard]] std::size_t num_flows() const noexcept { return counters_.size(); }
     [[nodiscard]] const FlowCounters& flow(std::size_t f) const { return counters_[f]; }
 
     /// Aggregate counters over all flows.

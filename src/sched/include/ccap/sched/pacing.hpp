@@ -14,8 +14,6 @@
 // calls try_consume once per served symbol.
 #pragma once
 
-#include <cstdint>
-
 namespace ccap::sched {
 
 struct PacingConfig {
@@ -26,19 +24,12 @@ struct PacingConfig {
     double burst_budget = 0.0;
 };
 
-struct PacingStats {
-    std::uint64_t ticks = 0;      ///< on_tick() calls
-    std::uint64_t consumed = 0;   ///< successful try_consume() calls
-    std::uint64_t throttled = 0;  ///< try_consume() calls refused for lack of budget
-};
-
 class PacingController {
 public:
     explicit PacingController(PacingConfig cfg);
 
     /// Deposit one tick's budget (clamped to the burst cap).
     void on_tick() {
-        ++stats_.ticks;
         budget_ += cfg_.budget_per_tick;
         // The burst cap bounds *banked* budget: a tick's fresh deposit is
         // always spendable in full, so a budget_per_tick above the cap still
@@ -48,25 +39,16 @@ public:
         if (budget_ > cap) budget_ = cap;
     }
 
-    /// Spend `cost` tokens if available. Refusals are counted as throttling.
+    /// Spend `cost` tokens if available; false (and nothing spent) if not.
     bool try_consume(double cost = 1.0) {
-        if (budget_ < cost) {
-            ++stats_.throttled;
-            return false;
-        }
+        if (budget_ < cost) return false;
         budget_ -= cost;
-        ++stats_.consumed;
         return true;
     }
-
-    [[nodiscard]] double budget() const noexcept { return budget_; }
-    [[nodiscard]] const PacingConfig& config() const noexcept { return cfg_; }
-    [[nodiscard]] const PacingStats& stats() const noexcept { return stats_; }
 
 private:
     PacingConfig cfg_;
     double budget_ = 0.0;
-    PacingStats stats_;
 };
 
 }  // namespace ccap::sched

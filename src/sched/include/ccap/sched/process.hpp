@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "ccap/sched/event_queue.hpp"
 
@@ -21,15 +20,14 @@ enum class ProcessState : std::uint8_t { runnable, blocked, finished };
 
 class Process {
 public:
-    Process(ProcessId id, std::string name, int priority = 0, std::uint64_t tickets = 1)
-        : id_(id), name_(std::move(name)), priority_(priority), tickets_(tickets) {}
+    explicit Process(ProcessId id, int priority = 0, std::uint64_t tickets = 1)
+        : id_(id), priority_(priority), tickets_(tickets) {}
     virtual ~Process() = default;
 
     Process(const Process&) = delete;
     Process& operator=(const Process&) = delete;
 
     [[nodiscard]] ProcessId id() const noexcept { return id_; }
-    [[nodiscard]] const std::string& name() const noexcept { return name_; }
     [[nodiscard]] int priority() const noexcept { return priority_; }
     [[nodiscard]] std::uint64_t tickets() const noexcept { return tickets_; }
     [[nodiscard]] ProcessState state() const noexcept { return state_; }
@@ -59,7 +57,6 @@ private:
     }
 
     ProcessId id_;
-    std::string name_;
     int priority_;
     std::uint64_t tickets_;
     ProcessState state_ = ProcessState::runnable;

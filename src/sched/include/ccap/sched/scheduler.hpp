@@ -65,13 +65,7 @@ public:
     ProcessId add_process(std::unique_ptr<Process> process);
 
     [[nodiscard]] Process& process(ProcessId id);
-    [[nodiscard]] std::size_t num_processes() const noexcept { return processes_.size(); }
     [[nodiscard]] const SimStats& stats() const noexcept { return stats_; }
-    [[nodiscard]] SimTime now() const noexcept { return queue_.now(); }
-    /// Sequence of process ids granted quanta, in order.
-    [[nodiscard]] const std::vector<ProcessId>& activation_trace() const noexcept {
-        return trace_;
-    }
 
     /// Run `quanta` scheduling quanta (or until every process finished).
     void run(std::uint64_t quanta);
@@ -81,7 +75,6 @@ private:
     util::Rng rng_;
     EventQueue queue_;
     std::vector<std::unique_ptr<Process>> processes_;
-    std::vector<ProcessId> trace_;
     SimStats stats_;
 };
 

@@ -1,52 +1,24 @@
-// The covert medium: a shared storage cell with an audit trail.
+// The covert medium: a shared storage cell.
 //
 // In the paper's motivating example the sender "makes a change in the
 // system" and the receiver "receives it by detecting the change". This
 // class is that change-able thing — a single shared variable (think: file
-// lock status, disk-arm position, quota counter) — plus an access log so
-// experiments and the MLS auditor can reconstruct exactly what happened.
+// lock status, disk-arm position, quota counter).
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
-#include "ccap/sched/event_queue.hpp"
-#include "ccap/sched/process.hpp"
 
 namespace ccap::sched {
-
-enum class AccessKind : std::uint8_t { read, write };
-
-struct AccessRecord {
-    SimTime time = 0;
-    ProcessId who = 0;
-    AccessKind kind = AccessKind::read;
-    std::uint64_t value = 0;  ///< value written / value observed
-};
 
 class SharedResource {
 public:
     explicit SharedResource(std::uint64_t initial = 0) : value_(initial) {}
 
-    [[nodiscard]] std::uint64_t read(ProcessId who, SimTime now) {
-        log_.push_back({now, who, AccessKind::read, value_});
-        return value_;
-    }
-
-    void write(ProcessId who, SimTime now, std::uint64_t value) {
-        value_ = value;
-        log_.push_back({now, who, AccessKind::write, value});
-    }
-
-    /// Peek without generating an audit record (for assertions in tests).
-    [[nodiscard]] std::uint64_t peek() const noexcept { return value_; }
-
-    [[nodiscard]] const std::vector<AccessRecord>& log() const noexcept { return log_; }
-    void clear_log() { log_.clear(); }
+    [[nodiscard]] std::uint64_t read() const noexcept { return value_; }
+    void write(std::uint64_t value) noexcept { value_ = value; }
 
 private:
     std::uint64_t value_;
-    std::vector<AccessRecord> log_;
 };
 
 }  // namespace ccap::sched

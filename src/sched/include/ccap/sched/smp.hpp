@@ -31,7 +31,6 @@ public:
 
     ProcessId add_process(std::unique_ptr<Process> process);
     [[nodiscard]] Process& process(ProcessId id);
-    [[nodiscard]] unsigned cores() const noexcept { return cores_; }
     [[nodiscard]] std::uint64_t total_quanta() const noexcept { return total_quanta_; }
 
     /// Run `quanta` scheduling quanta (or until every process finished).

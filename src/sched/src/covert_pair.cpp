@@ -26,9 +26,9 @@ struct PairState {
 
 class SenderProcess final : public Process {
 public:
-    SenderProcess(ProcessId id, PairState& st) : Process(id, "sender"), st_(st) {}
+    SenderProcess(ProcessId id, PairState& st) : Process(id), st_(st) {}
 
-    void on_quantum(SimTime now) override {
+    void on_quantum(SimTime) override {
         if (next_ >= st_.message.size()) {
             st_.sender_done = true;
             finish();
@@ -38,20 +38,20 @@ public:
         if (st_.config.mode == PairMode::naive) {
             if (st_.unread_write) ++st_.deletions;  // overwrote an unread symbol
             st_.unread_write = true;
-            st_.data.write(id(), now, st_.message[next_]);
+            st_.data.write(st_.message[next_]);
             st_.sent.push_back(st_.message[next_]);
             ++next_;
         } else {
             // Fig. 1: only send when the last symbol has been acknowledged.
-            if (st_.ack_seq.read(id(), now) != seq_) {
+            if (st_.ack_seq.read() != seq_) {
                 ++st_.sender_waits;
                 return;
             }
-            st_.data.write(id(), now, st_.message[next_]);
+            st_.data.write(st_.message[next_]);
             st_.sent.push_back(st_.message[next_]);
             ++next_;
             ++seq_;
-            st_.data_seq.write(id(), now, seq_);
+            st_.data_seq.write(seq_);
         }
         if (next_ >= st_.message.size()) {
             st_.sender_done = true;
@@ -59,7 +59,7 @@ public:
             // handshake: keep running until the last symbol is acked.
         }
         if (st_.config.mode == PairMode::handshake && st_.sender_done &&
-            st_.ack_seq.peek() == seq_)
+            st_.ack_seq.read() == seq_)
             finish();
     }
 
@@ -71,9 +71,9 @@ private:
 
 class ReceiverProcess final : public Process {
 public:
-    ReceiverProcess(ProcessId id, PairState& st) : Process(id, "receiver"), st_(st) {}
+    ReceiverProcess(ProcessId id, PairState& st) : Process(id), st_(st) {}
 
-    void on_quantum(SimTime now) override {
+    void on_quantum(SimTime) override {
         if (!st_.op_rng.bernoulli(st_.config.op_success_prob)) return;
         if (st_.config.mode == PairMode::naive) {
             // "believes that a symbol is received" on every opportunity.
@@ -82,20 +82,20 @@ public:
             else
                 ++st_.insertions;
             st_.unread_write = false;
-            st_.received.push_back(static_cast<std::uint32_t>(st_.data.read(id(), now)));
+            st_.received.push_back(static_cast<std::uint32_t>(st_.data.read()));
             // The experiment ends with the message; one final read (above)
             // captures the last symbol, then the receiver leaves so the
             // traces are not padded with end-of-run duplicates.
             if (st_.sender_done) finish();
         } else {
-            const std::uint64_t seq = st_.data_seq.read(id(), now);
+            const std::uint64_t seq = st_.data_seq.read();
             if (seq == last_seq_) {
                 ++st_.receiver_waits;
                 return;
             }
-            st_.received.push_back(static_cast<std::uint32_t>(st_.data.read(id(), now)));
+            st_.received.push_back(static_cast<std::uint32_t>(st_.data.read()));
             last_seq_ = seq;
-            st_.ack_seq.write(id(), now, seq);
+            st_.ack_seq.write(seq);
         }
     }
 
@@ -106,7 +106,7 @@ private:
 
 class BackgroundProcess final : public Process {
 public:
-    BackgroundProcess(ProcessId id, std::string name) : Process(id, std::move(name)) {}
+    explicit BackgroundProcess(ProcessId id) : Process(id) {}
     void on_quantum(SimTime) override {}  // burns CPU, touches nothing
 };
 
@@ -133,8 +133,7 @@ CovertPairResult run_covert_pair(std::unique_ptr<Scheduler> scheduler,
     sim.add_process(std::unique_ptr<Process>(sender));
     sim.add_process(std::unique_ptr<Process>(receiver));
     for (std::size_t i = 0; i < config.background_processes; ++i)
-        sim.add_process(std::make_unique<BackgroundProcess>(
-            static_cast<ProcessId>(2 + i), "background" + std::to_string(i)));
+        sim.add_process(std::make_unique<BackgroundProcess>(static_cast<ProcessId>(2 + i)));
 
     // Safety cap: generous multiple of the message length so a starved
     // handshake still terminates.

@@ -70,7 +70,7 @@ struct MlsState {
 
 class HighSender final : public Process {
 public:
-    HighSender(ProcessId id, MlsState& st) : Process(id, "high"), st_(st) {}
+    HighSender(ProcessId id, MlsState& st) : Process(id), st_(st) {}
 
     void on_quantum(SimTime now) override {
         if (done_) {
@@ -80,7 +80,7 @@ public:
         const unsigned shift = st_.config.bits_per_symbol;
         if (!st_.config.use_legal_feedback) {
             // Naive: overwrite the covert cell each quantum.
-            st_.covert.write(id(), now, st_.secret[next_]);
+            st_.covert.write(st_.secret[next_]);
             if (++next_ >= st_.secret.size()) done_ = true;
             return;
         }
@@ -95,9 +95,8 @@ public:
         if (acked == sent_count_) {
             // Last symbol acknowledged: send the next one.
             parity_ ^= 1U;
-            st_.covert.write(id(), now,
-                             (static_cast<std::uint64_t>(parity_) << shift) |
-                                 st_.secret[next_]);
+            st_.covert.write((static_cast<std::uint64_t>(parity_) << shift) |
+                             st_.secret[next_]);
             ++next_;
             ++sent_count_;
         }
@@ -115,11 +114,11 @@ private:
 
 class LowReceiver final : public Process {
 public:
-    LowReceiver(ProcessId id, MlsState& st) : Process(id, "low"), st_(st) {}
+    LowReceiver(ProcessId id, MlsState& st) : Process(id), st_(st) {}
 
     void on_quantum(SimTime now) override {
         const unsigned shift = st_.config.bits_per_symbol;
-        const std::uint64_t raw = st_.covert.read(id(), now);
+        const std::uint64_t raw = st_.covert.read();
         if (!st_.config.use_legal_feedback) {
             st_.exfiltrated.push_back(static_cast<std::uint32_t>(raw));
             return;

@@ -198,7 +198,6 @@ void UniprocessorSim::run(std::uint64_t quanta) {
         }
         const std::size_t idx = scheduler_->pick(runnable, processes_, rng_);
         Process& proc = *processes_[idx];
-        trace_.push_back(proc.id());
         proc.grant_quantum(queue_.now());
         if (proc.state() == ProcessState::blocked) {
             Process* raw = &proc;

@@ -90,8 +90,8 @@ struct SmpState {
 
 class SmpSender final : public Process {
 public:
-    SmpSender(ProcessId id, SmpState& st) : Process(id, "smp_sender"), st_(st) {}
-    void on_quantum(SimTime now) override {
+    SmpSender(ProcessId id, SmpState& st) : Process(id), st_(st) {}
+    void on_quantum(SimTime) override {
         if (next_ >= st_.message.size()) {
             st_.sender_done = true;
             finish();
@@ -99,7 +99,7 @@ public:
         }
         if (st_.unread_write) ++st_.deletions;
         st_.unread_write = true;
-        st_.data.write(id(), now, st_.message[next_]);
+        st_.data.write(st_.message[next_]);
         st_.sent.push_back(st_.message[next_]);
         ++next_;
         if (next_ >= st_.message.size()) st_.sender_done = true;
@@ -112,14 +112,14 @@ private:
 
 class SmpReceiver final : public Process {
 public:
-    SmpReceiver(ProcessId id, SmpState& st) : Process(id, "smp_receiver"), st_(st) {}
-    void on_quantum(SimTime now) override {
+    SmpReceiver(ProcessId id, SmpState& st) : Process(id), st_(st) {}
+    void on_quantum(SimTime) override {
         if (st_.unread_write)
             ++st_.transmissions;
         else
             ++st_.insertions;
         st_.unread_write = false;
-        st_.received.push_back(static_cast<std::uint32_t>(st_.data.read(id(), now)));
+        st_.received.push_back(static_cast<std::uint32_t>(st_.data.read()));
         if (st_.sender_done) finish();
     }
 
@@ -129,7 +129,7 @@ private:
 
 class SmpHog final : public Process {
 public:
-    SmpHog(ProcessId id) : Process(id, "smp_hog") {}
+    explicit SmpHog(ProcessId id) : Process(id) {}
     void on_quantum(SimTime) override {}
 };
 

@@ -38,20 +38,20 @@ struct TimingState {
 
 class TimingSender final : public Process {
 public:
-    TimingSender(ProcessId id, TimingState& st) : Process(id, "timing_sender"), st_(st) {}
+    TimingSender(ProcessId id, TimingState& st) : Process(id), st_(st) {}
 
-    void on_quantum(SimTime now) override {
+    void on_quantum(SimTime) override {
         if (next_ >= st_.message.size()) {
             // One final beacon so the receiver can close the last gap.
             if (!final_beacon_sent_) {
-                st_.beacon.write(id(), now, ++seq_);
+                st_.beacon.write(++seq_);
                 final_beacon_sent_ = true;
                 return;
             }
             finish();
             return;
         }
-        st_.beacon.write(id(), now, ++seq_);
+        st_.beacon.write(++seq_);
         const std::uint8_t bit = st_.message[next_++];
         block_for(bit ? st_.config.long_gap : st_.config.short_gap);
     }
@@ -65,11 +65,11 @@ private:
 
 class TimingReceiver final : public Process {
 public:
-    TimingReceiver(ProcessId id, TimingState& st) : Process(id, "timing_receiver"), st_(st) {}
+    TimingReceiver(ProcessId id, TimingState& st) : Process(id), st_(st) {}
 
-    void on_quantum(SimTime now) override {
+    void on_quantum(SimTime) override {
         ++gap_;  // my own quantum counter is my only clock
-        const std::uint64_t seq = st_.beacon.read(id(), now);
+        const std::uint64_t seq = st_.beacon.read();
         if (seq == last_seq_) return;
         if (last_seq_ != 0) {
             // Close the gap through the (possibly degraded) local clock.

@@ -74,8 +74,6 @@ public:
     [[nodiscard]] std::uint64_t u64(const std::string& key) const;
     [[nodiscard]] double number(const std::string& key) const;
 
-    [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-
     /// Emit the "# ccap-track v1 fields=N" header and every field line.
     void write(std::ostream& out) const;
     /// Write to `path` via a same-directory temporary + rename, so a crash

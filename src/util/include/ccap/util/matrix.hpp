@@ -25,7 +25,6 @@ public:
 
     [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
     [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
-    [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
 
     [[nodiscard]] double& operator()(std::size_t r, std::size_t c) noexcept {
         return data_[r * cols_ + c];

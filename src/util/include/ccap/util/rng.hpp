@@ -38,8 +38,6 @@ namespace ccap::util {
 /// xoshiro256** 1.0 — deterministic, seedable, 2^256-1 period.
 class Rng {
 public:
-    using result_type = std::uint64_t;
-
     explicit Rng(std::uint64_t seed = 0x5EEDC0DEDEADBEEFULL) noexcept { reseed(seed); }
 
     void reseed(std::uint64_t seed) noexcept {
@@ -60,11 +58,6 @@ public:
         return result;
     }
 
-    // UniformRandomBitGenerator interface (usable with <random> adaptors).
-    [[nodiscard]] static constexpr result_type min() noexcept { return 0; }
-    [[nodiscard]] static constexpr result_type max() noexcept { return ~0ULL; }
-    result_type operator()() noexcept { return next(); }
-
     /// Uniform double in [0, 1) with 53 bits of randomness.
     [[nodiscard]] double uniform() noexcept {
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
@@ -83,12 +76,6 @@ public:
             const std::uint64_t r = next();
             if (r >= threshold) return r % bound;
         }
-    }
-
-    /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-    [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-        return lo + static_cast<std::int64_t>(
-                        uniform_below(static_cast<std::uint64_t>(hi - lo) + 1));
     }
 
     /// Bernoulli trial: true with probability p (clamped to [0,1]).
@@ -135,9 +122,6 @@ public:
             swap(items[i - 1], items[uniform_below(i)]);
         }
     }
-
-    /// Derive an independent child generator (for parallel/striped streams).
-    [[nodiscard]] Rng split() noexcept { return Rng(next() ^ 0xA5A5A5A55A5A5A5AULL); }
 
 private:
     [[nodiscard]] static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

@@ -12,7 +12,6 @@ class RunningStats {
 public:
     void add(double x) noexcept;
 
-    [[nodiscard]] std::size_t count() const noexcept { return n_; }
     [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
     /// Unbiased sample variance; 0 when fewer than two samples.
     [[nodiscard]] double variance() const noexcept;
@@ -47,7 +46,6 @@ class CompensatedStats {
 public:
     void add(double x) noexcept;
 
-    [[nodiscard]] std::size_t count() const noexcept { return n_; }
     [[nodiscard]] double mean() const noexcept;
     /// Unbiased sample variance; 0 when fewer than two samples (never
     /// negative: the compensated residual is clamped).

@@ -1,5 +1,6 @@
 #include "ccap/util/checkpoint_io.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -69,10 +70,11 @@ const std::string& Checkpoint::text(const std::string& key) const {
 
 std::uint64_t Checkpoint::u64(const std::string& key) const {
     const std::string& v = text(key);
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-    if (errno != 0 || end == v.c_str() || *end != '\0' || v[0] == '-')
+    // from_chars takes digits only: no whitespace, sign or wrap-around, so
+    // " -1" is malformed rather than 2^64 - 1. write() emits bare digits.
+    std::uint64_t parsed = 0;
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), parsed);
+    if (ec != std::errc{} || end != v.data() + v.size())
         fail(CheckpointError::malformed,
              "checkpoint field '" + key + "' is not a non-negative integer: '" + v + "'");
     return parsed;

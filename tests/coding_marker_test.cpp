@@ -109,7 +109,7 @@ TEST(MarkerCode, PosteriorsAreProbabilities) {
 TEST(MarkerCode, EmptyData) {
     const MarkerCode code(default_params());
     const Bits tx = code.encode({});
-    EXPECT_EQ(tx.size(), code.params().marker.size());
+    EXPECT_EQ(tx.size(), default_params().marker.size());
     const DriftParams clean{0.0, 0.0, 0.0, 2, 24, 8};
     const auto soft = code.decode_soft(tx, 0, clean);
     EXPECT_TRUE(soft.hard.empty());

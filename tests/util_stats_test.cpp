@@ -13,7 +13,6 @@ using ccap::util::RunningStats;
 
 TEST(RunningStats, EmptyIsZero) {
     RunningStats s;
-    EXPECT_EQ(s.count(), 0U);
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
     EXPECT_DOUBLE_EQ(s.variance(), 0.0);
     EXPECT_DOUBLE_EQ(s.sem(), 0.0);
@@ -37,7 +36,6 @@ using ccap::util::CompensatedStats;
 
 TEST(CompensatedStats, EmptyAndSingleSample) {
     CompensatedStats s;
-    EXPECT_EQ(s.count(), 0U);
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
     EXPECT_DOUBLE_EQ(s.variance(), 0.0);
     EXPECT_DOUBLE_EQ(s.sem(), 0.0);
@@ -55,6 +53,7 @@ TEST(CompensatedStats, MatchesWelfordOnBenignData) {
         w.add(x);
     }
     EXPECT_DOUBLE_EQ(c.mean(), 5.0);
+    EXPECT_DOUBLE_EQ(c.mean(), w.mean());
     EXPECT_NEAR(c.variance(), w.variance(), 1e-14);
     EXPECT_NEAR(c.sem(), w.sem(), 1e-14);
 }
@@ -103,7 +102,6 @@ TEST(CompensatedStats, FoldIsDeterministicGivenOrder) {
     CompensatedStats a, b;
     for (double x : xs) a.add(x);
     for (double x : xs) b.add(x);
-    EXPECT_EQ(a.count(), b.count());
     // Bit-identical, not approximately equal.
     EXPECT_EQ(a.mean(), b.mean());
     EXPECT_EQ(a.variance(), b.variance());
