@@ -30,9 +30,9 @@ enum class Severity : std::uint8_t {
 [[nodiscard]] const char* severity_name(Severity s) noexcept;
 [[nodiscard]] Severity classify_bandwidth(double bits_per_second) noexcept;
 
+/// The estimator analyze_traces runs (`ccap analyze --estimator mle|align`).
 enum class EstimatorKind : std::uint8_t {
     mle,        ///< drift-HMM coordinate-descent ML (default; consistent)
-    em,         ///< Baum-Welch EM (same optimum, expected-count M-steps)
     alignment,  ///< edit-distance only (fast; biased under mixed indels)
 };
 

@@ -53,7 +53,7 @@ AnalysisReport analyze_traces(std::span<const std::uint32_t> sent,
                               std::span<const std::uint32_t> received,
                               const AnalyzerConfig& config) {
     AnalysisReport report;
-    // The likelihood-based estimators need byte-sized symbols; wider
+    // The likelihood-based estimator needs byte-sized symbols; wider
     // alphabets fall back to alignment.
     const bool likelihood_ok = config.bits_per_symbol <= 8;
     switch (config.estimator_kind) {
@@ -61,12 +61,6 @@ AnalysisReport analyze_traces(std::span<const std::uint32_t> sent,
             report.params = likelihood_ok
                                 ? estimate_params_mle(sent, received, config.bits_per_symbol,
                                                       config.estimator)
-                                : estimate_params(sent, received, config.estimator);
-            break;
-        case EstimatorKind::em:
-            report.params = likelihood_ok
-                                ? estimate_params_em(sent, received, config.bits_per_symbol,
-                                                     config.estimator)
                                 : estimate_params(sent, received, config.estimator);
             break;
         case EstimatorKind::alignment:

@@ -12,13 +12,8 @@
 namespace ccap::estimate {
 namespace {
 
-// Sent symbols each lattice fit reads from the front of the trace
-// (split_blocks' max_symbols). They differ, so the two fits do not see
-// the same data: on 4096-symbol traces EM fits all of it and the MLE the
-// first half. Rerun at equal caps (EXPERIMENTS, "The same comparison at
-// equal data"), most of EM's paired edge over the MLE is this data.
+// Sent symbols the MLE fit reads from the front of the trace.
 constexpr std::size_t kMleMaxSymbols = 2048;
-constexpr std::size_t kEmMaxSymbols = 4096;
 
 struct BlockCounts {
     std::size_t matches = 0;
@@ -68,16 +63,16 @@ struct BlockSplit {
 };
 
 /// Split the trace pair into (sent, received) byte-block pairs along
-/// blockwise end-free alignment boundaries, capped for tractability.
+/// blockwise end-free alignment boundaries, capped at kMleMaxSymbols
+/// sent symbols for tractability.
 /// Shorter blocks keep the drift lattice narrow (cost is linear in the
 /// per-block drift range), independent of the alignment block length.
 BlockSplit split_blocks(std::span<const std::uint32_t> sent,
-                        std::span<const std::uint32_t> received, std::size_t block_len,
-                        std::size_t max_symbols) {
+                        std::span<const std::uint32_t> received, std::size_t block_len) {
     BlockSplit split;
     const std::size_t eff_block = std::min<std::size_t>(block_len, 256);
     std::size_t sent_pos = 0, recv_pos = 0, used = 0;
-    while (sent_pos < sent.size() && used < max_symbols) {
+    while (sent_pos < sent.size() && used < kMleMaxSymbols) {
         const std::size_t n = std::min(eff_block, sent.size() - sent_pos);
         const std::size_t w = drift_window(n, received.size() - recv_pos);
         const std::size_t consumed =
@@ -110,15 +105,14 @@ void recenter_rate(RateEstimate& rate, double new_value) {
 }
 
 void check_symbol_range(std::span<const std::uint32_t> sent,
-                        std::span<const std::uint32_t> received, unsigned bits_per_symbol,
-                        const char* who) {
+                        std::span<const std::uint32_t> received, unsigned bits_per_symbol) {
     if (bits_per_symbol == 0 || bits_per_symbol > 8)
-        throw std::invalid_argument(std::string(who) + ": bits_per_symbol must be in [1,8]");
+        throw std::invalid_argument("estimate_params_mle: bits_per_symbol must be in [1,8]");
     const unsigned alphabet = 1U << bits_per_symbol;
     for (std::uint32_t s : sent)
-        if (s >= alphabet) throw std::out_of_range(std::string(who) + ": sent symbol");
+        if (s >= alphabet) throw std::out_of_range("estimate_params_mle: sent symbol");
     for (std::uint32_t s : received)
-        if (s >= alphabet) throw std::out_of_range(std::string(who) + ": received symbol");
+        if (s >= alphabet) throw std::out_of_range("estimate_params_mle: received symbol");
 }
 
 }  // namespace
@@ -207,7 +201,7 @@ ParamEstimate estimate_params(std::span<const std::uint32_t> sent,
 ParamEstimate estimate_params_mle(std::span<const std::uint32_t> sent,
                                   std::span<const std::uint32_t> received,
                                   unsigned bits_per_symbol, const EstimatorOptions& options) {
-    check_symbol_range(sent, received, bits_per_symbol, "estimate_params_mle");
+    check_symbol_range(sent, received, bits_per_symbol);
     if (options.block_len == 0)
         throw std::invalid_argument("estimate_params_mle: block_len == 0");
     const unsigned alphabet = 1U << bits_per_symbol;
@@ -216,7 +210,7 @@ ParamEstimate estimate_params_mle(std::span<const std::uint32_t> sent,
     ParamEstimate est = estimate_params(sent, received, options);
     if (sent.empty() && received.empty()) return est;
 
-    const BlockSplit split = split_blocks(sent, received, options.block_len, kMleMaxSymbols);
+    const BlockSplit split = split_blocks(sent, received, options.block_len);
     if (split.blocks.empty()) {
         // Nothing was sent; the alignment estimate (pure insertions) stands.
         return est;
@@ -286,67 +280,6 @@ ParamEstimate estimate_params_mle(std::span<const std::uint32_t> sent,
         ps = util::golden_max([&](double x) { return log_likelihood(pd, pi, x); }, 0.0, 0.6,
                               2e-3)
                  .x;
-    }
-
-    recenter_rate(est.p_d, pd);
-    recenter_rate(est.p_i, pi);
-    recenter_rate(est.p_s, ps);
-    return est;
-}
-
-ParamEstimate estimate_params_em(std::span<const std::uint32_t> sent,
-                                 std::span<const std::uint32_t> received,
-                                 unsigned bits_per_symbol, const EstimatorOptions& options) {
-    check_symbol_range(sent, received, bits_per_symbol, "estimate_params_em");
-    if (options.block_len == 0)
-        throw std::invalid_argument("estimate_params_em: block_len == 0");
-    const unsigned alphabet = 1U << bits_per_symbol;
-
-    ParamEstimate est = estimate_params(sent, received, options);
-    if (sent.empty() && received.empty()) return est;
-    const BlockSplit split = split_blocks(sent, received, options.block_len, kEmMaxSymbols);
-    if (split.blocks.empty()) return est;
-    const int max_drift = split.max_diff + 32;
-
-    // EM needs strictly interior starting probabilities to keep every
-    // event sequence representable.
-    double pd = std::clamp(est.p_d.value, 0.01, 0.6);
-    double pi = std::clamp(est.p_i.value, 0.01, 0.6);
-    double ps = std::clamp(est.p_s.value, 0.005, 0.5);
-    double prev_ll = -1e300;
-    for (int iter = 0; iter < 60; ++iter) {
-        info::DriftParams dp;
-        dp.p_d = pd;
-        dp.p_i = pi;
-        dp.p_s = ps;
-        dp.alphabet = alphabet;
-        dp.max_drift = max_drift;
-        dp.max_insert_run = 10;
-        const info::DriftHmm hmm(dp);
-
-        double e_del = 0.0, e_ins = 0.0, e_tx = 0.0, e_sub = 0.0, ll = 0.0;
-        for (const SymbolBlock& b : split.blocks) {
-            const auto ev = hmm.expected_events(b.first, b.second);
-            if (!std::isfinite(ev.log2_likelihood)) continue;  // truncated-out block
-            e_del += ev.deletions;
-            e_ins += ev.insertions;
-            e_tx += ev.transmissions;
-            e_sub += ev.substitutions;
-            ll += ev.log2_likelihood;
-        }
-        const double uses = e_del + e_ins + e_tx;
-        if (uses <= 0.0) break;
-        // M-step (the single per-block stop event is O(1/n) and ignored).
-        const double new_pd = e_del / uses;
-        const double new_pi = e_ins / uses;
-        const double new_ps = e_tx > 0.0 ? e_sub / e_tx : 0.0;
-        const double delta = std::abs(new_pd - pd) + std::abs(new_pi - pi) +
-                             std::abs(new_ps - ps);
-        pd = new_pd;
-        pi = new_pi;
-        ps = new_ps;
-        if (delta < 1e-5 || (iter > 0 && ll < prev_ll + 1e-9)) break;
-        prev_ll = ll;
     }
 
     recenter_rate(est.p_d, pd);

@@ -7,8 +7,8 @@
 // trip pays row bookkeeping, band-edge branches and an emission-table
 // gather per cell. BatchLatticeEngine advances B sequences of the same
 // transmitted length in lockstep instead, forward only — the backward
-// pass, posteriors and expected event counts stay on the scalar engine
-// (marker/watermark decoding and EM use them one sequence at a time):
+// pass and posteriors stay on the scalar engine (marker/watermark
+// decoding uses them one sequence at a time):
 //
 //   * Rows are laid out structure-of-arrays, [drift_state][lane], and only
 //     two are kept: row j is written while row j - 1 is read, and the

@@ -90,8 +90,6 @@ public:
         double target_interp_err = 0.0;
         /// Mixed into every node seed; distinct caches sample independently.
         std::uint64_t seed = 0x5eedca9e00c0ffeeULL;
-        std::size_t shards = 16;
-        std::size_t per_shard_capacity = 4096;
         /// false = memoization off: at()/ensure() recompute every time (the
         /// naive baseline). Values are unchanged either way.
         bool enabled = true;

@@ -141,23 +141,6 @@ public:
                                                    const CandidateFn& candidates_for,
                                                    LatticeWorkspace& ws) const;
 
-    /// Posterior expected channel-event counts given a (transmitted,
-    /// received) pair — the E-step of Baum-Welch parameter estimation
-    /// (estimate_params_em). Counts marginalize over all event sequences
-    /// consistent with the pair under the current parameters.
-    struct EventExpectations {
-        double deletions = 0.0;
-        double insertions = 0.0;      ///< including trailing insertions
-        double transmissions = 0.0;
-        double substitutions = 0.0;   ///< transmissions that flipped the symbol
-        double log2_likelihood = 0.0; ///< log2 P(received | transmitted)
-    };
-    [[nodiscard]] EventExpectations expected_events(std::span<const std::uint8_t> transmitted,
-                                                    std::span<const std::uint8_t> received) const;
-    [[nodiscard]] EventExpectations expected_events(std::span<const std::uint8_t> transmitted,
-                                                    std::span<const std::uint8_t> received,
-                                                    LatticeWorkspace& ws) const;
-
     /// log2 P(received) when the transmitted sequence of length `tx_len` is
     /// drawn from a first-order Markov source: the forward pass runs over
     /// the joint (drift, previous-symbol) state. Needed because the
@@ -172,8 +155,8 @@ public:
     // transmitted lengths must agree across lanes (that is the lockstep
     // shape), received lengths may be ragged. Every lane's result is
     // bit-identical to the scalar call on that lane alone. The batch engine
-    // is forward-only: posteriors() and expected_events() have no batched
-    // form and run one sequence at a time.
+    // is forward-only: posteriors() has no batched form and runs one
+    // sequence at a time.
     using SymbolSpan = std::span<const std::uint8_t>;
 
     /// Batched log2_likelihood: lane i pairs transmitted[i] with

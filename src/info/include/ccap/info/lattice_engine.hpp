@@ -82,7 +82,6 @@ public:
     [[nodiscard]] std::span<double> alpha(std::size_t cells) { return grab(alpha_, cells); }
     [[nodiscard]] std::span<double> beta(std::size_t cells) { return grab(beta_, cells); }
     [[nodiscard]] std::span<double> scales_a(std::size_t rows) { return grab(scale_a_, rows); }
-    [[nodiscard]] std::span<double> scales_b(std::size_t rows) { return grab(scale_b_, rows); }
     /// Interleaved per-row band bounds: [2j] = lo, [2j+1] = hi (lo > hi
     /// means the row is empty/dead).
     [[nodiscard]] std::span<int> bands(std::size_t ints) { return grab(band_, ints); }
@@ -122,7 +121,7 @@ private:
         return {v.data(), n};
     }
 
-    ArenaVector<double> alpha_, beta_, scale_a_, scale_b_, trail_, scr1_, scr2_, scr3_, lane_d_,
+    ArenaVector<double> alpha_, beta_, scale_a_, trail_, scr1_, scr2_, scr3_, lane_d_,
         wplanes_;
     ArenaVector<int> band_;
     ArenaVector<long long> lane_ll_;
@@ -192,12 +191,9 @@ public:
         for (std::size_t k = 1; k <= m_; ++k) trail_[k] = trail_[k - 1] * params.p_i * t_->inv_m;
         alpha_ = ws.alpha((n_ + 1) * width_);
         beta_ = ws.beta((n_ + 1) * width_);
-        scale_a_ = ws.scales_a(n_ + 1);
-        scale_b_ = ws.scales_b(n_ + 1);
         band_ = ws.bands(2 * (n_ + 1));
     }
 
-    [[nodiscard]] std::size_t m() const noexcept { return m_; }
     [[nodiscard]] std::size_t width() const noexcept { return width_; }
     [[nodiscard]] std::size_t idx(int d) const noexcept {
         return static_cast<std::size_t>(d + d_max_);
@@ -241,8 +237,6 @@ public:
     [[nodiscard]] const double* beta_row(std::size_t j) const noexcept {
         return beta_.data() + j * width_;
     }
-    [[nodiscard]] double alpha_scale(std::size_t j) const noexcept { return scale_a_[j]; }
-    [[nodiscard]] double beta_scale(std::size_t j) const noexcept { return scale_b_[j]; }
     [[nodiscard]] int band_lo(std::size_t j) const noexcept { return band_[2 * j]; }
     [[nodiscard]] int band_hi(std::size_t j) const noexcept { return band_[2 * j + 1]; }
 
@@ -256,7 +250,7 @@ public:
     void forward(EmitFn&& emit_at) {
         double* row0 = alpha_.data();
         row0[idx(0)] = 1.0;
-        scale_a_[0] = 0.0;
+        log2_scale_ = 0.0;
         band_[0] = 0;
         band_[1] = 0;
 
@@ -297,7 +291,7 @@ public:
             for (int d = clo; d <= chi; ++d) norm += cur[idx(d)];
             if (!(norm > 0.0)) return kill_from(j);
             for (int d = clo; d <= chi; ++d) cur[idx(d)] /= norm;
-            scale_a_[j] = scale_a_[j - 1] + std::log2(norm);
+            log2_scale_ += std::log2(norm);
             band_[2 * j] = clo;
             band_[2 * j + 1] = chi;
         }
@@ -308,10 +302,11 @@ public:
     /// lattice edges the forward band is narrower than the valid window
     /// (row j reaches at most j * (max_insert_run - 1) above drift 0), so
     /// normalizing beta rows over the forward band would perturb posteriors
-    /// by a few ulps.
+    /// by a few ulps. Each row is normalized to sum 1 and its scale is not
+    /// kept: posteriors() and segment_likelihoods() renormalize per
+    /// position, so they read only the shape of a beta row.
     template <typename EmitFn>
     void backward(EmitFn&& emit_at) {
-        constexpr double kNegInf = -std::numeric_limits<double>::infinity();
         const int run = p_->max_insert_run;
         {
             double* last = beta_.data() + n_ * width_;
@@ -323,21 +318,14 @@ public:
                     norm += last[idx(d)];
                 }
             }
-            if (norm > 0.0) {
+            if (norm > 0.0)
                 for (int d = lo; d <= hi; ++d) last[idx(d)] /= norm;
-                scale_b_[n_] = std::log2(norm);
-            } else {
-                scale_b_[n_] = kNegInf;
-            }
         }
         for (std::size_t j = n_; j-- > 0;) {
             double* cur = beta_.data() + j * width_;
             const double* next = beta_.data() + (j + 1) * width_;
             int lo = 0, hi = -1;
-            if (!valid_window(j, lo, hi)) {
-                scale_b_[j] = kNegInf;
-                continue;
-            }
+            if (!valid_window(j, lo, hi)) continue;
             int nlo = 0, nhi = -1;
             const bool next_live = valid_window(j + 1, nlo, nhi);
             double norm = 0.0;
@@ -363,12 +351,8 @@ public:
                 cur[idx(dp)] = acc;
                 norm += acc;
             }
-            if (!(norm > 0.0)) {
-                scale_b_[j] = kNegInf;
-                continue;
-            }
-            for (int dp = lo; dp <= hi; ++dp) cur[idx(dp)] /= norm;
-            scale_b_[j] = scale_b_[j + 1] + std::log2(norm);
+            if (norm > 0.0)
+                for (int dp = lo; dp <= hi; ++dp) cur[idx(dp)] /= norm;
         }
     }
 
@@ -385,15 +369,14 @@ public:
     [[nodiscard]] double evidence() const noexcept {
         constexpr double kNegInf = -std::numeric_limits<double>::infinity();
         const double t = tail();
-        if (!(t > 0.0) || scale_a_[n_] == kNegInf) return kNegInf;
-        return scale_a_[n_] + std::log2(t);
+        if (!(t > 0.0) || log2_scale_ == kNegInf) return kNegInf;
+        return log2_scale_ + std::log2(t);
     }
 
 private:
     void kill_from(std::size_t j) noexcept {
-        constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+        log2_scale_ = -std::numeric_limits<double>::infinity();
         for (std::size_t k = j; k <= n_; ++k) {
-            scale_a_[k] = kNegInf;
             band_[2 * k] = 1;
             band_[2 * k + 1] = 0;
         }
@@ -407,8 +390,11 @@ private:
     int d_max_;
     std::size_t width_;
     std::span<double> trail_;
-    std::span<double> alpha_, beta_, scale_a_, scale_b_;
+    std::span<double> alpha_, beta_;
     std::span<int> band_;
+    /// Sum of log2 forward row norms: row n's alpha times 2^log2_scale_ is
+    /// the unnormalized forward mass; -infinity once the lattice died.
+    double log2_scale_ = 0.0;
 };
 
 }  // namespace ccap::info

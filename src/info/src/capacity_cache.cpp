@@ -11,6 +11,11 @@ namespace ccap::info {
 
 namespace {
 
+/// Memo shape: 16 lock-striped shards of at most 4096 nodes each, room for
+/// the 61 x 31 nodes of a 0.01-step default grid many times over.
+constexpr std::size_t kShards = 16;
+constexpr std::size_t kPerShardCapacity = 4096;
+
 /// Nearest grid index of `value`, clamped to [0, max_index] in double
 /// before the conversion so an out-of-range quotient never reaches the cast.
 std::int32_t clamp_index(double value, double step, std::int32_t max_index) {
@@ -41,7 +46,7 @@ CapacityCache::CapacityCache(Config cfg)
     : cfg_(cfg),
       ipd_max_(0),
       ipi_max_(0),
-      cache_(cfg.shards, cfg.per_shard_capacity) {
+      cache_(kShards, kPerShardCapacity) {
     const CapacityGridSpec& g = cfg_.grid;
     if (!(g.pd_step > 0.0) || !(g.pi_step > 0.0))
         throw std::invalid_argument("CapacityCache: grid steps must be > 0");

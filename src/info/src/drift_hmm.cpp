@@ -183,92 +183,6 @@ util::Matrix DriftHmm::posteriors(const util::Matrix& priors,
     return post;
 }
 
-DriftHmm::EventExpectations DriftHmm::expected_events(
-    std::span<const std::uint8_t> transmitted, std::span<const std::uint8_t> received) const {
-    ScopedWorkspace lease;
-    return expected_events(transmitted, received, lease.get());
-}
-
-DriftHmm::EventExpectations DriftHmm::expected_events(std::span<const std::uint8_t> transmitted,
-                                                      std::span<const std::uint8_t> received,
-                                                      LatticeWorkspace& ws) const {
-    check_symbols(transmitted, params_.alphabet, "transmitted");
-    check_symbols(received, params_.alphabet, "received");
-
-    const std::size_t n = transmitted.size();
-    LatticeEngine eng(params_, *tables_, received, n, ws);
-    const auto emit_pt = [&](std::size_t j, std::uint8_t r) {
-        return eng.emit(r, transmitted[j]);
-    };
-    eng.forward(emit_pt);
-    eng.backward(emit_pt);
-
-    EventExpectations out;
-    // Total evidence (forward route).
-    const double tail = eng.tail();
-    if (tail <= 0.0 || eng.alpha_scale(n) == kNegInf) {
-        out.log2_likelihood = kNegInf;
-        return out;
-    }
-    const double log2_evidence = eng.alpha_scale(n) + std::log2(tail);
-    out.log2_likelihood = log2_evidence;
-
-    const auto& ins_pow = tables_->ins_pow;
-    for (std::size_t j = 1; j <= n; ++j) {
-        // Per-position scale correction: the normalized slices hide
-        // 2^{a_scale[j-1] + b_scale[j]}, which must be re-expressed
-        // relative to the total evidence.
-        const double log2_factor =
-            eng.alpha_scale(j - 1) + eng.beta_scale(j) - log2_evidence;
-        if (log2_factor < -300.0) continue;  // numerically dead position
-        const double factor = std::exp2(log2_factor);
-        const std::uint8_t sym = transmitted[j - 1];
-        int blo = 0, bhi = -1;
-        const bool beta_live = eng.valid_window(j, blo, bhi);
-        const double* arow = eng.alpha_row(j - 1);
-        const double* brow = eng.beta_row(j);
-        for (int dp = eng.band_lo(j - 1); dp <= eng.band_hi(j - 1); ++dp) {
-            const double alpha = arow[eng.idx(dp)];
-            if (alpha == 0.0) continue;
-            const std::size_t r0 = static_cast<std::size_t>(static_cast<long long>(j - 1) + dp);
-            for (int g = 0; g <= params_.max_insert_run; ++g) {
-                const int d = dp + g - 1;
-                if (!beta_live || d < blo || d > bhi) continue;
-                const std::size_t r1 = r0 + static_cast<std::size_t>(g);
-                const double beta = brow[eng.idx(d)];
-                if (beta == 0.0) continue;
-                const double w_del =
-                    alpha * ins_pow[static_cast<std::size_t>(g)] * params_.p_d * beta *
-                    factor;
-                if (w_del > 0.0) {
-                    out.deletions += w_del;
-                    out.insertions += w_del * static_cast<double>(g);
-                }
-                if (g >= 1) {
-                    const std::uint8_t r = received[r1 - 1];
-                    const double w_tx = alpha *
-                                        ins_pow[static_cast<std::size_t>(g - 1)] *
-                                        params_.p_t() * eng.emit(r, sym) * beta * factor;
-                    if (w_tx > 0.0) {
-                        out.transmissions += w_tx;
-                        out.insertions += w_tx * static_cast<double>(g - 1);
-                        if (r != sym) out.substitutions += w_tx;
-                    }
-                }
-            }
-        }
-    }
-    // Trailing insertions: posterior over the final drift.
-    const double* last = eng.alpha_row(n);
-    for (int d = eng.band_lo(n); d <= eng.band_hi(n); ++d) {
-        const double w = last[eng.idx(d)] * eng.trailing(d) / tail;
-        const long long rest =
-            static_cast<long long>(eng.m()) - (static_cast<long long>(n) + d);
-        if (w > 0.0 && rest > 0) out.insertions += w * static_cast<double>(rest);
-    }
-    return out;
-}
-
 double DriftHmm::log2_markov_marginal(const MarkovSource& source, std::size_t tx_len,
                                       std::span<const std::uint8_t> received,
                                       LatticeWorkspace& ws) const {

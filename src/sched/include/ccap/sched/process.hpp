@@ -46,7 +46,6 @@ public:
     void finish() noexcept { state_ = ProcessState::finished; }
 
 private:
-    friend class UniprocessorSim;
     friend class MultiprocessorSim;
     void grant_quantum(SimTime now) {
         ++quanta_used_;

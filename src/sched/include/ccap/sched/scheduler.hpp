@@ -1,4 +1,4 @@
-// Scheduling policies and the uniprocessor simulator.
+// Scheduling policies and the scheduler simulator.
 //
 // The paper's central observation (Section 3.1): on a uniprocessor, the
 // *scheduler* decides the interleaving of the covert sender and receiver,
@@ -50,32 +50,34 @@ public:
 [[nodiscard]] std::unique_ptr<Scheduler> make_mlfq(unsigned levels = 3,
                                                    std::uint64_t boost_period = 64);
 
-struct SimStats {
-    std::uint64_t total_quanta = 0;
-    std::uint64_t idle_quanta = 0;  ///< quanta with no runnable process
-};
-
-/// Uniprocessor: one process per quantum, chosen by the policy; blocked
-/// processes are woken by the event queue.
-class UniprocessorSim {
+/// K-core simulator: each quantum, the policy picks up to `cores` distinct
+/// runnable processes; they execute in a uniformly random order within the
+/// quantum (the memory race between same-quantum peers). With one core it
+/// is the paper's uniprocessor: one process per quantum, and the shuffle of
+/// a single pick draws nothing. Blocked processes are woken by the event
+/// queue.
+class MultiprocessorSim {
 public:
-    UniprocessorSim(std::unique_ptr<Scheduler> scheduler, std::uint64_t seed);
+    MultiprocessorSim(std::unique_ptr<Scheduler> scheduler, unsigned cores,
+                      std::uint64_t seed);
 
     /// Add a process; returns its id. Must be called before run().
     ProcessId add_process(std::unique_ptr<Process> process);
-
     [[nodiscard]] Process& process(ProcessId id);
-    [[nodiscard]] const SimStats& stats() const noexcept { return stats_; }
+    [[nodiscard]] std::uint64_t total_quanta() const noexcept { return total_quanta_; }
 
     /// Run `quanta` scheduling quanta (or until every process finished).
     void run(std::uint64_t quanta);
 
 private:
     std::unique_ptr<Scheduler> scheduler_;
+    unsigned cores_;
     util::Rng rng_;
     EventQueue queue_;
     std::vector<std::unique_ptr<Process>> processes_;
-    SimStats stats_;
+    std::uint64_t total_quanta_ = 0;
+    // Per-quantum scratch, kept across run() calls.
+    std::vector<std::size_t> runnable_, chosen_;
 };
 
 }  // namespace ccap::sched

@@ -2,15 +2,15 @@
 //
 // The paper's non-synchronous behaviour is a *uniprocessor* consequence:
 // "As there is only one CPU in the system, at any time only one of the two
-// processes can be active." This module removes that assumption: a K-core
-// simulator grants up to K distinct runnable processes each quantum. A
-// co-scheduled covert pair then acts nearly synchronously — the sender and
-// receiver alternate within every quantum (with an ordering race) — and
-// deletions/insertions reappear only when background load contends for the
-// cores. Bench X9 sweeps cores x load and shows the covert capacity
-// snapping back to the synchronous ceiling on an idle SMP: multicore
-// hardware makes covert channels *faster*, which is why the paper's
-// correction matters most on saturated systems.
+// processes can be active." This module removes that assumption: the
+// K-core MultiprocessorSim (scheduler.hpp) grants up to K distinct runnable
+// processes each quantum. A co-scheduled covert pair then acts nearly
+// synchronously — the sender and receiver alternate within every quantum
+// (with an ordering race) — and deletions/insertions reappear only when
+// background load contends for the cores. Bench X9 sweeps cores x load
+// and shows the covert capacity snapping back to the synchronous ceiling
+// on an idle SMP: multicore hardware makes covert channels *faster*, which
+// is why the paper's correction matters most on saturated systems.
 #pragma once
 
 #include <cstdint>
@@ -20,30 +20,6 @@
 #include "ccap/sched/scheduler.hpp"
 
 namespace ccap::sched {
-
-/// K-core simulator: each quantum, the policy picks up to `cores` distinct
-/// runnable processes; they execute in a uniformly random order within the
-/// quantum (the memory race between same-quantum peers).
-class MultiprocessorSim {
-public:
-    MultiprocessorSim(std::unique_ptr<Scheduler> scheduler, unsigned cores,
-                      std::uint64_t seed);
-
-    ProcessId add_process(std::unique_ptr<Process> process);
-    [[nodiscard]] Process& process(ProcessId id);
-    [[nodiscard]] std::uint64_t total_quanta() const noexcept { return total_quanta_; }
-
-    /// Run `quanta` scheduling quanta (or until every process finished).
-    void run(std::uint64_t quanta);
-
-private:
-    std::unique_ptr<Scheduler> scheduler_;
-    unsigned cores_;
-    util::Rng rng_;
-    EventQueue queue_;
-    std::vector<std::unique_ptr<Process>> processes_;
-    std::uint64_t total_quanta_ = 0;
-};
 
 struct SmpCovertConfig {
     unsigned cores = 2;

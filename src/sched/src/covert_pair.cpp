@@ -127,7 +127,7 @@ CovertPairResult run_covert_pair(std::unique_ptr<Scheduler> scheduler,
     for (auto& s : st.message)
         s = static_cast<std::uint32_t>(msg_rng.uniform_below(1ULL << config.bits_per_symbol));
 
-    UniprocessorSim sim(std::move(scheduler), sim_seed);
+    MultiprocessorSim sim(std::move(scheduler), 1, sim_seed);
     auto* sender = new SenderProcess(0, st);
     auto* receiver = new ReceiverProcess(1, st);
     sim.add_process(std::unique_ptr<Process>(sender));
@@ -151,7 +151,7 @@ CovertPairResult run_covert_pair(std::unique_ptr<Scheduler> scheduler,
     CovertPairResult res;
     res.sent = std::move(st.sent);
     res.received = std::move(st.received);
-    res.total_quanta = sim.stats().total_quanta;
+    res.total_quanta = sim.total_quanta();
     res.sender_quanta = sim.process(0).quanta_used();
     res.receiver_quanta = sim.process(1).quanta_used();
     res.sender_waits = st.sender_waits;

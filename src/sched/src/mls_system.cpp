@@ -155,7 +155,7 @@ MlsResult run_mls_exfiltration(std::unique_ptr<Scheduler> scheduler, const MlsCo
     for (auto& s : st.secret)
         s = static_cast<std::uint32_t>(msg_rng.uniform_below(1ULL << config.bits_per_symbol));
 
-    UniprocessorSim sim(std::move(scheduler), sim_seed);
+    MultiprocessorSim sim(std::move(scheduler), 1, sim_seed);
     sim.add_process(std::make_unique<HighSender>(0, st));
     sim.add_process(std::make_unique<LowReceiver>(1, st));
 
@@ -170,7 +170,7 @@ MlsResult run_mls_exfiltration(std::unique_ptr<Scheduler> scheduler, const MlsCo
     MlsResult res;
     res.secret = std::move(st.secret);
     res.exfiltrated = std::move(st.exfiltrated);
-    res.total_quanta = sim.stats().total_quanta;
+    res.total_quanta = sim.total_quanta();
     res.exact = res.exfiltrated == res.secret;
     return res;
 }

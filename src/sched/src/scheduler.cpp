@@ -161,47 +161,57 @@ std::unique_ptr<Scheduler> make_mlfq(unsigned levels, std::uint64_t boost_period
     return std::make_unique<Mlfq>(levels, boost_period);
 }
 
-UniprocessorSim::UniprocessorSim(std::unique_ptr<Scheduler> scheduler, std::uint64_t seed)
-    : scheduler_(std::move(scheduler)), rng_(seed) {
-    if (!scheduler_) throw std::invalid_argument("UniprocessorSim: null scheduler");
+MultiprocessorSim::MultiprocessorSim(std::unique_ptr<Scheduler> scheduler, unsigned cores,
+                                     std::uint64_t seed)
+    : scheduler_(std::move(scheduler)), cores_(cores), rng_(seed) {
+    if (!scheduler_) throw std::invalid_argument("MultiprocessorSim: null scheduler");
+    if (cores == 0) throw std::invalid_argument("MultiprocessorSim: zero cores");
 }
 
-ProcessId UniprocessorSim::add_process(std::unique_ptr<Process> process) {
-    if (!process) throw std::invalid_argument("UniprocessorSim: null process");
+ProcessId MultiprocessorSim::add_process(std::unique_ptr<Process> process) {
+    if (!process) throw std::invalid_argument("MultiprocessorSim: null process");
     const auto expected = static_cast<ProcessId>(processes_.size());
     if (process->id() != expected)
-        throw std::invalid_argument("UniprocessorSim: process id must equal its index");
+        throw std::invalid_argument("MultiprocessorSim: process id must equal its index");
     processes_.push_back(std::move(process));
     return expected;
 }
 
-Process& UniprocessorSim::process(ProcessId id) { return *processes_.at(id); }
+Process& MultiprocessorSim::process(ProcessId id) { return *processes_.at(id); }
 
-void UniprocessorSim::run(std::uint64_t quanta) {
-    if (processes_.empty()) throw std::logic_error("UniprocessorSim: no processes");
-    std::vector<std::size_t> runnable;
+void MultiprocessorSim::run(std::uint64_t quanta) {
+    if (processes_.empty()) throw std::logic_error("MultiprocessorSim: no processes");
     for (std::uint64_t q = 0; q < quanta; ++q) {
         // Advance simulated time by one quantum; fire due wakeups.
         queue_.run_until(queue_.now() + 1);
-        runnable.clear();
+        runnable_.clear();
         bool all_finished = true;
         for (std::size_t i = 0; i < processes_.size(); ++i) {
             const ProcessState st = processes_[i]->state();
             if (st != ProcessState::finished) all_finished = false;
-            if (st == ProcessState::runnable) runnable.push_back(i);
+            if (st == ProcessState::runnable) runnable_.push_back(i);
         }
         if (all_finished) break;
-        ++stats_.total_quanta;
-        if (runnable.empty()) {
-            ++stats_.idle_quanta;
-            continue;
+        ++total_quanta_;
+        if (runnable_.empty()) continue;
+
+        // The policy fills the cores one pick at a time, each pick excluding
+        // the processes already placed this quantum.
+        chosen_.clear();
+        for (unsigned c = 0; c < cores_ && !runnable_.empty(); ++c) {
+            const std::size_t idx = scheduler_->pick(runnable_, processes_, rng_);
+            chosen_.push_back(idx);
+            runnable_.erase(std::find(runnable_.begin(), runnable_.end(), idx));
         }
-        const std::size_t idx = scheduler_->pick(runnable, processes_, rng_);
-        Process& proc = *processes_[idx];
-        proc.grant_quantum(queue_.now());
-        if (proc.state() == ProcessState::blocked) {
-            Process* raw = &proc;
-            queue_.schedule_in(raw->block_ticks_, [raw](SimTime) { raw->wake(); });
+        // Same-quantum peers race: execute in uniformly random order.
+        rng_.shuffle(chosen_);
+        for (std::size_t idx : chosen_) {
+            Process& proc = *processes_[idx];
+            proc.grant_quantum(queue_.now());
+            if (proc.state() == ProcessState::blocked) {
+                Process* raw = &proc;
+                queue_.schedule_in(raw->block_ticks_, [raw](SimTime) { raw->wake(); });
+            }
         }
     }
 }

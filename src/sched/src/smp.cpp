@@ -1,68 +1,10 @@
 #include "ccap/sched/smp.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "ccap/sched/shared_resource.hpp"
 
 namespace ccap::sched {
-
-MultiprocessorSim::MultiprocessorSim(std::unique_ptr<Scheduler> scheduler, unsigned cores,
-                                     std::uint64_t seed)
-    : scheduler_(std::move(scheduler)), cores_(cores), rng_(seed) {
-    if (!scheduler_) throw std::invalid_argument("MultiprocessorSim: null scheduler");
-    if (cores == 0) throw std::invalid_argument("MultiprocessorSim: zero cores");
-}
-
-ProcessId MultiprocessorSim::add_process(std::unique_ptr<Process> process) {
-    if (!process) throw std::invalid_argument("MultiprocessorSim: null process");
-    const auto expected = static_cast<ProcessId>(processes_.size());
-    if (process->id() != expected)
-        throw std::invalid_argument("MultiprocessorSim: process id must equal its index");
-    processes_.push_back(std::move(process));
-    return expected;
-}
-
-Process& MultiprocessorSim::process(ProcessId id) { return *processes_.at(id); }
-
-void MultiprocessorSim::run(std::uint64_t quanta) {
-    if (processes_.empty()) throw std::logic_error("MultiprocessorSim: no processes");
-    std::vector<std::size_t> runnable;
-    std::vector<std::size_t> chosen;
-    for (std::uint64_t q = 0; q < quanta; ++q) {
-        queue_.run_until(queue_.now() + 1);
-        runnable.clear();
-        bool all_finished = true;
-        for (std::size_t i = 0; i < processes_.size(); ++i) {
-            const ProcessState st = processes_[i]->state();
-            if (st != ProcessState::finished) all_finished = false;
-            if (st == ProcessState::runnable) runnable.push_back(i);
-        }
-        if (all_finished) break;
-        ++total_quanta_;
-        if (runnable.empty()) continue;
-
-        // The policy fills the cores one pick at a time, each pick excluding
-        // the processes already placed this quantum.
-        chosen.clear();
-        std::vector<std::size_t> remaining = runnable;
-        for (unsigned c = 0; c < cores_ && !remaining.empty(); ++c) {
-            const std::size_t idx = scheduler_->pick(remaining, processes_, rng_);
-            chosen.push_back(idx);
-            remaining.erase(std::find(remaining.begin(), remaining.end(), idx));
-        }
-        // Same-quantum peers race: execute in uniformly random order.
-        rng_.shuffle(chosen);
-        for (std::size_t idx : chosen) {
-            Process& proc = *processes_[idx];
-            proc.grant_quantum(queue_.now());
-            if (proc.state() == ProcessState::blocked) {
-                Process* raw = &proc;
-                queue_.schedule_in(raw->block_ticks_, [raw](SimTime) { raw->wake(); });
-            }
-        }
-    }
-}
 
 double SmpCovertResult::deletion_rate() const noexcept {
     const double uses = static_cast<double>(deletions + insertions + transmissions);

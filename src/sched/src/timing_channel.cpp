@@ -103,7 +103,7 @@ TimingChannelResult run_timing_channel(std::unique_ptr<Scheduler> scheduler,
     st.message.resize(config.message_len);
     for (auto& b : st.message) b = static_cast<std::uint8_t>(msg_rng.next() & 1U);
 
-    UniprocessorSim sim(std::move(scheduler), sim_seed);
+    MultiprocessorSim sim(std::move(scheduler), 1, sim_seed);
     sim.add_process(std::make_unique<TimingSender>(0, st));
     sim.add_process(std::make_unique<TimingReceiver>(1, st));
 
@@ -150,7 +150,7 @@ TimingChannelResult run_timing_channel(std::unique_ptr<Scheduler> scheduler,
             res.decoded.push_back(
                 static_cast<std::uint8_t>(static_cast<double>(r) > threshold ? 1 : 0));
     }
-    res.total_quanta = sim.stats().total_quanta;
+    res.total_quanta = sim.total_quanta();
     const std::size_t n = std::min(res.sent.size(), res.decoded.size());
     std::size_t errors = res.sent.size() - n;  // missing bits count as errors
     for (std::size_t i = 0; i < n; ++i) errors += res.sent[i] != res.decoded[i];

@@ -37,6 +37,9 @@ TEST(ParamEstimator, EmptyTraces) {
     const ParamEstimate est = estimate_params({}, {});
     EXPECT_DOUBLE_EQ(est.p_d.value, 0.0);
     EXPECT_EQ(est.channel_uses, 0U);
+    const ParamEstimate mle = estimate_params_mle({}, {}, 2);
+    EXPECT_DOUBLE_EQ(mle.p_d.value, 0.0);
+    EXPECT_EQ(mle.channel_uses, 0U);
 }
 
 TEST(ParamEstimator, AllDeleted) {

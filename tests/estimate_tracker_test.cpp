@@ -100,7 +100,6 @@ TEST(TrackerConfigTest, FingerprintSeparatesOutputAffectingKnobs) {
     other = small_config();
     other.threads = 8;
     other.prefetch = 4;
-    other.cache.shards = 64;
     other.cache.enabled = false;
     EXPECT_EQ(base.fingerprint(), other.fingerprint());
 }

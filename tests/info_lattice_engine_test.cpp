@@ -431,7 +431,6 @@ TEST(LatticeEngine, WorkspaceReuseIsBitIdentical) {
         struct Out {
             double lik_a, lik_b, markov_b;
             Matrix post_a{0, 0}, seg_b{0, 0};
-            DriftHmm::EventExpectations ev_a;
         } out{};
         {
             LatticeWorkspace ws;
@@ -440,10 +439,6 @@ TEST(LatticeEngine, WorkspaceReuseIsBitIdentical) {
         {
             LatticeWorkspace ws;
             out.post_a = hmm.posteriors(priors_a, rx_a, ws);
-        }
-        {
-            LatticeWorkspace ws;
-            out.ev_a = hmm.expected_events(tx_a, rx_a, ws);
         }
         {
             LatticeWorkspace ws;
@@ -469,12 +464,6 @@ TEST(LatticeEngine, WorkspaceReuseIsBitIdentical) {
         for (std::size_t j = 0; j < post_a.rows(); ++j)
             for (std::size_t s = 0; s < post_a.cols(); ++s)
                 EXPECT_EQ(fresh.post_a(j, s), post_a(j, s));
-        const auto ev_a = hmm.expected_events(tx_a, rx_a, shared);
-        EXPECT_EQ(fresh.ev_a.deletions, ev_a.deletions);
-        EXPECT_EQ(fresh.ev_a.insertions, ev_a.insertions);
-        EXPECT_EQ(fresh.ev_a.transmissions, ev_a.transmissions);
-        EXPECT_EQ(fresh.ev_a.substitutions, ev_a.substitutions);
-        EXPECT_EQ(fresh.ev_a.log2_likelihood, ev_a.log2_likelihood);
         EXPECT_EQ(fresh.lik_b, hmm.log2_likelihood(tx_b, rx_b, shared)) << round;
         const Matrix seg_b =
             hmm.segment_likelihoods(priors_b, rx_b, 4, candidates.size(), cand_fn, shared);

@@ -86,7 +86,7 @@ TEST_P(SeedSweep, EstimatorWithinTolerance) {
     std::vector<std::uint32_t> sent(4000);
     for (auto& s : sent) s = static_cast<std::uint32_t>(rng.uniform_below(8));
     const auto t = ch.transduce(sent);
-    const auto est = estimate::estimate_params_em(sent, t.output, 3);
+    const auto est = estimate::estimate_params_mle(sent, t.output, 3);
     EXPECT_NEAR(est.p_d.value, truth.p_d, 0.03) << "seed " << seed;
     EXPECT_NEAR(est.p_i.value, truth.p_i, 0.03) << "seed " << seed;
 }

@@ -33,24 +33,26 @@ private:
     SimTime block_len_;
 };
 
+// The simulator on one core: the paper's uniprocessor, where every policy
+// test below runs.
 TEST(UniprocessorSim, RequiresProcesses) {
-    UniprocessorSim sim(make_round_robin(), 1);
+    MultiprocessorSim sim(make_round_robin(), 1, 1);
     EXPECT_THROW(sim.run(10), std::logic_error);
 }
 
 TEST(UniprocessorSim, ProcessIdsMustMatchIndices) {
-    UniprocessorSim sim(make_round_robin(), 1);
+    MultiprocessorSim sim(make_round_robin(), 1, 1);
     EXPECT_THROW(sim.add_process(std::make_unique<CountingProcess>(5)), std::invalid_argument);
 }
 
 TEST(UniprocessorSim, NullArgumentsThrow) {
-    EXPECT_THROW(UniprocessorSim(nullptr, 1), std::invalid_argument);
-    UniprocessorSim sim(make_round_robin(), 1);
+    EXPECT_THROW(MultiprocessorSim(nullptr, 1, 1), std::invalid_argument);
+    MultiprocessorSim sim(make_round_robin(), 1, 1);
     EXPECT_THROW(sim.add_process(nullptr), std::invalid_argument);
 }
 
 TEST(RoundRobin, PerfectAlternation) {
-    UniprocessorSim sim(make_round_robin(), 1);
+    MultiprocessorSim sim(make_round_robin(), 1, 1);
     auto* a = new CountingProcess(0);
     auto* b = new CountingProcess(1);
     sim.add_process(std::unique_ptr<Process>(a));
@@ -65,7 +67,7 @@ TEST(RoundRobin, PerfectAlternation) {
 }
 
 TEST(RoundRobin, ConservesQuanta) {
-    UniprocessorSim sim(make_round_robin(), 2);
+    MultiprocessorSim sim(make_round_robin(), 1, 2);
     auto* a = new CountingProcess(0);
     auto* b = new CountingProcess(1);
     auto* c = new CountingProcess(2);
@@ -74,11 +76,11 @@ TEST(RoundRobin, ConservesQuanta) {
     sim.add_process(std::unique_ptr<Process>(c));
     sim.run(99);
     EXPECT_EQ(a->count + b->count + c->count, 99U);
-    EXPECT_EQ(sim.stats().total_quanta, 99U);
+    EXPECT_EQ(sim.total_quanta(), 99U);
 }
 
 TEST(RandomScheduler, RoughlyFair) {
-    UniprocessorSim sim(make_random(), 3);
+    MultiprocessorSim sim(make_random(), 1, 3);
     auto* a = new CountingProcess(0);
     auto* b = new CountingProcess(1);
     sim.add_process(std::unique_ptr<Process>(a));
@@ -88,7 +90,7 @@ TEST(RandomScheduler, RoughlyFair) {
 }
 
 TEST(PriorityScheduler, HighPriorityMonopolizes) {
-    UniprocessorSim sim(make_priority(), 4);
+    MultiprocessorSim sim(make_priority(), 1, 4);
     auto* lo = new CountingProcess(0, /*priority=*/1);
     auto* hi = new CountingProcess(1, /*priority=*/5);
     sim.add_process(std::unique_ptr<Process>(lo));
@@ -99,7 +101,7 @@ TEST(PriorityScheduler, HighPriorityMonopolizes) {
 }
 
 TEST(PriorityScheduler, TiesRoundRobin) {
-    UniprocessorSim sim(make_priority(), 5);
+    MultiprocessorSim sim(make_priority(), 1, 5);
     auto* a = new CountingProcess(0, 3);
     auto* b = new CountingProcess(1, 3);
     sim.add_process(std::unique_ptr<Process>(a));
@@ -110,7 +112,7 @@ TEST(PriorityScheduler, TiesRoundRobin) {
 }
 
 TEST(LotteryScheduler, ProportionalToTickets) {
-    UniprocessorSim sim(make_lottery(), 6);
+    MultiprocessorSim sim(make_lottery(), 1, 6);
     auto* a = new CountingProcess(0, 0, /*tickets=*/1);
     auto* b = new CountingProcess(1, 0, /*tickets=*/3);
     sim.add_process(std::unique_ptr<Process>(a));
@@ -120,7 +122,7 @@ TEST(LotteryScheduler, ProportionalToTickets) {
 }
 
 TEST(FuzzyRoundRobin, EpsilonZeroIsRoundRobin) {
-    UniprocessorSim sim(make_fuzzy_round_robin(0.0), 7);
+    MultiprocessorSim sim(make_fuzzy_round_robin(0.0), 1, 7);
     auto* a = new CountingProcess(0);
     auto* b = new CountingProcess(1);
     sim.add_process(std::unique_ptr<Process>(a));
@@ -140,7 +142,7 @@ TEST(Mlfq, ConstructionValidation) {
 }
 
 TEST(Mlfq, CpuHogsShareFairlyViaBoost) {
-    UniprocessorSim sim(make_mlfq(3, 32), 20);
+    MultiprocessorSim sim(make_mlfq(3, 32), 1, 20);
     auto* a = new CountingProcess(0);
     auto* b = new CountingProcess(1);
     sim.add_process(std::unique_ptr<Process>(a));
@@ -151,7 +153,7 @@ TEST(Mlfq, CpuHogsShareFairlyViaBoost) {
 }
 
 TEST(Mlfq, InteractiveProcessGetsPriority) {
-    UniprocessorSim sim(make_mlfq(3, 256), 21);
+    MultiprocessorSim sim(make_mlfq(3, 256), 1, 21);
     // a blocks after every quantum (interactive); b hogs the CPU.
     auto* interactive = new CountingProcess(0, 0, 1, /*block_every=*/1, /*block_len=*/2);
     auto* hog = new CountingProcess(1);
@@ -164,7 +166,7 @@ TEST(Mlfq, InteractiveProcessGetsPriority) {
 }
 
 TEST(Blocking, BlockedProcessSkipsQuantaThenWakes) {
-    UniprocessorSim sim(make_round_robin(), 8);
+    MultiprocessorSim sim(make_round_robin(), 1, 8);
     // a blocks for 5 ticks after every quantum; b never blocks.
     auto* a = new CountingProcess(0, 0, 1, /*block_every=*/1, /*block_len=*/5);
     auto* b = new CountingProcess(1);
@@ -185,7 +187,7 @@ TEST(Blocking, FinishedProcessNeverRunsAgain) {
         }
         int runs = 0;
     };
-    UniprocessorSim sim(make_round_robin(), 9);
+    MultiprocessorSim sim(make_round_robin(), 1, 9);
     auto* p = new OneShot(0);
     auto* q = new CountingProcess(1);
     sim.add_process(std::unique_ptr<Process>(p));
@@ -201,10 +203,10 @@ TEST(Sim, AllFinishedStopsEarly) {
         explicit OneShot(ProcessId id) : Process(id) {}
         void on_quantum(SimTime) override { finish(); }
     };
-    UniprocessorSim sim(make_round_robin(), 10);
+    MultiprocessorSim sim(make_round_robin(), 1, 10);
     sim.add_process(std::make_unique<OneShot>(0));
     sim.run(1000);
-    EXPECT_LE(sim.stats().total_quanta, 2U);
+    EXPECT_LE(sim.total_quanta(), 2U);
 }
 
 }  // namespace

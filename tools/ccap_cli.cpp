@@ -286,12 +286,10 @@ int cmd_analyze(const Args& args) {
     const std::string kind = args.text("estimator", "mle");
     if (kind == "mle")
         cfg.estimator_kind = estimate::EstimatorKind::mle;
-    else if (kind == "em")
-        cfg.estimator_kind = estimate::EstimatorKind::em;
     else if (kind == "align")
         cfg.estimator_kind = estimate::EstimatorKind::alignment;
     else
-        throw UsageError("unknown --estimator (use mle, em or align)");
+        throw UsageError("unknown --estimator (use mle or align)");
     const auto report = estimate::analyze_traces(sent, received, cfg);
     std::fputs(estimate::render_report(report, args.require("sent") + " vs " +
                                                    args.require("received"))
@@ -757,7 +755,7 @@ void usage() {
         "usage: ccap <command> [options]\n"
         "  bounds    --pd X [--pi Y --ps Z --bits N --uses-per-sec R]\n"
         "  analyze   --sent FILE --received FILE [--bits N --uses-per-sec R\n"
-        "            --estimator mle|em|align]\n"
+        "            --estimator mle|align]\n"
         "  simulate  --sent FILE --received FILE [--pd X --pi Y --ps Z --bits N\n"
         "            --len L --seed S]\n"
         "  sweep     [--bits N --mi-blocks K --mi-block-len L --seed S MC]\n"

@@ -2,8 +2,8 @@
 # invocation only) the CLI's rejection paths: unknown flags, out-of-range
 # values and corrupt trace fixtures must all exit non-zero.
 
-# Negative coverage runs once — the EM/align re-invocations pass ESTIMATOR
-# and only re-check the round trip.
+# Negative coverage runs once — the align re-invocation passes ESTIMATOR
+# and only re-checks the round trip.
 if(NOT DEFINED ESTIMATOR)
   set(run_negative TRUE)
   set(ESTIMATOR mle)
@@ -150,6 +150,10 @@ ccap_expect_failure(1 "trace truncated"
 ccap_expect_failure(1 "trace unreadable"
   analyze --sent ${WORK_DIR}/does_not_exist.txt
           --received ${WORK_DIR}/cli_recv.txt --bits 2)
+# The estimators are mle and align; any other name is a usage error.
+ccap_expect_failure(2 "unknown --estimator \\(use mle or align\\)"
+  analyze --sent ${WORK_DIR}/cli_sent.txt
+          --received ${WORK_DIR}/cli_recv.txt --bits 2 --estimator em)
 
 # `mi` reports the worker count the run used: the --threads cap, or one
 # per hardware thread for the default 0 (never a literal 0).
