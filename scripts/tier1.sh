@@ -66,11 +66,12 @@ echo "== tier1: link audit of the public library surface =="
 echo "== tier1: batch-lattice + parallel-MC suites under CCAP_SIMD=scalar =="
 (cd build && CCAP_SIMD=scalar ./tests/ccap_info_tests \
     --gtest_filter='BatchLattice*:SimdDispatch*:*ParallelMc*' --gtest_brief=1)
-# The MLE parameter search scores its candidates on batch-engine lanes,
-# so its bits rest on the same per-ISA identity: rerun its scalar-search
-# reference and the recovery grid on the scalar kernels.
+# The MLE's Newton fit scores its stencil points on batch-engine lanes,
+# so its bits rest on the same per-ISA identity: rerun its scalar Newton
+# reference, the local-maximum, coverage, boundary and high-noise checks
+# and the recovery grid on the scalar kernels.
 (cd build && CCAP_SIMD=scalar ./tests/ccap_estimate_tests \
-    --gtest_filter='*MleBatched*:*EstimatorRecovery*' --gtest_brief=1)
+    --gtest_filter='ParamEstimator.Mle*:*EstimatorRecovery*' --gtest_brief=1)
 
 if [[ "${CCAP_RUN_ASAN:-0}" == "1" ]]; then
     echo "== tier1: info/util/core/estimate tests under -fsanitize=address (opt-in) =="

@@ -32,7 +32,7 @@ enum class Severity : std::uint8_t {
 
 /// The estimator analyze_traces runs (`ccap analyze --estimator mle|align`).
 enum class EstimatorKind : std::uint8_t {
-    mle,        ///< drift-HMM coordinate-descent ML (default; consistent)
+    mle,        ///< drift-HMM maximum likelihood, Newton fit (default; consistent)
     alignment,  ///< edit-distance only (fast; biased under mixed indels)
 };
 

@@ -8,11 +8,13 @@
 // and transmission events both consume a channel use; so do insertions —
 // the rates are computed over uses = #sent + #insertions.
 //
-// A blocked bootstrap over alignment blocks gives confidence intervals.
+// A blocked bootstrap over alignment blocks gives the alignment estimator's
+// confidence intervals; the MLE reports observed-information intervals.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 
 #include "ccap/core/channel_params.hpp"
@@ -20,9 +22,12 @@
 
 namespace ccap::estimate {
 
+/// A rate and its nominal 95% interval: the blocked-bootstrap percentile
+/// interval from estimate_params, the observed-information (Wald) interval
+/// from estimate_params_mle.
 struct RateEstimate {
     double value = 0.0;
-    double ci_low = 0.0;   ///< 95% bootstrap CI
+    double ci_low = 0.0;
     double ci_high = 0.0;
 };
 
@@ -32,6 +37,12 @@ struct ParamEstimate {
     RateEstimate p_s;  ///< substitution rate given transmission
     std::size_t channel_uses = 0;
     std::size_t blocks = 0;
+    // Likelihood-fit diagnostics; iterations stays 0 when no fit ran (the
+    // alignment estimator, or an MLE call with nothing sent).
+    int iterations = 0;      ///< Newton iterations the MLE took
+    bool converged = false;  ///< the MLE met its stopping rule before the iteration cap
+    /// log2 P(received | sent) at the fitted parameters, summed over the fitted blocks.
+    double log2_likelihood = -std::numeric_limits<double>::infinity();
 
     /// Point-estimate parameter set for the capacity formulas.
     [[nodiscard]] core::DiChannelParams params(unsigned bits_per_symbol) const {
@@ -82,19 +93,25 @@ struct WindowEstimate {
 /// alignment collapses nearby deletion+insertion pairs into substitutions
 /// (cost 1 < 2), so P_d and P_i are under-counted and P_s over-counted when
 /// both synchronization errors are present. This estimator instead
-/// maximizes sum over blocks of log2 P(received | sent; P_d, P_i, P_s)
-/// computed exactly by the drift lattice, via bounded coordinate descent
-/// (golden-section per parameter) seeded from the alignment estimate.
-/// Each candidate scores its blocks as the lanes of batched forward
-/// passes (DriftHmm::log2_likelihood_batch), bit-identical to one scalar
-/// pass per block. Slower, but consistent; the analyzer uses it by
-/// default. It fits at most the first 2048 sent symbols; each
-/// golden-section search stops at tolerance 2e-3, and the descent after
-/// two coordinate sweeps. Against a converged fit (tolerance 1e-5, sweeps
-/// repeated until the three parameters move by less than 3e-5 in total)
-/// on 200 seeded binary trace pairs at (0.10, 0.05, 0.02), that stopping
-/// rule costs about 0.0006 of mean max-abs error, for a 6-8x cheaper fit
-/// (EXPERIMENTS, "A converged MLE at equal data").
+/// maximizes f = sum over blocks of log2 P(received | sent; P_d, P_i, P_s),
+/// computed exactly by the drift lattice, over at most the first 2048 sent
+/// symbols. Each evaluation scores the blocks as the lanes of batched
+/// forward passes (DriftHmm::log2_likelihood_batch), bit-identical to one
+/// scalar pass per block.
+///
+/// The fit takes damped Newton steps in theta = ln p, seeded from the
+/// alignment estimate (THEORY section 18). Each iteration evaluates a
+/// 10-point stencil (the centre, +-h on each axis, one (+h, +h) point per
+/// pair; h = 0.05) and solves H s = -g; a Hessian that is not negative
+/// definite gets its diagonal shifted by the Gershgorin bound, a step is
+/// capped at 0.7 in every theta and halved while it lowers f. The fit
+/// converges once the full step would move every rate by less than 2e-3
+/// (it takes that step unless it lowers f), and otherwise stops at 20
+/// iterations or after 12 halvings without ascent. The intervals are
+/// observed-information (Wald) intervals, p +- 1.96 sqrt(diag((-H_p ln 2)^-1))
+/// with H_p = H_theta / (p_i p_j) from the last stencil, clipped at 0; at a
+/// rate whose MLE sits at 0 they under-cover. The fit's iterations,
+/// convergence and final log2-likelihood are reported in the estimate.
 [[nodiscard]] ParamEstimate estimate_params_mle(std::span<const std::uint32_t> sent,
                                                 std::span<const std::uint32_t> received,
                                                 unsigned bits_per_symbol,

@@ -1,13 +1,13 @@
 #include "ccap/estimate/param_estimator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
 #include "ccap/info/drift_hmm.hpp"
 #include "ccap/info/lattice_engine.hpp"
 #include "ccap/util/rng.hpp"
-#include "ccap/util/solvers.hpp"
 
 namespace ccap::estimate {
 namespace {
@@ -94,14 +94,191 @@ BlockSplit split_blocks(std::span<const std::uint32_t> sent,
     return split;
 }
 
-/// Keep the bootstrap CI *widths* from the alignment pass, re-centred on a
-/// refined point (the widths reflect sampling noise; the re-centring
-/// removes the alignment bias).
-void recenter_rate(RateEstimate& rate, double new_value) {
-    const double half = std::max(new_value * 0.05, (rate.ci_high - rate.ci_low) / 2.0);
-    rate.value = new_value;
-    rate.ci_low = std::max(0.0, new_value - half);
-    rate.ci_high = new_value + half;
+using Vec3 = std::array<double, 3>;
+using Mat3 = std::array<Vec3, 3>;
+
+// The MLE's Newton fit in theta = ln p (THEORY section 18).
+constexpr double kStencilStep = 0.05;  ///< h: stencil offset in theta
+constexpr double kMaxStep = 0.7;       ///< cap on a step's largest theta move
+constexpr double kStopMove = 2e-3;     ///< stop once a full step moves every rate less
+constexpr int kMaxIterations = 20;
+constexpr int kMaxHalvings = 12;
+constexpr double kSeedFloor = 1e-4;  ///< lowest seed P_s (ln 0 has no Newton step)
+
+/// Cholesky factor l (lower, a = l l^T); false when a is not positive
+/// definite.
+bool cholesky(const Mat3& a, Mat3& l) {
+    l = Mat3{};
+    for (std::size_t i = 0; i < 3; ++i) {
+        for (std::size_t j = 0; j <= i; ++j) {
+            double sum = a[i][j];
+            for (std::size_t k = 0; k < j; ++k) sum -= l[i][k] * l[j][k];
+            if (i == j) {
+                if (!(sum > 0.0)) return false;
+                l[i][i] = std::sqrt(sum);
+            } else {
+                l[i][j] = sum / l[j][j];
+            }
+        }
+    }
+    return true;
+}
+
+/// Solve l l^T x = b.
+Vec3 cholesky_solve(const Mat3& l, const Vec3& b) {
+    Vec3 y{}, x{};
+    for (std::size_t i = 0; i < 3; ++i) {
+        double sum = b[i];
+        for (std::size_t k = 0; k < i; ++k) sum -= l[i][k] * y[k];
+        y[i] = sum / l[i][i];
+    }
+    for (std::size_t i = 3; i-- > 0;) {
+        double sum = y[i];
+        for (std::size_t k = i + 1; k < 3; ++k) sum -= l[k][i] * x[k];
+        x[i] = sum / l[i][i];
+    }
+    return x;
+}
+
+/// Cholesky factor of the negated Hessian a, made positive definite first
+/// when it is not: its diagonal is shifted past the Gershgorin bound on
+/// its smallest eigenvalue, so every row is strictly diagonally dominant.
+Mat3 positive_definite_factor(Mat3 a) {
+    Mat3 l;
+    if (cholesky(a, l)) return l;
+    double shift = 0.0, scale = 0.0;
+    for (std::size_t i = 0; i < 3; ++i) {
+        double off = 0.0;
+        for (std::size_t j = 0; j < 3; ++j)
+            if (j != i) off += std::fabs(a[i][j]);
+        shift = std::max(shift, off - a[i][i]);
+        scale = std::max(scale, std::fabs(a[i][i]));
+    }
+    shift += 1e-3 * (1.0 + scale);
+    for (std::size_t i = 0; i < 3; ++i) a[i][i] += shift;
+    (void)cholesky(a, l);
+    return l;
+}
+
+/// Rates at theta = ln p.
+Vec3 rates_at(const Vec3& theta) {
+    return {std::exp(theta[0]), std::exp(theta[1]), std::exp(theta[2])};
+}
+
+/// Whether every stencil point around theta is inside the likelihood's
+/// domain (P_d + P_i <= 0.9, P_s <= 1), so no stencil value is the
+/// infeasible sentinel.
+bool stencil_feasible(const Vec3& theta) {
+    const Vec3 p = rates_at(theta);
+    const double grow = std::exp(kStencilStep);
+    return (p[0] + p[1]) * grow <= 0.9 && p[2] * grow <= 1.0;
+}
+
+struct NewtonFit {
+    Vec3 p{};
+    Vec3 half_width{};  ///< 1.96 sigma of each rate, from the last stencil
+    double log2_likelihood = 0.0;
+    int iterations = 0;
+    bool converged = false;
+};
+
+/// Damped Newton ascent of f (a function of the rates) in theta = ln p from
+/// `seed`, with observed-information half-widths from the last stencil.
+template <typename F>
+NewtonFit newton_fit(F&& f, const Vec3& seed) {
+    const double h = kStencilStep;
+    const auto f_theta = [&](const Vec3& theta) { return f(rates_at(theta)); };
+    Vec3 theta{std::log(seed[0]), std::log(seed[1]), std::log(seed[2])};
+    double f0 = f_theta(theta);
+    NewtonFit fit;
+    Mat3 info{};  // factor of the negated theta-Hessian (made positive definite) at `centre`
+    Vec3 centre{};
+    for (int it = 1; it <= kMaxIterations; ++it) {
+        fit.iterations = it;
+        Vec3 fp{}, fm{};
+        for (std::size_t i = 0; i < 3; ++i) {
+            Vec3 t = theta;
+            t[i] = theta[i] + h;
+            fp[i] = f_theta(t);
+            t[i] = theta[i] - h;
+            fm[i] = f_theta(t);
+        }
+        Vec3 g{};
+        Mat3 a{};
+        for (std::size_t i = 0; i < 3; ++i) {
+            g[i] = (fp[i] - fm[i]) / (2.0 * h);
+            a[i][i] = -(fp[i] - 2.0 * f0 + fm[i]) / (h * h);
+            for (std::size_t j = 0; j < i; ++j) {
+                Vec3 t = theta;
+                t[i] = theta[i] + h;
+                t[j] = theta[j] + h;
+                a[i][j] = a[j][i] = -(f_theta(t) - fp[i] - fp[j] + f0) / (h * h);
+            }
+        }
+        info = positive_definite_factor(a);
+        centre = theta;
+        Vec3 step = cholesky_solve(info, g);
+        const double longest =
+            std::max({std::fabs(step[0]), std::fabs(step[1]), std::fabs(step[2])});
+        if (longest > kMaxStep)
+            for (double& s : step) s *= kMaxStep / longest;
+
+        // A full step that moves every p by less than kStopMove means the
+        // optimum is within the stencil's resolution: take it unless it
+        // lowers f, and stop.
+        const Vec3 p_old = rates_at(theta);
+        Vec3 trial{};
+        for (std::size_t i = 0; i < 3; ++i) trial[i] = theta[i] + step[i];
+        const Vec3 p_full = rates_at(trial);
+        double moved = 0.0;
+        for (std::size_t i = 0; i < 3; ++i)
+            moved = std::max(moved, std::fabs(p_full[i] - p_old[i]));
+        if (moved < kStopMove) {
+            if (stencil_feasible(trial)) {
+                const double f_trial = f_theta(trial);
+                if (f_trial >= f0) {
+                    theta = trial;
+                    f0 = f_trial;
+                }
+            }
+            fit.converged = true;
+            break;
+        }
+        // Otherwise halve the step while it lowers f (or leaves the domain).
+        int halvings = 0;
+        double f_trial = 0.0;
+        for (;;) {
+            if (stencil_feasible(trial)) {
+                f_trial = f_theta(trial);
+                if (f_trial >= f0) break;
+            }
+            if (++halvings > kMaxHalvings) break;
+            for (std::size_t i = 0; i < 3; ++i) {
+                step[i] *= 0.5;
+                trial[i] = theta[i] + step[i];
+            }
+        }
+        if (halvings > kMaxHalvings) break;  // no ascent along the Newton direction
+        theta = trial;
+        f0 = f_trial;
+    }
+    fit.p = rates_at(theta);
+    fit.log2_likelihood = f0;
+    // The observed information in theta is -H ln 2 (f is in bits), and the
+    // p-covariance diag(p) (-H ln 2)^-1 diag(p) at the stencil centre.
+    const Vec3 pc = rates_at(centre);
+    for (std::size_t i = 0; i < 3; ++i) {
+        Vec3 e{};
+        e[i] = 1.0 / std::log(2.0);
+        fit.half_width[i] = 1.96 * std::sqrt(cholesky_solve(info, e)[i]) * pc[i];
+    }
+    return fit;
+}
+
+void set_rate(RateEstimate& rate, double value, double half_width) {
+    rate.value = value;
+    rate.ci_low = std::max(0.0, value - half_width);
+    rate.ci_high = value + half_width;
 }
 
 void check_symbol_range(std::span<const std::uint32_t> sent,
@@ -206,7 +383,7 @@ ParamEstimate estimate_params_mle(std::span<const std::uint32_t> sent,
         throw std::invalid_argument("estimate_params_mle: block_len == 0");
     const unsigned alphabet = 1U << bits_per_symbol;
 
-    // Seed (and CI shape) from the fast alignment estimator.
+    // Seed from the fast alignment estimator.
     ParamEstimate est = estimate_params(sent, received, options);
     if (sent.empty() && received.empty()) return est;
 
@@ -267,24 +444,24 @@ ParamEstimate estimate_params_mle(std::span<const std::uint32_t> sent,
         return total;
     };
 
-    double pd = std::clamp(est.p_d.value, 0.001, 0.6);
-    double pi = std::clamp(est.p_i.value, 0.001, 0.6);
-    double ps = std::clamp(est.p_s.value, 0.0, 0.5);
-    for (int sweep = 0; sweep < 2; ++sweep) {
-        pd = util::golden_max([&](double x) { return log_likelihood(x, pi, ps); }, 0.0,
-                              std::min(0.85, 0.9 - pi), 2e-3)
-                 .x;
-        pi = util::golden_max([&](double x) { return log_likelihood(pd, x, ps); }, 0.0,
-                              std::min(0.85, 0.9 - pd), 2e-3)
-                 .x;
-        ps = util::golden_max([&](double x) { return log_likelihood(pd, pi, x); }, 0.0, 0.6,
-                              2e-3)
-                 .x;
+    Vec3 seed{std::clamp(est.p_d.value, 0.001, 0.6), std::clamp(est.p_i.value, 0.001, 0.6),
+              std::max(std::clamp(est.p_s.value, 0.0, 0.5), kSeedFloor)};
+    // A seed whose stencil leaves the domain (P_d + P_i near 0.9) is pulled
+    // back inside it along the ray to the origin.
+    const double room = 0.85 * std::exp(-kStencilStep);
+    if (seed[0] + seed[1] > room) {
+        const double shrink = room / (seed[0] + seed[1]);
+        seed[0] *= shrink;
+        seed[1] *= shrink;
     }
-
-    recenter_rate(est.p_d, pd);
-    recenter_rate(est.p_i, pi);
-    recenter_rate(est.p_s, ps);
+    const NewtonFit fit = newton_fit(
+        [&](const Vec3& p) { return log_likelihood(p[0], p[1], p[2]); }, seed);
+    set_rate(est.p_d, fit.p[0], fit.half_width[0]);
+    set_rate(est.p_i, fit.p[1], fit.half_width[1]);
+    set_rate(est.p_s, fit.p[2], fit.half_width[2]);
+    est.iterations = fit.iterations;
+    est.converged = fit.converged;
+    est.log2_likelihood = fit.log2_likelihood;
     return est;
 }
 

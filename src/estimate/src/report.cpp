@@ -16,6 +16,14 @@ std::string render_report(const AnalysisReport& report, const std::string& title
                   report.params.p_i.value, report.params.p_i.ci_low, report.params.p_i.ci_high,
                   report.params.p_s.value, report.params.p_s.ci_low, report.params.p_s.ci_high);
     os << line;
+    if (report.params.iterations > 0) {
+        std::snprintf(line, sizeof line,
+                      "  likelihood fit: %d Newton iterations, %s, log2-likelihood %.4f bits\n",
+                      report.params.iterations,
+                      report.params.converged ? "converged" : "not converged",
+                      report.params.log2_likelihood);
+        os << line;
+    }
     std::snprintf(line, sizeof line,
                   "  traditional (synchronous-model) capacity : %.4f bits/use\n",
                   report.traditional_bits_per_use);

@@ -52,10 +52,10 @@
 // log2_prior_marginal_batch in drift_hmm.hpp, implemented in
 // batch_lattice.cpp) and the per-lane-parameter functions below wrap this
 // engine. deletion_bounds.cpp feeds each Monte-Carlo thread's blocks
-// through them in tiles of resolved_mc_batch lanes, and the MLE parameter
-// search (estimate_params_mle, param_estimator.cpp) scores each
-// candidate's trace blocks as the lanes of one log2_likelihood_batch call
-// per run of equal sent length.
+// through them in tiles of resolved_mc_batch lanes, and the MLE's Newton
+// fit (estimate_params_mle, param_estimator.cpp) scores each stencil and
+// line-search point's trace blocks as the lanes of one
+// log2_likelihood_batch call per run of equal sent length.
 #pragma once
 
 #include <algorithm>
@@ -166,7 +166,7 @@ public:
         const LaneKernels& k = *k_;
         for (std::size_t l = 0; l < L; ++l) {
             alive_[l] = 1;
-            scale_a_[l] = 0.0;
+            scale_[l] = 0.0;
         }
         double* c0 = alpha_.data() + idx(0) * Lp;
         for (std::size_t l = 0; l < L; ++l) c0[l] = 1.0;
@@ -242,11 +242,11 @@ public:
             for (std::size_t l = 0; l < L; ++l) {
                 if (alive_[l] == 0 || !(norm_[l] > 0.0)) {
                     alive_[l] = 0;
-                    scale_a_[j * L + l] = kNegInf;
+                    scale_[l] = kNegInf;
                     norm_[l] = 1.0;  // keeps the shared division a no-op on zeros
                     continue;
                 }
-                scale_a_[j * L + l] = scale_a_[(j - 1) * L + l] + std::log2(norm_[l]);
+                scale_[l] += std::log2(norm_[l]);
                 any_alive = true;
             }
             if (!any_alive) return kill_all_from(j);
@@ -261,7 +261,7 @@ public:
     [[nodiscard]] double evidence(std::size_t lane) const noexcept {
         constexpr double kNegInf = -std::numeric_limits<double>::infinity();
         const double t = tail(lane);
-        const double scale = scale_a_[n_ * lanes_ + lane];
+        const double scale = scale_[lane];
         if (!(t > 0.0) || scale == kNegInf) return kNegInf;
         return scale + std::log2(t);
     }
@@ -345,10 +345,11 @@ private:
         }
         row_stride_ = static_cast<std::size_t>(2 * d_max_ + 1) * Lp;  // drift columns
         alpha_ = ws.alpha(2 * row_stride_);  // rows j & 1: current and previous
-        scale_a_ = ws.scales_a((n_ + 1) * L);
         band_ = ws.bands(2 * (n_ + 1));
         emit_ = ws.scratch(row_stride_);
-        norm_ = ws.lane_doubles(Lp);
+        const auto ld = ws.lane_doubles(Lp + L);
+        norm_ = ld.subspan(0, Lp);
+        scale_ = ld.subspan(Lp, L);
     }
 
     /// Per-lane SoA weight/trail/emission planes, replicating the
@@ -395,8 +396,8 @@ private:
 
     void kill_all_from(std::size_t j) noexcept {
         constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+        for (std::size_t l = 0; l < lanes_; ++l) scale_[l] = kNegInf;
         for (std::size_t k = j; k <= n_; ++k) {
-            for (std::size_t l = 0; l < lanes_; ++l) scale_a_[k * lanes_ + l] = kNegInf;
             band_[2 * k] = 1;
             band_[2 * k + 1] = 0;
         }
@@ -414,7 +415,11 @@ private:
     std::span<long long> m_, alive_;
     std::span<std::uint8_t> rx_;
     std::span<double> trail_;
-    std::span<double> alpha_, scale_a_;
+    std::span<double> alpha_;
+    /// Running log2 row scale of each lane: the sum of log2 row norms
+    /// through the last row swept, -infinity once the lane dies. One per
+    /// lane suffices: row j reads row j - 1's, and the evidence row n's.
+    std::span<double> scale_;
     std::span<double> emit_;
     std::span<double> norm_;
     std::span<int> band_;

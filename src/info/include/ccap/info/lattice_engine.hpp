@@ -81,7 +81,6 @@ public:
 
     [[nodiscard]] std::span<double> alpha(std::size_t cells) { return grab(alpha_, cells); }
     [[nodiscard]] std::span<double> beta(std::size_t cells) { return grab(beta_, cells); }
-    [[nodiscard]] std::span<double> scales_a(std::size_t rows) { return grab(scale_a_, rows); }
     /// Interleaved per-row band bounds: [2j] = lo, [2j+1] = hi (lo > hi
     /// means the row is empty/dead).
     [[nodiscard]] std::span<int> bands(std::size_t ints) { return grab(band_, ints); }
@@ -91,7 +90,7 @@ public:
     [[nodiscard]] std::span<double> scratch3(std::size_t cells) { return grab(scr3_, cells); }
 
     // Arenas for the batched structure-of-arrays engine (batch_lattice.hpp).
-    /// Small per-lane double buffers (row norms).
+    /// Small per-lane double buffers (row norms, running row scales).
     [[nodiscard]] std::span<double> lane_doubles(std::size_t cells) {
         return grab(lane_d_, cells);
     }
@@ -121,7 +120,7 @@ private:
         return {v.data(), n};
     }
 
-    ArenaVector<double> alpha_, beta_, scale_a_, trail_, scr1_, scr2_, scr3_, lane_d_,
+    ArenaVector<double> alpha_, beta_, trail_, scr1_, scr2_, scr3_, lane_d_,
         wplanes_;
     ArenaVector<int> band_;
     ArenaVector<long long> lane_ll_;

@@ -1,17 +1,13 @@
-// Generic 1-D numerical root/extremum helpers used by the capacity solvers:
-// bisection for monotone roots (timing-channel characteristic equations) and
-// golden-section maximization for unimodal capacity curves.
+// Generic 1-D root finding for the capacity solvers: bisection for monotone
+// roots (timing-channel and FSM characteristic equations).
 #pragma once
 
-#include <cmath>
-#include <functional>
 #include <stdexcept>
-#include <utility>
 
 namespace ccap::util {
 
 struct SolveResult {
-    double x = 0.0;        ///< argmin/argmax or root location
+    double x = 0.0;        ///< root location
     double value = 0.0;    ///< f(x)
     int iterations = 0;    ///< iterations consumed
     bool converged = false;
@@ -49,41 +45,6 @@ template <typename F>
     res.x = 0.5 * (lo + hi);
     res.value = f(res.x);
     res.converged = (hi - lo) < xtol * 16;
-    return res;
-}
-
-/// Maximize a unimodal f over [lo, hi] by golden-section search.
-template <typename F>
-[[nodiscard]] SolveResult golden_max(F&& f, double lo, double hi, double xtol = 1e-10,
-                                     int max_iter = 400) {
-    if (!(hi >= lo)) throw std::invalid_argument("golden_max: hi < lo");
-    constexpr double inv_phi = 0.6180339887498949;
-    double a = lo, b = hi;
-    double c = b - inv_phi * (b - a);
-    double d = a + inv_phi * (b - a);
-    double fc = f(c), fd = f(d);
-    SolveResult res;
-    int it = 0;
-    while ((b - a) > xtol && it < max_iter) {
-        if (fc > fd) {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - inv_phi * (b - a);
-            fc = f(c);
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + inv_phi * (b - a);
-            fd = f(d);
-        }
-        ++it;
-    }
-    res.x = 0.5 * (a + b);
-    res.value = f(res.x);
-    res.iterations = it;
-    res.converged = (b - a) <= xtol * 16;
     return res;
 }
 

@@ -7,7 +7,6 @@
 namespace {
 
 using ccap::util::bisect;
-using ccap::util::golden_max;
 
 TEST(Bisect, FindsSqrtTwo) {
     const auto r = bisect([](double x) { return x * x - 2.0; }, 0.0, 2.0);
@@ -36,37 +35,6 @@ TEST(Bisect, TranscendentalRoot) {
     // x = cos(x) has root ~0.739085.
     const auto r = bisect([](double x) { return std::cos(x) - x; }, 0.0, 1.0);
     EXPECT_NEAR(r.x, 0.7390851332151607, 1e-9);
-}
-
-TEST(GoldenMax, Parabola) {
-    const auto r = golden_max([](double x) { return -(x - 2.0) * (x - 2.0); }, 0.0, 5.0);
-    EXPECT_TRUE(r.converged);
-    EXPECT_NEAR(r.x, 2.0, 1e-7);
-    EXPECT_NEAR(r.value, 0.0, 1e-12);
-}
-
-TEST(GoldenMax, BinaryEntropyPeaksAtHalf) {
-    const auto h = [](double p) {
-        const auto xlx = [](double v) { return v > 0 ? v * std::log2(v) : 0.0; };
-        return -xlx(p) - xlx(1 - p);
-    };
-    const auto r = golden_max(h, 0.0, 1.0);
-    EXPECT_NEAR(r.x, 0.5, 1e-6);
-    EXPECT_NEAR(r.value, 1.0, 1e-10);
-}
-
-TEST(GoldenMax, MaxAtBoundary) {
-    const auto r = golden_max([](double x) { return x; }, 0.0, 3.0);
-    EXPECT_NEAR(r.x, 3.0, 1e-6);
-}
-
-TEST(GoldenMax, ReversedIntervalThrows) {
-    EXPECT_THROW((void)golden_max([](double x) { return x; }, 1.0, 0.0), std::invalid_argument);
-}
-
-TEST(GoldenMax, DegenerateInterval) {
-    const auto r = golden_max([](double x) { return -x * x; }, 2.0, 2.0);
-    EXPECT_DOUBLE_EQ(r.x, 2.0);
 }
 
 }  // namespace

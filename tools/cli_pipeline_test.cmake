@@ -358,6 +358,27 @@ if(NOT analyze_out_default STREQUAL analyze_out_scalar)
     "analyze stdout differs under CCAP_SIMD=scalar:\n${analyze_out_default}\nvs\n${analyze_out_scalar}")
 endif()
 
+# analyze at (0.20, 0.10, 0.05): the MLE's Newton fit starts on a shifted
+# Hessian there, and must still exit 0 and print its one-line fit summary.
+execute_process(
+  COMMAND ${CCAP_BIN} simulate --pd 0.20 --pi 0.10 --ps 0.05 --bits 1 --len 4096 --seed 1
+          --sent ${WORK_DIR}/cli_noisy_sent.txt --received ${WORK_DIR}/cli_noisy_recv.txt
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "simulate (0.20, 0.10, 0.05) failed: ${rc}")
+endif()
+execute_process(
+  COMMAND ${CCAP_BIN} analyze --sent ${WORK_DIR}/cli_noisy_sent.txt
+          --received ${WORK_DIR}/cli_noisy_recv.txt --bits 1
+  OUTPUT_VARIABLE out
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "analyze on the (0.20, 0.10, 0.05) pair failed: ${rc}")
+endif()
+if(NOT out MATCHES "likelihood fit: [0-9]+ Newton iterations, (converged|not converged), log2-likelihood -[0-9]+\\.[0-9]+ bits")
+  message(FATAL_ERROR "analyze did not print the fit line: ${out}")
+endif()
+
 # Hardened-protocol smoke: lossy-link stop-and-wait must stay reliable and
 # report a predicted rate from the closed form.
 execute_process(
