@@ -6,7 +6,8 @@
 #   2. perfbench harness build (compile only);
 #   3. link audit of the public library surface (scripts/api_audit.sh);
 #   4. batch-lattice, parallel-MC and MLE-search suites under
-#      CCAP_SIMD=scalar;
+#      CCAP_SIMD=scalar, and under CCAP_SIMD=avx2 when AVX-512 is the
+#      widest path;
 #   5. opt-in ASan / UBSan stages;
 #   6. the concurrency suites under TSan.
 # Timing is not gated here: perfbench owns calibrated timing.
@@ -63,15 +64,29 @@ echo "== tier1: link audit of the public library surface =="
 # disabled — i.e. any bit-identity green above came from correct vector
 # code, not from both paths sharing a bug — and that the point schedulers
 # keep their thread/batch/tile identities on the scalar kernels too.
-echo "== tier1: batch-lattice + parallel-MC suites under CCAP_SIMD=scalar =="
-(cd build && CCAP_SIMD=scalar ./tests/ccap_info_tests \
-    --gtest_filter='BatchLattice*:SimdDispatch*:*ParallelMc*' --gtest_brief=1)
 # The MLE's Newton fit scores its stencil points on batch-engine lanes,
 # so its bits rest on the same per-ISA identity: rerun its scalar Newton
 # reference, the local-maximum, coverage, boundary and high-noise checks
-# and the recovery grid on the scalar kernels.
-(cd build && CCAP_SIMD=scalar ./tests/ccap_estimate_tests \
-    --gtest_filter='ParamEstimator.Mle*:*EstimatorRecovery*' --gtest_brief=1)
+# and the recovery grid too.
+simd_suites() {
+    echo "== tier1: batch-lattice + parallel-MC + MLE suites under CCAP_SIMD=$1 =="
+    (cd build && CCAP_SIMD="$1" ./tests/ccap_info_tests \
+        --gtest_filter='BatchLattice*:SimdDispatch*:*ParallelMc*' --gtest_brief=1)
+    (cd build && CCAP_SIMD="$1" ./tests/ccap_estimate_tests \
+        --gtest_filter='ParamEstimator.Mle*:*EstimatorRecovery*' --gtest_brief=1)
+}
+# The kernel path a CCAP_SIMD value resolves to on this host (the variable
+# only clamps down, so an unavailable request reads as a narrower path).
+resolved_simd() {
+    env CCAP_SIMD="$1" build/tools/ccap mi --blocks 2 --block 8 --verbose |
+        sed -n 's/^# simd: \([a-z0-9]*\).*/\1/p'
+}
+simd_suites scalar
+# On a host whose widest path is AVX-512 the default pass never reaches the
+# AVX2 table from the MC and MLE suites: rerun them there too.
+if [[ "$(resolved_simd avx512)" == "avx512" && "$(resolved_simd avx2)" == "avx2" ]]; then
+    simd_suites avx2
+fi
 
 if [[ "${CCAP_RUN_ASAN:-0}" == "1" ]]; then
     echo "== tier1: info/util/core/estimate tests under -fsanitize=address (opt-in) =="
@@ -81,7 +96,7 @@ if [[ "${CCAP_RUN_ASAN:-0}" == "1" ]]; then
         -DCCAP_BUILD_EXAMPLES=OFF >/dev/null
     cmake --build build-asan -j"$(nproc)" --target ccap_util_tests ccap_info_tests \
         ccap_core_tests ccap_estimate_tests
-    (cd build-asan && ctest --output-on-failure -R 'ccap_util|ccap_info|Lattice|BatchLattice|ParallelMc|Drift')
+    (cd build-asan && ctest --output-on-failure -R 'ccap_util|ccap_info|Lattice|BatchLattice|SimdDispatch|ParallelMc|Drift')
     (cd build-asan && ./tests/ccap_core_tests --gtest_brief=1 &&
         ./tests/ccap_estimate_tests --gtest_brief=1)
 fi

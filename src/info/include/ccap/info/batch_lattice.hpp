@@ -22,18 +22,25 @@
 //     lattice_simd.hpp — explicit AVX-512 / AVX2 / NEON translation units
 //     selected once at startup (util::active_simd_path(), overridable with
 //     CCAP_SIMD) — so the engine runs full vectors regardless of how the
-//     surrounding code was compiled. Padding lanes carry exactly 0.0
-//     through every linear operation and their norms are pinned to 1.0
-//     before the shared divides, so they never produce NaN/Inf and never
-//     perturb a real lane. All arenas come from the same grow-only
-//     LatticeWorkspace the scalar engine uses (64-byte aligned; steady
-//     state is allocation-free).
+//     surrounding code was compiled. A shared-weight row is one call per
+//     stage over its whole drift window: the emission fill, the
+//     propagation (with the per-lane mask and the row norms folded in)
+//     and the divide; the per-lane-parameter mode propagates column by
+//     column, then masks, sums and divides by row. Padding lanes carry
+//     exactly 0.0 through every linear operation and their norms are
+//     pinned to 1.0 before the shared divides, so they never produce
+//     NaN/Inf and never perturb a real lane. All arenas come from the same
+//     grow-only LatticeWorkspace the scalar engine uses (64-byte aligned;
+//     steady state is allocation-free).
 //
 //   * Per-row band windows and transition weights are computed once and
-//     shared across lanes. The emission factor of a transmission landing
-//     at drift d depends only on (row, d) — received index (j-1) + d — so
-//     one emission plane per row replaces the scalar engine's per-(source,
-//     run-length) emission gathers, a max_insert_run-fold reduction.
+//     shared across lanes. With shared weights, P_d = 0 keeps a row's
+//     window from growing below the previous band and P_i = 0 from growing
+//     above it: those cells are exact +0.0 (docs/THEORY.md section 11).
+//     The emission factor of a transmission landing at drift d depends
+//     only on (row, d) — received index (j-1) + d — so one emission plane
+//     per row replaces the scalar engine's per-(source, run-length)
+//     emission gathers, a max_insert_run-fold reduction.
 //
 //   * Received sequences may have ragged lengths. They are packed into a
 //     zero-padded SoA arena; the union drift window is swept and, after
@@ -150,11 +157,12 @@ public:
                (static_cast<std::size_t>(r) * p_->alphabet + s) * lanes_pad_;
     }
 
-    /// Lockstep forward pass. emit_plane(ed, j, rxr) must fill
-    /// ed[0..lane_stride()) with each lane's emission factor for its
-    /// received symbol rxr[l] at transmitted position j — a whole-lane-row
-    /// contract so callers can vectorize the fill (batch_lattice.cpp maps
-    /// the binary alphabet onto the dispatched select kernels). Padding
+    /// Lockstep forward pass. emit_plane(ed, j, rxr, planes) must fill
+    /// `planes` consecutive emission planes: ed[p * lane_stride() + l] is
+    /// lane l's emission factor for its received symbol
+    /// rxr[p * lane_stride() + l] at transmitted position j. It is called
+    /// once per row, over the row's whole emission window, so callers run
+    /// the fill as dispatched row kernels (batch_lattice.cpp). Padding
     /// entries must be finite (any valid-symbol value works; they multiply
     /// zero cells). Every lane's rows/scales/evidence are bit-identical to
     /// a scalar LatticeEngine run on that lane alone.
@@ -175,69 +183,71 @@ public:
         band_[1] = 0;
 
         const int run = p_->max_insert_run;
+        // How far a row's window may reach below / above the previous band.
+        // With shared weights, P_d = 0 zeroes every deletion weight, so the
+        // cell below the band (reached only by a run-0 deletion) is an exact
+        // +0.0; P_i = 0 zeroes every weight past run length 1, so the cells
+        // above the band are too (docs/THEORY.md section 11). Sweeping
+        // those cells adds +0.0 to sums of non-negative terms, so leaving
+        // them out changes no bit.
+        const int below = !per_lane_ && p_->p_d == 0.0 ? 0 : 1;
+        const int above = !per_lane_ && p_->p_i == 0.0 ? 0 : run - 1;
         for (std::size_t j = 1; j <= n_; ++j) {
             const int plo = band_lo(j - 1), phi = band_hi(j - 1);
             int clo = 0, chi = -1;
             if (!union_window(j, clo, chi) || plo > phi) return kill_all_from(j);
-            clo = std::max(clo, plo - 1);
-            chi = std::min(chi, phi + run - 1);
+            clo = std::max(clo, plo - below);
+            chi = std::min(chi, phi + above);
             if (clo > chi) return kill_all_from(j);
 
             double* __restrict cur = alpha_.data() + (j & 1) * row_stride_;
             const double* __restrict prev = alpha_.data() + ((j - 1) & 1) * row_stride_;
 
-            // One emission plane per row: a transmission landing at drift d
-            // consumed received index (j-1) + d regardless of where it came
+            // One emission plane per drift: a transmission landing at drift
+            // d consumed received index (j-1) + d regardless of where it came
             // from. Lowest emission-reachable drift is the previous band lo.
-            for (int d = std::max(clo, plo); d <= chi; ++d) {
-                const std::uint8_t* rxr =
-                    rx_.data() +
-                    static_cast<std::size_t>(static_cast<long long>(j - 1) + d) * Lp;
-                emit_plane(emit_.data() + idx(d) * Lp, j - 1, rxr);
-            }
+            const int elo = std::max(clo, plo);
+            if (elo <= chi)
+                emit_plane(emit_.data() + idx(elo) * Lp, j - 1,
+                           rx_.data() + static_cast<std::size_t>(
+                                            static_cast<long long>(j - 1) + elo) * Lp,
+                           static_cast<std::size_t>(chi - elo + 1));
 
-            // Destination-major propagation: each destination column pulls
-            // its whole insert run through one fused kernel call, so the
-            // accumulator lives in registers, every cell is stored exactly
-            // once, and no zero-fill pass is needed. A source at drift dp
-            // reaches destination d with run length g = d + 1 - dp: the
-            // ascending source planes [dp_min, dp_max] pair with weights
-            // walked down from g0, and the run-0 pure-deletion term (source
+            // Destination-major propagation: each destination cell pulls its
+            // whole insert run with the accumulator in registers and is
+            // stored exactly once, so no zero-fill pass is needed. A source
+            // at drift dp reaches destination d with run length
+            // g = d + 1 - dp: the ascending source planes pair with weights
+            // walked down from g, and the run-0 pure-deletion term (source
             // d + 1, no emission factor) lands last — the same per-cell
             // contribution order (source-drift ascending) as a source-major
-            // scatter, hence bitwise the same sums.
-            for (int d = clo; d <= chi; ++d) {
-                const int dp_min = std::max(plo, d + 1 - run);
-                const int dp_max = std::min(phi, d);
-                const std::size_t cnt =
-                    dp_max >= dp_min ? static_cast<std::size_t>(dp_max - dp_min + 1) : 0;
-                const int g0 = cnt ? d + 1 - dp_min : 1;  // in [1, run] when cnt > 0
-                const double* src_del = d + 1 <= phi ? prev + (idx(d) + 1) * Lp : nullptr;
-                if (per_lane_) {
+            // scatter, hence bitwise the same sums. Cells past a lane's own
+            // valid window (d > m_l - j) consumed pad symbols and are masked
+            // back to exactly 0.0; norm_ gets each lane's row sum.
+            const std::size_t planes = static_cast<std::size_t>(chi - clo + 1);
+            if (per_lane_) {
+                for (int d = clo; d <= chi; ++d) {
+                    const int dp_min = std::max(plo, d + 1 - run);
+                    const int dp_max = std::min(phi, d);
+                    const std::size_t cnt =
+                        dp_max >= dp_min ? static_cast<std::size_t>(dp_max - dp_min + 1) : 0;
+                    const int g0 = cnt ? d + 1 - dp_min : 1;  // in [1, run] when cnt > 0
                     k.fma_dest_run_pl(cur + idx(d) * Lp, prev + idx(dp_min) * Lp,
                                       del_w_pl_.data() + static_cast<std::size_t>(g0) * Lp,
                                       tx_w_pl_.data() + static_cast<std::size_t>(g0 - 1) * Lp,
-                                      emit_.data() + idx(d) * Lp, src_del,
+                                      emit_.data() + idx(d) * Lp,
+                                      d + 1 <= phi ? prev + (idx(d) + 1) * Lp : nullptr,
                                       del_w_pl_.data(), cnt, Lp);
-                } else {
-                    k.fma_dest_run(cur + idx(d) * Lp, prev + idx(dp_min) * Lp,
-                                   t_->del_w.data() + g0, t_->tx_w.data() + (g0 - 1),
-                                   emit_.data() + idx(d) * Lp, src_del, t_->del_w[0], cnt,
-                                   Lp);
                 }
+                k.mask_norm_row(norm_.data(), cur + idx(clo) * Lp, len_.data(),
+                                static_cast<std::ptrdiff_t>(j) + clo, planes, Lp);
+            } else {
+                const RowSpan span{clo, chi, plo, phi, run, static_cast<std::ptrdiff_t>(j)};
+                k.fma_dest_row(cur + idx(0) * Lp, prev + idx(0) * Lp, t_->del_w.data(),
+                               t_->tx_w.data(), emit_.data() + idx(0) * Lp, len_.data(),
+                               norm_.data(), span, Lp);
             }
 
-            // Mask each lane's cells beyond its own valid window: their
-            // accumulation consumed pad symbols and must read exactly 0.
-            for (std::size_t l = 0; l < L; ++l) {
-                const long long hi_l = m_[l] - static_cast<long long>(j);
-                if (hi_l >= chi) continue;
-                const int from = static_cast<int>(std::max<long long>(clo, hi_l + 1));
-                for (int d = from; d <= chi; ++d) cur[idx(d) * Lp + l] = 0.0;
-            }
-
-            for (std::size_t l = 0; l < Lp; ++l) norm_[l] = 0.0;
-            for (int d = clo; d <= chi; ++d) k.accumulate(norm_.data(), cur + idx(d) * Lp, Lp);
             bool any_alive = false;
             for (std::size_t l = 0; l < L; ++l) {
                 if (alive_[l] == 0 || !(norm_[l] > 0.0)) {
@@ -251,7 +261,7 @@ public:
             }
             if (!any_alive) return kill_all_from(j);
             for (std::size_t l = L; l < Lp; ++l) norm_[l] = 1.0;  // 0.0 / 1.0 keeps pads clean
-            for (int d = clo; d <= chi; ++d) k.divide(cur + idx(d) * Lp, norm_.data(), Lp);
+            k.divide_row(cur + idx(clo) * Lp, norm_.data(), planes, Lp);
             band_[2 * j] = clo;
             band_[2 * j + 1] = chi;
         }
@@ -347,9 +357,14 @@ private:
         alpha_ = ws.alpha(2 * row_stride_);  // rows j & 1: current and previous
         band_ = ws.bands(2 * (n_ + 1));
         emit_ = ws.scratch(row_stride_);
-        const auto ld = ws.lane_doubles(Lp + L);
+        const auto ld = ws.lane_doubles(2 * Lp + L);
         norm_ = ld.subspan(0, Lp);
         scale_ = ld.subspan(Lp, L);
+        // Received lengths as the row kernels' mask bound; pads get 0.0,
+        // which masks only cells that carry 0.0 anyway.
+        len_ = ld.subspan(Lp + L, Lp);
+        for (std::size_t l = 0; l < Lp; ++l)
+            len_[l] = l < L ? static_cast<double>(received[l].size()) : 0.0;
     }
 
     /// Per-lane SoA weight/trail/emission planes, replicating the
@@ -422,6 +437,7 @@ private:
     std::span<double> scale_;
     std::span<double> emit_;
     std::span<double> norm_;
+    std::span<double> len_;
     std::span<int> band_;
     bool per_lane_ = false;
     std::span<const DriftParams> lane_p_;

@@ -57,6 +57,11 @@ struct MiEstimate {
     /// before the block cap. Always true in fixed mode, where no target
     /// exists.
     bool converged = true;
+    /// Blocks scored 0 bits because an evidence was -infinity: the block's
+    /// received length left the lattice's drift window (max_drift), so the
+    /// block has no information estimate. Counted, not corrected: a nonzero
+    /// count biases `rate` (and `sem`) low.
+    std::size_t truncated = 0;
 };
 
 /// Knobs shared by the Monte-Carlo mutual-information estimators.

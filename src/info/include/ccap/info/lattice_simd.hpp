@@ -1,9 +1,8 @@
 // Runtime-dispatched SIMD lane kernels for the batched lattice engine.
 //
 // BatchLatticeEngine (batch_lattice.hpp) and the candidate-batched segment
-// propagation (drift_hmm.cpp) spend essentially all of their time in seven
-// elementwise loops over the lane dimension of their structure-of-arrays
-// rows (plus two fused insert-run sweeps over several such rows at once).
+// propagation (drift_hmm.cpp) spend essentially all of their time in
+// loops over the lane dimension of their structure-of-arrays rows.
 // Autovectorization of those loops tops out at the baseline ISA
 // (SSE2 on x86-64: two doubles per op); this header names them as a
 // function-pointer table with one hand-written implementation per
@@ -11,16 +10,27 @@
 // translation unit with exactly its own -m flags (src/info/CMakeLists.txt)
 // and selected once at startup by ccap::util::active_simd_path().
 //
+// The table holds two kinds of kernel. Per-column kernels work on one
+// drift column (L lanes) per call. Row kernels (the *_row fields) work on
+// a whole lattice row per call: every drift plane of the row's window, so
+// a row of the shared-weight forward pass costs one dispatched call per
+// stage (emission fill, propagation with the per-lane mask and the norm
+// sum, divide) instead of four per column. The AVX2 and AVX-512 row
+// propagation register-blocks its interior — several destination columns
+// at once, each with its own accumulator — while every cell keeps
+// fma_dest_run's exact source order; the scalar and NEON tables run the
+// row kernels as plain loops over their per-column kernels.
+//
 // Bit-identity contract: every kernel is elementwise — lane l of the
 // output depends only on lane l of the inputs, through the *same* IEEE-754
 // operation sequence as the scalar reference loop. The vector TUs are
 // compiled with -ffp-contract=off and use separate multiply/add intrinsics
-// (never FMA), and the two select kernels pick an exact table entry (their
+// (never FMA), and the select kernels pick an exact table entry (their
 // selector bytes are validated symbols in {0, 1}, for which the scalar
 // arithmetic select e0*(1-s) + e1*s IS the selected entry bit for bit).
-// Vectorizing across lanes therefore changes no result: the dispatch
-// matrix test (tests/info_simd_dispatch_test.cpp) asserts bit-identity of
-// every path against the scalar LatticeEngine.
+// Vectorizing across lanes, or blocking across columns, therefore changes
+// no result: the dispatch matrix test (tests/info_simd_dispatch_test.cpp)
+// asserts bit-identity of every path against the scalar LatticeEngine.
 //
 // Callers with lane counts >= vector_doubles pad to a multiple of it and
 // align the backing arenas (lattice_engine.hpp), so the hot calls run full
@@ -38,12 +48,25 @@
 
 namespace ccap::info {
 
+/// Drift geometry of one lattice row, for the row kernels: the destination
+/// window [clo, chi], the previous row's band [plo, phi] (the sources),
+/// the insert-run truncation `run`, and the row index `row`. Lane l keeps
+/// its cell at drift d only when row + d <= len[l] — the received symbols
+/// the cell has consumed exist in that lane.
+struct RowSpan {
+    int clo, chi, plo, phi, run;
+    std::ptrdiff_t row;
+};
+
 /// Elementwise lane kernels. All pointers are non-null; `L` is the lane
-/// count (any value — implementations handle non-multiple tails).
+/// count (any value — implementations handle non-multiple tails). Row
+/// kernels address drift plane p of a row at p * L.
 ///
 /// fma_weighted, maximum, fma_acc_run, axpy_lanes and fma_acc_run_pl have
-/// no engine caller. They stay, still bit-identity-tested per path, because the
-/// benchmark's kernel harness (perfbench/kernels.cpp) binds every field.
+/// no engine caller; fma_dest_run, accumulate and divide have none either
+/// since the row kernels took over the shared-weight forward pass. They
+/// stay, still bit-identity-tested per path, because the benchmark's
+/// kernel harness (perfbench/kernels.cpp) binds every field.
 struct LaneKernels {
     /// dst[l] += src[l] * w
     void (*axpy)(double* dst, const double* src, double w, std::size_t L);
@@ -114,6 +137,34 @@ struct LaneKernels {
     void (*fma_dest_run_pl)(double* dst, const double* src, const double* dw,
                             const double* tw, const double* e, const double* src_del,
                             const double* w_del, std::size_t cnt, std::size_t L);
+
+    /// For p in [0, planes): ed[p*L + l] = sel[p*L + l] ? e1[l] : e0[l] —
+    /// select_lanes over a row's drift planes, one lane-vector pair for all.
+    void (*select_lanes_row)(double* ed, const std::uint8_t* sel, const double* e0,
+                             const double* e1, std::size_t planes, std::size_t L);
+    /// One row of the shared-weight forward pass. cur, prev and e point at
+    /// the drift-0 plane of the current alpha row, the previous alpha row
+    /// and the emission row; dw / tw are the run-indexed weight tables
+    /// (DriftTables::del_w / tx_w, entries [0, run]). For d ascending in
+    /// [clo, chi], with sources dp in [max(plo, d + 1 - run), min(phi, d)]:
+    ///   a = fma_dest_run's cell (weights dw[g], tw[g - 1] at run length
+    ///       g = d + 1 - dp, then the run-0 deletion src d + 1 times dw[0]
+    ///       when d + 1 <= phi);
+    ///   cur[d*L + l] = row + d <= len[l] ? a : 0.0;
+    ///   norm[l] = sum of the stored cells, 0.0 first, d ascending.
+    /// The emission planes must be readable over [clo, chi]; their values
+    /// are used only at columns with a transmission source (d >= plo).
+    void (*fma_dest_row)(double* cur, const double* prev, const double* dw,
+                         const double* tw, const double* e, const double* len,
+                         double* norm, const RowSpan& span, std::size_t L);
+    /// The mask and norm of fma_dest_row alone, over planes already
+    /// propagated: for p ascending in [0, planes), plane p sits at drift
+    /// position pos0 + p (row + d); cells with pos0 + p > len[l] become
+    /// 0.0, and norm[l] = the ascending sum of the planes, 0.0 first.
+    void (*mask_norm_row)(double* norm, double* cells, const double* len,
+                          std::ptrdiff_t pos0, std::size_t planes, std::size_t L);
+    /// For p in [0, planes): dst[p*L + l] /= norm[l].
+    void (*divide_row)(double* dst, const double* norm, std::size_t planes, std::size_t L);
 
     const char* name;            ///< "scalar" | "neon" | "avx2" | "avx512"
     std::size_t vector_doubles;  ///< lanes per vector op (1/2/4/8)

@@ -32,107 +32,97 @@ std::size_t lockstep_tx_len(std::span<const DriftHmm::SymbolSpan> transmitted,
     return n;
 }
 
-/// Emission-plane fill for tx-conditioned operations: the value at lane l
-/// is emit_tab[rxr[l] * alphabet + tx_l], a gather no vector path can
-/// touch. The binary-alphabet fast path (every Monte-Carlo and watermark
-/// channel) caches two per-row lane vectors — the emissions a lane would
-/// produce for received 0 and received 1 — and the per-drift fill becomes
-/// the engine's dispatched select kernels. Every selected value is the
-/// exact table entry the gather would have loaded (the scalar reference
-/// select and the vector blends pick the same bits), so all paths are
-/// bit-identical. Loops run over the padded lane stride; selector pads are
-/// valid symbol 0, so pad entries stay finite.
+/// Emission-plane fills, one call per row over the row's emission window
+/// (BatchLatticeEngine::forward). Plane p of the window holds lane l's
+/// factor for received symbol rxr[p * lanes + l]; `lanes` is the padded
+/// lane stride (BatchLatticeEngine::lane_stride()), and the pad lanes'
+/// selectors are valid symbol 0, so pad entries stay finite.
+///
+/// Tx-conditioned operations: the value at lane l is
+/// emit_tab[rxr[l] * alphabet + tx_l], a gather no vector path can touch.
+/// The binary-alphabet fast path (every Monte-Carlo and watermark channel)
+/// builds two lane vectors per row — the emissions a lane would produce for
+/// received 0 and received 1 — and the window fill becomes the dispatched
+/// select_lanes_row kernel. Every selected value is the exact table entry
+/// the gather would have loaded (the scalar reference select and the vector
+/// blends pick the same bits), so all paths are bit-identical.
 struct TxEmitPlane {
     const DriftTables* tables;
     unsigned alphabet;
     const std::uint8_t* tx;  // SoA pack: symbol of lane l at row j is tx[j * lanes + l]
-    std::size_t lanes;       // padded lane stride (BatchLatticeEngine::lane_stride())
+    std::size_t lanes;
     std::span<double> e01;  // 2 * lanes scratch: emissions for received 0 | received 1
     const LaneKernels* kernels;
-    std::size_t cached_row = static_cast<std::size_t>(-1);
 
-    void operator()(double* __restrict ed, std::size_t j, const std::uint8_t* __restrict rxr) {
+    void operator()(double* ed, std::size_t j, const std::uint8_t* rxr, std::size_t planes) {
         const std::size_t L = lanes;
         const std::uint8_t* txr = tx + j * L;
         const double* tab = tables->emit_tab.data();
         if (alphabet == 2) {
-            const double* e0 = e01.data();
-            const double* e1 = e01.data() + L;
-            if (j != cached_row) {
-                kernels->select_const(e01.data(), txr, tab[0], tab[1], L);
-                kernels->select_const(e01.data() + L, txr, tab[2], tab[3], L);
-                cached_row = j;
-            }
-            kernels->select_lanes(ed, rxr, e0, e1, L);
+            kernels->select_const(e01.data(), txr, tab[0], tab[1], L);
+            kernels->select_const(e01.data() + L, txr, tab[2], tab[3], L);
+            kernels->select_lanes_row(ed, rxr, e01.data(), e01.data() + L, planes, L);
         } else {
-            for (std::size_t l = 0; l < L; ++l)
-                ed[l] = tab[static_cast<std::size_t>(rxr[l]) * alphabet + txr[l]];
+            for (std::size_t p = 0; p < planes; ++p)
+                for (std::size_t l = 0; l < L; ++l)
+                    ed[p * L + l] =
+                        tab[static_cast<std::size_t>(rxr[p * L + l]) * alphabet + txr[l]];
         }
     }
 };
 
-/// Emission-plane fill for prior-weighted operations: the factor depends
-/// only on (row, received symbol), so each row costs alphabet dot
-/// products (DriftTables::emit_prior, as the scalar engine) and the per-drift
-/// fill is a tiny-table lookup — a two-scalar select when binary.
+/// Prior-weighted operations: the factor depends only on (row, received
+/// symbol), so each row costs alphabet dot products (DriftTables::
+/// emit_prior, as the scalar engine) and the window fill is a tiny-table
+/// lookup — one select_const over the whole window when binary.
 struct PriorEmitPlane {
     const util::Matrix* priors;
     const DriftTables* tables;
     unsigned alphabet;
-    std::size_t lanes;  // padded lane stride (BatchLatticeEngine::lane_stride())
+    std::size_t lanes;
     std::span<double> vals;
     const LaneKernels* kernels;
-    std::size_t cached_row = static_cast<std::size_t>(-1);
 
-    void operator()(double* __restrict ed, std::size_t j, const std::uint8_t* __restrict rxr) {
-        if (j != cached_row) {
-            const auto q = priors->row(j);
-            for (unsigned rr = 0; rr < alphabet; ++rr)
-                vals[rr] = tables->emit_prior(static_cast<std::uint8_t>(rr), q);
-            cached_row = j;
-        }
-        const std::size_t L = lanes;
+    void operator()(double* ed, std::size_t j, const std::uint8_t* rxr, std::size_t planes) {
+        const auto q = priors->row(j);
+        for (unsigned rr = 0; rr < alphabet; ++rr)
+            vals[rr] = tables->emit_prior(static_cast<std::uint8_t>(rr), q);
         if (alphabet == 2) {
             // Same exact-table-entry select as TxEmitPlane.
-            kernels->select_const(ed, rxr, vals[0], vals[1], L);
+            kernels->select_const(ed, rxr, vals[0], vals[1], planes * lanes);
         } else {
-            for (std::size_t l = 0; l < L; ++l) ed[l] = vals[rxr[l]];
+            for (std::size_t i = 0; i < planes * lanes; ++i) ed[i] = vals[rxr[i]];
         }
     }
 };
 
 /// Per-lane-parameter variant of TxEmitPlane: the emission table differs by
-/// lane, so the two cached per-row lane vectors select between the engine's
-/// SoA emission-table planes instead of two scalar entries. Every selected
+/// lane, so the two per-row lane vectors select between the engine's SoA
+/// emission-table planes instead of two scalar entries. Every selected
 /// value is the exact per-lane table entry a scalar gather would load, so
 /// all SIMD paths stay bit-identical. Padding columns of the planes
-/// replicate lane 0 and the selector pads are valid symbol 0, so pad
-/// entries stay finite.
+/// replicate lane 0.
 struct TxEmitPlanePerLane {
     const BatchLatticeEngine* eng;
     unsigned alphabet;
     const std::uint8_t* tx;  // SoA pack: symbol of lane l at row j is tx[j * lanes + l]
-    std::size_t lanes;       // padded lane stride (BatchLatticeEngine::lane_stride())
+    std::size_t lanes;
     std::span<double> e01;   // 2 * lanes scratch: emissions for received 0 | received 1
     const LaneKernels* kernels;
-    std::size_t cached_row = static_cast<std::size_t>(-1);
 
-    void operator()(double* __restrict ed, std::size_t j, const std::uint8_t* __restrict rxr) {
+    void operator()(double* ed, std::size_t j, const std::uint8_t* rxr, std::size_t planes) {
         const std::size_t L = lanes;
         const std::uint8_t* txr = tx + j * L;
         if (alphabet == 2) {
-            const double* e0 = e01.data();
-            const double* e1 = e01.data() + L;
-            if (j != cached_row) {
-                kernels->select_lanes(e01.data(), txr, eng->etab_plane(0, 0),
-                                      eng->etab_plane(0, 1), L);
-                kernels->select_lanes(e01.data() + L, txr, eng->etab_plane(1, 0),
-                                      eng->etab_plane(1, 1), L);
-                cached_row = j;
-            }
-            kernels->select_lanes(ed, rxr, e0, e1, L);
+            kernels->select_lanes(e01.data(), txr, eng->etab_plane(0, 0),
+                                  eng->etab_plane(0, 1), L);
+            kernels->select_lanes(e01.data() + L, txr, eng->etab_plane(1, 0),
+                                  eng->etab_plane(1, 1), L);
+            kernels->select_lanes_row(ed, rxr, e01.data(), e01.data() + L, planes, L);
         } else {
-            for (std::size_t l = 0; l < L; ++l) ed[l] = eng->emit_lane(l, rxr[l], txr[l]);
+            for (std::size_t p = 0; p < planes; ++p)
+                for (std::size_t l = 0; l < L; ++l)
+                    ed[p * L + l] = eng->emit_lane(l, rxr[p * L + l], txr[l]);
         }
     }
 };
@@ -145,30 +135,27 @@ struct PriorEmitPlanePerLane {
     const util::Matrix* priors;
     const BatchLatticeEngine* eng;
     unsigned alphabet;
-    std::size_t lanes;       // padded lane stride
+    std::size_t lanes;
     std::span<double> vals;  // alphabet * lanes plane: row r's per-lane factors
     const LaneKernels* kernels;
-    std::size_t cached_row = static_cast<std::size_t>(-1);
 
-    void operator()(double* __restrict ed, std::size_t j, const std::uint8_t* __restrict rxr) {
+    void operator()(double* ed, std::size_t j, const std::uint8_t* rxr, std::size_t planes) {
         const std::size_t L = lanes;
-        if (j != cached_row) {
-            const auto q = priors->row(j);
-            for (unsigned rr = 0; rr < alphabet; ++rr) {
-                double* vr = vals.data() + static_cast<std::size_t>(rr) * L;
-                std::fill(vr, vr + L, 0.0);
-                for (std::size_t s = 0; s < q.size(); ++s)
-                    kernels->axpy(vr, eng->etab_plane(static_cast<std::uint8_t>(rr),
-                                                      static_cast<std::uint8_t>(s)),
-                                  q[s], L);
-            }
-            cached_row = j;
+        const auto q = priors->row(j);
+        for (unsigned rr = 0; rr < alphabet; ++rr) {
+            double* vr = vals.data() + static_cast<std::size_t>(rr) * L;
+            std::fill(vr, vr + L, 0.0);
+            for (std::size_t s = 0; s < q.size(); ++s)
+                kernels->axpy(vr, eng->etab_plane(static_cast<std::uint8_t>(rr),
+                                                  static_cast<std::uint8_t>(s)),
+                              q[s], L);
         }
         if (alphabet == 2) {
-            kernels->select_lanes(ed, rxr, vals.data(), vals.data() + L, L);
+            kernels->select_lanes_row(ed, rxr, vals.data(), vals.data() + L, planes, L);
         } else {
-            for (std::size_t l = 0; l < L; ++l)
-                ed[l] = vals[static_cast<std::size_t>(rxr[l]) * L + l];
+            for (std::size_t p = 0; p < planes; ++p)
+                for (std::size_t l = 0; l < L; ++l)
+                    ed[p * L + l] = vals[static_cast<std::size_t>(rxr[p * L + l]) * L + l];
         }
     }
 };

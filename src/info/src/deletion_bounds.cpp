@@ -99,12 +99,20 @@ std::vector<std::uint8_t> simulate_markov_source(const MarkovSource& source, uns
 namespace {
 
 /// Information per input symbol of one block. A non-finite evidence means
-/// the block fell outside the lattice truncation: score it zero
-/// information.
+/// the block fell outside the lattice truncation: the sample is NaN, which
+/// scored() folds as zero information and counts.
 double info_per_symbol(double log_cond, double log_marg, std::size_t block_len) {
     return (std::isfinite(log_cond) && std::isfinite(log_marg))
                ? (log_cond - log_marg) / static_cast<double>(block_len)
-               : 0.0;
+               : std::numeric_limits<double>::quiet_NaN();
+}
+
+/// A block's sample as folded: a truncated block scores 0 bits and is
+/// counted in `truncated` (MiEstimate::truncated).
+double scored(double sample, std::size_t& truncated) {
+    if (!std::isnan(sample)) return sample;
+    ++truncated;
+    return 0.0;
 }
 
 /// Adaptive-precision Monte-Carlo driver shared by every estimator.
@@ -140,6 +148,7 @@ MiEstimate adaptive_mc_estimate(const McOptions& opts, std::size_t batch, util::
     util::CompensatedStats stats;
     std::vector<double> samples;
     std::size_t spent = 0;
+    std::size_t truncated = 0;
     bool converged = !adaptive;
     while (spent < cap) {
         const std::size_t b0 = spent;
@@ -156,14 +165,15 @@ MiEstimate adaptive_mc_estimate(const McOptions& opts, std::size_t batch, util::
                 sample_range(root, lo, std::span<double>(samples).subspan(lo - b0, hi - lo));
             },
             opts.threads);
-        for (double v : samples) stats.add(v);
+        for (double v : samples) stats.add(scored(v, truncated));
         spent = b1;
         if (adaptive && spent >= 2 && stats.sem() <= opts.target_sem) {
             converged = true;
             break;
         }
     }
-    return {std::max(0.0, stats.mean()), stats.sem(), spent, opts.block_len, converged};
+    return {std::max(0.0, stats.mean()), stats.sem(), spent, opts.block_len, converged,
+            truncated};
 }
 
 }  // namespace
@@ -545,6 +555,7 @@ struct CrnTileState {
     std::vector<util::CompensatedStats> stats;   ///< per-point fold
     std::vector<std::vector<double>> history;    ///< per-point samples, block order
     std::vector<std::size_t> spent;              ///< per-point blocks folded
+    std::vector<std::size_t> truncated;          ///< per-point blocks scored 0 bits
     std::vector<char> converged;
 };
 
@@ -601,8 +612,8 @@ void crn_run_round(CrnTileState& st, std::span<const CapacityPoint> points,
         threads);
     for (std::size_t b = b0; b < b1; ++b)
         for (std::size_t gi = 0; gi < ga; ++gi) {
-            const double v = samples[(b - b0) * ga + gi];
             const std::size_t g = active[gi];
+            const double v = scored(samples[(b - b0) * ga + gi], st.truncated[g]);
             st.stats[g].add(v);
             st.history[g].push_back(v);
             st.spent[g] = b + 1;
@@ -663,6 +674,7 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
         st.stats.assign(points.size(), {});
         st.history.assign(points.size(), {});
         st.spent.assign(points.size(), 0);
+        st.truncated.assign(points.size(), 0);
         st.converged.assign(points.size(), 0);
         const util::Matrix priors(opts.block_len, s0.alphabet,
                                   1.0 / static_cast<double>(s0.alphabet));
@@ -698,7 +710,7 @@ std::vector<MiEstimate> iid_mutual_information_rate_points(
             const bool conv = !adaptive || st.converged[i] != 0 ||
                               st.stats[i].sem() <= opts.target_sem;
             out[i] = {std::max(0.0, st.stats[i].mean()), st.stats[i].sem(), st.spent[i],
-                      opts.block_len, conv};
+                      opts.block_len, conv, st.truncated[i]};
         }
         if (report) {
             for (std::size_t i = 0; i + 1 < points.size(); ++i) {

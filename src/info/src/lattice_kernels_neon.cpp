@@ -5,6 +5,7 @@
 // vmulq/vaddq (never vfmaq) so each lane performs the scalar reference's
 // exact IEEE-754 operation sequence.
 #include "ccap/info/lattice_simd.hpp"
+#include "lattice_rows.hpp"
 
 #if defined(__aarch64__) || defined(_M_ARM64)
 
@@ -224,6 +225,8 @@ constexpr LaneKernels kNeonKernels = {
     k_axpy,         k_fma_weighted, k_accumulate,     k_maximum,     k_divide,
     k_select_const, k_select_lanes, k_fma_run,        k_fma_acc_run,
     k_fma_dest_run, k_axpy_lanes,   k_fma_acc_run_pl, k_fma_dest_run_pl,
+    loop_select_lanes_row<k_select_lanes>, loop_fma_dest_row<k_fma_dest_run>,
+    loop_mask_norm_row, loop_divide_row<k_divide>,
     "neon",         kW,             util::SimdPath::neon,
 };
 

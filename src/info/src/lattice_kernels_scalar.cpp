@@ -5,6 +5,7 @@
 // drift with the build flags: one IEEE multiply, one IEEE add per term,
 // exactly as written.
 #include "ccap/info/lattice_simd.hpp"
+#include "lattice_rows.hpp"
 
 namespace ccap::info {
 
@@ -116,6 +117,8 @@ constexpr LaneKernels kScalarKernels = {
     k_axpy,         k_fma_weighted, k_accumulate,        k_maximum, k_divide,
     k_select_const, k_select_lanes, k_fma_run,           k_fma_acc_run,
     k_fma_dest_run, k_axpy_lanes,   k_fma_acc_run_pl,    k_fma_dest_run_pl,
+    loop_select_lanes_row<k_select_lanes>, loop_fma_dest_row<k_fma_dest_run>,
+    loop_mask_norm_row, loop_divide_row<k_divide>,
     "scalar",       1,              util::SimdPath::scalar,
 };
 

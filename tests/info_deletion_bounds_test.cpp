@@ -145,6 +145,26 @@ TEST(IidMiRate, DegradesWithDeletionRate) {
     EXPECT_GT(r_lo, r_hi);
 }
 
+TEST(IidMiRate, CountsTruncatedBlocks) {
+    // At P_d = 0.5 over 128 symbols the mean end drift is -64, past
+    // max_drift 48: a block's received length leaves the drift window, its
+    // evidence is -inf, and it scores 0 bits. The count makes that visible.
+    const DriftParams far{0.5, 0.0, 0.0, 2, 48, 10};
+    const DriftParams mild{0.1, 0.05, 0.0, 2, 48, 10};
+    Rng rng(12);
+    const MiEstimate lost = iid_mutual_information_rate(far, {128, 8}, rng);
+    EXPECT_EQ(lost.truncated, lost.blocks);
+    EXPECT_EQ(lost.rate, 0.0);
+    EXPECT_EQ(iid_mutual_information_rate(mild, {128, 8}, rng).truncated, 0u);
+    // The common-random-numbers point path counts per point.
+    McOptions crn{128, 8};
+    crn.point_tile = kMcPointTileAuto;
+    const CapacityPoint points[] = {{far, 1}, {mild, 2}};
+    const std::vector<MiEstimate> est = iid_mutual_information_rate_points(points, crn);
+    EXPECT_EQ(est[0].truncated, est[0].blocks);
+    EXPECT_EQ(est[1].truncated, 0u);
+}
+
 TEST(IidMiRate, ValidatesArguments) {
     Rng rng(11);
     DriftParams p{0.1, 0.0, 0.0, 2, 16, 8};

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -126,32 +127,76 @@ std::vector<SymbolSpan> spans(const std::vector<std::vector<std::uint8_t>>& v) {
 
 TEST(SimdDispatch, EveryPathBitIdenticalToScalarEngine) {
     PathGuard guard;
-    const DriftParams params{0.12, 0.06, 0.03, 2, 10, 6};
+    // A mixed channel, then the exact band edges of the shared-weight pass:
+    // at P_d = 0 the window never grows below the previous band, at
+    // P_i = 0 never above it (batch_lattice.hpp), and both at once.
+    const DriftParams cases[] = {{0.12, 0.06, 0.03, 2, 10, 6},
+                                 {0.0, 0.08, 0.03, 2, 10, 6},
+                                 {0.15, 0.0, 0.03, 2, 10, 6},
+                                 {0.0, 0.0, 0.05, 2, 10, 6}};
     constexpr std::size_t kN = 48;
-    // Batch sizes straddling every vector width, including ragged tails.
-    for (const std::size_t batch : {1u, 3u, 5u, 9u, 16u}) {
-        const MatrixLanes lanes = make_lanes(params, kN, batch, 7000 + batch);
-        const auto tx = spans(lanes.tx);
-        const auto rx = spans(lanes.rx);
+    const ccap::util::Matrix uniform(kN, 2, 0.5);
+    // Zero-symbol marginal lanes of lengths around n, as the uniform
+    // marginal memo's spare lanes are: P_i = 0 cannot produce the longer
+    // ones, P_d = 0 the shorter ones, and those must read -inf.
+    std::vector<std::vector<std::uint8_t>> spare;
+    for (std::size_t m = kN - 5; m <= kN + 5; ++m) spare.emplace_back(m, 0);
+    const auto spare_rx = spans(spare);
+    for (const DriftParams& params : cases) {
         const DriftHmm hmm(params);
-
-        // Scalar-engine reference evidences, computed once.
-        std::vector<double> want(batch);
+        std::vector<double> want_spare(spare.size());
         {
             ScopedWorkspace ws;
-            for (std::size_t l = 0; l < batch; ++l)
-                want[l] = hmm.log2_likelihood(lanes.tx[l], lanes.rx[l], ws);
+            for (std::size_t k = 0; k < spare.size(); ++k) {
+                want_spare[k] = hmm.log2_prior_marginal(uniform, spare[k], ws);
+                const bool impossible = (params.p_i == 0.0 && spare[k].size() > kN) ||
+                                        (params.p_d == 0.0 && spare[k].size() < kN);
+                if (impossible)
+                    EXPECT_EQ(want_spare[k], -std::numeric_limits<double>::infinity())
+                        << "m=" << spare[k].size();
+                else
+                    EXPECT_TRUE(std::isfinite(want_spare[k])) << "m=" << spare[k].size();
+            }
         }
+        // Batch sizes straddling every vector width, including ragged tails.
+        for (const std::size_t batch : {1u, 3u, 5u, 9u, 16u}) {
+            const MatrixLanes lanes = make_lanes(params, kN, batch, 7000 + batch);
+            const auto tx = spans(lanes.tx);
+            const auto rx = spans(lanes.rx);
 
-        for (SimdPath p : available_paths()) {
-            ASSERT_EQ(ccap::util::force_simd_path(p), p);
-            ScopedWorkspace ws;
-            const auto got = hmm.log2_likelihood_batch(tx, rx, ws);
-            ASSERT_EQ(got.size(), batch);
-            for (std::size_t l = 0; l < batch; ++l)
-                EXPECT_EQ(got[l].log2_evidence, want[l])
-                    << "path=" << ccap::util::simd_path_name(p) << " batch=" << batch
-                    << " lane=" << l;
+            // Scalar-engine reference evidences, computed once.
+            std::vector<double> want(batch), want_marg(batch);
+            {
+                ScopedWorkspace ws;
+                for (std::size_t l = 0; l < batch; ++l) {
+                    want[l] = hmm.log2_likelihood(lanes.tx[l], lanes.rx[l], ws);
+                    want_marg[l] = hmm.log2_prior_marginal(uniform, lanes.rx[l], ws);
+                }
+            }
+
+            for (SimdPath p : available_paths()) {
+                ASSERT_EQ(ccap::util::force_simd_path(p), p);
+                ScopedWorkspace ws;
+                const auto got = hmm.log2_likelihood_batch(tx, rx, ws);
+                const auto marg = hmm.log2_prior_marginal_batch(uniform, rx, ws);
+                ASSERT_EQ(got.size(), batch);
+                for (std::size_t l = 0; l < batch; ++l) {
+                    EXPECT_EQ(got[l].log2_evidence, want[l])
+                        << "path=" << ccap::util::simd_path_name(p) << " p_d=" << params.p_d
+                        << " p_i=" << params.p_i << " batch=" << batch << " lane=" << l;
+                    EXPECT_EQ(marg[l].log2_evidence, want_marg[l])
+                        << "marginal path=" << ccap::util::simd_path_name(p)
+                        << " p_d=" << params.p_d << " p_i=" << params.p_i
+                        << " batch=" << batch << " lane=" << l;
+                }
+                if (batch != 1) continue;
+                const auto got_spare = hmm.log2_prior_marginal_batch(uniform, spare_rx, ws);
+                for (std::size_t k = 0; k < spare.size(); ++k)
+                    EXPECT_EQ(got_spare[k].log2_evidence, want_spare[k])
+                        << "spare path=" << ccap::util::simd_path_name(p)
+                        << " p_d=" << params.p_d << " p_i=" << params.p_i
+                        << " m=" << spare[k].size();
+            }
         }
     }
 }
@@ -198,6 +243,77 @@ TEST(SimdDispatch, EveryPathPerLaneParamsBitIdenticalToScalarEngine) {
 // Ragged masked tails: every kernel, every path, exact-size buffers.
 // ---------------------------------------------------------------------------
 
+/// The row kernels of `k` against the scalar table's on one lattice row of
+/// drift planes [-kD, kD], every buffer exactly sized. The window shapes
+/// are those the engine produces — a full window, the exact P_d = 0 /
+/// P_i = 0 edges (no cell below / above the previous band), windows
+/// narrower than a register block starting at a cnt == 0 column (d = plo - 1,
+/// deletion only), a one-column band — plus columns past every source
+/// (cnt == 0, no deletion). Lane lengths end mid-row, so the mask cuts
+/// lanes at different drifts.
+void row_kernels_match_scalar(const LaneKernels& k, const LaneKernels& ref, std::size_t L,
+                              Rng& rng) {
+    constexpr int kD = 24;
+    constexpr std::ptrdiff_t kRow = 24;
+    const std::size_t planes = 2 * kD + 1;
+    auto fill = [&rng](std::size_t n) {
+        std::vector<double> v(n);
+        for (auto& x : v) x = 0.25 + rng.uniform();
+        return v;
+    };
+    const std::vector<double> prev = fill(planes * L), e = fill(planes * L);
+    const std::vector<double> cur0 = fill(planes * L), norm_in = fill(L);
+    std::vector<double> len(L);  // kRow + d spans [3, 45] over the widest window
+    for (auto& x : len) x = static_cast<double>(3 + rng.uniform_below(43));
+    const auto at0 = [L](auto& v) { return v.data() + static_cast<std::size_t>(kD) * L; };
+
+    for (const int run : {1, 2, 10}) {
+        SCOPED_TRACE("run=" + std::to_string(run));
+        const std::vector<double> dw = fill(static_cast<std::size_t>(run) + 1);
+        const std::vector<double> tw = fill(static_cast<std::size_t>(run) + 1);
+        constexpr int plo = -20, phi = 12;
+        const RowSpan shapes[] = {
+            {plo - 1, phi + run - 1, plo, phi, run, kRow},
+            {plo, phi, plo, phi, run, kRow},
+            {plo - 1, plo + 1, plo, phi, run, kRow},
+            {0, 1, plo, phi, run, kRow},
+            {4, 5 + run - 1, 5, 5, run, kRow},
+            {phi + run - 2, phi + run + 1, plo, phi, run, kRow},
+        };
+        for (const RowSpan& s : shapes) {
+            SCOPED_TRACE("clo=" + std::to_string(s.clo) + " chi=" + std::to_string(s.chi) +
+                         " plo=" + std::to_string(s.plo) + " phi=" + std::to_string(s.phi));
+            std::vector<double> ca = cur0, cb = cur0, na(L), nb(L);
+            k.fma_dest_row(at0(ca), at0(prev), dw.data(), tw.data(), at0(e), len.data(),
+                           na.data(), s, L);
+            ref.fma_dest_row(at0(cb), at0(prev), dw.data(), tw.data(), at0(e), len.data(),
+                             nb.data(), s, L);
+            EXPECT_EQ(ca, cb);
+            EXPECT_EQ(na, nb);
+        }
+    }
+
+    for (const std::size_t n : {std::size_t{1}, std::size_t{7}, planes}) {
+        SCOPED_TRACE("planes=" + std::to_string(n));
+        std::vector<double> ca = cur0, cb = cur0, na(L), nb(L);
+        k.mask_norm_row(na.data(), ca.data(), len.data(), kRow - kD, n, L);
+        ref.mask_norm_row(nb.data(), cb.data(), len.data(), kRow - kD, n, L);
+        EXPECT_EQ(ca, cb);
+        EXPECT_EQ(na, nb);
+
+        k.divide_row(ca.data(), norm_in.data(), n, L);
+        ref.divide_row(cb.data(), norm_in.data(), n, L);
+        EXPECT_EQ(ca, cb);
+
+        std::vector<std::uint8_t> sel(n * L);
+        for (auto& x : sel) x = rng.bernoulli(0.5) ? 1 : 0;
+        std::vector<double> ea(n * L), eb(n * L);
+        k.select_lanes_row(ea.data(), sel.data(), prev.data(), e.data(), n, L);
+        ref.select_lanes_row(eb.data(), sel.data(), prev.data(), e.data(), n, L);
+        EXPECT_EQ(ea, eb);
+    }
+}
+
 // Exercises every LaneKernels entry on lane counts that are NOT multiples of
 // any vector width, with buffers allocated to exactly the touched size — a
 // tail that read or wrote one lane past L would trip ASan/UBSan in the
@@ -214,7 +330,7 @@ TEST(SimdDispatch, RaggedTailKernelsBitIdenticalToScalar) {
     };
     for (SimdPath p : available_paths()) {
         const LaneKernels& k = lane_kernels_for(p);
-        for (const std::size_t L : {1u, 2u, 3u, 5u, 6u, 7u, 9u, 11u, 13u}) {
+        for (const std::size_t L : {1u, 2u, 3u, 5u, 6u, 7u, 8u, 9u, 11u, 13u, 16u, 24u, 32u}) {
             SCOPED_TRACE(std::string("path=") + k.name + " L=" + std::to_string(L));
             const std::vector<double> src = fill(kRuns * L);
             const std::vector<double> e = fill(kRuns * L);
@@ -309,6 +425,8 @@ TEST(SimdDispatch, RaggedTailKernelsBitIdenticalToScalar) {
                     EXPECT_EQ(da, db) << "pl cnt=" << cnt << " del=" << (del != nullptr);
                 }
             }
+
+            row_kernels_match_scalar(k, ref, L, rng);
         }
     }
 }

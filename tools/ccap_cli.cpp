@@ -376,6 +376,23 @@ int cmd_sweep(const Args& args) {
             points.push_back({dp, util::substream_seed(seed, i)});
         }
         mi = info::iid_mutual_information_rate_points(points, mi_opts);
+        if (args.values.count("verbose")) {
+            // Blocks whose received length left the drift window score 0
+            // bits (MiEstimate::truncated): name every point they hit.
+            std::size_t truncated = 0, spent = 0, hit = 0;
+            for (std::size_t i = 0; i < grid.size(); ++i) {
+                truncated += mi[i].truncated;
+                spent += mi[i].blocks;
+                if (mi[i].truncated == 0) continue;
+                ++hit;
+                std::fprintf(stderr, "# mc truncated: p_d %.2f p_i %.2f: %zu of %zu blocks\n",
+                             grid[i].first, grid[i].second, mi[i].truncated, mi[i].blocks);
+            }
+            std::fprintf(stderr,
+                         "# mc truncated: %zu of %zu blocks at %zu of %zu points scored 0 "
+                         "bits (received length outside the drift window)\n",
+                         truncated, spent, hit, grid.size());
+        }
     }
     std::vector<std::string> rows(grid.size());
     util::parallel_for(
@@ -436,6 +453,9 @@ int cmd_mi(const Args& args) {
                 est.sem, 1.96 * est.sem);
     std::printf("blocks: %zu x %zu symbols, threads: %u\n", est.blocks, est.block_len,
                 workers_for(opts.threads));
+    std::printf("truncated: %zu of %zu blocks scored 0 bits (received length outside the "
+                "drift window, max_drift %d)\n",
+                est.truncated, est.blocks, p.max_drift);
     if (opts.target_sem > 0.0)
         std::printf("adaptive: target sem %.4g, spent %zu of %zu blocks, %s\n",
                     opts.target_sem, est.blocks, info::mc_block_cap(opts),

@@ -172,6 +172,20 @@ if(NOT rc EQUAL 0 OR NOT out MATCHES "threads: 3\n")
   message(FATAL_ERROR "mi --threads 3 did not report 3 workers: ${rc} ${out}")
 endif()
 
+# `mi` counts the blocks scored 0 bits because their received length left
+# the drift window: none on a mild channel, every one at P_d = 0.5, whose
+# mean end drift (-64 over 128 symbols) lies past max_drift 48.
+if(NOT out MATCHES "truncated: 0 of 2 blocks")
+  message(FATAL_ERROR "mi did not report zero truncated blocks: ${out}")
+endif()
+execute_process(
+  COMMAND ${CCAP_BIN} mi --pd 0.5 --blocks 4
+  OUTPUT_VARIABLE out
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "truncated: 4 of 4 blocks")
+  message(FATAL_ERROR "mi --pd 0.5 did not report 4 of 4 truncated blocks: ${rc} ${out}")
+endif()
+
 # Integer flags parse their decimal digits exactly: a seed past 2^53 must
 # not round onto its neighbor through a double, so adjacent seeds there
 # give different estimates.
@@ -226,6 +240,9 @@ if(NOT rc EQUAL 0)
 endif()
 if(NOT err MATCHES "# mc point tile: [0-9]+ points/sweep \\(crn, requested auto\\)")
   message(FATAL_ERROR "sweep --verbose printed no point-tile report: ${err}")
+endif()
+if(NOT err MATCHES "# mc truncated: [0-9]+ of [0-9]+ blocks at [0-9]+ of 77 points")
+  message(FATAL_ERROR "sweep --verbose printed no truncation count: ${err}")
 endif()
 if(NOT out MATCHES "p_d,p_i,thm5_lower,exact,thm1_upper,degraded,mc_mi")
   message(FATAL_ERROR "sweep CSV header missing mc_mi column: ${out}")
