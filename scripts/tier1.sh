@@ -15,14 +15,17 @@
 #   ./scripts/tier1.sh            # stages 1-4 and 6
 #   CCAP_SKIP_TSAN=1 ./scripts/tier1.sh   # everything but the TSan stage
 #   CCAP_RUN_ASAN=1 ./scripts/tier1.sh    # additionally run the info/util/
-#                                         # core/estimate tests under
+#                                         # core/sched/estimate tests under
 #                                         # -fsanitize=address (opt-in: ~3x
 #                                         # slower, catches the arena
 #                                         # over/under-reads the SoA lattice
 #                                         # layouts, the banded alignment's
-#                                         # per-column block offsets and the
+#                                         # per-column block offsets, the
 #                                         # stream loop's inline channel
-#                                         # step are prone to)
+#                                         # step, the flow queue's ring
+#                                         # indexing and the geometric
+#                                         # table's guide and step reads
+#                                         # are prone to)
 #   CCAP_RUN_UBSAN=1 ./scripts/tier1.sh   # additionally run the util/core/
 #                                         # info/sched/estimate tests under
 #                                         # -fsanitize=undefined (opt-in:
@@ -30,10 +33,12 @@
 #                                         # bugs the backoff and
 #                                         # fault-schedule arithmetic could
 #                                         # hide, shift-by-64 in the
-#                                         # alignment kernel, and
-#                                         # out-of-range double -> integer
-#                                         # casts such as the geometric
-#                                         # draw's truncation)
+#                                         # alignment kernel, pointer
+#                                         # arithmetic on an empty flow-queue
+#                                         # ring, and out-of-range double ->
+#                                         # integer casts such as the
+#                                         # geometric gap formula's
+#                                         # truncation)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -89,15 +94,16 @@ if [[ "$(resolved_simd avx512)" == "avx512" && "$(resolved_simd avx2)" == "avx2"
 fi
 
 if [[ "${CCAP_RUN_ASAN:-0}" == "1" ]]; then
-    echo "== tier1: info/util/core/estimate tests under -fsanitize=address (opt-in) =="
+    echo "== tier1: info/util/core/sched/estimate tests under -fsanitize=address (opt-in) =="
     cmake -B build-asan -S . \
         -DCCAP_SANITIZE=address \
         -DCCAP_BUILD_BENCH=OFF \
         -DCCAP_BUILD_EXAMPLES=OFF >/dev/null
     cmake --build build-asan -j"$(nproc)" --target ccap_util_tests ccap_info_tests \
-        ccap_core_tests ccap_estimate_tests
+        ccap_core_tests ccap_sched_tests ccap_estimate_tests
     (cd build-asan && ctest --output-on-failure -R 'ccap_util|ccap_info|Lattice|BatchLattice|SimdDispatch|ParallelMc|Drift')
     (cd build-asan && ./tests/ccap_core_tests --gtest_brief=1 &&
+        ./tests/ccap_sched_tests --gtest_brief=1 &&
         ./tests/ccap_estimate_tests --gtest_brief=1)
 fi
 

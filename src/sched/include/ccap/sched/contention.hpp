@@ -18,8 +18,12 @@
 //      O(flows + 4096) memory per slice whatever the horizon.
 //      Per-flow arrivals are Bernoulli-per-tick processes sampled as
 //      geometric inter-arrival gaps from a per-flow SplitMix64 substream of
-//      the root seed (the PR 1 seeding discipline), so the slice traffic —
-//      and every counter below — is a pure function of (config, seed).
+//      the root seed (the THEORY §10 seeding discipline), so the slice
+//      traffic — and every counter below — is a pure function of (config,
+//      seed).
+//      Each gap inverts one 53-bit draw (util::geometric_gap_of_bits),
+//      read off one shared util::GeometricTable of the inversion's step
+//      points (THEORY §13): the same gap, with no `log` inside the table.
 //      Slices run across the shared ThreadPool; they touch disjoint flow
 //      ranges, so results are bit-identical at any thread count.
 //
@@ -47,6 +51,10 @@
 #include "ccap/info/capacity_cache.hpp"
 #include "ccap/sched/event_queue.hpp"
 #include "ccap/util/shard_cache.hpp"
+
+namespace ccap::util {
+class GeometricTable;
+}  // namespace ccap::util
 
 namespace ccap::sched {
 
@@ -141,7 +149,8 @@ public:
     [[nodiscard]] double service_per_tick() const noexcept { return service_; }
 
 private:
-    void simulate_slice(std::size_t slice, std::vector<FlowLoad>& out) const;
+    void simulate_slice(std::size_t slice, const util::GeometricTable& gaps,
+                        std::vector<FlowLoad>& out) const;
 
     ContentionConfig cfg_;
     info::CapacityCache* cache_;

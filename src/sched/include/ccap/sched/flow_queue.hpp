@@ -1,19 +1,22 @@
 // Per-flow FIFO queues drained round-robin — the queueing half of the
-// pacer pair (see pacing.hpp). Each flow owns a bounded ring of pending
-// symbol arrival timestamps; the drain rotates over flows with backlog,
-// serving one symbol per visit, so a heavy flow cannot starve its
-// neighbours. Two loss mechanisms model contention-induced deletions:
+// pacer pair (see pacing.hpp). Each flow owns a bounded FIFO of pending
+// symbols; the drain rotates over flows with backlog, serving one symbol
+// per visit, so a heavy flow cannot starve its neighbours. Two loss
+// mechanisms model contention-induced deletions:
 //
-//   * overflow  — an arrival to a full per-flow ring is dropped on push;
+//   * overflow  — an arrival to a full per-flow FIFO is dropped on push;
 //   * expiry    — a symbol older than `deadline` ticks when it reaches the
 //                 head is dropped lazily at serve time (0 disables).
 //
-// Everything is O(1) per push/pop (amortized) and allocation-free after
-// construction: flow rings live in one flat array, and the active-flow
-// rotation is an intrusive circular list over flow ids. push and pop are
-// defined here, inline, because the contention engine's slice loop calls
-// them once per arrival and per serve; ring indices wrap with a compare
-// and subtract (every index sum stays below 2 * cap), not a division.
+// Only expiry reads a symbol's arrival tick, so the per-flow rings of
+// arrival timestamps exist only with a deadline; without one a flow's
+// FIFO is just its backlog count. Everything is O(1) per push/pop
+// (amortized) and allocation-free after construction: flow rings live in
+// one flat array, and the active-flow rotation is an intrusive circular
+// list over flow ids. push and pop are defined here, inline, because the
+// contention engine's slice loop calls them once per arrival and per
+// serve; ring indices wrap with a compare and subtract (every index sum
+// stays below 2 * cap), not a division.
 #pragma once
 
 #include <cstddef>
@@ -34,9 +37,10 @@ struct FlowCounters {
 
 class RoundRobinFlowQueue {
 public:
-    /// `per_flow_cap` bounds each flow's backlog (>= 1); `deadline` is the
-    /// maximum age in ticks a symbol may reach before being dropped at the
-    /// head (0 = symbols never expire).
+    /// `per_flow_cap` bounds each flow's backlog (1 to 2^32 - 1);
+    /// `deadline` is the maximum age in ticks a symbol may reach before
+    /// being dropped at the head (0 = symbols never expire, and no
+    /// timestamps are kept).
     RoundRobinFlowQueue(std::size_t num_flows, std::size_t per_flow_cap,
                         SimTime deadline = 0);
 
@@ -49,9 +53,11 @@ public:
             ++c.dropped_overflow;
             return false;
         }
-        std::size_t tail = std::size_t{r.head} + r.size;  // head, size < cap_
-        if (tail >= cap_) tail -= cap_;
-        slots_[flow * cap_ + tail] = now;
+        if (deadline_ != 0) {
+            std::size_t tail = std::size_t{r.head} + r.size;  // head, size < cap_
+            if (tail >= cap_) tail -= cap_;
+            slots_[flow * cap_ + tail] = now;
+        }
         ++r.size;
         ++c.enqueued;
         ++backlog_;
@@ -61,7 +67,7 @@ public:
 
     struct Served {
         std::size_t flow = 0;
-        SimTime enqueued_at = 0;
+        SimTime enqueued_at = 0;  ///< arrival tick; 0 when there is no deadline
     };
 
     /// Serve one symbol round-robin: the next backlogged flow gives up its
@@ -73,16 +79,18 @@ public:
             const std::uint32_t f = rotate_front();
             FlowRing& r = rings_[f];
             FlowCounters& c = counters_[f];
-            const SimTime* ring = slots_.data() + std::size_t{f} * cap_;
-            // Lazy expiry: age is measured when the symbol reaches the head.
-            while (r.size > 0 && deadline_ != 0 && now - ring[r.head] > deadline_) {
-                advance_head(r);
-                ++c.dropped_expired;
-            }
-            if (r.size == 0) continue;  // drained by expiry; drop out of rotation
             Served out;
             out.flow = f;
-            out.enqueued_at = ring[r.head];
+            if (deadline_ != 0) {
+                const SimTime* ring = slots_.data() + std::size_t{f} * cap_;
+                // Lazy expiry: age is measured when the symbol reaches the head.
+                while (r.size > 0 && now - ring[r.head] > deadline_) {
+                    advance_head(r);
+                    ++c.dropped_expired;
+                }
+                if (r.size == 0) continue;  // drained by expiry; drop out of rotation
+                out.enqueued_at = ring[r.head];
+            }
             advance_head(r);
             ++c.served;
             if (r.size > 0) activate(f);  // rotate to the back of the ring
@@ -137,7 +145,7 @@ private:
 
     std::size_t cap_;
     SimTime deadline_;
-    std::vector<SimTime> slots_;  // num_flows * cap_ flat ring storage
+    std::vector<SimTime> slots_;  // num_flows * cap_ flat rings; empty without a deadline
     std::vector<FlowRing> rings_;
     std::vector<FlowCounters> counters_;
     std::uint32_t active_head_ = kNil;  // circular list cursor (next to serve)

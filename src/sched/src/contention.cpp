@@ -92,6 +92,9 @@ private:
     std::uint64_t far_seq_ = 0;
 };
 
+// Largest gap table simulate() builds: 4096 bisections of the gap formula.
+constexpr SimTime kGapTableCap = 4096;
+
 }  // namespace
 
 ContentionEngine::ContentionEngine(const ContentionConfig& cfg, info::CapacityCache& cache)
@@ -104,6 +107,8 @@ ContentionEngine::ContentionEngine(const ContentionConfig& cfg, info::CapacityCa
         throw std::invalid_argument("ContentionEngine: collision_rate must be >= 0");
     if (cfg_.queue_cap == 0)
         throw std::invalid_argument("ContentionEngine: queue_cap must be >= 1");
+    if (cfg_.queue_cap > UINT32_MAX)
+        throw std::invalid_argument("ContentionEngine: queue_cap must be < 2^32");
     if (cfg_.domain_flows == 0)
         throw std::invalid_argument("ContentionEngine: domain_flows must be >= 1");
     slices_ = std::clamp<std::size_t>(cfg_.slices, 1, cfg_.flows);
@@ -112,21 +117,14 @@ ContentionEngine::ContentionEngine(const ContentionConfig& cfg, info::CapacityCa
                    : std::max(1.0, static_cast<double>(cfg_.flows) / 16.0);
 }
 
-void ContentionEngine::simulate_slice(std::size_t slice, std::vector<FlowLoad>& out) const {
+void ContentionEngine::simulate_slice(std::size_t slice, const util::GeometricTable& gaps,
+                                      std::vector<FlowLoad>& out) const {
     // Contiguous flow range of this slice; disjoint across slices, so the
     // parallel_for over slices writes to disjoint ranges of `out`.
     const std::size_t lo = slice * cfg_.flows / slices_;
     const std::size_t hi = (slice + 1) * cfg_.flows / slices_;
     const std::size_t n = hi - lo;
     if (n == 0) return;
-
-    // Per-flow Bernoulli arrival probability per tick, sized so the whole
-    // population offers `offered_load` times the aggregate service rate.
-    const double lambda = cfg_.offered_load * service_ / static_cast<double>(cfg_.flows);
-    const double p = std::clamp(lambda, 1e-12, 1.0);
-    // Hoisted out of the per-arrival draw. At p = 1 it is -inf and every
-    // gap is 0, as geometric(1) gives.
-    const double log1m = std::log1p(-p);
 
     RoundRobinFlowQueue queue(n, cfg_.queue_cap, cfg_.deadline);
     // The slice serves its population share of the aggregate budget. The
@@ -153,7 +151,7 @@ void ContentionEngine::simulate_slice(std::size_t slice, std::vector<FlowLoad>& 
     // only by the flow that owns the Rng, so the draw order — and hence the
     // whole trajectory — is independent of event interleaving.
     const auto schedule_arrival = [&](std::uint32_t f, SimTime now) {
-        const std::uint64_t gap = rngs[f].geometric_log1m(log1m);
+        const std::uint64_t gap = gaps.draw(rngs[f]);
         if (gap < cfg_.ticks - now) wheel.schedule(now, now + 1 + gap, f);
     };
     for (std::size_t f = 0; f < n; ++f) schedule_arrival(static_cast<std::uint32_t>(f), 0);
@@ -188,10 +186,19 @@ void ContentionEngine::simulate_slice(std::size_t slice, std::vector<FlowLoad>& 
 }
 
 std::vector<FlowLoad> ContentionEngine::simulate() const {
+    // Per-flow Bernoulli arrival probability per tick, sized so the whole
+    // population offers `offered_load` times the aggregate service rate.
+    const double lambda = cfg_.offered_load * service_ / static_cast<double>(cfg_.flows);
+    const double p = std::clamp(lambda, 1e-12, 1.0);
+    // One gap table for every slice, read-only: steps up to a gap of ticks
+    // (a longer gap never lands) or kGapTableCap. At p = 1 every gap is 0,
+    // one draw each.
+    const util::GeometricTable gaps(
+        std::log1p(-p), static_cast<std::uint32_t>(std::min(cfg_.ticks, kGapTableCap)));
     std::vector<FlowLoad> out(cfg_.flows);
     util::parallel_for(
         util::ThreadPool::shared(), slices_,
-        [&](std::size_t slice) { simulate_slice(slice, out); }, cfg_.threads);
+        [&](std::size_t slice) { simulate_slice(slice, gaps, out); }, cfg_.threads);
     return out;
 }
 

@@ -1,5 +1,6 @@
 #include "ccap/sched/flow_queue.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace ccap::sched {
@@ -11,9 +12,12 @@ RoundRobinFlowQueue::RoundRobinFlowQueue(std::size_t num_flows, std::size_t per_
         throw std::invalid_argument("RoundRobinFlowQueue: num_flows must be > 0");
     if (per_flow_cap == 0)
         throw std::invalid_argument("RoundRobinFlowQueue: per_flow_cap must be > 0");
+    // A ring's head and size are 32-bit, and n * cap then stays below 2^64.
+    if (per_flow_cap > UINT32_MAX)
+        throw std::invalid_argument("RoundRobinFlowQueue: per_flow_cap must be < 2^32");
     if (num_flows >= kNil)
         throw std::invalid_argument("RoundRobinFlowQueue: too many flows");
-    slots_.resize(num_flows * cap_);
+    if (deadline != 0) slots_.resize(num_flows * cap_);
     rings_.resize(num_flows);
     counters_.resize(num_flows);
 }

@@ -35,6 +35,24 @@ namespace ccap::util {
     return splitmix64(state);
 }
 
+/// The geometric gap (failures before the first success at probability p)
+/// that a 53-bit draw `bits` = next() >> 11 inverts to, given
+/// log1m = log1p(-p) for p in (0, 1]: trunc(log(1 - bits * 2^-53) / log1m),
+/// on U = 1 - uniform() in (0, 1]. log1m = -inf (p = 1) yields 0. The
+/// quotient is >= 0 (or -0.0), so truncation equals floor; quotients of
+/// 2^64 or more, reachable only for p below about 2e-18, saturate to ~0ULL.
+/// The one copy of the formula: Rng::geometric and GeometricTable's step
+/// points and fallback all evaluate it.
+[[nodiscard]] inline std::uint64_t geometric_gap_of_bits(std::uint64_t bits,
+                                                         double log1m) noexcept {
+    const double x = std::log(1.0 - static_cast<double>(bits) * 0x1.0p-53) / log1m;
+    // The signed conversion is the cheap one; [2^63, 2^64) holds only
+    // integers, which the unsigned conversion takes exactly.
+    if (x < 0x1.0p63) return static_cast<std::uint64_t>(static_cast<std::int64_t>(x));
+    if (x < 0x1.0p64) return static_cast<std::uint64_t>(x);
+    return ~0ULL;
+}
+
 /// xoshiro256** 1.0 — deterministic, seedable, 2^256-1 period.
 class Rng {
 public:
@@ -89,26 +107,11 @@ public:
 
     /// Geometric: number of failures before first success, success prob p.
     /// p >= 1 returns 0 and p <= 0 returns ~0ULL ("never"), both without a
-    /// draw; otherwise one geometric_log1m(std::log1p(-p)) draw.
+    /// draw; otherwise one draw, inverted by geometric_gap_of_bits.
     [[nodiscard]] std::uint64_t geometric(double p) noexcept {
         if (p >= 1.0) return 0;
         if (p <= 0.0) return ~0ULL;
-        return geometric_log1m(std::log1p(-p));
-    }
-
-    /// geometric(p) for a caller that holds `log1m = std::log1p(-p)` for
-    /// many draws at one p in (0, 1]: inversion floor(log(U) / log1m) on
-    /// U = 1 - uniform() in (0, 1], one uniform() per call. log1m = -inf
-    /// (p = 1) yields 0 but still consumes the draw. The quotient is >= 0
-    /// (or -0.0), so truncation equals floor; quotients of 2^64 or more,
-    /// reachable only for p below about 2e-18, saturate to ~0ULL.
-    [[nodiscard]] std::uint64_t geometric_log1m(double log1m) noexcept {
-        const double x = std::log(1.0 - uniform()) / log1m;
-        // The signed conversion is the cheap one; [2^63, 2^64) holds only
-        // integers, which the unsigned conversion takes exactly.
-        if (x < 0x1.0p63) return static_cast<std::uint64_t>(static_cast<std::int64_t>(x));
-        if (x < 0x1.0p64) return static_cast<std::uint64_t>(x);
-        return ~0ULL;
+        return geometric_gap_of_bits(next() >> 11, std::log1p(-p));
     }
 
     /// Standard normal via Box-Muller (no cached spare: deterministic stream).
@@ -128,6 +131,40 @@ private:
         return (x << k) | (x >> (64 - k));
     }
     std::array<std::uint64_t, 4> state_{};
+};
+
+/// Geometric gaps at one p without a `log` per draw: a table of the steps
+/// of geometric_gap_of_bits with a guide index (Chen & Asau's guide table).
+/// The gap is a non-decreasing step function of the 53-bit draw (THEORY
+/// §13), so draw(rng) consumes one next() and returns
+/// geometric_gap_of_bits(next() >> 11, log1m) for every draw. Gaps below
+/// `cap` come from the table; a draw at or past the cap-th step point
+/// evaluates the formula itself. Built once per p (cap bisections of the
+/// formula), then read-only and shareable across threads.
+class GeometricTable {
+public:
+    /// `log1m = std::log1p(-p)` for p in (0, 1].
+    GeometricTable(double log1m, std::uint32_t cap);
+
+    [[nodiscard]] std::uint64_t draw(Rng& rng) const noexcept { return gap(rng.next() >> 11); }
+
+    /// geometric_gap_of_bits(bits, log1m) for a 53-bit `bits`.
+    [[nodiscard]] std::uint64_t gap(std::uint64_t bits) const noexcept {
+        std::uint32_t k = guide_[bits >> kGuideShift];
+        while (steps_[k + 1] <= bits) ++k;
+        return k < cap_ ? k : geometric_gap_of_bits(bits, log1m_);
+    }
+
+private:
+    static constexpr int kGuideShift = 53 - 12;  // 2^12 guide buckets
+
+    double log1m_;
+    std::uint32_t cap_;
+    /// steps_[k], k = 1..cap: the smallest bits whose gap is >= k (2^53
+    /// where none is); steps_[0] = 0 and steps_[cap + 1] = 2^53 bound the scan.
+    std::vector<std::uint64_t> steps_;
+    /// guide_[b]: the gap at bits = b << kGuideShift, capped at cap.
+    std::vector<std::uint32_t> guide_;
 };
 
 }  // namespace ccap::util

@@ -32,4 +32,31 @@ double Rng::normal() noexcept {
     return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
 }
 
+GeometricTable::GeometricTable(double log1m, std::uint32_t cap)
+    : log1m_(log1m), cap_(cap), steps_(std::size_t{cap} + 2), guide_(std::size_t{1} << 12) {
+    constexpr std::uint64_t kEnd = std::uint64_t{1} << 53;  // one past the largest draw
+    // steps_[k] is the first bits with gap >= k: a bisection over
+    // [steps_[k - 1], 2^53] on the formula itself, so the table encodes
+    // whatever the host's log computes.
+    steps_[0] = 0;
+    for (std::size_t k = 1; k <= cap; ++k) {
+        std::uint64_t lo = steps_[k - 1], hi = kEnd;
+        while (lo < hi) {
+            const std::uint64_t mid = lo + (hi - lo) / 2;
+            if (geometric_gap_of_bits(mid, log1m) >= k)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        steps_[k] = lo;
+    }
+    steps_[std::size_t{cap} + 1] = kEnd;
+    std::uint32_t k = 0;
+    for (std::size_t b = 0; b < guide_.size(); ++b) {
+        const std::uint64_t first = std::uint64_t{b} << kGuideShift;
+        while (k < cap && steps_[k + 1] <= first) ++k;
+        guide_[b] = k;
+    }
+}
+
 }  // namespace ccap::util

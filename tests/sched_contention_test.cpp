@@ -136,6 +136,12 @@ TEST(ContentionEngineTest, RejectsDegenerateConfigs) {
     cfg = engine_config();
     cfg.domain_flows = 0;
     EXPECT_THROW(ContentionEngine(cfg, cache), std::invalid_argument);
+    // A ring's head and size are 32-bit; 2^58 also wrapped n * cap to 0.
+    for (const std::size_t cap : {std::size_t{1} << 32, std::size_t{1} << 58}) {
+        cfg = engine_config();
+        cfg.queue_cap = cap;
+        EXPECT_THROW(ContentionEngine(cfg, cache), std::invalid_argument);
+    }
 }
 
 TEST(ContentionEngineTest, SimulationConservesSymbols) {
@@ -247,6 +253,52 @@ TEST(ContentionEngineTest, SimulationMatchesHeapReference) {
         } else {
             EXPECT_EQ(offered, 0u);
         }
+    }
+}
+
+// FNV-1a over every flow's counters, in flow order.
+std::uint64_t loads_digest(const std::vector<FlowLoad>& loads) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const FlowLoad& l : loads) {
+        for (const std::uint64_t v : {l.offered, l.served, l.dropped_overflow, l.dropped_expired}) {
+            for (int byte = 0; byte < 8; ++byte) {
+                h ^= (v >> (8 * byte)) & 0xff;
+                h *= 0x100000001b3ULL;
+            }
+        }
+    }
+    return h;
+}
+
+// Digests of simulate() recorded from the log-per-arrival draw with a
+// timestamp written on every push. The heap reference above shares the
+// queue with the engine, so these also pin what both sides share.
+TEST(ContentionEngineTest, SimulationMatchesRecordedDigests) {
+    struct Case {
+        std::string name;
+        ContentionConfig cfg;
+        std::uint64_t offered;
+        std::uint64_t digest;
+    };
+    ContentionConfig base;  // ticks 1024, 64 slices, queue cap 16, seed 1
+    base.flows = 20000;
+    base.offered_load = 1.1;
+    ContentionConfig deadline = base;
+    deadline.offered_load = 1.3;
+    deadline.deadline = 8;
+    deadline.queue_cap = 4;
+    const std::vector<Case> cases = {
+        {"load_1.1_no_deadline", base, 1409000, 0x62b9925b1fe533cbULL},
+        {"load_1.3_deadline_8_cap_4", deadline, 1663784, 0x14db5191596216bbULL},
+    };
+    CapacityCache cache(cache_config());
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::vector<FlowLoad> loads = ContentionEngine(c.cfg, cache).simulate();
+        std::uint64_t offered = 0;
+        for (const FlowLoad& l : loads) offered += l.offered;
+        EXPECT_EQ(offered, c.offered);
+        EXPECT_EQ(loads_digest(loads), c.digest);
     }
 }
 

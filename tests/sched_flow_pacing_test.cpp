@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -59,24 +60,38 @@ TEST(PacingControllerTest, FractionalCosts) {
 }
 
 TEST(RoundRobinFlowQueueTest, ServesOldestSymbolPerFlowRoundRobin) {
-    RoundRobinFlowQueue q(3, 4);
-    EXPECT_TRUE(q.push(0, 1));
-    EXPECT_TRUE(q.push(0, 2));
-    EXPECT_TRUE(q.push(2, 3));
-    EXPECT_EQ(q.backlog(), 3u);
+    // Arrival ticks are kept only with a deadline (here one no symbol
+    // reaches); without one, pop reports 0.
+    for (const SimTime deadline : {SimTime{0}, SimTime{100}}) {
+        SCOPED_TRACE("deadline " + std::to_string(deadline));
+        RoundRobinFlowQueue q(3, 4, deadline);
+        EXPECT_TRUE(q.push(0, 1));
+        EXPECT_TRUE(q.push(0, 2));
+        EXPECT_TRUE(q.push(2, 3));
+        EXPECT_EQ(q.backlog(), 3u);
 
-    auto a = q.pop(5);
-    auto b = q.pop(5);
-    auto c = q.pop(5);
-    ASSERT_TRUE(a && b && c);
-    // Round-robin: flow 0 gives its oldest, then flow 2, then flow 0 again.
-    EXPECT_EQ(a->flow, 0u);
-    EXPECT_EQ(a->enqueued_at, 1u);
-    EXPECT_EQ(b->flow, 2u);
-    EXPECT_EQ(c->flow, 0u);
-    EXPECT_EQ(c->enqueued_at, 2u);
-    EXPECT_FALSE(q.pop(5).has_value());
-    EXPECT_EQ(q.backlog(), 0u);
+        auto a = q.pop(5);
+        auto b = q.pop(5);
+        auto c = q.pop(5);
+        ASSERT_TRUE(a && b && c);
+        // Round-robin: flow 0 gives its oldest, then flow 2, then flow 0 again.
+        EXPECT_EQ(a->flow, 0u);
+        EXPECT_EQ(b->flow, 2u);
+        EXPECT_EQ(c->flow, 0u);
+        EXPECT_EQ(a->enqueued_at, deadline != 0 ? 1u : 0u);
+        EXPECT_EQ(b->enqueued_at, deadline != 0 ? 3u : 0u);
+        EXPECT_EQ(c->enqueued_at, deadline != 0 ? 2u : 0u);
+        EXPECT_FALSE(q.pop(5).has_value());
+        EXPECT_EQ(q.backlog(), 0u);
+    }
+}
+
+TEST(RoundRobinFlowQueueTest, RejectsDegenerateShapes) {
+    EXPECT_THROW(RoundRobinFlowQueue(0, 4), std::invalid_argument);
+    EXPECT_THROW(RoundRobinFlowQueue(3, 0), std::invalid_argument);
+    // A ring's head and size are 32-bit.
+    EXPECT_THROW(RoundRobinFlowQueue(3, std::size_t{1} << 32), std::invalid_argument);
+    EXPECT_THROW(RoundRobinFlowQueue(64, std::size_t{1} << 58, 8), std::invalid_argument);
 }
 
 TEST(RoundRobinFlowQueueTest, HeavyFlowCannotStarveNeighbours) {
@@ -220,7 +235,10 @@ TEST(RoundRobinFlowQueueTest, RingWrapAroundMatchesDequeReference) {
                     ASSERT_EQ(got.has_value(), want.has_value()) << "t=" << t;
                     if (!want) continue;
                     ASSERT_EQ(got->flow, want->flow) << "t=" << t;
-                    ASSERT_EQ(got->enqueued_at, want->enqueued_at) << "t=" << t;
+                    // Arrival ticks are kept only where expiry reads them.
+                    if (deadline != 0) {
+                        ASSERT_EQ(got->enqueued_at, want->enqueued_at) << "t=" << t;
+                    }
                     ++served;
                 }
                 ASSERT_EQ(q.backlog(), ref.backlog()) << "t=" << t;

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 namespace {
@@ -156,9 +158,9 @@ TEST(Rng, GeometricCertainSuccessIsZero) {
     for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.geometric(1.0), 0U);
 }
 
-// Pins both geometric entries to the inversion floor(log(1 - U) / log1p(-p))
-// on a twin stream, so an oracle that calls geometric(p) stays independent
-// of the hoisted-log, truncating draw.
+// Pins geometric(p) and the shared gap formula to the inversion
+// floor(log(1 - U) / log1p(-p)) on a twin stream, so an oracle that calls
+// geometric(p) stays independent of the hoisted-log, truncating formula.
 TEST(Rng, GeometricMatchesFloorInversionBitForBit) {
     for (const double p : {1e-12, 1e-6, 0.06875, 0.3, 0.5, 1.0 - 1e-9}) {
         const double log1m = std::log1p(-p);
@@ -167,7 +169,8 @@ TEST(Rng, GeometricMatchesFloorInversionBitForBit) {
             const double x = std::floor(std::log(1.0 - ref.uniform()) / std::log1p(-p));
             const auto want = static_cast<std::uint64_t>(x);
             ASSERT_EQ(a.geometric(p), want) << "p=" << p << " draw " << i;
-            ASSERT_EQ(b.geometric_log1m(log1m), want) << "p=" << p << " draw " << i;
+            ASSERT_EQ(ccap::util::geometric_gap_of_bits(b.next() >> 11, log1m), want)
+                << "p=" << p << " draw " << i;
         }
     }
 }
@@ -181,12 +184,16 @@ TEST(Rng, GeometricEdgesDrawNothing) {
     EXPECT_EQ(a.next(), ref.next());  // the stream did not move
 }
 
-TEST(Rng, GeometricLog1mAtCertainSuccessIsZero) {
+TEST(Rng, GeometricGapAtCertainSuccessIsZero) {
     // p = 1 hoists to log1m = -inf: every gap is 0, one draw each.
-    Rng a(21), ref(21);
     const double log1m = std::log1p(-1.0);
-    for (int i = 0; i < 100; ++i) EXPECT_EQ(a.geometric_log1m(log1m), 0U);
-    for (int i = 0; i < 100; ++i) (void)ref.uniform();
+    const ccap::util::GeometricTable table(log1m, 16);
+    Rng a(21), ref(21);
+    for (int i = 0; i < 100; ++i) {
+        EXPECT_EQ(ccap::util::geometric_gap_of_bits(a.next() >> 11, log1m), 0U);
+        EXPECT_EQ(table.draw(a), 0U);
+    }
+    for (int i = 0; i < 200; ++i) (void)ref.uniform();
     EXPECT_EQ(a.next(), ref.next());
 }
 
@@ -202,7 +209,81 @@ TEST(Rng, GeometricSaturatesForTinyP) {
     for (int i = 0; i < 1000; ++i) {
         const double x = std::log(1.0 - ref.uniform()) / log1m;
         const std::uint64_t want = x >= 0x1p64 ? ~0ULL : static_cast<std::uint64_t>(std::floor(x));
-        ASSERT_EQ(b.geometric_log1m(log1m), want) << "draw " << i;
+        ASSERT_EQ(ccap::util::geometric_gap_of_bits(b.next() >> 11, log1m), want)
+            << "draw " << i;
+    }
+}
+
+// The first 53-bit draw whose gap reaches k, by bisection (2^53 if none).
+std::uint64_t first_bits_with_gap(std::uint64_t k, double log1m) {
+    std::uint64_t lo = 0, hi = std::uint64_t{1} << 53;
+    while (lo < hi) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        if (ccap::util::geometric_gap_of_bits(mid, log1m) >= k)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
+
+constexpr std::array<double, 5> kTableProbs = {0.06875, 0.5, 1.0, 1e-3, 1e-12};
+constexpr std::array<std::uint32_t, 3> kTableCaps = {1, 100, 1024};
+
+TEST(GeometricTable, MatchesTheFormulaAroundEveryStep) {
+    constexpr std::uint64_t kEnd = std::uint64_t{1} << 53;
+    for (const double p : kTableProbs) {
+        const double log1m = std::log1p(-p);
+        for (const std::uint32_t cap : kTableCaps) {
+            SCOPED_TRACE("p=" + std::to_string(p) + " cap " + std::to_string(cap));
+            const ccap::util::GeometricTable table(log1m, cap);
+            const auto check = [&](std::uint64_t bits) {
+                ASSERT_EQ(table.gap(bits), ccap::util::geometric_gap_of_bits(bits, log1m))
+                    << "bits " << bits;
+            };
+            // 64 draws either side of each step point, one past the cap
+            // included (its upper side takes the formula) ...
+            for (std::uint64_t k = 1; k <= std::uint64_t{cap} + 1; ++k) {
+                const std::uint64_t step = first_bits_with_gap(k, log1m);
+                if (step == kEnd) break;
+                const std::uint64_t from = step < 64 ? 0 : step - 64;
+                const std::uint64_t to = std::min(step + 64, kEnd - 1);
+                for (std::uint64_t bits = from; bits <= to; ++bits) check(bits);
+            }
+            // ... either side of every guide-bucket edge, and the last draw.
+            for (std::uint64_t b = 0; b < 4096; ++b) {
+                const std::uint64_t edge = b << 41;
+                if (edge > 0) check(edge - 1);
+                check(edge);
+            }
+            check(kEnd - 1);
+        }
+    }
+}
+
+TEST(GeometricTable, DrawsTheSameGapsAsTheFormula) {
+    constexpr int kDraws = 1'000'000;
+    for (const double p : kTableProbs) {
+        const double log1m = std::log1p(-p);
+        for (const std::uint32_t cap : kTableCaps) {
+            SCOPED_TRACE("p=" + std::to_string(p) + " cap " + std::to_string(cap));
+            const ccap::util::GeometricTable table(log1m, cap);
+            Rng a(31), b(31);
+            int past_cap = 0;
+            for (int i = 0; i < kDraws; ++i) {
+                const std::uint64_t want =
+                    ccap::util::geometric_gap_of_bits(b.next() >> 11, log1m);
+                ASSERT_EQ(table.draw(a), want) << "draw " << i;
+                past_cap += want >= cap;
+            }
+            EXPECT_EQ(a.next(), b.next());  // one draw per gap, p = 1 included
+            if (p == 1.0) {
+                EXPECT_EQ(past_cap, 0);
+            } else if (p == 1e-3 || p == 1e-12) {
+                // The formula answers every gap past the table's last step.
+                EXPECT_GT(past_cap, kDraws / 4);
+            }
+        }
     }
 }
 

@@ -140,6 +140,12 @@ ccap_expect_failure(1 "grid step pd_step = 1e-300 is too fine"
   contend --grid-step 1e-300 --flows 64)
 ccap_expect_failure(1 "grid step pd_step = 1e-300 is too fine"
   track --pd 0.2 --windows 2 --grid-step 1e-300)
+# A per-flow queue cap past 32 bits is rejected, with or without a
+# deadline (2^58 used to wrap a slice's n * cap ring size to 0).
+ccap_expect_failure(1 "queue_cap must be < 2\\^32"
+  contend --queue-cap 288230376151711744)
+ccap_expect_failure(1 "queue_cap must be < 2\\^32"
+  contend --queue-cap 288230376151711744 --deadline 8)
 # Truncated trace fixture: the framed header promises more symbols than
 # the file holds -> typed trace error, exit 1.
 file(WRITE ${WORK_DIR}/cli_truncated.txt
